@@ -154,7 +154,9 @@ def run_configuration(
         try:
             reply = gateway.complete(
                 ChatRequest.user(
-                    render_clarity_probe(bundle, name), temperature=PROBE_TEMPERATURE
+                    render_clarity_probe(bundle, name),
+                    temperature=PROBE_TEMPERATURE,
+                    role="probe",
                 )
             )
             judge_prompt = render_clarity_judge(name, reply.text, record)

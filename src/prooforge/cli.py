@@ -329,11 +329,14 @@ def cmd_vocab(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_single(statement: str, cfg: dict, table, corpus, proofs, index):
+def _run_single(statement: str, cfg: dict, table, corpus, proofs, index, gateway=None):
+    """Prove one statement on a fresh backend. `gateway` is shared across
+    runs when given; otherwise each run builds its own, so a mock script
+    replays from the start for every theorem."""
     recorder = RunRecorder()
     ports = SearchPorts(
         backend=_build_backend(cfg),
-        gateway=_build_gateway(cfg),
+        gateway=_build_gateway(cfg) if gateway is None else gateway,
         index=index,
         corpus=corpus,
         table=table,
@@ -406,11 +409,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     table, corpus, proofs = _load_corpora(cfg)
     index = _build_index(cfg, corpus, proofs)
     out_dir = cfg["out"]
+    # One HttpGateway for every run, so its concurrency cap holds across
+    # --jobs workers; a MockGateway stays per run.
+    shared_gateway = None if cfg["gateway"] == "mock" else _build_gateway(cfg)
 
     def run_one(raw: str):
         statement = _resolve_theorem(raw, proofs)
         try:
-            result, log = _run_single(statement, cfg, table, corpus, proofs, index)
+            result, log = _run_single(
+                statement, cfg, table, corpus, proofs, index, gateway=shared_gateway
+            )
             return statement, result, log, None
         except (PortFailure, ProoforgeError) as exc:
             log = {

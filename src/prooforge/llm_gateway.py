@@ -2,7 +2,9 @@
 action-response parsing, and YES/NO log-probability judgment.
 
 Two gateways ship. MockGateway replays a script of records, either in strict
-order or routed by prompt kind, and is what every test and fixture run uses.
+order or routed by the role each caller sets on its request (planner,
+executor, explain, summarize, notebook, rank, probe or judge), and is what
+every test and fixture run uses.
 HttpGateway talks to a chat-completions endpoint with a retry policy; its
 transport is injectable so the policy is testable without a network. The API
 key is read from an environment variable at call time, never from files.
@@ -32,7 +34,6 @@ from .errors import (
     RateLimited,
     UnjudgeableResponse,
 )
-from .prompt_builder import classify_prompt
 
 logger = logging.getLogger("prooforge.llm_gateway")
 
@@ -44,10 +45,19 @@ VALID_ROLES = ("system", "user", "assistant")
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One chat-completion call.
+
+    `role` names the kind of call (planner, executor, explain, summarize,
+    notebook, rank, probe or judge), set by the caller; MockGateway routes
+    on it. It is not a message role (see VALID_ROLES), is never sent to a
+    provider, and is left out of `digest()`.
+    """
+
     messages: tuple[tuple[str, str], ...]
     temperature: float = 0.7
     max_tokens: int = 1024
     want_logprobs: bool = False
+    role: Optional[str] = None
 
     def __post_init__(self):
         if not self.messages:
@@ -295,7 +305,7 @@ def derive_yes_no_logprobs(
 class ScriptRecord:
     """One replay entry.
 
-    `route` makes the record answer only prompts classified to that route;
+    `route` makes the record answer only requests whose role is that route;
     records without routes replay in strict global order. `default` marks a
     reusable fallback reply for its route. `expect_digest`, when set, must
     match the incoming request digest exactly. `yes_no` scripts the judged
@@ -342,19 +352,14 @@ class MockGateway:
     """Deterministic scripted gateway.
 
     With no routed records the script replays strictly in order and a call
-    past the end raises ProviderError. With routed records, each call is
-    classified (via prompt_builder.classify_prompt by default) and consumes
-    the next record queued for its route, falling back to that route's
-    default record, then to a global default. Replay files are JSON lines,
-    one record per line; `#` lines are comments.
+    past the end raises ProviderError. With routed records, each call
+    consumes the next record queued for its request's `role`, falling back
+    to that role's default record, then to a global default; a request
+    without a role gets only the global default. Replay files are JSON
+    lines, one record per line; `#` lines are comments.
     """
 
-    def __init__(
-        self,
-        records: Sequence[ScriptRecord] = (),
-        classifier: Callable[[str], str] = classify_prompt,
-    ):
-        self.classifier = classifier
+    def __init__(self, records: Sequence[ScriptRecord] = ()):
         self.calls: list[ChatRequest] = []
         self._lock = threading.Lock()
         self._strict: list[ScriptRecord] = []
@@ -375,7 +380,7 @@ class MockGateway:
             raise ValueError("a script mixes strict-order and routed records")
 
     @classmethod
-    def from_file(cls, path: str, classifier: Callable[[str], str] = classify_prompt) -> "MockGateway":
+    def from_file(cls, path: str) -> "MockGateway":
         records = []
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -383,14 +388,13 @@ class MockGateway:
                 if not line or line.startswith("#"):
                     continue
                 records.append(ScriptRecord.from_obj(json.loads(line)))
-        return cls(records, classifier=classifier)
+        return cls(records)
 
     def _next_record(self, request: ChatRequest) -> ScriptRecord:
-        prompt = "\n".join(content for _role, content in request.messages)
         with self._lock:
             self.calls.append(request)
             if self._routed or self._defaults:
-                route = self.classifier(prompt)
+                route = request.role
                 queue = self._routed.get(route)
                 if queue:
                     return queue.pop(0)
@@ -421,7 +425,9 @@ class MockGateway:
         return CompletionResult(text=record.reply, logprobs=logprobs)
 
     def yes_no_logprobs(self, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
-        request = ChatRequest.user(judge_prompt, temperature=0.0, max_tokens=4, want_logprobs=True)
+        request = ChatRequest.user(
+            judge_prompt, temperature=0.0, max_tokens=4, want_logprobs=True, role="judge"
+        )
         record = self._next_record(request)
         self._check_digest(record, request)
         if record.yes_no is not None:
@@ -567,7 +573,7 @@ class HttpGateway:
 
     def yes_no_logprobs(self, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
         request = ChatRequest.user(
-            judge_prompt, temperature=0.0, max_tokens=4, want_logprobs=True
+            judge_prompt, temperature=0.0, max_tokens=4, want_logprobs=True, role="judge"
         )
         result = self.complete(request)
         if not result.logprobs:

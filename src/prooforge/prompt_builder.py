@@ -1,7 +1,7 @@
 """Rendering of every prompt the system sends.
 
-One skeleton (shipped in ``templates/prove_prompt.txt``, version 1) drives the
-proving prompt. Eleven information configurations control what goes into it:
+One skeleton, the ``_BLOCK_*`` constants below, drives the proving prompt.
+Eleven information configurations control what goes into it:
 
 ====================  ========  ======  ========  =========  =========  ==========
 configuration         glob-def  origin  internal  intuition  qualified  extra
@@ -34,12 +34,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Optional, Sequence, Union
 
 from .core_model import EntityRecord, Notebook, ProofState
-
-TEMPLATE_VERSION = 1
 
 
 class InfoConfiguration(Enum):
@@ -132,8 +129,7 @@ class PromptBundle:
 
 
 # ======================================================================
-# Template blocks. Their concatenation is byte-identical to the shipped
-# template file; a test pins that equivalence.
+# Template blocks: the proving prompt's skeleton, in rendering order.
 # ======================================================================
 
 _BLOCK_HEADER = (
@@ -209,26 +205,6 @@ _BLOCK_ACTIONS = (
     "  ]\n"
     "}\n"
 )
-
-FULL_TEMPLATE = (
-    _BLOCK_HEADER
-    + _BLOCK_PROOF_STATE
-    + _BLOCK_GLOB_DEF
-    + _BLOCK_PROOF_TRACING
-    + _BLOCK_PREMISES
-    + _BLOCK_TACTICS
-    + _BLOCK_NOTES
-    + _BLOCK_HINT
-    + _BLOCK_ACTIONS
-)
-
-
-def load_template_file() -> str:
-    """The shipped skeleton, for audits and the fidelity test."""
-    return (
-        resources.files("prooforge").joinpath("templates/prove_prompt.txt").read_text("utf-8")
-    )
-
 
 _QUALIFIED_RE = re.compile(
     r"(?<![A-Za-z0-9_'.])(?:[A-Za-z_][A-Za-z0-9_']*\.)+([A-Za-z_][A-Za-z0-9_']*)"
@@ -571,34 +547,3 @@ def render_clarity_judge(
         "",
         JUDGE_MARKER,
     ])
-
-
-# ======================================================================
-# Prompt classification (used by the scripted gateway's router)
-# ======================================================================
-
-def classify_prompt(text: str) -> str:
-    """Best-effort routing label for a prompt.
-
-    Order matters: the clarity probe embeds a full proving prompt, so its
-    marker is checked before the executor's; planner replies can end up
-    inside a proving prompt's hint section, so the executor marker is
-    checked before the planner's.
-    """
-    if JUDGE_MARKER in text:
-        return "judge"
-    if PROBE_MARKER in text:
-        return "probe"
-    if RANK_MARKER in text:
-        return "rank"
-    if NOTEBOOK_MARKER in text:
-        return "notebook"
-    if EXPLAIN_MARKER in text:
-        return "explain"
-    if SUMMARIZE_MARKER in text:
-        return "summarize"
-    if "=== Available Actions ===" in text:
-        return "executor"
-    if PLANNER_SECTION_LABELS[-1] in text:
-        return "planner"
-    return "unknown"

@@ -196,8 +196,9 @@ class _Expansion:
     proved: Optional[tuple[tuple[str, str], ...]] = None
 
 
-def _text(gateway, prompt: str, temperature: float) -> str:
-    return gateway.complete(ChatRequest.user(prompt, temperature=temperature)).text
+def _text(gateway, prompt: str, temperature: float, role: str) -> str:
+    request = ChatRequest.user(prompt, temperature=temperature, role=role)
+    return gateway.complete(request).text
 
 
 def parse_quality_score(reply: str, default: float = 0.5) -> float:
@@ -218,10 +219,13 @@ def explain_and_summarize(before, tactic, after, trace, gateway):
     Returns (explanation, summary, score) where `score` is the state quality
     in [0, 1] parsed from the summary reply (0.5 when absent)."""
     explanation = _text(
-        gateway, render_explanation_prompt(before, tactic, after), EXPLAIN_TEMPERATURE
+        gateway,
+        render_explanation_prompt(before, tactic, after),
+        EXPLAIN_TEMPERATURE,
+        "explain",
     )
     summary = _text(
-        gateway, render_summarize_prompt(trace, after), SUMMARY_TEMPERATURE
+        gateway, render_summarize_prompt(trace, after), SUMMARY_TEMPERATURE, "summarize"
     )
     return explanation, summary, parse_quality_score(summary)
 
@@ -233,7 +237,7 @@ def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Not
     if not insights:
         return notebook
     prompt = render_notebook_prompt(initial_state, insights, notebook)
-    reply = _text(gateway, prompt, NOTEBOOK_TEMPERATURE)
+    reply = _text(gateway, prompt, NOTEBOOK_TEMPERATURE, "notebook")
     merged = parse_string_array(reply)
     if merged is None:
         combined = notebook.items + tuple(insights)
@@ -274,6 +278,7 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
         gateway,
         render_rank_prompt(initial_state, triples, beam_width),
         RANK_TEMPERATURE,
+        "rank",
     )
     ranked = parse_int_array(reply)
     if ranked is None:
@@ -370,13 +375,11 @@ def _expand_branch(
             state, concepts, trace, summary, notebook, errors=(), config=ports.config
         ),
         PLANNER_TEMPERATURE,
+        "planner",
     )
     premises, tactic_examples = _retrieve_context(ports, state)
 
-    def executor_round(strategy_text: str) -> list[str]:
-        """One executor exchange; resolves at most one info request per
-        expansion, after which an info request yields no tactics."""
-        nonlocal concepts, info_used
+    def ask_executor(strategy_text: str):
         bundle = render_prove_prompt(
             state,
             concepts=concepts,
@@ -388,27 +391,21 @@ def _expand_branch(
             hint=strategy_text,
             config=ports.config,
         )
-        reply = _text(ports.gateway, bundle.rendered, EXECUTOR_TEMPERATURE)
-        action = parse_action_response(reply)
+        reply = _text(ports.gateway, bundle.rendered, EXECUTOR_TEMPERATURE, "executor")
+        return parse_action_response(reply)
+
+    def executor_round(strategy_text: str) -> list[str]:
+        """One executor exchange; resolves at most one info request per
+        expansion, after which an info request yields no tactics."""
+        nonlocal concepts, info_used
+        action = ask_executor(strategy_text)
         if isinstance(action, InfoRequest) and not info_used:
             info_used = True
             concepts = concepts + _lookup_info(ports, action.names, have_tokens)
             recorder.record(
                 "info", depth=depth, branch=index_in_layer, names=list(action.names)
             )
-            bundle = render_prove_prompt(
-                state,
-                concepts=concepts,
-                trace=trace,
-                summary=summary,
-                premises=premises,
-                tactics=tactic_examples,
-                notes=notebook,
-                hint=strategy_text,
-                config=ports.config,
-            )
-            reply = _text(ports.gateway, bundle.rendered, EXECUTOR_TEMPERATURE)
-            action = parse_action_response(reply)
+            action = ask_executor(strategy_text)
         if isinstance(action, TacticSuggestions):
             return [suggestion.tactic for suggestion in action.items]
         return []
@@ -450,6 +447,7 @@ def _expand_branch(
                 state, concepts, trace, summary, notebook, errors=errors, config=ports.config
             ),
             PLANNER_TEMPERATURE,
+            "planner",
         )
         failed = validate_batch(executor_round(strategy))
 
@@ -463,6 +461,7 @@ def _expand_branch(
                 ports.gateway,
                 render_explanation_prompt(state, tactic, after),
                 EXPLAIN_TEMPERATURE,
+                "explain",
             )
             return _Expansion([], [], proved=trace + ((tactic, explanation),))
         if is_subgoal_complete(state, after):

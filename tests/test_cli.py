@@ -4,12 +4,15 @@ the no-credentials-in-config rule."""
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from conftest import FIXTURES, entities_path, proofs_path, backend_spec_path
 from prooforge.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from prooforge.clarity_eval import parse_report_rows
+from prooforge.llm_gateway import HttpGateway
 
 PROVE_SCRIPT = os.path.join(FIXTURES, "gateway_prove.jsonl")
 FAIL_SCRIPT = os.path.join(FIXTURES, "gateway_fail.jsonl")
@@ -251,6 +254,43 @@ class TestBench:
             if left != right:
                 mismatched.append(name)
         assert mismatched == []
+
+    def test_http_concurrency_cap_spans_all_jobs(self, tmp_path, monkeypatch, capsys):
+        # Eight workers share one HttpGateway, so at most its four
+        # requests are ever in flight at once.
+        lock = threading.Lock()
+        inflight = {"now": 0, "peak": 0}
+        reply = json.dumps({"tactics": [{"tactic": "intros"}, {"tactic": "assumption"}]})
+
+        def transport(self, url, payload, headers):
+            with lock:
+                inflight["now"] += 1
+                inflight["peak"] = max(inflight["peak"], inflight["now"])
+            try:
+                time.sleep(0.01)
+                return {"choices": [{"message": {"content": reply}}]}
+            finally:
+                with lock:
+                    inflight["now"] -= 1
+
+        monkeypatch.setattr(HttpGateway, "_default_transport", transport)
+        theorems = tmp_path / "theorems.txt"
+        theorems.write_text(
+            "".join(f"{p} -> {p}\n" for p in "ABCDEFGH"), encoding="utf-8"
+        )
+        code = main([
+            "bench",
+            "--backend", "synthetic",
+            "--gateway", "http",
+            "--base-url", "http://localhost:9",
+            "--model", "stub",
+            "--theorems", str(theorems),
+            "--out", str(tmp_path / "runs"),
+            "--jobs", "8",
+        ])
+        assert code == EXIT_OK
+        assert "proved 8/8" in capsys.readouterr().out
+        assert 1 <= inflight["peak"] <= 4
 
 
 # ----------------------------------------------------------------------

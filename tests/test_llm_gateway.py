@@ -49,6 +49,8 @@ class TestChatRequest:
         c = ChatRequest.user("different", temperature=0.7)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+        tagged = ChatRequest.user("prompt text", temperature=0.7, role="planner")
+        assert tagged.digest() == a.digest()
 
 
 # ----------------------------------------------------------------------
@@ -200,26 +202,50 @@ class TestMockGateway:
             gateway.complete(ChatRequest.user("b"))
 
     def test_routed_records_consume_per_route(self):
-        gateway = MockGateway(
-            [
-                ScriptRecord(reply="plan", route="planner"),
-                ScriptRecord(reply="fallback", route="planner", default=True),
-            ],
-            classifier=lambda text: "planner",
-        )
-        assert gateway.complete(ChatRequest.user("x")).text == "plan"
-        assert gateway.complete(ChatRequest.user("y")).text == "fallback"
-        assert gateway.complete(ChatRequest.user("z")).text == "fallback"
+        gateway = MockGateway([
+            ScriptRecord(reply="plan", route="planner"),
+            ScriptRecord(reply="fallback", route="planner", default=True),
+        ])
+        assert gateway.complete(ChatRequest.user("x", role="planner")).text == "plan"
+        assert gateway.complete(ChatRequest.user("y", role="planner")).text == "fallback"
+        assert gateway.complete(ChatRequest.user("z", role="planner")).text == "fallback"
 
     def test_routed_without_default_exhausts(self):
-        gateway = MockGateway(
-            [ScriptRecord(reply="one", route="rank")],
-            classifier=lambda text: "rank",
-        )
-        gateway.complete(ChatRequest.user("x"))
+        gateway = MockGateway([ScriptRecord(reply="one", route="rank")])
+        gateway.complete(ChatRequest.user("x", role="rank"))
         with pytest.raises(ProviderError) as exc_info:
-            gateway.complete(ChatRequest.user("y"))
+            gateway.complete(ChatRequest.user("y", role="rank"))
         assert "rank" in str(exc_info.value)
+
+    def test_routes_on_role_not_on_prompt_text(self):
+        # Executor markers in a planner prompt (a hint quoting the actions
+        # block, say) do not change where the request goes.
+        gateway = MockGateway([
+            ScriptRecord(reply="tactics", route="executor"),
+            ScriptRecord(reply="plan", route="planner"),
+        ])
+        text = "Lay out a strategy.\n=== Available Actions ===\n"
+        assert gateway.complete(ChatRequest.user(text, role="planner")).text == "plan"
+        assert gateway.complete(ChatRequest.user(text, role="executor")).text == "tactics"
+
+    def test_request_without_role_gets_the_global_default(self):
+        gateway = MockGateway([
+            ScriptRecord(reply="plan", route="planner"),
+            ScriptRecord(reply="anything", default=True),
+        ])
+        assert gateway.complete(ChatRequest.user("x")).text == "anything"
+        gateway = MockGateway([ScriptRecord(reply="plan", route="planner")])
+        with pytest.raises(ProviderError):
+            gateway.complete(ChatRequest.user("x"))
+
+    def test_judge_calls_route_as_judge(self):
+        gateway = MockGateway([
+            ScriptRecord(reply="YES", route="probe", default=True),
+            ScriptRecord(route="judge", default=True, yes_no=(-0.1, -2.3)),
+        ])
+        pair = gateway.yes_no_logprobs("judge this")
+        assert (pair.log_p_yes, pair.log_p_no) == (-0.1, -2.3)
+        assert gateway.calls[-1].role == "judge"
 
     def test_mixing_strict_and_routed_rejected(self):
         with pytest.raises(ValueError):
@@ -295,11 +321,14 @@ class TestHttpGateway:
             "https://api.example/v1", "prover-model", api_key_env="GW_TEST_KEY",
             transport=transport, sleeper=lambda s: None,
         )
-        result = gateway.complete(ChatRequest.user("hello", temperature=0.7))
+        result = gateway.complete(
+            ChatRequest.user("hello", temperature=0.7, role="executor")
+        )
         assert result.text == "reply text"
         assert seen["url"] == "https://api.example/v1/chat/completions"
         assert seen["payload"]["model"] == "prover-model"
         assert seen["payload"]["messages"] == [{"role": "user", "content": "hello"}]
+        assert set(seen["payload"]) == {"model", "messages", "temperature", "max_tokens"}
         assert seen["payload"]["temperature"] == 0.7
         assert seen["headers"]["Authorization"] == "Bearer sk-test"
 

@@ -25,7 +25,6 @@ from prooforge.core_model import GoalState, Notebook, ProofState, SearchCandidat
 from prooforge.corpus import ENTITIES_HEADER, encode_entity_record, load_entity_corpus
 from prooforge.errors import PortFailure
 from prooforge.llm_gateway import MockGateway, ScriptRecord
-from prooforge.prompt_builder import classify_prompt
 from prooforge.proof_search import (
     Outcome,
     ProofResult,
@@ -57,13 +56,15 @@ def route_defaults() -> list[ScriptRecord]:
     ]
 
 
+SEARCH_ROLES = {"planner", "executor", "explain", "summarize", "notebook", "rank"}
+
+
 def calls_for(gateway: MockGateway, route: str) -> list[str]:
-    prompts = []
-    for request in gateway.calls:
-        text = "\n".join(content for _role, content in request.messages)
-        if classify_prompt(text) == route:
-            prompts.append(text)
-    return prompts
+    return [
+        "\n".join(content for _role, content in request.messages)
+        for request in gateway.calls
+        if request.role == route
+    ]
 
 
 def event_kinds(ports: SearchPorts) -> list[str]:
@@ -143,6 +144,7 @@ class TestScriptedRuns:
         )
         assert result.tactic_evaluations_used == 4
         assert result.depth_reached == 3
+        assert all(request.role in SEARCH_ROLES for request in gateway.calls)
 
     def test_worked_theorem_event_stream(self):
         # [DERIVED] the exact run-log skeleton of the simulation above.
