@@ -18,6 +18,7 @@ are taken from environment variables only — config files name the variable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import hashlib
 import json
@@ -228,15 +229,9 @@ def _params(cfg: dict) -> SearchParams:
 
 
 def _params_dict(params: SearchParams) -> dict:
-    return {
-        "max_depth": params.max_depth,
-        "beam_width": params.beam_width,
-        "max_retries": params.max_retries,
-        "tactics_per_state": params.tactics_per_state,
-        "reconsider_factor": params.reconsider_factor,
-        "budget": params.budget,
-        "selection": params.selection_mode.value,
-    }
+    fields = dataclasses.asdict(params)
+    fields["selection"] = fields.pop("selection_mode").value
+    return fields
 
 
 def _resolve_theorem(name_or_statement: str, proofs) -> str:

@@ -19,6 +19,9 @@ and the supported tactics are
 
 Elaborated (internal) texts come from a scripted ``internal_forms`` mapping,
 defaulting to the surface text, so fixtures can carry real elaborations.
+``start_session`` raises SessionDesync carrying the bare compile error of a
+theorem that does not compile. Proof states are immutable, so
+``clone_session`` copies a session by value.
 
 SubprocessBackend adapts a serialization-protocol prover subprocess
 (s-expression framing over pipes). It is best-effort and feature-gated on an
@@ -44,6 +47,9 @@ from .errors import SessionDesync
 
 #: Compiler error text is cut to this many characters before prompt inclusion.
 ERROR_TEXT_LIMIT = 2000
+
+#: ``simpl`` stops rewriting after this many passes even without a fixpoint.
+MAX_REWRITE_PASSES = 50
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,8 @@ def truncate_error(error: str, limit: int = ERROR_TEXT_LIMIT) -> str:
 @dataclass
 class BackendSession:
     """One proof attempt in flight; `transcript` holds every applied tactic
-    in order, so deterministic backends can replay it bit-for-bit."""
+    in order, so a backend that cannot copy a live prover (the subprocess
+    adapter) can rebuild a clone by replaying it."""
 
     session_id: int
     theorem: str
@@ -143,14 +150,12 @@ class SyntheticBackend:
         required_modules: Mapping[str, str] = (),
         internal_forms: Mapping[str, str] = (),
         auto_solved: Sequence[str] = (),
-        max_rewrite_passes: int = 50,
     ):
         self.rewrites = dict(rewrites)
         self.lemmas = dict(lemmas)
         self.required_modules = dict(required_modules)
         self.internal_forms = dict(internal_forms)
         self.auto_solved = frozenset(auto_solved)
-        self.max_rewrite_passes = max_rewrite_passes
         self._ids = itertools.count(1)
 
     # -- elaboration helpers ------------------------------------------------
@@ -194,7 +199,7 @@ class SyntheticBackend:
     def start_session(self, theorem_source: str, requires: Sequence[str] = ()) -> BackendSession:
         result = self.compile_theorem(theorem_source, requires)
         if not result.success:
-            raise SessionDesync(f"theorem does not compile: {result.error}")
+            raise SessionDesync(result.error)
         return BackendSession(
             session_id=next(self._ids),
             theorem=theorem_source,
@@ -203,20 +208,20 @@ class SyntheticBackend:
         )
 
     def clone_session(self, session: BackendSession) -> BackendSession:
-        """Fresh session rebuilt by replaying the transcript."""
-        clone = self.start_session(session.theorem, session.requires)
-        for tactic in session.transcript:
-            self.apply_tactic(tactic, clone)
-        if state_fingerprint(clone.state) != state_fingerprint(session.state):
-            raise SessionDesync(
-                f"replay of session {session.session_id} diverged"
-            )
-        return clone
+        """Independent copy at the same state; states are immutable, so only
+        the transcript list needs copying."""
+        return BackendSession(
+            session_id=next(self._ids),
+            theorem=session.theorem,
+            requires=session.requires,
+            state=session.state,
+            transcript=list(session.transcript),
+        )
 
     # -- tactic rules -------------------------------------------------------
 
     def _rewrite_fixpoint(self, text: str) -> str:
-        for _pass in range(self.max_rewrite_passes):
+        for _pass in range(MAX_REWRITE_PASSES):
             updated = text
             for pattern, replacement in self.rewrites.items():
                 updated = updated.replace(pattern, replacement)

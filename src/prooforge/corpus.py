@@ -31,9 +31,7 @@ from .core_model import (
     GoalState,
     Hypothesis,
     InteractiveProof,
-    Notebook,
     ProofState,
-    SearchCandidate,
     TacticStep,
     validate_proof_chain,
 )
@@ -209,32 +207,6 @@ def decode_proof(obj: dict) -> tuple[InteractiveProof, dict]:
     return proof, extras
 
 
-def encode_search_candidate(candidate: SearchCandidate) -> dict:
-    return {
-        "state": encode_proof_state(candidate.state),
-        "trace": [list(pair) for pair in candidate.trace],
-        "summary": candidate.summary,
-        "score": candidate.score,
-    }
-
-
-def decode_search_candidate(obj: dict) -> SearchCandidate:
-    return SearchCandidate(
-        state=decode_proof_state(obj["state"]),
-        trace=tuple((t, e) for t, e in obj.get("trace", [])),
-        summary=obj.get("summary", ""),
-        score=obj.get("score", 0.5),
-    )
-
-
-def encode_notebook(notebook: Notebook) -> dict:
-    return {"items": list(notebook.items), "capacity": notebook.capacity}
-
-
-def decode_notebook(obj: dict) -> Notebook:
-    return Notebook(items=tuple(obj.get("items", [])), capacity=obj.get("capacity", 15))
-
-
 # ======================================================================
 # Corpora
 # ======================================================================
@@ -251,18 +223,12 @@ class EntityCorpus:
     records: tuple[EntityRecord, ...] = ()
     tokens: tuple[int, ...] = ()
     by_token: dict = None
-    source_index: dict = None
     derived: frozenset = frozenset()
     extras: dict = None
 
     def __post_init__(self):
         if self.by_token is None:
             self.by_token = {tid: i for i, tid in enumerate(self.tokens)}
-        if self.source_index is None:
-            index: dict[str, list[int]] = {}
-            for i, record in enumerate(self.records):
-                index.setdefault(record.source_file, []).append(i)
-            self.source_index = {k: tuple(v) for k, v in index.items()}
         if self.extras is None:
             self.extras = {}
 

@@ -1,10 +1,10 @@
 """Uniform chat-completion interface: free-text completion, structured
 action-response parsing, and YES/NO log-probability judgment.
 
-Two gateways ship. MockGateway replays a script of records, either in strict
-order or routed by the role each caller sets on its request (planner,
-executor, explain, summarize, notebook, rank, probe or judge), and is what
-every test and fixture run uses.
+Two gateways ship. MockGateway replays a script of records routed by the role
+each caller sets on its request (planner, executor, explain, summarize,
+notebook, rank, probe or judge); every record names the route it answers. It
+is what every test and fixture run uses.
 HttpGateway talks to a chat-completions endpoint with a retry policy; its
 transport is injectable so the policy is testable without a network. The API
 key is read from an environment variable at call time, never from files.
@@ -305,11 +305,10 @@ def derive_yes_no_logprobs(
 class ScriptRecord:
     """One replay entry.
 
-    `route` makes the record answer only requests whose role is that route;
-    records without routes replay in strict global order. `default` marks a
-    reusable fallback reply for its route. `expect_digest`, when set, must
-    match the incoming request digest exactly. `yes_no` scripts the judged
-    pair returned by yes_no_logprobs.
+    `route` is the request role the record answers; MockGateway rejects a
+    record without one. `default` marks a reusable fallback reply for its
+    route. `expect_digest`, when set, must match the incoming request digest
+    exactly. `yes_no` scripts the judged pair returned by yes_no_logprobs.
     """
 
     reply: str = ""
@@ -351,33 +350,24 @@ class ScriptRecord:
 class MockGateway:
     """Deterministic scripted gateway.
 
-    With no routed records the script replays strictly in order and a call
-    past the end raises ProviderError. With routed records, each call
-    consumes the next record queued for its request's `role`, falling back
-    to that role's default record, then to a global default; a request
-    without a role gets only the global default. Replay files are JSON
-    lines, one record per line; `#` lines are comments.
+    Every record names a route. Each call consumes the next record queued
+    for its request's `role`, falling back to that role's default record; a
+    role with neither, or a request without a role, raises ProviderError.
+    Replay files are JSON lines, one record per line; `#` lines are comments.
     """
 
     def __init__(self, records: Sequence[ScriptRecord] = ()):
         self.calls: list[ChatRequest] = []
         self._lock = threading.Lock()
-        self._strict: list[ScriptRecord] = []
         self._routed: dict[str, list[ScriptRecord]] = {}
         self._defaults: dict[str, ScriptRecord] = {}
-        self._global_default: Optional[ScriptRecord] = None
         for record in records:
-            if record.route is None:
-                if record.default:
-                    self._global_default = record
-                else:
-                    self._strict.append(record)
-            elif record.default:
+            if not record.route:
+                raise ValueError(f"script record {record.reply!r} names no route")
+            if record.default:
                 self._defaults[record.route] = record
             else:
                 self._routed.setdefault(record.route, []).append(record)
-        if self._strict and (self._routed or self._defaults):
-            raise ValueError("a script mixes strict-order and routed records")
 
     @classmethod
     def from_file(cls, path: str) -> "MockGateway":
@@ -393,22 +383,15 @@ class MockGateway:
     def _next_record(self, request: ChatRequest) -> ScriptRecord:
         with self._lock:
             self.calls.append(request)
-            if self._routed or self._defaults:
-                route = request.role
-                queue = self._routed.get(route)
-                if queue:
-                    return queue.pop(0)
-                fallback = self._defaults.get(route) or self._global_default
-                if fallback is not None:
-                    return fallback
-                raise ProviderError(
-                    f"script exhausted for route {route!r}", key=request.digest()
-                )
-            if self._strict:
-                return self._strict.pop(0)
-            if self._global_default is not None:
-                return self._global_default
-            raise ProviderError("script exhausted", key=request.digest())
+            queue = self._routed.get(request.role)
+            if queue:
+                return queue.pop(0)
+            fallback = self._defaults.get(request.role)
+        if fallback is None:
+            raise ProviderError(
+                f"script exhausted for route {request.role!r}", key=request.digest()
+            )
+        return fallback
 
     def _check_digest(self, record: ScriptRecord, request: ChatRequest) -> None:
         if record.expect_digest and record.expect_digest != request.digest():

@@ -511,25 +511,28 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
     )
     budget = BudgetCounter(params.budget)
 
-    compiled = ports.backend.compile_theorem(theorem, ports.requires)
-    if not compiled.success:
-        raise PortFailure(
-            f"theorem does not compile: {compiled.error}",
-            context=f"theorem {theorem!r}",
+    def finish(outcome: Outcome, depth: int, trace=()) -> ProofResult:
+        recorder.record(
+            "result", outcome=outcome.value, depth=depth, evaluations=budget.used
         )
-    if is_goal_complete(compiled.state):
-        recorder.record("result", outcome=Outcome.PROVED.value, depth=0, evaluations=0)
-        return ProofResult(Outcome.PROVED, (), 0, 0)
+        return ProofResult(outcome, trace, budget.used, depth)
 
-    root_session = ports.backend.start_session(theorem, ports.requires)
+    try:
+        root_session = ports.backend.start_session(theorem, ports.requires)
+    except SessionDesync as exc:
+        raise PortFailure(
+            f"theorem does not compile: {truncate_error(str(exc))}",
+            context=f"theorem {theorem!r}",
+        ) from exc
     initial_state = root_session.state
+    if is_goal_complete(initial_state):
+        return finish(Outcome.PROVED, 0)
     layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
     notebook = Notebook()
-    depth_reached = 0
+    depth = 0
 
     try:
         for depth in range(1, params.max_depth + 1):
-            depth_reached = depth
             next_branches: list[_Branch] = []
             insights: list[str] = []
             port_errors: list[PortFailure] = []
@@ -549,15 +552,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                     port_errors.append(PortFailure(str(exc), context=context))
                     continue
                 if expansion.proved is not None:
-                    recorder.record(
-                        "result",
-                        outcome=Outcome.PROVED.value,
-                        depth=depth,
-                        evaluations=budget.used,
-                    )
-                    return ProofResult(
-                        Outcome.PROVED, expansion.proved, budget.used, depth
-                    )
+                    return finish(Outcome.PROVED, depth, expansion.proved)
                 if not expansion.branches:
                     model_dead_end = True
                 next_branches.extend(expansion.branches)
@@ -566,13 +561,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
             if not next_branches:
                 if port_errors and not model_dead_end:
                     raise port_errors[-1]
-                recorder.record(
-                    "result",
-                    outcome=Outcome.FAILURE.value,
-                    depth=depth,
-                    evaluations=budget.used,
-                )
-                return ProofResult(Outcome.FAILURE, (), budget.used, depth)
+                return finish(Outcome.FAILURE, depth)
 
             next_branches = _dedupe_branches(next_branches)
             if insights:
@@ -595,18 +584,5 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
             )
             layer = next_branches
     except _Exhausted:
-        recorder.record(
-            "result",
-            outcome=Outcome.BUDGET_EXHAUSTED.value,
-            depth=depth_reached,
-            evaluations=budget.used,
-        )
-        return ProofResult(Outcome.BUDGET_EXHAUSTED, (), budget.used, depth_reached)
-
-    recorder.record(
-        "result",
-        outcome=Outcome.FAILURE.value,
-        depth=depth_reached,
-        evaluations=budget.used,
-    )
-    return ProofResult(Outcome.FAILURE, (), budget.used, depth_reached)
+        return finish(Outcome.BUDGET_EXHAUSTED, depth)
+    return finish(Outcome.FAILURE, depth)

@@ -346,13 +346,6 @@ def coverage_report(
     return fraction, unresolved
 
 
-_CLASS_RENDER = {
-    TokenClass.GLOBAL: "global",
-    TokenClass.LOCAL: "local",
-    TokenClass.RESERVED: "reserved",
-}
-
-
 def save_vocabulary(table: TokenTable, path: str) -> None:
     """Write the table as tab-separated ``id<TAB>key<TAB>class`` lines, sorted
     by id. Global keys are rendered disambiguated names; reserved keys are the
@@ -360,7 +353,7 @@ def save_vocabulary(table: TokenTable, path: str) -> None:
     lines = []
     for tid in sorted(table.reverse):
         key, cls = table.reverse[tid]
-        lines.append(f"{tid}\t{key}\t{_CLASS_RENDER[cls.kind]}")
+        lines.append(f"{tid}\t{key}\t{cls.kind}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 

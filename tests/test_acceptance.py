@@ -20,6 +20,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import pytest
@@ -201,9 +202,7 @@ class TestTokenizerCriterion:
 class TestPromptCriterion:
     @pytest.mark.parametrize("config", list(InfoConfiguration))
     def test_golden_files(self, config):
-        golden = open(
-            os.path.join(GOLDEN_DIR, f"{config.value}.txt"), encoding="utf-8"
-        ).read()
+        golden = Path(GOLDEN_DIR, f"{config.value}.txt").read_text(encoding="utf-8")
         assert golden_bundle(config).rendered == golden
 
     @pytest.mark.parametrize("config", list(InfoConfiguration))
@@ -549,7 +548,7 @@ class TestCorpusCriterion:
         second = str(tmp_path / "entities-2.jsonl")
         save_entity_corpus(corpus_b, table_b, second)
 
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
         assert corpus_b.records == corpus_a.records
         assert corpus_b.tokens == corpus_a.tokens
         assert corpus_b.derived == corpus_a.derived
@@ -563,7 +562,7 @@ class TestCorpusCriterion:
         second = str(tmp_path / "proofs-2.jsonl")
         save_proof_corpus(proofs_b, second)
 
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
         assert proofs_b.proofs == proofs_a.proofs
 
     def test_worked_proof_has_zero_chain_violations(self):

@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +66,7 @@ class TestIngest:
     def test_malformed_line_is_named(self, tmp_path, capsys):
         # [TRIVIAL] format errors carry the offending line number.
         broken = tmp_path / "entities.jsonl"
-        lines = open(entities_path(), encoding="utf-8").read().splitlines()
+        lines = Path(entities_path()).read_text(encoding="utf-8").splitlines()
         lines[2] = '{"name": "broken"'
         broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main([

@@ -281,8 +281,10 @@ class TestSessions:
         assert session.poisoned
 
     def test_start_session_rejects_uncompilable_theorem(self):
-        with pytest.raises(SessionDesync):
+        # The bare compile error; callers add their own prefix.
+        with pytest.raises(SessionDesync) as exc_info:
             SyntheticBackend().start_session("(((")
+        assert str(exc_info.value) == "Syntax error: unbalanced parentheses."
 
     def test_compile_tactic_never_advances_the_session(self):
         backend = worked_backend()
@@ -293,7 +295,7 @@ class TestSessions:
         assert state_fingerprint(session.state) == fingerprint
         assert session.transcript == []
 
-    def test_clone_replays_transcript(self):
+    def test_clone_copies_state_and_transcript(self):
         backend = worked_backend()
         session = backend.start_session(ADD_0_L_SURFACE)
         backend.apply_tactic("intros n", session)
@@ -302,6 +304,7 @@ class TestSessions:
         assert clone.session_id != session.session_id
         assert clone.state == session.state
         assert clone.transcript == session.transcript
+        assert clone.transcript is not session.transcript
         # Diverging the clone leaves the original untouched.
         backend.apply_tactic("reflexivity", clone)
         assert len(session.state.goals) == 1

@@ -1,6 +1,7 @@
 """Corpus IO: entity/proof files, constructor derivation, concepts, requires."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -166,7 +167,7 @@ class TestLoadProofs:
     def test_broken_chain_rejected_naming_step(self, tmp_path):
         # [TRIVIAL] replace step 2's before state with sigma_0's goal.
         obj = json.loads(
-            open(proofs_path(), encoding="utf-8").read().splitlines()[1]
+            Path(proofs_path()).read_text(encoding="utf-8").splitlines()[1]
         )
         obj["steps"][1]["before"] = obj["steps"][0]["before"]
         path = tmp_path / "proofs.jsonl"
@@ -184,7 +185,7 @@ class TestLoadProofs:
         assert len(load_proof_corpus(str(path))) == 0
 
     def test_duplicate_theorem_rejected(self, tmp_path):
-        line = open(proofs_path(), encoding="utf-8").read().splitlines()[1]
+        line = Path(proofs_path()).read_text(encoding="utf-8").splitlines()[1]
         path = tmp_path / "proofs.jsonl"
         path.write_text(
             "\n".join([PROOFS_HEADER, line, line]) + "\n", encoding="utf-8"
@@ -208,7 +209,7 @@ class TestRoundTrips:
         reloaded = load_entity_corpus(first, table2)
         second = str(tmp_path / "second.jsonl")
         save_entity_corpus(reloaded, table2, second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
         assert [r.name for r in reloaded.records] == [r.name for r in corpus.records]
 
     def test_proofs_save_load_fixpoint(self, tmp_path):
@@ -218,7 +219,7 @@ class TestRoundTrips:
         reloaded = load_proof_corpus(first)
         second = str(tmp_path / "second.jsonl")
         save_proof_corpus(reloaded, second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
         assert reloaded.proofs == corpus.proofs
 
     def test_record_encode_decode_identity(self):

@@ -188,18 +188,22 @@ class TestDeriveYesNo:
 # ----------------------------------------------------------------------
 
 class TestMockGateway:
-    def test_strict_queue_replays_in_order(self):
-        # [TRIVIAL] mock contract.
-        gateway = MockGateway([ScriptRecord(reply="ok"), ScriptRecord(reply="next")])
-        assert gateway.complete(ChatRequest.user("a")).text == "ok"
-        assert gateway.complete(ChatRequest.user("b")).text == "next"
+    def test_record_without_route_rejected(self):
+        with pytest.raises(ValueError):
+            MockGateway([ScriptRecord(reply="a")])
+        with pytest.raises(ValueError):
+            MockGateway([ScriptRecord(reply="b", default=True)])
 
-    def test_exhausted_script_raises(self):
-        # [TRIVIAL]
-        gateway = MockGateway([ScriptRecord(reply="only")])
-        gateway.complete(ChatRequest.user("a"))
+    def test_exhausted_route_raises_while_others_have_records(self):
+        # [TRIVIAL] a route never borrows another route's records.
+        gateway = MockGateway([
+            ScriptRecord(reply="only", route="planner"),
+            ScriptRecord(reply="rank", route="rank"),
+        ])
+        gateway.complete(ChatRequest.user("a", role="planner"))
         with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.user("b"))
+            gateway.complete(ChatRequest.user("b", role="planner"))
+        assert gateway.complete(ChatRequest.user("c", role="rank")).text == "rank"
 
     def test_routed_records_consume_per_route(self):
         gateway = MockGateway([
@@ -228,13 +232,11 @@ class TestMockGateway:
         assert gateway.complete(ChatRequest.user(text, role="planner")).text == "plan"
         assert gateway.complete(ChatRequest.user(text, role="executor")).text == "tactics"
 
-    def test_request_without_role_gets_the_global_default(self):
+    def test_request_without_role_raises(self):
         gateway = MockGateway([
             ScriptRecord(reply="plan", route="planner"),
-            ScriptRecord(reply="anything", default=True),
+            ScriptRecord(reply="fallback", route="planner", default=True),
         ])
-        assert gateway.complete(ChatRequest.user("x")).text == "anything"
-        gateway = MockGateway([ScriptRecord(reply="plan", route="planner")])
         with pytest.raises(ProviderError):
             gateway.complete(ChatRequest.user("x"))
 
@@ -247,32 +249,23 @@ class TestMockGateway:
         assert (pair.log_p_yes, pair.log_p_no) == (-0.1, -2.3)
         assert gateway.calls[-1].role == "judge"
 
-    def test_mixing_strict_and_routed_rejected(self):
-        with pytest.raises(ValueError):
-            MockGateway(
-                [ScriptRecord(reply="a"), ScriptRecord(reply="b", route="planner")]
-            )
-
     def test_expect_digest_guards_prompts(self):
-        request = ChatRequest.user("the exact prompt")
-        gateway = MockGateway(
-            [ScriptRecord(reply="ok", expect_digest=request.digest())]
-        )
-        assert gateway.complete(request).text == "ok"
-        gateway = MockGateway(
-            [ScriptRecord(reply="ok", expect_digest=request.digest())]
-        )
+        request = ChatRequest.user("the exact prompt", role="planner")
+        record = ScriptRecord(reply="ok", route="planner", expect_digest=request.digest())
+        assert MockGateway([record]).complete(request).text == "ok"
         with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.user("a different prompt"))
+            MockGateway([record]).complete(
+                ChatRequest.user("a different prompt", role="planner")
+            )
 
     def test_scripted_yes_no(self):
         # [TRIVIAL] pass-through of the scripted pair.
-        gateway = MockGateway([ScriptRecord(yes_no=(-0.1, -2.3))])
+        gateway = MockGateway([ScriptRecord(route="judge", yes_no=(-0.1, -2.3))])
         pair = gateway.yes_no_logprobs("judge this")
         assert (pair.log_p_yes, pair.log_p_no) == (-0.1, -2.3)
 
     def test_judge_record_without_pair_unjudgeable(self):
-        gateway = MockGateway([ScriptRecord(reply="YES")])
+        gateway = MockGateway([ScriptRecord(reply="YES", route="judge")])
         with pytest.raises(UnjudgeableResponse):
             gateway.yes_no_logprobs("judge this")
 
@@ -280,19 +273,19 @@ class TestMockGateway:
         path = tmp_path / "script.jsonl"
         path.write_text(
             "# a comment\n"
-            + json.dumps({"reply": "hello"})
+            + json.dumps({"reply": "hello", "route": "planner"})
             + "\n\n"
-            + json.dumps({"reply": "world"})
+            + json.dumps({"reply": "world", "route": "planner"})
             + "\n",
             encoding="utf-8",
         )
         gateway = MockGateway.from_file(str(path))
-        assert gateway.complete(ChatRequest.user("a")).text == "hello"
-        assert gateway.complete(ChatRequest.user("b")).text == "world"
+        assert gateway.complete(ChatRequest.user("a", role="planner")).text == "hello"
+        assert gateway.complete(ChatRequest.user("b", role="planner")).text == "world"
 
     def test_calls_are_recorded(self):
-        gateway = MockGateway([ScriptRecord(reply="ok")])
-        request = ChatRequest.user("traceable")
+        gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])
+        request = ChatRequest.user("traceable", role="rank")
         gateway.complete(request)
         assert gateway.calls == [request]
 

@@ -190,8 +190,40 @@ class TestScriptedRuns:
 
     def test_uncompilable_theorem_is_a_port_failure(self):
         ports = SearchPorts(backend=SyntheticBackend(), gateway=MockGateway())
-        with pytest.raises(PortFailure, match="does not compile"):
+        with pytest.raises(PortFailure) as exc_info:
             prove("(((", SearchParams(), ports)
+        assert str(exc_info.value) == (
+            "theorem does not compile: Syntax error: unbalanced parentheses. "
+            "[theorem '(((']"
+        )
+
+    def test_one_session_per_proof(self):
+        # The root session is the theorem's only compilation, so a
+        # subprocess backend starts one prover process per proof.
+        class CountingBackend:
+            def __init__(self, inner):
+                self.inner = inner
+                self.counts = {"compile_theorem": 0, "start_session": 0}
+
+            def __getattr__(self, name):
+                method = getattr(self.inner, name)
+                if name not in self.counts:
+                    return method
+
+                def counted(*args, **kwargs):
+                    self.counts[name] += 1
+                    return method(*args, **kwargs)
+                return counted
+
+        for theorem, inner in (
+            (ADD_0_L_SURFACE, worked_backend()),
+            ("True", SyntheticBackend(auto_solved=["True"])),
+        ):
+            _gateway, ports = self.proved_ports()
+            ports.backend = backend = CountingBackend(inner)
+            result = prove(theorem, SearchParams(max_depth=3), ports)
+            assert result.outcome is Outcome.PROVED
+            assert backend.counts == {"compile_theorem": 0, "start_session": 1}
 
 
 class TestRetriesAndFailure:

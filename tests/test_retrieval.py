@@ -1,5 +1,7 @@
 """Retrieval: embedding providers, exact cosine index, persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -259,7 +261,7 @@ class TestIndexIO:
         index = build_index(provider, premises=[("A.a", "alpha")])
         path = str(tmp_path / "index.jsonl")
         save_index(index, path)
-        content = open(path, encoding="utf-8").read().splitlines()
+        content = Path(path).read_text(encoding="utf-8").splitlines()
         content[0] = content[0].rsplit(" ", 1)[0] + " 5"
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(content) + "\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 """Tokenizer: interning, resolution, term scanning, coverage, vocabulary IO."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -276,7 +278,7 @@ class TestVocabularyIO:
         second = str(tmp_path / "b.tsv")
         save_vocabulary(table, first)
         save_vocabulary(table, second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = tmp_path / "vocab.tsv"
