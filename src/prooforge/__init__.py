@@ -45,14 +45,11 @@ from .corpus import (
     save_proof_corpus as save_proof_corpus,
 )
 from .retrieval import (
-    EmbeddingVector as EmbeddingVector,
     HttpEmbeddingProvider as HttpEmbeddingProvider,
     MockEmbeddingProvider as MockEmbeddingProvider,
     RetrievalIndex as RetrievalIndex,
     build_index as build_index,
-    load_index as load_index,
     retrieve as retrieve,
-    save_index as save_index,
 )
 from .prompt_builder import (
     CONFIG_MATRIX as CONFIG_MATRIX,

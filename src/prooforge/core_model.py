@@ -256,16 +256,11 @@ EMPTY_STATE_FINGERPRINT = state_fingerprint(ProofState(()))
 @dataclass(frozen=True)
 class SearchCandidate:
     """A beam-search candidate: the state reached, the (tactic, explanation)
-    trace that reached it, the running summary, and a quality score in [0, 1]."""
+    trace that reached it, and the running summary."""
 
     state: ProofState
     trace: tuple[tuple[str, str], ...] = ()
     summary: str = ""
-    score: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score {self.score} outside [0, 1]")
 
 
 @dataclass(frozen=True)

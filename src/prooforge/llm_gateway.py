@@ -518,7 +518,8 @@ class HttpGateway:
                 raise
             except RateLimited as exc:
                 last_error = exc
-                self._sleep(max(exc.retry_after, self.retry.delay(attempt)))
+                if attempt + 1 < self.retry.attempts:
+                    self._sleep(max(exc.retry_after, self.retry.delay(attempt)))
             except (ProviderTimeout, ProviderError) as exc:
                 last_error = exc
                 if attempt + 1 < self.retry.attempts:

@@ -18,7 +18,6 @@ BudgetExhausted the moment a validation would exceed the budget.
 from __future__ import annotations
 
 import enum
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -63,9 +62,6 @@ RANK_TEMPERATURE = 0.0
 EXPLAIN_TEMPERATURE = 0.7
 SUMMARY_TEMPERATURE = 0.7
 NOTEBOOK_TEMPERATURE = 0.7
-
-_SCORE_RE = re.compile(r"score\s*[:=]\s*([0-9]*\.?[0-9]+)", re.IGNORECASE)
-
 
 class SelectionMode(enum.Enum):
     MODEL_BASED = "ModelBased"
@@ -201,23 +197,9 @@ def _text(gateway, prompt: str, temperature: float, role: str) -> str:
     return gateway.complete(request).text
 
 
-def parse_quality_score(reply: str, default: float = 0.5) -> float:
-    """Extract a `score: <value>` line; clamp to [0, 1]; default otherwise."""
-    match = _SCORE_RE.search(reply)
-    if not match:
-        return default
-    try:
-        value = float(match.group(1))
-    except ValueError:
-        return default
-    return min(1.0, max(0.0, value))
-
-
 def explain_and_summarize(before, tactic, after, trace, gateway):
-    """Explanation of one applied tactic plus a refreshed trace summary.
-
-    Returns (explanation, summary, score) where `score` is the state quality
-    in [0, 1] parsed from the summary reply (0.5 when absent)."""
+    """Explanation of one applied tactic plus a refreshed trace summary:
+    returns (explanation, summary)."""
     explanation = _text(
         gateway,
         render_explanation_prompt(before, tactic, after),
@@ -227,7 +209,7 @@ def explain_and_summarize(before, tactic, after, trace, gateway):
     summary = _text(
         gateway, render_summarize_prompt(trace, after), SUMMARY_TEMPERATURE, "summarize"
     )
-    return explanation, summary, parse_quality_score(summary)
+    return explanation, summary
 
 
 def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Notebook:
@@ -466,14 +448,13 @@ def _expand_branch(
             return _Expansion([], [], proved=trace + ((tactic, explanation),))
         if is_subgoal_complete(state, after):
             after = ports.backend.apply_tactic("idtac", child)
-        explanation, new_summary, score = explain_and_summarize(
+        explanation, new_summary = explain_and_summarize(
             state, tactic, after, trace + ((tactic, ""),), ports.gateway
         )
         candidate = SearchCandidate(
             state=after,
             trace=trace + ((tactic, explanation),),
             summary=new_summary,
-            score=score,
         )
         branches.append(_Branch(candidate, child))
         if explanation.strip():

@@ -1,57 +1,46 @@
 """Embedding-backed nearest-neighbor retrieval of premises and tactics.
 
 The index is an exact full-scan cosine index: small corpora make anything
-fancier pointless. Items carry a key text (what gets embedded), a payload
-kind ("premise" or "tactic"), and a payload (what gets spliced into prompts).
-Ties on similarity break by ascending key text so results are reproducible
-across platforms.
+fancier pointless. It holds one matrix per kind ("premise" or "tactic"):
+one row per item in insertion order, with the row norms, each row's payload
+(what gets spliced into prompts) and each row's rank in key-text order (the
+key text is what got embedded). A query is scored against every row of its
+kind; results come in descending similarity, ties broken by ascending key
+text and then by insertion order, so they are reproducible across platforms.
+A row with zero norm scores -1 against every query.
 
-Two providers ship: a deterministic mock that derives a unit vector from a
-hash of the text (stable across runs and machines), and an HTTP provider for
-real embedding endpoints. Credentials come from environment variables only.
+A provider is any object whose ``embed(text)`` returns a 1-D float array of
+finite entries, the same length for every text. Both are checked on every
+embedding the index takes. Two providers ship: a deterministic mock that
+derives a unit vector from a hash of the text (stable across runs and
+machines), and an HTTP provider for real embedding endpoints. Credentials
+come from environment variables only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ProviderError, ZeroVectorError
+from .errors import ProviderError, ZeroVectorError
 
 PREMISE = "premise"
 TACTIC = "tactic"
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A fixed-length real vector; every entry must be finite."""
-
-    values: tuple[float, ...]
-    dim: int
-
-    def __post_init__(self):
-        if len(self.values) != self.dim:
-            raise ValueError(f"vector has {len(self.values)} entries, dim says {self.dim}")
-        if not all(np.isfinite(self.values)):
-            raise ValueError("embedding entries must be finite")
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "EmbeddingVector":
-        values = tuple(float(x) for x in np.asarray(array, dtype=float).ravel())
-        return cls(values=values, dim=len(values))
-
-
-@dataclass(frozen=True)
-class IndexItem:
-    key_text: str
-    kind: str
-    payload: str
-    vector: EmbeddingVector
+def _vector(values) -> np.ndarray:
+    """Provider output as a 1-D float array; ValueError unless every entry
+    is finite."""
+    vector = np.asarray(values, dtype=float)
+    if vector.ndim != 1:
+        raise ValueError(f"embedding must be 1-D, got shape {vector.shape}")
+    if not np.isfinite(vector).all():
+        raise ValueError("embedding entries must be finite")
+    return vector
 
 
 class MockEmbeddingProvider:
@@ -65,7 +54,7 @@ class MockEmbeddingProvider:
         self.dim = dim
         self.seed = seed
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         digest = hashlib.sha256(f"{self.seed}\x1f{text}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         raw = rng.standard_normal(self.dim)
@@ -73,7 +62,7 @@ class MockEmbeddingProvider:
         if norm == 0.0:  # astronomically unlikely; keep the contract total
             raw = np.ones(self.dim)
             norm = float(np.linalg.norm(raw))
-        return EmbeddingVector.from_array(raw / norm)
+        return raw / norm
 
 
 class HttpEmbeddingProvider:
@@ -106,7 +95,7 @@ class HttpEmbeddingProvider:
         reply.raise_for_status()
         return reply.json()
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         headers = {}
         key = os.environ.get(self.api_key_env, "")
         if key:
@@ -117,152 +106,101 @@ class HttpEmbeddingProvider:
                 {"model": self.model, "input": [text]},
                 headers,
             )
-            vector = EmbeddingVector.from_array(np.asarray(body["data"][0]["embedding"]))
+            vector = _vector(body["data"][0]["embedding"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed embedding response: {exc}", key=text)
         except Exception as exc:
             raise ProviderError(f"embedding request failed: {exc}", key=text)
         if self.dim is None:
-            self.dim = vector.dim
+            self.dim = len(vector)
         return vector
+
+
+@dataclass(frozen=True)
+class KindRows:
+    """Every item of one kind: row i of `matrix` embeds the key of
+    `payloads[i]`, `norms[i]` is that row's norm and `key_rank[i]` its
+    position in key-text order."""
+
+    payloads: tuple[str, ...]
+    matrix: np.ndarray
+    norms: np.ndarray
+    key_rank: np.ndarray
 
 
 @dataclass
 class RetrievalIndex:
-    """Exact cosine index over embedded items."""
+    """Exact cosine index: one `KindRows` per kind, queries embedded through
+    `provider`."""
 
     provider: object
-    items: list[IndexItem]
+    kinds: dict[str, KindRows]
     dim: int
-
-    def _matrix(self, kind: Optional[str]) -> tuple[list[IndexItem], np.ndarray]:
-        chosen = [it for it in self.items if kind is None or it.kind == kind]
-        if not chosen:
-            return chosen, np.zeros((0, self.dim))
-        return chosen, np.array([it.vector.values for it in chosen], dtype=float)
 
 
 def build_index(
     provider,
     premises: Sequence[tuple[str, str]] = (),
-    tactics: Sequence[Union[str, tuple[str, str]]] = (),
+    tactics: Sequence[tuple[str, str]] = (),
 ) -> RetrievalIndex:
     """Embed premises and tactics into a fresh index.
 
     Premises are (name, statement) pairs keyed by ``name : statement``.
-    Tactics are either bare tactic texts, or (tactic, goal_text) pairs keyed
-    by the tactic plus the goal it was used on; the payload returned by
-    retrieval is always just the tactic text.
+    Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
+    it was used on; the payload returned by retrieval is just the tactic.
     """
-    items: list[IndexItem] = []
-    dim: Optional[int] = None
-    for name, statement in premises:
-        key = f"{name} : {statement}"
-        vector = provider.embed(key)
-        dim = vector.dim if dim is None else dim
-        items.append(IndexItem(key_text=key, kind=PREMISE, payload=key, vector=vector))
-    for entry in tactics:
-        if isinstance(entry, tuple):
-            tactic, goal = entry
-            key = f"{tactic} \x1f {goal}"
-        else:
-            tactic, key = entry, entry
-        vector = provider.embed(key)
-        dim = vector.dim if dim is None else dim
-        items.append(IndexItem(key_text=key, kind=TACTIC, payload=tactic, vector=vector))
-    if dim is None:
-        dim = getattr(provider, "dim", None) or 0
-    for item in items:
-        if item.vector.dim != dim:
-            raise ValueError(
-                f"provider returned mixed dimensions: {item.vector.dim} vs {dim}"
-            )
-    return RetrievalIndex(provider=provider, items=items, dim=dim)
+    entries = {
+        PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
+        TACTIC: [(f"{tactic} \x1f {goal}", tactic) for tactic, goal in tactics],
+    }
+    vectors = {
+        kind: [_vector(provider.embed(key)) for key, _payload in keyed]
+        for kind, keyed in entries.items()
+    }
+    dims = {len(vector) for rows in vectors.values() for vector in rows}
+    if len(dims) > 1:
+        raise ValueError(f"provider returned mixed dimensions: {sorted(dims)}")
+    dim = dims.pop() if dims else getattr(provider, "dim", None) or 0
+    kinds = {}
+    for kind, keyed in entries.items():
+        keys = [key for key, _payload in keyed]
+        matrix = np.array(vectors[kind], dtype=float).reshape(len(keys), dim)
+        key_rank = np.empty(len(keys), dtype=np.intp)
+        key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        kinds[kind] = KindRows(
+            tuple(payload for _key, payload in keyed),
+            matrix,
+            np.linalg.norm(matrix, axis=1),
+            key_rank,
+        )
+    return RetrievalIndex(provider=provider, kinds=kinds, dim=dim)
 
 
-def retrieve(
-    index: RetrievalIndex,
-    query: str,
-    k: int = 5,
-    kind: Optional[str] = None,
-) -> list[tuple[str, float]]:
-    """Top-k payloads by cosine similarity to the query, descending.
+def retrieve(index: RetrievalIndex, query: str, k: int, kind: str) -> list[tuple[str, float]]:
+    """Top-k payloads of one kind by cosine similarity to the query,
+    descending; ties break by ascending key text, then insertion order.
 
-    Ties break by ascending key text. A query that embeds to the zero vector
-    raises ZeroVectorError; provider failures propagate as ProviderError with
-    the query as the failing key.
+    A query that embeds to the zero vector raises ZeroVectorError; provider
+    failures propagate as ProviderError with the query as the failing key.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    if kind not in (PREMISE, TACTIC):
+        raise ValueError(f"kind must be {PREMISE!r} or {TACTIC!r}, not {kind!r}")
     try:
-        qvec = index.provider.embed(query)
+        q = _vector(index.provider.embed(query))
     except ProviderError:
         raise
     except Exception as exc:
         raise ProviderError(f"query embedding failed: {exc}", key=query)
-    q = np.asarray(qvec.values, dtype=float)
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroVectorError(f"query embeds to the zero vector: {query!r}")
-    chosen, matrix = index._matrix(kind)
-    if not chosen:
+    rows = index.kinds[kind]
+    if not rows.payloads:
         return []
-    norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    sims = (matrix @ q) / (safe * qnorm)
-    sims = np.where(norms == 0.0, -1.0, sims)
-    order = sorted(
-        range(len(chosen)), key=lambda i: (-sims[i], chosen[i].key_text)
-    )
-    return [(chosen[i].payload, float(sims[i])) for i in order[:k]]
-
-
-INDEX_HEADER = "#prooforge-index v1"
-
-
-def save_index(index: RetrievalIndex, path: str) -> None:
-    """Persist the index: a header naming dim and count, then one JSON line
-    per item with its vector, so reload needs no provider calls."""
-    lines = [f"{INDEX_HEADER} {index.dim} {len(index.items)}"]
-    for item in index.items:
-        lines.append(json.dumps(
-            {
-                "key": item.key_text,
-                "kind": item.kind,
-                "payload": item.payload,
-                "values": list(item.vector.values),
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        ))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_index(path: str, provider) -> RetrievalIndex:
-    """Reload a persisted index; `provider` is only used for future queries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    if not raw or not raw[0].startswith(INDEX_HEADER):
-        raise FormatError(f"missing {INDEX_HEADER!r} header", line=1)
-    tail = raw[0][len(INDEX_HEADER):].split()
-    if len(tail) != 2:
-        raise FormatError("header must carry dim and item count", line=1)
-    dim, count = int(tail[0]), int(tail[1])
-    items: list[IndexItem] = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            items.append(IndexItem(
-                key_text=obj["key"],
-                kind=obj["kind"],
-                payload=obj["payload"],
-                vector=EmbeddingVector(tuple(float(v) for v in obj["values"]), dim=len(obj["values"])),
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad index item: {exc}", line=lineno)
-    if len(items) != count:
-        raise FormatError(f"header promised {count} items, found {len(items)}")
-    return RetrievalIndex(provider=provider, items=items, dim=dim)
+    safe = np.where(rows.norms == 0.0, 1.0, rows.norms)
+    sims = (rows.matrix @ q) / (safe * qnorm)
+    sims = np.where(rows.norms == 0.0, -1.0, sims)
+    order = np.lexsort((rows.key_rank, -sims))[:k]
+    return [(rows.payloads[i], float(sims[i])) for i in order]

@@ -137,6 +137,21 @@ class TestProve:
         assert code == EXIT_DOMAIN
         assert "outcome: BudgetExhausted" in out
 
+    def test_budget_follows_the_search_shape(self, tmp_path):
+        # With no budget set, the budget is compute_budget of the shape;
+        # an explicit --budget still wins.
+        cases = [
+            ([], 860),
+            (["--reconsider-factor", "1"], 430),
+            (["--max-depth", "5"], 260),
+            (["--reconsider-factor", "1", "--budget", "100"], 100),
+        ]
+        for i, (flags, budget) in enumerate(cases):
+            out = tmp_path / str(i)
+            assert main(prove_args(out) + flags + [WORKED]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["params"]["budget"] == budget
+
     def test_run_log_is_written(self, tmp_path):
         main(prove_args(tmp_path) + [WORKED])
         logs = [p for p in os.listdir(tmp_path) if p.startswith("run-")]

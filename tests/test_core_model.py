@@ -16,7 +16,6 @@ from prooforge.core_model import (
     KNOWN_KINDS,
     Notebook,
     ProofState,
-    SearchCandidate,
     TacticStep,
     goals_remaining,
     state_fingerprint,
@@ -257,18 +256,10 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# SearchCandidate / Notebook
+# Notebook
 # ----------------------------------------------------------------------
 
 class TestSearchStructures:
-    def test_candidate_score_bounds(self):
-        assert SearchCandidate(sigma_0(), score=0.0).score == 0.0
-        assert SearchCandidate(sigma_0(), score=1.0).score == 1.0
-        with pytest.raises(ValueError):
-            SearchCandidate(sigma_0(), score=1.5)
-        with pytest.raises(ValueError):
-            SearchCandidate(sigma_0(), score=-0.1)
-
     def test_notebook_capacity_enforced(self):
         Notebook(items=tuple(str(i) for i in range(15)))
         with pytest.raises(ValueError):

@@ -374,6 +374,24 @@ class TestHttpGateway:
         assert gateway.complete(ChatRequest.user("q")).text == "ok"
         assert slept[0] == 7.5
 
+    def test_no_sleep_after_last_rate_limited_attempt(self):
+        calls = []
+        slept = []
+
+        def transport(url, payload, headers):
+            calls.append(1)
+            raise RateLimited("slow down", retry_after=7.5)
+
+        gateway = HttpGateway(
+            "https://api.example", "m",
+            retry=RetryPolicy(attempts=3, backoff=0.01),
+            transport=transport, sleeper=slept.append,
+        )
+        with pytest.raises(ProviderError, match="gave up after 3 attempts"):
+            gateway.complete(ChatRequest.user("q"))
+        assert len(calls) == 3
+        assert slept == [7.5, 7.5]
+
     def test_malformed_response_never_retries(self):
         calls = []
 

@@ -33,7 +33,6 @@ from prooforge.proof_search import (
     SelectionMode,
     compute_budget,
     explain_and_summarize,
-    parse_quality_score,
     prove,
     select_best,
     update_notebook,
@@ -586,36 +585,17 @@ class TestNotebook:
 
 
 class TestExplainAndSummarize:
-    def test_scores_pass_through(self):
+    def test_explanation_and_summary_pass_through(self):
         gateway = MockGateway([
             ScriptRecord(reply="Did the thing.", route="explain"),
             ScriptRecord(reply="All good.\nscore: 0.8", route="summarize"),
         ])
-        explanation, summary, score = explain_and_summarize(
+        explanation, summary = explain_and_summarize(
             sigma_1(), "simpl", sigma_2(), (("simpl", ""),), gateway
         )
         assert explanation == "Did the thing."
         assert summary == "All good.\nscore: 0.8"
-        assert score == 0.8
         # [PAPER] the explanation prompt shows the before/after goal pair.
         explain_prompt = "\n".join(c for _r, c in gateway.calls[0].messages)
         assert "0 + n = n" in explain_prompt
         assert "simpl" in explain_prompt
-
-    def test_score_defaults_to_half(self):
-        gateway = MockGateway([
-            ScriptRecord(reply="Step.", route="explain"),
-            ScriptRecord(reply="nothing quantified", route="summarize"),
-        ])
-        _e, _s, score = explain_and_summarize(
-            sigma_1(), "simpl", sigma_2(), (), gateway
-        )
-        assert score == 0.5
-
-    def test_parse_quality_score(self):
-        assert parse_quality_score("score: 0.25") == 0.25
-        assert parse_quality_score("Score = 1") == 1.0
-        assert parse_quality_score("score: 1.7") == 1.0
-        assert parse_quality_score("score: .5") == 0.5
-        assert parse_quality_score("no number") == 0.5
-        assert parse_quality_score("no number", default=0.9) == 0.9

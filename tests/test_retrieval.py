@@ -1,64 +1,75 @@
-"""Retrieval: embedding providers, exact cosine index, persistence."""
+"""Retrieval: embedding providers and the exact per-kind cosine index."""
 
-from pathlib import Path
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prooforge.errors import FormatError, ProviderError, ZeroVectorError
+from prooforge.errors import ProviderError, ZeroVectorError
 from prooforge.retrieval import (
-    EmbeddingVector,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
     PREMISE,
     TACTIC,
     build_index,
-    load_index,
     retrieve,
-    save_index,
 )
 
 
 class BasisProvider:
     """Maps each configured text to a hand-chosen vector; identity is exact."""
 
-    def __init__(self, table: dict, dim: int):
+    def __init__(self, table: dict):
         self.table = table
-        self.dim = dim
 
-    def embed(self, text: str) -> EmbeddingVector:
-        return EmbeddingVector(tuple(self.table[text]), dim=self.dim)
+    def embed(self, text: str) -> np.ndarray:
+        return np.asarray(self.table[text], dtype=float)
 
 
 # ----------------------------------------------------------------------
-# EmbeddingVector / providers
+# Providers and their vectors
 # ----------------------------------------------------------------------
 
 class TestVectors:
     def test_dim_must_match(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector((1.0, 0.0), dim=3)
+        # Within one kind and across kinds.
+        table = {"P1 : a": (1.0, 0.0), "P2 : b": (1.0, 0.0, 0.0), "intros \x1f g": (0.0, 1.0, 0.0)}
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            build_index(BasisProvider(table), premises=[("P1", "a"), ("P2", "b")])
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            build_index(BasisProvider(table), premises=[("P1", "a")], tactics=[("intros", "g")])
 
     def test_entries_must_be_finite(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector((float("nan"),), dim=1)
-        with pytest.raises(ValueError):
-            EmbeddingVector((float("inf"),), dim=1)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            table = {"P1 : a": (1.0, bad), "P2 : b": (1.0, 0.0), "query": (bad, 1.0)}
+            with pytest.raises(ValueError, match="finite"):
+                build_index(BasisProvider(table), premises=[("P1", "a")])
+            index = build_index(BasisProvider(table), premises=[("P2", "b")])
+            with pytest.raises(ProviderError) as exc_info:
+                retrieve(index, "query", 1, PREMISE)
+            assert exc_info.value.key == "query"
+            provider = HttpEmbeddingProvider(
+                "https://api.example", "m",
+                transport=lambda *a, bad=bad: {"data": [{"embedding": [bad, 1.0]}]},
+            )
+            with pytest.raises(ProviderError, match="finite"):
+                provider.embed("q")
 
     def test_mock_provider_deterministic_unit_vectors(self):
         provider = MockEmbeddingProvider(dim=16, seed=7)
         a = provider.embed("some text")
         b = provider.embed("some text")
-        assert a == b
-        assert a.dim == 16
-        assert np.linalg.norm(a.values) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(a, b)
+        assert a.shape == (16,)
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_mock_provider_seed_changes_vectors(self):
         one = MockEmbeddingProvider(dim=16, seed=0).embed("text")
         two = MockEmbeddingProvider(dim=16, seed=1).embed("text")
-        assert one != two
+        assert not np.array_equal(one, two)
 
     def test_http_provider_uses_env_key_and_parses(self, monkeypatch):
         seen = {}
@@ -75,17 +86,19 @@ class TestVectors:
             transport=transport,
         )
         vector = provider.embed("hello")
-        assert vector.values == (3.0, 4.0)
+        assert vector.tolist() == [3.0, 4.0]
+        assert provider.dim == 2
         assert seen["url"] == "https://api.example/v1/embeddings"
         assert seen["payload"] == {"model": "embed-small", "input": ["hello"]}
         assert seen["headers"]["Authorization"] == "Bearer sk-fake"
 
     def test_http_provider_malformed_reply(self):
-        provider = HttpEmbeddingProvider(
-            "https://api.example", "m", transport=lambda *a: {"unexpected": True}
-        )
-        with pytest.raises(ProviderError):
-            provider.embed("q")
+        for reply in ({"unexpected": True}, {"data": [{"embedding": [[1.0, 2.0]]}]}):
+            provider = HttpEmbeddingProvider(
+                "https://api.example", "m", transport=lambda *a, reply=reply: reply
+            )
+            with pytest.raises(ProviderError):
+                provider.embed("q")
 
 
 # ----------------------------------------------------------------------
@@ -96,18 +109,21 @@ class TestBuildIndex:
     def test_empty_inputs(self):
         # [TRIVIAL]
         index = build_index(MockEmbeddingProvider())
-        assert index.items == []
+        assert all(not rows.payloads for rows in index.kinds.values())
+        assert retrieve(index, "anything", 5, PREMISE) == []
 
     def test_three_premises(self):
-        # [TRIVIAL] size contract: 3 items, dim = mock dim.
+        # [TRIVIAL] size contract: 3 rows, dim = mock dim.
         provider = MockEmbeddingProvider(dim=24)
         index = build_index(
             provider,
             premises=[("A.a", "P a"), ("B.b", "Q b"), ("C.c", "R c")],
         )
-        assert len(index.items) == 3
+        rows = index.kinds[PREMISE]
+        assert rows.payloads == ("A.a : P a", "B.b : Q b", "C.c : R c")
+        assert rows.matrix.shape == (3, 24)
         assert index.dim == 24
-        assert all(item.kind == PREMISE for item in index.items)
+        assert index.kinds[TACTIC].payloads == ()
 
     def test_duplicate_texts_share_vectors(self):
         # [TRIVIAL] provider determinism.
@@ -115,18 +131,20 @@ class TestBuildIndex:
             MockEmbeddingProvider(),
             premises=[("A.a", "same"), ("A.a2", "same")],
         )
-        assert index.items[0].vector != index.items[1].vector  # keys differ
+        matrix = index.kinds[PREMISE].matrix
+        assert not np.array_equal(matrix[0], matrix[1])  # keys differ
         dup = build_index(
-            MockEmbeddingProvider(), tactics=["intros", "intros"]
+            MockEmbeddingProvider(), tactics=[("intros", "g"), ("intros", "g")]
         )
-        assert dup.items[0].vector == dup.items[1].vector
+        matrix = dup.kinds[TACTIC].matrix
+        assert np.array_equal(matrix[0], matrix[1])
 
     def test_tactic_payload_is_the_tactic_text(self):
         index = build_index(
             MockEmbeddingProvider(), tactics=[("simpl", "0 + n = n")]
         )
-        assert index.items[0].kind == TACTIC
-        assert index.items[0].payload == "simpl"
+        assert index.kinds[TACTIC].payloads == ("simpl",)
+        assert index.kinds[PREMISE].payloads == ()
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +158,7 @@ class TestRetrieve:
         index = build_index(
             provider, premises=[("A.a", "alpha"), ("B.b", "beta"), ("C.c", "gamma")]
         )
-        results = retrieve(index, "B.b : beta", k=3)
+        results = retrieve(index, "B.b : beta", 3, PREMISE)
         assert results[0][0] == "B.b : beta"
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -149,7 +167,12 @@ class TestRetrieve:
         index = build_index(
             MockEmbeddingProvider(), premises=[("A.a", "x"), ("B.b", "y")]
         )
-        assert len(retrieve(index, "anything", k=10)) == 2
+        assert len(retrieve(index, "anything", 10, PREMISE)) == 2
+
+    def test_negative_k_rejected(self):
+        index = build_index(MockEmbeddingProvider(), premises=[("A.a", "x")])
+        with pytest.raises(ValueError):
+            retrieve(index, "anything", -1, PREMISE)
 
     def test_orthogonal_vectors_exact_similarities(self):
         # [DERIVED] hand-chosen orthonormal vectors; oracle = dot products.
@@ -159,11 +182,11 @@ class TestRetrieve:
             "P3 : c": (0.0, 0.0, 1.0),
             "query": (0.0, 1.0, 0.0),
         }
-        provider = BasisProvider(table, dim=3)
+        provider = BasisProvider(table)
         index = build_index(
             provider, premises=[("P1", "a"), ("P2", "b"), ("P3", "c")]
         )
-        results = retrieve(index, "query", k=3)
+        results = retrieve(index, "query", 3, PREMISE)
         assert results[0] == ("P2 : b", pytest.approx(1.0))
         assert {r[0] for r in results[1:]} == {"P1 : a", "P3 : c"}
         assert all(sim == pytest.approx(0.0) for _, sim in results[1:])
@@ -179,12 +202,14 @@ class TestRetrieve:
         tactics_only = retrieve(index, "q", k=5, kind=TACTIC)
         assert [p for p, _ in premises_only] == ["A.a : alpha"]
         assert [p for p, _ in tactics_only] == ["intros"]
+        with pytest.raises(ValueError, match="kind"):
+            retrieve(index, "q", k=5, kind=None)
 
     def test_zero_query_vector_raises(self):
         table = {"P1 : a": (1.0, 0.0), "null": (0.0, 0.0)}
-        index = build_index(BasisProvider(table, 2), premises=[("P1", "a")])
+        index = build_index(BasisProvider(table), premises=[("P1", "a")])
         with pytest.raises(ZeroVectorError):
-            retrieve(index, "null", k=1)
+            retrieve(index, "null", 1, PREMISE)
 
     def test_provider_failure_wraps_query_key(self):
         class Exploding:
@@ -193,84 +218,82 @@ class TestRetrieve:
             def embed(self, text):
                 raise RuntimeError("boom")
 
-        index = build_index(BasisProvider({"P1 : a": (1.0, 0.0)}, 2), premises=[("P1", "a")])
+        index = build_index(BasisProvider({"P1 : a": (1.0, 0.0)}), premises=[("P1", "a")])
         index.provider = Exploding()
         with pytest.raises(ProviderError) as exc_info:
-            retrieve(index, "the query", k=1)
+            retrieve(index, "the query", 1, PREMISE)
         assert exc_info.value.key == "the query"
 
-    @given(
-        st.lists(
-            st.lists(
-                st.floats(min_value=-5, max_value=5, allow_nan=False),
-                min_size=4,
-                max_size=4,
-            ).filter(lambda v: np.linalg.norm(v) > 1e-6),
-            min_size=1,
-            max_size=8,
-        ),
-        st.lists(
-            st.floats(min_value=-5, max_value=5, allow_nan=False),
-            min_size=4,
-            max_size=4,
-        ).filter(lambda v: np.linalg.norm(v) > 1e-6),
-    )
-    def test_ranking_matches_brute_force(self, item_vectors, query_vector):
-        # Property: retrieval order equals an independent cosine computation.
-        table = {f"P{i} : s{i}": tuple(vec) for i, vec in enumerate(item_vectors)}
-        table["query"] = tuple(query_vector)
-        provider = BasisProvider(table, 4)
-        index = build_index(
-            provider, premises=[(f"P{i}", f"s{i}") for i in range(len(item_vectors))]
-        )
-        results = retrieve(index, "query", k=len(item_vectors))
-
-        q = np.asarray(query_vector)
-        expected = []
-        for i, vec in enumerate(item_vectors):
-            v = np.asarray(vec)
-            sim = float(v @ q / (np.linalg.norm(v) * np.linalg.norm(q)))
-            expected.append((f"P{i} : s{i}", sim))
-        expected.sort(key=lambda pair: (-pair[1], pair[0]))
-        assert [p for p, _ in results] == [p for p, _ in expected]
-        for (_, got), (_, want) in zip(results, expected):
-            assert got == pytest.approx(want, abs=1e-9)
-
-
-# ----------------------------------------------------------------------
-# Persistence
-# ----------------------------------------------------------------------
-
-class TestIndexIO:
-    def test_round_trip_preserves_results(self, tmp_path):
+    def test_replaced_provider_embeds_the_query(self):
+        # A benchmark or caller may swap the provider with dataclasses.replace:
+        # the stored rows are shared, and only the query goes through the
+        # new provider.
         provider = MockEmbeddingProvider()
         index = build_index(
             provider,
             premises=[("A.a", "alpha"), ("B.b", "beta")],
-            tactics=[("intros", "some goal")],
+            tactics=[("intros", "goal"), ("simpl", "goal")],
         )
-        path = str(tmp_path / "index.jsonl")
-        save_index(index, path)
-        reloaded = load_index(path, provider)
-        assert reloaded.dim == index.dim
-        assert reloaded.items == index.items
-        assert retrieve(reloaded, "alpha", k=3) == retrieve(index, "alpha", k=3)
+        seen = []
 
-    def test_count_mismatch_rejected(self, tmp_path):
-        provider = MockEmbeddingProvider()
-        index = build_index(provider, premises=[("A.a", "alpha")])
-        path = str(tmp_path / "index.jsonl")
-        save_index(index, path)
-        content = Path(path).read_text(encoding="utf-8").splitlines()
-        content[0] = content[0].rsplit(" ", 1)[0] + " 5"
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(content) + "\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_index(str(bad), provider)
+        class Recording:
+            def embed(self, text):
+                seen.append(text)
+                return provider.embed(text)
 
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "index.jsonl"
-        path.write_text("{}\n", encoding="utf-8")
-        with pytest.raises(FormatError) as exc_info:
-            load_index(str(path), MockEmbeddingProvider())
-        assert exc_info.value.line == 1
+        wrapped = dataclasses.replace(index, provider=Recording())
+        assert wrapped.kinds is index.kinds
+        for kind in (PREMISE, TACTIC):
+            assert retrieve(wrapped, "alpha", 5, kind) == retrieve(index, "alpha", 5, kind)
+        assert seen == ["alpha", "alpha"]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from([PREMISE, TACTIC]),
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(["x", "y"]),
+                st.integers(min_value=0, max_value=3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3).filter(any),
+    )
+    def test_ranking_matches_brute_force(self, pool, items, query_vector):
+        # Property: each kind's full ranking equals an independent cosine
+        # computation sorted by (-sim, key), stable in insertion order.  Keys
+        # and vectors repeat; integer components keep every similarity
+        # exact, so ties are real ties and the tie-break is what is tested.
+        premises = [(name, text, pool[v % len(pool)]) for kind, name, text, v in items if kind == PREMISE]
+        tactics = [(name, text, pool[v % len(pool)]) for kind, name, text, v in items if kind == TACTIC]
+        queue = [vec for _n, _t, vec in premises + tactics]
+
+        class QueueProvider:
+            def embed(self, text):
+                return np.asarray(query_vector if text == "query" else queue.pop(0), dtype=float)
+
+        index = build_index(
+            QueueProvider(),
+            premises=[(name, text) for name, text, _v in premises],
+            tactics=[(name, text) for name, text, _v in tactics],
+        )
+        qnorm = math.sqrt(sum(x * x for x in query_vector))
+        for kind, rows in (
+            (PREMISE, [(f"{n} : {t}", f"{n} : {t}", vec) for n, t, vec in premises]),
+            (TACTIC, [(f"{n} \x1f {t}", n, vec) for n, t, vec in tactics]),
+        ):
+            expected = []
+            for key, payload, vec in rows:
+                vnorm = math.sqrt(sum(x * x for x in vec))
+                dot = sum(x * y for x, y in zip(vec, query_vector))
+                expected.append((key, payload, -1.0 if vnorm == 0 else dot / (vnorm * qnorm)))
+            expected.sort(key=lambda row: (-row[2], row[0]))
+            want = [(payload, sim) for _key, payload, sim in expected]
+            assert retrieve(index, "query", len(rows), kind) == want
+            assert retrieve(index, "query", 2, kind) == want[:2]
