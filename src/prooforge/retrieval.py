@@ -181,7 +181,8 @@ def retrieve(index: RetrievalIndex, query: str, k: int, kind: str) -> list[tuple
     descending; ties break by ascending key text, then insertion order.
 
     A query that embeds to the zero vector raises ZeroVectorError; provider
-    failures propagate as ProviderError with the query as the failing key.
+    failures, and a query vector whose length is not the index's, propagate
+    as ProviderError with the query as the failing key.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -199,6 +200,11 @@ def retrieve(index: RetrievalIndex, query: str, k: int, kind: str) -> list[tuple
     rows = index.kinds[kind]
     if not rows.payloads:
         return []
+    if len(q) != rows.matrix.shape[1]:
+        raise ProviderError(
+            f"query embeds to {len(q)} dimensions, the index holds {rows.matrix.shape[1]}",
+            key=query,
+        )
     safe = np.where(rows.norms == 0.0, 1.0, rows.norms)
     sims = (rows.matrix @ q) / (safe * qnorm)
     sims = np.where(rows.norms == 0.0, -1.0, sims)

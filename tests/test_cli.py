@@ -197,6 +197,20 @@ class TestConfigFiles:
         assert code == EXIT_OK
         assert (tmp_path / "flag" / "manifest.json").exists()
 
+    def test_config_budget_wins_over_the_search_shape(self, tmp_path):
+        # A config that sets the shape resizes the budget; one that also
+        # sets the budget keeps it.
+        for i, (keys, budget) in enumerate([
+            ({"reconsider_factor": 1}, 430),
+            ({"reconsider_factor": 1, "budget": 100}, 100),
+        ]):
+            config = tmp_path / f"run{i}.json"
+            config.write_text(json.dumps(keys), encoding="utf-8")
+            out = tmp_path / str(i)
+            assert main(prove_args(out) + ["--config", str(config), WORKED]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["params"]["budget"] == budget
+
     def test_stored_credentials_are_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(

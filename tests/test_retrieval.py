@@ -224,6 +224,16 @@ class TestRetrieve:
             retrieve(index, "the query", 1, PREMISE)
         assert exc_info.value.key == "the query"
 
+    def test_query_dimension_must_match_the_index(self):
+        table = {"P1 : a": (1.0, 0.0), "short": (1.0,), "long": (1.0, 0.0, 0.0)}
+        index = build_index(BasisProvider(table), premises=[("P1", "a")])
+        for query in ("short", "long"):
+            with pytest.raises(ProviderError, match="dimensions") as exc_info:
+                retrieve(index, query, 1, PREMISE)
+            assert exc_info.value.key == query
+        # An empty kind has no rows to compare against.
+        assert retrieve(index, "long", 1, TACTIC) == []
+
     def test_replaced_provider_embeds_the_query(self):
         # A benchmark or caller may swap the provider with dataclasses.replace:
         # the stored rows are shared, and only the query goes through the
