@@ -19,7 +19,6 @@ from prooforge import (
     SearchParams,
     SearchPorts,
     SyntheticBackend,
-    compute_budget,
     is_goal_complete,
     prove,
     replay_trace,
@@ -64,8 +63,8 @@ def main() -> None:
     print(f"params: depth {params.max_depth}, beam {params.beam_width}, "
           f"{params.tactics_per_state} tactics/state, "
           f"reconsider x{params.reconsider_factor}")
-    print(f"validation budget: {compute_budget(params)} "
-          f"(default-shape budget: {compute_budget(SearchParams())})\n")
+    print(f"validation budget: {params.budget} "
+          f"(default-shape budget: {SearchParams().budget})\n")
 
     ports = SearchPorts(backend=build_backend(), gateway=build_gateway())
     result = prove(THEOREM, params, ports)

@@ -34,7 +34,6 @@ from .tokenizer import (
     tokenize_term as tokenize_term,
 )
 from .corpus import (
-    ConceptSet as ConceptSet,
     EntityCorpus as EntityCorpus,
     ProofCorpus as ProofCorpus,
     extract_concepts as extract_concepts,

@@ -51,7 +51,6 @@ from .proof_search import (
     SearchParams,
     SearchPorts,
     SelectionMode,
-    compute_budget,
     concept_pairs,
     prove,
 )
@@ -220,16 +219,15 @@ def _build_index(cfg: dict, corpus, proofs):
 def _params(cfg: dict) -> SearchParams:
     """Search parameters; with no budget set, the budget is the one the
     search shape allows (`compute_budget`)."""
-    params = SearchParams(
+    return SearchParams(
         max_depth=cfg["max_depth"],
         beam_width=cfg["beam_width"],
         max_retries=cfg["max_retries"],
         tactics_per_state=cfg["tactics_per_state"],
         reconsider_factor=cfg["reconsider_factor"],
+        budget=cfg["budget"],
         selection_mode=SelectionMode(cfg["selection"]),
     )
-    budget = compute_budget(params) if cfg["budget"] is None else cfg["budget"]
-    return dataclasses.replace(params, budget=budget)
 
 
 def _params_dict(params: SearchParams) -> dict:

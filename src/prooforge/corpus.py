@@ -22,7 +22,7 @@ which keeps load -> save -> load a fixpoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .core_model import (
@@ -216,6 +216,8 @@ class EntityCorpus:
     """Loaded entity records plus lookup maps.
 
     `tokens[i]` is the token id of `records[i]`; `by_token` inverts that.
+    `by_name` maps each record's name, kernel name and last name segment to
+    the first record index, in corpus order, that carries it.
     `derived` marks records synthesized from Inductive constructor clauses
     (they are skipped on save); `extras` keeps unknown JSON fields per record.
     """
@@ -223,12 +225,17 @@ class EntityCorpus:
     records: tuple[EntityRecord, ...] = ()
     tokens: tuple[int, ...] = ()
     by_token: dict = None
+    by_name: dict = field(init=False, repr=False)
     derived: frozenset = frozenset()
     extras: dict = None
 
     def __post_init__(self):
         if self.by_token is None:
             self.by_token = {tid: i for i, tid in enumerate(self.tokens)}
+        self.by_name = {}
+        for i, record in enumerate(self.records):
+            for key in (record.name, record.kernel_name, record.name.rsplit(".", 1)[-1]):
+                self.by_name.setdefault(key, i)
         if self.extras is None:
             self.extras = {}
 
@@ -256,14 +263,6 @@ class ProofCorpus:
 
     def __len__(self) -> int:
         return len(self.proofs)
-
-
-@dataclass(frozen=True)
-class ConceptSet:
-    """Tokens referenced by a state, expanded `depth` dependency hops."""
-
-    tokens: frozenset
-    depth: int
 
 
 def _constructor_clauses(internal: str) -> list[tuple[str, str]]:
@@ -483,7 +482,7 @@ def extract_concepts(
     table: TokenTable,
     state: ProofState,
     depth: int = 1,
-) -> ConceptSet:
+) -> frozenset:
     """Global tokens referenced by a state, expanded `depth` dependency hops.
 
     Depth 0 is exactly the tokens of the internal goal and hypothesis texts;
@@ -506,7 +505,7 @@ def extract_concepts(
         if expanded == current:
             break
         current = expanded
-    return ConceptSet(tokens=frozenset(current), depth=depth)
+    return frozenset(current)
 
 
 def generate_require(corpus: EntityCorpus, tokens: Iterable[int]) -> list[str]:

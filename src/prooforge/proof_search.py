@@ -1,13 +1,18 @@
 """Planner–Executor beam search over proof states.
 
-One search layer expands every kept candidate: concept extraction on the
-current state, a planner strategy, premise/tactic retrieval, an executor
-round proposing up to `tactics_per_state` tactics, validation of each
-proposal against the live session (the only operation that consumes budget),
-an error-reflection retry loop, and application of the validated tactics.
-Applied tactics get an explanation and a running summary; explanations feed
-the shared notebook at the layer barrier; the beam is cut back to `beam_width`
-by model-based ranking (with a deterministic shortest-proof fallback).
+One search layer expands every kept candidate. An expansion gathers its
+context once: the corpus concepts the current state references, a planner
+strategy, and the related premises and tactic examples, both ranked from
+one embedding of the first goal. Then up to `max_retries + 1` rounds run:
+the executor proposes up to `tactics_per_state` tactics (after at most one
+request for more concepts per expansion, resolved through the corpus name
+index), each proposal is validated against the live session (the only
+operation that consumes budget), and a failed round's errors go back to the
+planner for the next one. The validated tactics are then applied. Each gets
+one explanation and, unless it proves the theorem, a running summary;
+explanations feed the shared notebook at the layer barrier; the beam is cut
+back to `beam_width` by model-based ranking (with a deterministic
+shortest-proof fallback).
 
 The search returns immediately when an applied tactic empties the goal stack,
 refreshes the focus with ``idtac`` when a tactic closes a subgoal but goals
@@ -78,9 +83,10 @@ class Outcome(enum.Enum):
 class SearchParams:
     """Search-shape knobs; the defaults reproduce the standard setup.
 
-    `budget` caps tactic validations across the whole run. It normally sits
-    at or above `tactics_per_state` (one full expansion); zero is allowed so
-    a dry run can demonstrate the exhaustion path.
+    `budget` caps tactic validations across the whole run; left unset it is
+    the allowance the search shape gives (`compute_budget`). It normally
+    sits at or above `tactics_per_state` (one full expansion); zero is
+    allowed so a dry run can demonstrate the exhaustion path.
     """
 
     max_depth: int = 15
@@ -88,7 +94,7 @@ class SearchParams:
     max_retries: int = 3
     tactics_per_state: int = 10
     reconsider_factor: int = 2
-    budget: int = 860
+    budget: Optional[int] = None
     selection_mode: SelectionMode = SelectionMode.MODEL_BASED
 
     def __post_init__(self):
@@ -102,6 +108,8 @@ class SearchParams:
             raise ValueError("tactics_per_state must be positive")
         if self.reconsider_factor < 1:
             raise ValueError("reconsider_factor must be positive")
+        if self.budget is None:
+            object.__setattr__(self, "budget", compute_budget(self))
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
 
@@ -197,21 +205,6 @@ def _text(gateway, prompt: str, temperature: float, role: str) -> str:
     return gateway.complete(request).text
 
 
-def explain_and_summarize(before, tactic, after, trace, gateway):
-    """Explanation of one applied tactic plus a refreshed trace summary:
-    returns (explanation, summary)."""
-    explanation = _text(
-        gateway,
-        render_explanation_prompt(before, tactic, after),
-        EXPLAIN_TEMPERATURE,
-        "explain",
-    )
-    summary = _text(
-        gateway, render_summarize_prompt(trace, after), SUMMARY_TEMPERATURE, "summarize"
-    )
-    return explanation, summary
-
-
 def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Notebook:
     """Merge new insights into the shared notebook via the gateway; on an
     unusable reply keep the old items and append the newest insights, cut to
@@ -286,9 +279,8 @@ def concept_pairs(corpus, table, state: ProofState, depth: int = 1):
     in token order; empty when either port is absent."""
     if corpus is None or table is None:
         return ()
-    concept_set = extract_concepts(corpus, table, state, depth=depth)
     pairs = []
-    for token in sorted(concept_set.tokens):
+    for token in sorted(extract_concepts(corpus, table, state, depth=depth)):
         record = corpus.record_for(token)
         if record is not None:
             pairs.append((token, record))
@@ -296,41 +288,30 @@ def concept_pairs(corpus, table, state: ProofState, depth: int = 1):
 
 
 def _lookup_info(ports: SearchPorts, names, have_tokens: set):
-    """Resolve requested concept names against the corpus; unknown names and
-    already-shown concepts are skipped."""
+    """Resolve requested concept names against the corpus (`by_name`);
+    unknown names and already-shown concepts are skipped."""
     if ports.corpus is None:
         return ()
     pairs = []
     for name in names:
-        for i, record in enumerate(ports.corpus.records):
-            matches = (
-                record.name == name
-                or record.kernel_name == name
-                or record.name.rsplit(".", 1)[-1] == name
-            )
-            if matches:
-                token = ports.corpus.tokens[i]
-                if token not in have_tokens:
-                    have_tokens.add(token)
-                    pairs.append((token, record))
-                break
+        i = ports.corpus.by_name.get(name)
+        if i is None:
+            continue
+        token = ports.corpus.tokens[i]
+        if token not in have_tokens:
+            have_tokens.add(token)
+            pairs.append((token, ports.corpus.records[i]))
     return tuple(pairs)
 
 
 def _retrieve_context(ports: SearchPorts, state: ProofState):
     if ports.index is None or not state.goals:
         return (), ()
-    query = state.goals[0].goal_internal
     try:
-        premises = tuple(
-            payload for payload, _sim in retrieve(ports.index, query, k=ports.retrieve_k, kind=PREMISE)
-        )
-        tactic_examples = tuple(
-            payload for payload, _sim in retrieve(ports.index, query, k=ports.retrieve_k, kind=TACTIC)
-        )
+        ranked = retrieve(ports.index, state.goals[0].goal_internal, k=ports.retrieve_k)
     except ZeroVectorError:
         return (), ()
-    return premises, tactic_examples
+    return tuple(p for p, _sim in ranked[PREMISE]), tuple(p for p, _sim in ranked[TACTIC])
 
 
 def _expand_branch(
@@ -351,14 +332,13 @@ def _expand_branch(
     have_tokens = {token for token, _record in concepts}
     info_used = False
 
-    strategy = _text(
-        ports.gateway,
-        render_planner_prompt(
-            state, concepts, trace, summary, notebook, errors=(), config=ports.config
-        ),
-        PLANNER_TEMPERATURE,
-        "planner",
-    )
+    def plan(errors) -> str:
+        prompt = render_planner_prompt(
+            state, concepts, trace, summary, notebook, errors=errors, config=ports.config
+        )
+        return _text(ports.gateway, prompt, PLANNER_TEMPERATURE, "planner")
+
+    strategy = plan(())
     premises, tactic_examples = _retrieve_context(ports, state)
 
     def ask_executor(strategy_text: str):
@@ -418,44 +398,36 @@ def _expand_branch(
                 failed.append((canonical, truncate_error(result.error)))
         return failed
 
-    failed = validate_batch(executor_round(strategy))
-    retry = 0
-    while retry < params.max_retries and failed and len(valid) <= params.tactics_per_state:
-        retry += 1
-        errors = tuple(failed)
-        strategy = _text(
-            ports.gateway,
-            render_planner_prompt(
-                state, concepts, trace, summary, notebook, errors=errors, config=ports.config
-            ),
-            PLANNER_TEMPERATURE,
-            "planner",
-        )
+    for retry in range(params.max_retries + 1):
+        if retry:
+            strategy = plan(tuple(failed))
         failed = validate_batch(executor_round(strategy))
+        if not failed or len(valid) > params.tactics_per_state:
+            break
 
     branches: list[_Branch] = []
     insights: list[str] = []
     for tactic, _validated in valid:
         child = ports.backend.clone_session(branch.session)
         after = ports.backend.apply_tactic(tactic, child)
-        if is_goal_complete(after):
-            explanation = _text(
-                ports.gateway,
-                render_explanation_prompt(state, tactic, after),
-                EXPLAIN_TEMPERATURE,
-                "explain",
-            )
-            return _Expansion([], [], proved=trace + ((tactic, explanation),))
         if is_subgoal_complete(state, after):
             after = ports.backend.apply_tactic("idtac", child)
-        explanation, new_summary = explain_and_summarize(
-            state, tactic, after, trace + ((tactic, ""),), ports.gateway
+        explanation = _text(
+            ports.gateway,
+            render_explanation_prompt(state, tactic, after),
+            EXPLAIN_TEMPERATURE,
+            "explain",
         )
-        candidate = SearchCandidate(
-            state=after,
-            trace=trace + ((tactic, explanation),),
-            summary=new_summary,
+        new_trace = trace + ((tactic, explanation),)
+        if is_goal_complete(after):
+            return _Expansion([], [], proved=new_trace)
+        new_summary = _text(
+            ports.gateway,
+            render_summarize_prompt(trace + ((tactic, ""),), after),
+            SUMMARY_TEMPERATURE,
+            "summarize",
         )
+        candidate = SearchCandidate(state=after, trace=new_trace, summary=new_summary)
         branches.append(_Branch(candidate, child))
         if explanation.strip():
             insights.append(explanation.strip())

@@ -4,9 +4,10 @@ The index is an exact full-scan cosine index: small corpora make anything
 fancier pointless. It holds one matrix per kind ("premise" or "tactic"):
 one row per item in insertion order, with the row norms, each row's payload
 (what gets spliced into prompts) and each row's rank in key-text order (the
-key text is what got embedded). A query is scored against every row of its
-kind; results come in descending similarity, ties broken by ascending key
-text and then by insertion order, so they are reproducible across platforms.
+key text is what got embedded). A query is embedded once and scored against
+every row of both kinds; each kind's results come in descending similarity,
+ties broken by ascending key text and then by insertion order, so they are
+reproducible across platforms.
 A row with zero norm scores -1 against every query.
 
 A provider is any object whose ``embed(text)`` returns a 1-D float array of
@@ -176,18 +177,18 @@ def build_index(
     return RetrievalIndex(provider=provider, kinds=kinds, dim=dim)
 
 
-def retrieve(index: RetrievalIndex, query: str, k: int, kind: str) -> list[tuple[str, float]]:
-    """Top-k payloads of one kind by cosine similarity to the query,
-    descending; ties break by ascending key text, then insertion order.
+def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[str, float]]]:
+    """Top-k payloads of every kind by cosine similarity to the query.
 
-    A query that embeds to the zero vector raises ZeroVectorError; provider
-    failures, and a query vector whose length is not the index's, propagate
-    as ProviderError with the query as the failing key.
+    The query is embedded once and scored against the rows of both kinds;
+    each kind's list is in descending similarity, ties broken by ascending
+    key text, then insertion order. A query that embeds to the zero vector
+    raises ZeroVectorError; provider failures, and a query vector whose
+    length is not that of a non-empty kind's rows, propagate as
+    ProviderError with the query as the failing key.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if kind not in (PREMISE, TACTIC):
-        raise ValueError(f"kind must be {PREMISE!r} or {TACTIC!r}, not {kind!r}")
     try:
         q = _vector(index.provider.embed(query))
     except ProviderError:
@@ -197,16 +198,19 @@ def retrieve(index: RetrievalIndex, query: str, k: int, kind: str) -> list[tuple
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroVectorError(f"query embeds to the zero vector: {query!r}")
-    rows = index.kinds[kind]
-    if not rows.payloads:
-        return []
-    if len(q) != rows.matrix.shape[1]:
-        raise ProviderError(
-            f"query embeds to {len(q)} dimensions, the index holds {rows.matrix.shape[1]}",
-            key=query,
-        )
-    safe = np.where(rows.norms == 0.0, 1.0, rows.norms)
-    sims = (rows.matrix @ q) / (safe * qnorm)
-    sims = np.where(rows.norms == 0.0, -1.0, sims)
-    order = np.lexsort((rows.key_rank, -sims))[:k]
-    return [(rows.payloads[i], float(sims[i])) for i in order]
+    ranked = {}
+    for kind, rows in index.kinds.items():
+        if not rows.payloads:
+            ranked[kind] = []
+            continue
+        if len(q) != rows.matrix.shape[1]:
+            raise ProviderError(
+                f"query embeds to {len(q)} dimensions, the index holds {rows.matrix.shape[1]}",
+                key=query,
+            )
+        safe = np.where(rows.norms == 0.0, 1.0, rows.norms)
+        sims = (rows.matrix @ q) / (safe * qnorm)
+        sims = np.where(rows.norms == 0.0, -1.0, sims)
+        order = np.lexsort((rows.key_rank, -sims))[:k]
+        ranked[kind] = [(rows.payloads[i], float(sims[i])) for i in order]
+    return ranked

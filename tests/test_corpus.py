@@ -299,14 +299,12 @@ class TestExtractConcepts:
         state = ProofState(
             (GoalState((), (), "0 + n = n", "eq nat ( Coq.Init.Nat.add 0 n ) n"),)
         )
-        concepts = extract_concepts(corpus, table, state, depth=0)
-        assert concepts.tokens == frozenset(tokens)
-        assert concepts.depth == 0
+        assert extract_concepts(corpus, table, state, depth=0) == frozenset(tokens)
 
     def test_empty_state_any_depth(self):
         # [TRIVIAL]
         table, corpus, _ = _three_record_setup()
-        assert extract_concepts(corpus, table, ProofState(()), depth=3).tokens == frozenset()
+        assert extract_concepts(corpus, table, ProofState(()), depth=3) == frozenset()
 
     def test_depth_one_unions_dependencies(self):
         # [DERIVED] manual closure on the hand-built corpus: depth 0 sees
@@ -317,9 +315,9 @@ class TestExtractConcepts:
             (GoalState((), (), "g", "eq ( Coq.Init.Nat.add x y ) z"),)
         )
         depth0 = extract_concepts(corpus, table, state, depth=0)
-        assert depth0.tokens == frozenset({eq_tid, add_tid})
+        assert depth0 == frozenset({eq_tid, add_tid})
         depth1 = extract_concepts(corpus, table, state, depth=1)
-        assert depth1.tokens == frozenset({eq_tid, add_tid, nat_tid})
+        assert depth1 == frozenset({eq_tid, add_tid, nat_tid})
 
     def test_monotone_in_depth(self):
         table, corpus, _ = _three_record_setup()
@@ -328,7 +326,7 @@ class TestExtractConcepts:
         )
         previous = frozenset()
         for depth in range(4):
-            current = extract_concepts(corpus, table, state, depth=depth).tokens
+            current = extract_concepts(corpus, table, state, depth=depth)
             assert previous <= current
             previous = current
 

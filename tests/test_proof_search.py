@@ -11,8 +11,6 @@ from conftest import (
     ADD_0_L_SURFACE,
     make_entity,
     sigma_0,
-    sigma_1,
-    sigma_2,
 )
 from test_coq_backend import worked_backend
 from prooforge.coq_backend import (
@@ -22,7 +20,12 @@ from prooforge.coq_backend import (
     replay_trace,
 )
 from prooforge.core_model import GoalState, Notebook, ProofState, SearchCandidate
-from prooforge.corpus import ENTITIES_HEADER, encode_entity_record, load_entity_corpus
+from prooforge.corpus import (
+    ENTITIES_HEADER,
+    EntityCorpus,
+    encode_entity_record,
+    load_entity_corpus,
+)
 from prooforge.errors import PortFailure
 from prooforge.llm_gateway import MockGateway, ScriptRecord
 from prooforge.proof_search import (
@@ -32,11 +35,11 @@ from prooforge.proof_search import (
     SearchPorts,
     SelectionMode,
     compute_budget,
-    explain_and_summarize,
     prove,
     select_best,
     update_notebook,
 )
+from prooforge.retrieval import MockEmbeddingProvider, build_index
 from prooforge.tokenizer import TokenTable
 
 
@@ -92,6 +95,12 @@ class TestBudget:
             max_depth=1, beam_width=3, tactics_per_state=1, reconsider_factor=2
         )
         assert compute_budget(params) == 2
+
+    def test_unset_budget_follows_the_search_shape(self):
+        # [DERIVED] 20 + 4*3*20 = 260 at depth 5; an explicit budget wins.
+        assert SearchParams(max_depth=5).budget == 260
+        assert SearchParams().budget == 860
+        assert SearchParams(budget=0).budget == 0
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -223,6 +232,46 @@ class TestScriptedRuns:
             result = prove(theorem, SearchParams(max_depth=3), ports)
             assert result.outcome is Outcome.PROVED
             assert backend.counts == {"compile_theorem": 0, "start_session": 1}
+
+    def test_each_applied_tactic_is_explained_once(self):
+        # [PAPER] the explanation prompt shows the tactic and the goals before
+        # and after it; the summary is asked for only on the unproved path.
+        gateway, ports = self.proved_ports()
+        prove(ADD_0_L_SURFACE, SearchParams(max_depth=3), ports)
+        explain_prompts = calls_for(gateway, "explain")
+        assert len(explain_prompts) == 3
+        simpl_prompt = explain_prompts[1]
+        assert "`simpl`" in simpl_prompt
+        assert "Goals before:\n0 + n = n\n" in simpl_prompt
+        assert "Goals after:\nn = n\n" in simpl_prompt
+        assert "Goals after:\n(no goals)\n" in explain_prompts[2]
+        assert len(calls_for(gateway, "summarize")) == 2
+        # The summary reply becomes the candidate's summary.
+        assert "The goal shrank. score: 0.6" in calls_for(gateway, "planner")[1]
+
+    def test_one_query_embedding_per_expansion(self):
+        # Both kinds are ranked from one embedding of the goal.
+        class CountingProvider(MockEmbeddingProvider):
+            embeds = 0
+
+            def embed(self, text):
+                self.embeds += 1
+                return super().embed(text)
+
+        provider = CountingProvider()
+        index = build_index(
+            provider, premises=[("A.a", "alpha")], tactics=[("intros", "goal")]
+        )
+        gateway, ports = self.proved_ports()
+        ports.index = index
+        provider.embeds = 0
+        result = prove(ADD_0_L_SURFACE, SearchParams(max_depth=3), ports)
+        assert result.outcome is Outcome.PROVED
+        # Three layers of one branch each: three expansions.
+        assert provider.embeds == 3
+        first_prompt = calls_for(gateway, "executor")[0]
+        assert "- A.a : alpha" in first_prompt
+        assert "- intros\n" in first_prompt
 
 
 class TestRetriesAndFailure:
@@ -492,6 +541,38 @@ class TestInfoRequests:
         info_events = [e for e in ports.recorder.events if e["event"] == "info"]
         assert len(info_events) == 1
 
+    def test_names_resolve_to_the_first_record_carrying_them(self):
+        # Each requested name is a record's full name, kernel name or last
+        # name segment; when several records carry it, the first in corpus
+        # order wins. "add" names a concept the goal already shows, "alpha"
+        # repeats, "nope" is unknown: all three are skipped.
+        table = TokenTable()
+        records = [
+            make_entity("Coq.Init.Nat.add", origin="origin 0"),
+            make_entity("alpha", origin="origin 1"),
+            make_entity("M.alpha", origin="origin 2"),
+            make_entity("M.beta", kernel="K.beta", origin="origin 3"),
+            make_entity("K.beta", origin="origin 4"),
+            make_entity("M.gamma", origin="origin 5"),
+            make_entity("gamma", origin="origin 6"),
+        ]
+        corpus = EntityCorpus(
+            records=tuple(records),
+            tokens=tuple(table.intern_entity(r) for r in records),
+        )
+        names = ["alpha", "K.beta", "gamma", "add", "alpha", "nope"]
+        gateway = MockGateway(route_defaults() + [
+            ScriptRecord(reply=json.dumps({"info": names}), route="executor"),
+            ScriptRecord(reply=tactics_reply(), route="executor"),
+        ])
+        ports = SearchPorts(
+            backend=worked_backend(), gateway=gateway, corpus=corpus, table=table
+        )
+        prove(ADD_0_L_SURFACE, SearchParams(max_depth=1, max_retries=0), ports)
+        before, after = calls_for(gateway, "executor")
+        assert [i for i in range(7) if f"Origin: origin {i}\n" in before] == [0]
+        assert [after.count(f"Origin: origin {i}\n") for i in range(7)] == [1, 1, 0, 1, 0, 1, 0]
+
 
 # ----------------------------------------------------------------------
 # select_best in isolation
@@ -559,7 +640,7 @@ class TestSelectBest:
 
 
 # ----------------------------------------------------------------------
-# Notebook and explanation plumbing
+# Notebook
 # ----------------------------------------------------------------------
 
 class TestNotebook:
@@ -582,20 +663,3 @@ class TestNotebook:
         )
         assert merged.items == tuple(f"old{i}" for i in range(2, 14)) + ("a", "b", "c")
         assert len(merged.items) == 15
-
-
-class TestExplainAndSummarize:
-    def test_explanation_and_summary_pass_through(self):
-        gateway = MockGateway([
-            ScriptRecord(reply="Did the thing.", route="explain"),
-            ScriptRecord(reply="All good.\nscore: 0.8", route="summarize"),
-        ])
-        explanation, summary = explain_and_summarize(
-            sigma_1(), "simpl", sigma_2(), (("simpl", ""),), gateway
-        )
-        assert explanation == "Did the thing."
-        assert summary == "All good.\nscore: 0.8"
-        # [PAPER] the explanation prompt shows the before/after goal pair.
-        explain_prompt = "\n".join(c for _r, c in gateway.calls[0].messages)
-        assert "0 + n = n" in explain_prompt
-        assert "simpl" in explain_prompt

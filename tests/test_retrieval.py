@@ -49,7 +49,7 @@ class TestVectors:
                 build_index(BasisProvider(table), premises=[("P1", "a")])
             index = build_index(BasisProvider(table), premises=[("P2", "b")])
             with pytest.raises(ProviderError) as exc_info:
-                retrieve(index, "query", 1, PREMISE)
+                retrieve(index, "query", 1)
             assert exc_info.value.key == "query"
             provider = HttpEmbeddingProvider(
                 "https://api.example", "m",
@@ -110,7 +110,7 @@ class TestBuildIndex:
         # [TRIVIAL]
         index = build_index(MockEmbeddingProvider())
         assert all(not rows.payloads for rows in index.kinds.values())
-        assert retrieve(index, "anything", 5, PREMISE) == []
+        assert retrieve(index, "anything", 5) == {PREMISE: [], TACTIC: []}
 
     def test_three_premises(self):
         # [TRIVIAL] size contract: 3 rows, dim = mock dim.
@@ -158,7 +158,7 @@ class TestRetrieve:
         index = build_index(
             provider, premises=[("A.a", "alpha"), ("B.b", "beta"), ("C.c", "gamma")]
         )
-        results = retrieve(index, "B.b : beta", 3, PREMISE)
+        results = retrieve(index, "B.b : beta", 3)[PREMISE]
         assert results[0][0] == "B.b : beta"
         assert results[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -167,12 +167,12 @@ class TestRetrieve:
         index = build_index(
             MockEmbeddingProvider(), premises=[("A.a", "x"), ("B.b", "y")]
         )
-        assert len(retrieve(index, "anything", 10, PREMISE)) == 2
+        assert len(retrieve(index, "anything", 10)[PREMISE]) == 2
 
     def test_negative_k_rejected(self):
         index = build_index(MockEmbeddingProvider(), premises=[("A.a", "x")])
         with pytest.raises(ValueError):
-            retrieve(index, "anything", -1, PREMISE)
+            retrieve(index, "anything", -1)
 
     def test_orthogonal_vectors_exact_similarities(self):
         # [DERIVED] hand-chosen orthonormal vectors; oracle = dot products.
@@ -186,30 +186,28 @@ class TestRetrieve:
         index = build_index(
             provider, premises=[("P1", "a"), ("P2", "b"), ("P3", "c")]
         )
-        results = retrieve(index, "query", 3, PREMISE)
+        results = retrieve(index, "query", 3)[PREMISE]
         assert results[0] == ("P2 : b", pytest.approx(1.0))
         assert {r[0] for r in results[1:]} == {"P1 : a", "P3 : c"}
         assert all(sim == pytest.approx(0.0) for _, sim in results[1:])
 
-    def test_kind_filter(self):
+    def test_one_call_ranks_each_kind(self):
         provider = MockEmbeddingProvider()
         index = build_index(
             provider,
             premises=[("A.a", "alpha")],
             tactics=[("intros", "goal text")],
         )
-        premises_only = retrieve(index, "q", k=5, kind=PREMISE)
-        tactics_only = retrieve(index, "q", k=5, kind=TACTIC)
-        assert [p for p, _ in premises_only] == ["A.a : alpha"]
-        assert [p for p, _ in tactics_only] == ["intros"]
-        with pytest.raises(ValueError, match="kind"):
-            retrieve(index, "q", k=5, kind=None)
+        ranked = retrieve(index, "q", k=5)
+        assert set(ranked) == {PREMISE, TACTIC}
+        assert [p for p, _ in ranked[PREMISE]] == ["A.a : alpha"]
+        assert [p for p, _ in ranked[TACTIC]] == ["intros"]
 
     def test_zero_query_vector_raises(self):
         table = {"P1 : a": (1.0, 0.0), "null": (0.0, 0.0)}
         index = build_index(BasisProvider(table), premises=[("P1", "a")])
         with pytest.raises(ZeroVectorError):
-            retrieve(index, "null", 1, PREMISE)
+            retrieve(index, "null", 1)
 
     def test_provider_failure_wraps_query_key(self):
         class Exploding:
@@ -221,18 +219,28 @@ class TestRetrieve:
         index = build_index(BasisProvider({"P1 : a": (1.0, 0.0)}), premises=[("P1", "a")])
         index.provider = Exploding()
         with pytest.raises(ProviderError) as exc_info:
-            retrieve(index, "the query", 1, PREMISE)
+            retrieve(index, "the query", 1)
         assert exc_info.value.key == "the query"
 
     def test_query_dimension_must_match_the_index(self):
-        table = {"P1 : a": (1.0, 0.0), "short": (1.0,), "long": (1.0, 0.0, 0.0)}
-        index = build_index(BasisProvider(table), premises=[("P1", "a")])
-        for query in ("short", "long"):
-            with pytest.raises(ProviderError, match="dimensions") as exc_info:
-                retrieve(index, query, 1, PREMISE)
-            assert exc_info.value.key == query
+        # Each kind that holds rows checks the query's length.
+        table = {
+            "P1 : a": (1.0, 0.0),
+            "intros \x1f g": (0.0, 1.0),
+            "short": (1.0,),
+            "long": (1.0, 0.0, 0.0),
+        }
+        provider = BasisProvider(table)
+        for index in (
+            build_index(provider, premises=[("P1", "a")]),
+            build_index(provider, tactics=[("intros", "g")]),
+        ):
+            for query in ("short", "long"):
+                with pytest.raises(ProviderError, match="dimensions") as exc_info:
+                    retrieve(index, query, 1)
+                assert exc_info.value.key == query
         # An empty kind has no rows to compare against.
-        assert retrieve(index, "long", 1, TACTIC) == []
+        assert retrieve(build_index(provider), "long", 1) == {PREMISE: [], TACTIC: []}
 
     def test_replaced_provider_embeds_the_query(self):
         # A benchmark or caller may swap the provider with dataclasses.replace:
@@ -253,9 +261,8 @@ class TestRetrieve:
 
         wrapped = dataclasses.replace(index, provider=Recording())
         assert wrapped.kinds is index.kinds
-        for kind in (PREMISE, TACTIC):
-            assert retrieve(wrapped, "alpha", 5, kind) == retrieve(index, "alpha", 5, kind)
-        assert seen == ["alpha", "alpha"]
+        assert retrieve(wrapped, "alpha", 5) == retrieve(index, "alpha", 5)
+        assert seen == ["alpha"]
 
     @given(
         st.lists(
@@ -294,6 +301,8 @@ class TestRetrieve:
             tactics=[(name, text) for name, text, _v in tactics],
         )
         qnorm = math.sqrt(sum(x * x for x in query_vector))
+        ranked = retrieve(index, "query", len(items))
+        top_two = retrieve(index, "query", 2)
         for kind, rows in (
             (PREMISE, [(f"{n} : {t}", f"{n} : {t}", vec) for n, t, vec in premises]),
             (TACTIC, [(f"{n} \x1f {t}", n, vec) for n, t, vec in tactics]),
@@ -305,5 +314,5 @@ class TestRetrieve:
                 expected.append((key, payload, -1.0 if vnorm == 0 else dot / (vnorm * qnorm)))
             expected.sort(key=lambda row: (-row[2], row[0]))
             want = [(payload, sim) for _key, payload, sim in expected]
-            assert retrieve(index, "query", len(rows), kind) == want
-            assert retrieve(index, "query", 2, kind) == want[:2]
+            assert ranked[kind] == want
+            assert top_two[kind] == want[:2]
