@@ -353,8 +353,9 @@ class SyntheticBackend:
     # -- the port operations ------------------------------------------------
 
     def compile_tactic(self, tactic: str, state: ProofState, session: BackendSession) -> CompileResult:
-        """Validate without advancing. The session must sit at `state`."""
-        if state_fingerprint(session.state) != state_fingerprint(state):
+        """Validate without advancing. The session must sit at `state`, checked
+        by fingerprint unless `state` is the session's own state object."""
+        if session.state is not state and state_fingerprint(session.state) != state_fingerprint(state):
             raise SessionDesync(
                 f"session {session.session_id} is not at the state being validated"
             )

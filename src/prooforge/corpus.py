@@ -462,7 +462,19 @@ def save_proof_corpus(corpus: ProofCorpus, path: str) -> None:
 # Concept extraction and Require generation
 # ======================================================================
 
-def _record_dependencies(corpus: EntityCorpus, table: TokenTable, token: int) -> Iterable[int]:
+def _global_tokens(table: TokenTable, text: str, memo: dict) -> tuple[int, ...]:
+    """Global token ids of a text; each text is tokenized once per `memo`."""
+    tids = memo.get(text)
+    if tids is None:
+        tids = memo[text] = tuple(
+            tid
+            for _lex, cls, tid in tokenize_term(table, text)
+            if cls.kind == TokenClass.GLOBAL and tid is not None
+        )
+    return tids
+
+
+def _record_dependencies(corpus: EntityCorpus, table: TokenTable, token: int, memo: dict) -> Iterable[int]:
     record = corpus.record_for(token)
     if record is None:
         return ()
@@ -470,11 +482,7 @@ def _record_dependencies(corpus: EntityCorpus, table: TokenTable, token: int) ->
         return record.dependencies
     # No producer-supplied dependencies: fall back to tokenizing the record's
     # own internal text and taking whatever resolves.
-    return (
-        tid
-        for _lex, cls, tid in tokenize_term(table, record.internal)
-        if cls.kind == TokenClass.GLOBAL and tid is not None
-    )
+    return _global_tokens(table, record.internal, memo)
 
 
 def extract_concepts(
@@ -482,26 +490,28 @@ def extract_concepts(
     table: TokenTable,
     state: ProofState,
     depth: int = 1,
+    memo: Optional[dict] = None,
 ) -> frozenset:
     """Global tokens referenced by a state, expanded `depth` dependency hops.
 
     Depth 0 is exactly the tokens of the internal goal and hypothesis texts;
     each extra hop unions in the dependencies of everything collected so far.
     Expansion stops early at a fixpoint, and the result is monotone in depth.
+    `memo` maps each text to its global tokens and must not outlive an intern
+    into `table`; the search keeps one per proof, other callers one per call.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    memo = {} if memo is None else memo
     current: set[int] = set()
     for goal in state.goals:
-        texts = [goal.goal_internal] + [h.internal_type for h in goal.hypotheses_internal]
-        for text in texts:
-            for _lex, cls, tid in tokenize_term(table, text):
-                if cls.kind == TokenClass.GLOBAL and tid is not None:
-                    current.add(tid)
+        current.update(_global_tokens(table, goal.goal_internal, memo))
+        for h in goal.hypotheses_internal:
+            current.update(_global_tokens(table, h.internal_type, memo))
     for _hop in range(depth):
         expanded = set(current)
         for token in current:
-            expanded.update(_record_dependencies(corpus, table, token))
+            expanded.update(_record_dependencies(corpus, table, token, memo))
         if expanded == current:
             break
         current = expanded

@@ -127,31 +127,30 @@ ActionResponse = Union[InfoRequest, TacticSuggestions, Unparsed]
 _BARE_KEY_RE = re.compile(r"([{\[,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)")
 
 
+# Per bracket kind: an opener, a closer, or a whole string literal (escapes
+# count inside it; an unterminated one runs to the end of the text).
+_REGION_SCANNERS = {
+    pair: re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[' + re.escape(pair) + "]", re.S)
+    for pair in ("{}", "[]")
+}
+
+
 def _balanced_regions(text: str, open_ch: str, close_ch: str) -> list[str]:
+    """Every outermost balanced open..close region, in order; brackets inside
+    string literals and closers at depth 0 are ignored."""
     regions = []
     depth = 0
     start = -1
-    in_string = False
-    escape = False
-    for i, ch in enumerate(text):
-        if in_string:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == open_ch:
+    for match in _REGION_SCANNERS[open_ch + close_ch].finditer(text):
+        ch = match.group()
+        if ch == open_ch:
             if depth == 0:
-                start = i
+                start = match.start()
             depth += 1
         elif ch == close_ch and depth > 0:
             depth -= 1
             if depth == 0:
-                regions.append(text[start:i + 1])
+                regions.append(text[start:match.end()])
     return regions
 
 

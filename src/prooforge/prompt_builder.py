@@ -324,6 +324,33 @@ def _render_list(entries: Sequence[str]) -> str:
     return "\n".join(f"- {entry}" for entry in entries)
 
 
+@dataclass(frozen=True)
+class StateContext:
+    """What the planner and proving prompts share, rendered once from a
+    state, its concepts and a configuration: hypotheses, goal, the concepts
+    in prompt order and their glob-def text."""
+
+    hyps: str
+    goal: str
+    ordered: tuple[tuple[Optional[int], EntityRecord], ...]
+    glob_defs: str
+
+
+def render_state_context(
+    state: ProofState,
+    concepts: Sequence[ConceptInput] = (),
+    config: InfoConfiguration = InfoConfiguration.COMPLETE,
+) -> StateContext:
+    traits = CONFIG_MATRIX[config]
+    ordered = tuple(_order_concepts(state, _normalize_concepts(concepts)))
+    return StateContext(
+        hyps=_render_hypotheses(state, traits),
+        goal=_render_goal(state, traits),
+        ordered=ordered,
+        glob_defs=_render_glob_defs(ordered, traits),
+    )
+
+
 def render_prove_prompt(
     state: ProofState,
     concepts: Sequence[ConceptInput] = (),
@@ -334,22 +361,25 @@ def render_prove_prompt(
     notes: Notebook = Notebook(),
     hint: str = "",
     config: InfoConfiguration = InfoConfiguration.COMPLETE,
+    context: Optional[StateContext] = None,
 ) -> PromptBundle:
     """Render the proving prompt for one state under one configuration.
 
     `concepts` entries are EntityRecord or (token_id, EntityRecord) pairs;
-    ids, when given, are carried into the bundle for clarity probing.
+    ids, when given, are carried into the bundle for clarity probing. A
+    `context` from `render_state_context` on the same inputs saves the work.
     """
     traits = CONFIG_MATRIX[config]
-    ordered = _order_concepts(state, _normalize_concepts(concepts))
+    if context is None:
+        context = render_state_context(state, concepts, config)
     parts = [_BLOCK_HEADER]
     parts.append(
         _BLOCK_PROOF_STATE
-        .replace("{hyps}", _render_hypotheses(state, traits))
-        .replace("{goal}", _render_goal(state, traits))
+        .replace("{hyps}", context.hyps)
+        .replace("{goal}", context.goal)
     )
     if traits.glob_def_section:
-        parts.append(_BLOCK_GLOB_DEF.replace("{glob_def}", _render_glob_defs(ordered, traits)))
+        parts.append(_BLOCK_GLOB_DEF.replace("{glob_def}", context.glob_defs))
     if traits.extra_sections:
         parts.append(
             _BLOCK_PROOF_TRACING
@@ -365,7 +395,7 @@ def render_prove_prompt(
         rendered="".join(parts),
         sections_present=expected_sections(config),
         config=config,
-        concept_tokens=tuple(t for t, _r in ordered if t is not None),
+        concept_tokens=tuple(t for t, _r in context.ordered if t is not None),
     )
 
 
@@ -390,26 +420,27 @@ def render_planner_prompt(
     notes: Notebook = Notebook(),
     errors: Sequence[tuple[str, str]] = (),
     config: InfoConfiguration = InfoConfiguration.COMPLETE,
+    context: Optional[StateContext] = None,
 ) -> str:
     """Strategy-analysis prompt; with `errors`, a reflection prompt that lists
-    each failed tactic and its compiler error verbatim."""
-    traits = CONFIG_MATRIX[config]
-    ordered = _order_concepts(state, _normalize_concepts(concepts))
+    each failed tactic and its compiler error verbatim. `context` is as for
+    `render_prove_prompt`."""
+    if context is None:
+        context = render_state_context(state, concepts, config)
     lines = [
         "You are planning the next steps of a formal Coq proof. "
         "Analyze the state and context below, then lay out a strategy.",
         "",
         "=== Current Proof States ===",
         "# Hypotheses:",
-        _render_hypotheses(state, traits),
+        context.hyps,
         "",
         "# Goal:",
-        _render_goal(state, traits),
+        context.goal,
         "",
     ]
-    glob_defs = _render_glob_defs(ordered, traits)
-    if glob_defs:
-        lines += ["Global definitions referenced:", "# Glob def:", glob_defs, ""]
+    if context.glob_defs:
+        lines += ["Global definitions referenced:", "# Glob def:", context.glob_defs, ""]
     lines += ["=== Proof Tracing ===", "Tactics: " + " -> ".join(t for t, _ in trace)]
     if summary:
         lines.append(summary)

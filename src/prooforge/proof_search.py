@@ -3,7 +3,10 @@
 One search layer expands every kept candidate. An expansion gathers its
 context once: the corpus concepts the current state references, a planner
 strategy, and the related premises and tactic examples, both ranked from
-one embedding of the first goal. Then up to `max_retries + 1` rounds run:
+one embedding of the first goal. The proof-state and concept blocks the
+planner and executor prompts share are rendered once per expansion, and
+again only after an info request adds concepts; each goal or hypothesis
+text is tokenized once per proof. Then up to `max_retries + 1` rounds run:
 the executor proposes up to `tactics_per_state` tactics (after at most one
 request for more concepts per expansion, resolved through the corpus name
 index), each proposal is validated against the live session (the only
@@ -56,6 +59,7 @@ from .prompt_builder import (
     render_planner_prompt,
     render_prove_prompt,
     render_rank_prompt,
+    render_state_context,
     render_summarize_prompt,
 )
 from .retrieval import PREMISE, TACTIC, RetrievalIndex, retrieve
@@ -86,7 +90,10 @@ class SearchParams:
     `budget` caps tactic validations across the whole run; left unset it is
     the allowance the search shape gives (`compute_budget`). It normally
     sits at or above `tactics_per_state` (one full expansion); zero is
-    allowed so a dry run can demonstrate the exhaustion path.
+    allowed so a dry run can demonstrate the exhaustion path. The budget is
+    resolved once, at construction, so a shape derived with
+    `dataclasses.replace` must pass `budget=None` to get its own allowance;
+    otherwise it keeps the resolved budget of the original.
     """
 
     max_depth: int = 15
@@ -274,13 +281,13 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
     return chosen
 
 
-def concept_pairs(corpus, table, state: ProofState, depth: int = 1):
+def concept_pairs(corpus, table, state: ProofState, depth: int = 1, memo=None):
     """(token, record) pairs for every corpus concept the state references,
     in token order; empty when either port is absent."""
     if corpus is None or table is None:
         return ()
     pairs = []
-    for token in sorted(extract_concepts(corpus, table, state, depth=depth)):
+    for token in sorted(extract_concepts(corpus, table, state, depth=depth, memo=memo)):
         record = corpus.record_for(token)
         if record is not None:
             pairs.append((token, record))
@@ -322,19 +329,22 @@ def _expand_branch(
     budget: BudgetCounter,
     depth: int,
     index_in_layer: int,
+    token_memo: dict,
 ) -> _Expansion:
     state = branch.candidate.state
     trace = branch.candidate.trace
     summary = branch.candidate.summary
     recorder = ports.recorder
 
-    concepts = concept_pairs(ports.corpus, ports.table, state)
+    concepts = concept_pairs(ports.corpus, ports.table, state, memo=token_memo)
     have_tokens = {token for token, _record in concepts}
+    context = render_state_context(state, concepts, ports.config)
     info_used = False
 
     def plan(errors) -> str:
         prompt = render_planner_prompt(
-            state, concepts, trace, summary, notebook, errors=errors, config=ports.config
+            state, trace=trace, summary=summary, notes=notebook, errors=errors,
+            config=ports.config, context=context,
         )
         return _text(ports.gateway, prompt, PLANNER_TEMPERATURE, "planner")
 
@@ -344,7 +354,6 @@ def _expand_branch(
     def ask_executor(strategy_text: str):
         bundle = render_prove_prompt(
             state,
-            concepts=concepts,
             trace=trace,
             summary=summary,
             premises=premises,
@@ -352,6 +361,7 @@ def _expand_branch(
             notes=notebook,
             hint=strategy_text,
             config=ports.config,
+            context=context,
         )
         reply = _text(ports.gateway, bundle.rendered, EXECUTOR_TEMPERATURE, "executor")
         return parse_action_response(reply)
@@ -359,11 +369,12 @@ def _expand_branch(
     def executor_round(strategy_text: str) -> list[str]:
         """One executor exchange; resolves at most one info request per
         expansion, after which an info request yields no tactics."""
-        nonlocal concepts, info_used
+        nonlocal concepts, context, info_used
         action = ask_executor(strategy_text)
         if isinstance(action, InfoRequest) and not info_used:
             info_used = True
             concepts = concepts + _lookup_info(ports, action.names, have_tokens)
+            context = render_state_context(state, concepts, ports.config)
             recorder.record(
                 "info", depth=depth, branch=index_in_layer, names=list(action.names)
             )
@@ -482,6 +493,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         return finish(Outcome.PROVED, 0)
     layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
     notebook = Notebook()
+    token_memo: dict = {}
     depth = 0
 
     try:
@@ -494,7 +506,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                 context = f"theorem {theorem!r}, depth {depth}, branch {idx}"
                 try:
                     expansion = _expand_branch(
-                        branch, params, ports, notebook, budget, depth, idx
+                        branch, params, ports, notebook, budget, depth, idx, token_memo
                     )
                 except _Exhausted:
                     raise

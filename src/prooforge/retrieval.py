@@ -120,12 +120,13 @@ class HttpEmbeddingProvider:
 @dataclass(frozen=True)
 class KindRows:
     """Every item of one kind: row i of `matrix` embeds the key of
-    `payloads[i]`, `norms[i]` is that row's norm and `key_rank[i]` its
-    position in key-text order."""
+    `payloads[i]`, `norms[i]` is that row's norm (1.0 for a zero row, which
+    `zero[i]` flags) and `key_rank[i]` its position in key-text order."""
 
     payloads: tuple[str, ...]
     matrix: np.ndarray
     norms: np.ndarray
+    zero: np.ndarray
     key_rank: np.ndarray
 
 
@@ -168,10 +169,12 @@ def build_index(
         matrix = np.array(vectors[kind], dtype=float).reshape(len(keys), dim)
         key_rank = np.empty(len(keys), dtype=np.intp)
         key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        norms = np.linalg.norm(matrix, axis=1)
         kinds[kind] = KindRows(
             tuple(payload for _key, payload in keyed),
             matrix,
-            np.linalg.norm(matrix, axis=1),
+            np.where(norms == 0.0, 1.0, norms),
+            norms == 0.0,
             key_rank,
         )
     return RetrievalIndex(provider=provider, kinds=kinds, dim=dim)
@@ -182,8 +185,10 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
 
     The query is embedded once and scored against the rows of both kinds;
     each kind's list is in descending similarity, ties broken by ascending
-    key text, then insertion order. A query that embeds to the zero vector
-    raises ZeroVectorError; provider failures, and a query vector whose
+    key text, then insertion order. Only the rows scoring at least the k-th
+    best similarity (a partition finds it; rows tied with it stay in) are
+    sorted; k == 0 and k >= the row count sort every row. A query that
+    embeds to the zero vector raises ZeroVectorError; provider failures, and a query vector whose
     length is not that of a non-empty kind's rows, propagate as
     ProviderError with the query as the failing key.
     """
@@ -208,9 +213,10 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
                 f"query embeds to {len(q)} dimensions, the index holds {rows.matrix.shape[1]}",
                 key=query,
             )
-        safe = np.where(rows.norms == 0.0, 1.0, rows.norms)
-        sims = (rows.matrix @ q) / (safe * qnorm)
-        sims = np.where(rows.norms == 0.0, -1.0, sims)
-        order = np.lexsort((rows.key_rank, -sims))[:k]
+        sims = np.where(rows.zero, -1.0, (rows.matrix @ q) / (rows.norms * qnorm))
+        top = np.arange(len(sims))
+        if 0 < k < len(sims):
+            top = np.flatnonzero(sims >= np.partition(sims, len(sims) - k)[len(sims) - k])
+        order = top[np.lexsort((rows.key_rank[top], -sims[top]))][:k]
         ranked[kind] = [(rows.payloads[i], float(sims[i])) for i in order]
     return ranked

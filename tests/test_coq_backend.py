@@ -295,6 +295,51 @@ class TestSessions:
         assert state_fingerprint(session.state) == fingerprint
         assert session.transcript == []
 
+    def test_equal_but_distinct_state_passes_the_desync_check(self):
+        backend = worked_backend()
+        session = backend.start_session(ADD_0_L_SURFACE)
+        copy = ProofState(tuple(session.state.goals))
+        assert copy is not session.state and copy == session.state
+        result = backend.compile_tactic("intros n", copy, session)
+        assert result.success
+        with pytest.raises(SessionDesync):
+            backend.compile_tactic("intros n", sigma_1(), session)
+
+    def test_search_validations_skip_the_fingerprints(self, monkeypatch):
+        # Every validation in a search passes the session's own state
+        # object, so compile_tactic never hashes; a distinct object still
+        # gets both fingerprints.
+        from prooforge import coq_backend
+        from prooforge.llm_gateway import MockGateway, ScriptRecord
+        from prooforge.proof_search import Outcome, SearchParams, SearchPorts, prove
+
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return state_fingerprint(state)
+
+        monkeypatch.setattr(coq_backend, "state_fingerprint", counting)
+        replies = {
+            "planner": "Plan.", "explain": "Done.", "summarize": "score: 0.5",
+            "notebook": '["note"]',
+        }
+        gateway = MockGateway(
+            [ScriptRecord(reply=r, route=role, default=True) for role, r in replies.items()]
+            + [
+                ScriptRecord(reply='{"tactics": [{"tactic": "%s"}]}' % t, route="executor")
+                for t in ("intros n", "reflexivity", "simpl", "reflexivity")
+            ]
+        )
+        ports = SearchPorts(backend=worked_backend(), gateway=gateway)
+        result = prove(ADD_0_L_SURFACE, SearchParams(), ports)
+        assert result.outcome is Outcome.PROVED
+        assert result.tactic_evaluations_used == 4
+        assert calls == []
+        session = ports.backend.start_session(ADD_0_L_SURFACE)
+        ports.backend.compile_tactic("intros n", sigma_0(), session)
+        assert len(calls) == 2
+
     def test_clone_copies_state_and_transcript(self):
         backend = worked_backend()
         session = backend.start_session(ADD_0_L_SURFACE)

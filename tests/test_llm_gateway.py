@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prooforge.errors import (
     MalformedResponse,
@@ -22,6 +24,7 @@ from prooforge.llm_gateway import (
     TacticSuggestions,
     TokenLogprob,
     Unparsed,
+    _balanced_regions,
     derive_yes_no_logprobs,
     parse_action_response,
     parse_int_array,
@@ -122,6 +125,66 @@ class TestArrayParsing:
         assert parse_int_array("[]") is None
         assert parse_int_array('["0"]') is None
         assert parse_int_array("[true]") is None
+
+
+# ----------------------------------------------------------------------
+# Balanced-region scan, against the character loop it replaced
+# ----------------------------------------------------------------------
+
+def reference_regions(text: str, open_ch: str, close_ch: str) -> list[str]:
+    regions = []
+    depth = 0
+    start = -1
+    in_string = False
+    escape = False
+    for i, ch in enumerate(text):
+        if in_string:
+            if escape:
+                escape = False
+            elif ch == "\\":
+                escape = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == open_ch:
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == close_ch and depth > 0:
+            depth -= 1
+            if depth == 0:
+                regions.append(text[start:i + 1])
+    return regions
+
+
+BRACKETS = (("{", "}"), ("[", "]"))
+
+
+class TestBalancedRegions:
+    @pytest.mark.parametrize("text, expected", [
+        # an escaped quote does not end the string
+        ('{"a": "x\\"}"} tail {"b": 1}', ['{"a": "x\\"}"}', '{"b": 1}']),
+        # a backslash outside a string escapes nothing
+        ('\\{"a": 1}', ['{"a": 1}']),
+        ('{\\"}', []),
+        # an unterminated string swallows the rest of the reply
+        ('{"a": 1} "open {"b": 2}', ['{"a": 1}']),
+        ('{"a": "open }', []),
+        ('{"a": "ends in a backslash\\', []),
+        # a closer at depth 0 is ignored
+        ('} ] {"a": [1]} }', ['{"a": [1]}']),
+        ("", []),
+    ])
+    def test_fixed_cases(self, text, expected):
+        assert _balanced_regions(text, "{", "}") == expected
+        assert reference_regions(text, "{", "}") == expected
+
+    @settings(max_examples=400)
+    @given(st.text(alphabet='{}[]"\\ab: ,\n', max_size=60), st.sampled_from(BRACKETS))
+    def test_matches_the_character_loop(self, text, brackets):
+        assert _balanced_regions(text, *brackets) == reference_regions(text, *brackets)
 
 
 # ----------------------------------------------------------------------

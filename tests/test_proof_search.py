@@ -2,6 +2,7 @@
 runs against the synthetic backend, candidate selection, the shared notebook,
 and the failure modes (retry exhaustion, budget exhaustion, port failures)."""
 
+import dataclasses
 import json
 import random
 
@@ -101,6 +102,13 @@ class TestBudget:
         assert SearchParams(max_depth=5).budget == 260
         assert SearchParams().budget == 860
         assert SearchParams(budget=0).budget == 0
+
+    def test_replace_resolves_the_budget_only_when_told_to(self):
+        # [DERIVED] the resolved 860 is a stored field, so replace() keeps it
+        # unless the derived shape passes budget=None.
+        params = SearchParams()
+        assert dataclasses.replace(params, max_depth=5, budget=None).budget == 260
+        assert dataclasses.replace(params, max_depth=5).budget == 860
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,32 @@ class TestRetrieve:
         assert retrieve(wrapped, "alpha", 5) == retrieve(index, "alpha", 5)
         assert seen == ["alpha"]
 
+    def test_top_k_keeps_the_ties_at_the_boundary(self):
+        # Four rows tie with the k-th similarity for k = 2..4; key order
+        # ("p1" < "p7" < "p8" < "p9") prefers the rows inserted last, so a
+        # cut that dropped tied rows before ordering them would show.
+        rows = [
+            ("p0", "z", [1, 0]),
+            ("p9", "t", [1, 1]),
+            ("p8", "t", [1, 1]),
+            ("p7", "t", [1, 1]),
+            ("p1", "t", [1, 1]),
+            ("p2", "u", [0, 1]),
+            ("p3", "v", [-1, 0]),
+            ("p4", "w", [0, 0]),
+        ]
+        vectors = {f"{name} : {text}": vec for name, text, vec in rows}
+        vectors["q"] = [1, 0]
+        index = build_index(BasisProvider(vectors), premises=[(n, t) for n, t, _v in rows])
+        kind = index.kinds[PREMISE]
+        q = np.array([1.0, 0.0])
+        sims = np.where(kind.zero, -1.0, (kind.matrix @ q) / kind.norms)
+        full = [(kind.payloads[i], float(sims[i])) for i in np.lexsort((kind.key_rank, -sims))]
+        assert [p.split(" ")[0] for p, _s in full[:5]] == ["p0", "p1", "p7", "p8", "p9"]
+        n = len(rows)
+        for k in (0, 1, 2, 3, 4, 5, n, n + 5):
+            assert retrieve(index, "q", k)[PREMISE] == full[:k]
+
     @given(
         st.lists(
             st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3),
