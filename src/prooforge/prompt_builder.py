@@ -327,13 +327,13 @@ def _render_list(entries: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class StateContext:
     """What the planner and proving prompts share, rendered once from a
-    state, its concepts and a configuration: hypotheses, goal, the concepts
-    in prompt order and their glob-def text."""
+    state, its concepts and a configuration: hypotheses, goal, the concepts'
+    glob-def text and their token ids in prompt order."""
 
     hyps: str
     goal: str
-    ordered: tuple[tuple[Optional[int], EntityRecord], ...]
     glob_defs: str
+    concept_tokens: tuple[int, ...]
 
 
 def render_state_context(
@@ -342,12 +342,12 @@ def render_state_context(
     config: InfoConfiguration = InfoConfiguration.COMPLETE,
 ) -> StateContext:
     traits = CONFIG_MATRIX[config]
-    ordered = tuple(_order_concepts(state, _normalize_concepts(concepts)))
+    ordered = _order_concepts(state, _normalize_concepts(concepts))
     return StateContext(
         hyps=_render_hypotheses(state, traits),
         goal=_render_goal(state, traits),
-        ordered=ordered,
         glob_defs=_render_glob_defs(ordered, traits),
+        concept_tokens=tuple(t for t, _r in ordered if t is not None),
     )
 
 
@@ -395,7 +395,7 @@ def render_prove_prompt(
         rendered="".join(parts),
         sections_present=expected_sections(config),
         config=config,
-        concept_tokens=tuple(t for t, _r in context.ordered if t is not None),
+        concept_tokens=context.concept_tokens,
     )
 
 
