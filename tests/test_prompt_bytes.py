@@ -7,10 +7,17 @@ the concept section changes in the middle of an expansion. The digests
 were recorded before the search started reusing rendered sections within
 an expansion; any change to a prompt byte, to the call order or to the
 number of calls shows up here.
+
+The planner prompt is also pinned under every information configuration:
+the worked proof runs once with the fixture corpus and once without one (no
+concepts), and its four planner requests, one of which lists a failed
+tactic, are hashed together.
 """
 
 import hashlib
 import os
+
+import pytest
 
 from conftest import ADD_0_L_SURFACE, backend_spec_path, entities_path, proofs_path
 from test_coq_backend import worked_backend
@@ -19,6 +26,7 @@ from prooforge.cli import _load_backend_spec
 from prooforge.coq_backend import SyntheticBackend
 from prooforge.corpus import load_entity_corpus, load_proof_corpus
 from prooforge.llm_gateway import MockGateway, ScriptRecord
+from prooforge.prompt_builder import CONFIG_MATRIX, InfoConfiguration
 from prooforge.proof_search import Outcome, SearchParams, SearchPorts, prove
 from prooforge.retrieval import MockEmbeddingProvider, build_index
 from prooforge.tokenizer import TokenTable
@@ -130,3 +138,52 @@ def test_requests_after_an_info_request_are_unchanged(tmp_path):
     assert result.outcome is Outcome.PROVED
     assert [e["event"] for e in ports.recorder.events].count("info") == 1
     assert request_digests(gateway) == INFO_REQUEST_DIGESTS
+
+
+# Per configuration: the planner digest with the fixture corpus, then without.
+PLANNER_DIGESTS = {
+    InfoConfiguration.NO_CONTEXT: ("a7e5ac1cb65fd390", "a7e5ac1cb65fd390"),
+    InfoConfiguration.QUALIFIED_NAME: ("474f68cde673778d", "474f68cde673778d"),
+    InfoConfiguration.EMPTY_REFERENCE: ("3bc59cab774ad05f", "3bc59cab774ad05f"),
+    InfoConfiguration.ORIGIN_ONLY: ("9b17e3ed19db7eb1", "3bc59cab774ad05f"),
+    InfoConfiguration.INTERNAL_ONLY: ("d35dfb68fca68004", "3bc59cab774ad05f"),
+    InfoConfiguration.INTUITION_ONLY: ("60804625df9e3acb", "3bc59cab774ad05f"),
+    InfoConfiguration.ORIGIN_INTERNAL: ("a7225460ab99b2d4", "3bc59cab774ad05f"),
+    InfoConfiguration.ORIGIN_INTUITION: ("149b1604cb3c64de", "3bc59cab774ad05f"),
+    InfoConfiguration.INTERNAL_INTUITION: ("c1f78ac21e21ef39", "3bc59cab774ad05f"),
+    InfoConfiguration.COMPLETE: ("7c263052fb9bb410", "3bc59cab774ad05f"),
+    InfoConfiguration.CHINESE_TRANSLATION: ("7c263052fb9bb410", "3bc59cab774ad05f"),
+}
+
+
+@pytest.mark.parametrize("with_concepts", [True, False], ids=["concepts", "no-concepts"])
+@pytest.mark.parametrize("config", list(InfoConfiguration), ids=lambda c: c.value)
+def test_planner_requests_are_unchanged(config, with_concepts):
+    table = TokenTable()
+    corpus = load_entity_corpus(entities_path(), table)
+    proofs = load_proof_corpus(proofs_path())
+    gateway = MockGateway.from_file(PROVE_SCRIPT)
+    ports = SearchPorts(
+        backend=SyntheticBackend(**_load_backend_spec(backend_spec_path())),
+        gateway=gateway,
+        index=fixture_index(corpus, proofs),
+        corpus=corpus if with_concepts else None,
+        table=table,
+        config=config,
+    )
+    result = prove(ADD_0_L_SURFACE, SearchParams(), ports)
+    assert result.outcome is Outcome.PROVED
+    planner = [
+        "\n".join(content for _role, content in request.messages)
+        for request in gateway.calls
+        if request.role == "planner"
+    ]
+    assert len(planner) == 4
+    assert sum("=== Failed Tactics ===" in text for text in planner) == 1
+    traits = CONFIG_MATRIX[config]
+    has_bodies = traits.origin or traits.internal or traits.intuition
+    assert all(
+        ("# Glob def:" in text) == (with_concepts and has_bodies) for text in planner
+    )
+    digest = hashlib.sha256("\x00".join(planner).encode("utf-8")).hexdigest()[:16]
+    assert digest == PLANNER_DIGESTS[config][0 if with_concepts else 1]
