@@ -16,9 +16,9 @@ from prooforge import (
     InfoConfiguration,
     ProofState,
     TokenTable,
-    expected_sections,
     load_entity_corpus,
     render_prove_prompt,
+    render_state_context,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
@@ -45,8 +45,7 @@ def main() -> None:
     header = " ".join(f"{s[:12]:>12}" for s in SECTION_ORDER)
     print(f"{'':{width}} {header}")
     for config in InfoConfiguration:
-        bundle = render_prove_prompt(state, concepts=concepts, config=config)
-        assert bundle.sections_present == expected_sections(config)
+        bundle = render_prove_prompt(render_state_context(state, concepts, config))
         row = " ".join(
             f"{'x' if s in bundle.sections_present else '.':>12}"
             for s in SECTION_ORDER
@@ -54,7 +53,7 @@ def main() -> None:
         print(f"{config.value:{width}} {row}")
 
     for config in (InfoConfiguration.NO_CONTEXT, InfoConfiguration.COMPLETE):
-        bundle = render_prove_prompt(state, concepts=concepts, config=config)
+        bundle = render_prove_prompt(render_state_context(state, concepts, config))
         print(f"\n{'=' * 72}\n{config.value} ({len(bundle.rendered)} chars)"
               f"\n{'=' * 72}")
         print(bundle.rendered[:900])

@@ -24,6 +24,7 @@ from prooforge import (
     load_entity_corpus,
     pearson_r,
     render_prove_prompt,
+    render_state_context,
     run_configuration,
     sample_probes,
 )
@@ -67,11 +68,10 @@ def main() -> None:
         InfoConfiguration.ORIGIN_ONLY: 0.60,
         InfoConfiguration.COMPLETE: 0.82,
     }
+    concepts = concept_pairs(corpus, table, state)
     reports = []
     for config, target in scripted_clarity.items():
-        bundle = render_prove_prompt(
-            state, concepts=concept_pairs(corpus, table, state), config=config
-        )
+        bundle = render_prove_prompt(render_state_context(state, concepts, config))
         probes = sample_probes([bundle], per_bundle=2, seed=7)
         reports.append(
             run_configuration(config, probes, scripted_judges(target), corpus)

@@ -57,6 +57,7 @@ from .prompt_builder import (
     PromptBundle as PromptBundle,
     expected_sections as expected_sections,
     render_prove_prompt as render_prove_prompt,
+    render_state_context as render_state_context,
 )
 from .llm_gateway import (
     ChatRequest as ChatRequest,

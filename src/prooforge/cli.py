@@ -44,7 +44,7 @@ from .errors import (
     ProoforgeError,
 )
 from .llm_gateway import HttpGateway, MockGateway
-from .prompt_builder import InfoConfiguration, render_prove_prompt
+from .prompt_builder import InfoConfiguration, render_prove_prompt, render_state_context
 from .proof_search import (
     Outcome,
     RunRecorder,
@@ -326,7 +326,7 @@ def cmd_vocab(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_single(statement: str, cfg: dict, table, corpus, proofs, index, gateway=None):
+def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None):
     """Prove one statement on a fresh backend. `gateway` is shared across
     runs when given; otherwise each run builds its own, so a mock script
     replays from the start for every theorem."""
@@ -380,7 +380,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     table, corpus, proofs = _load_corpora(cfg)
     index = _build_index(cfg, corpus, proofs)
     statement = _resolve_theorem(args.theorem, proofs)
-    result, log = _run_single(statement, cfg, table, corpus, proofs, index)
+    result, log = _run_single(statement, cfg, table, corpus, index)
     out_dir = cfg["out"]
     _write_json(os.path.join(out_dir, f"run-{_statement_digest(statement)}.json"), log)
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg, [statement]))
@@ -414,7 +414,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         statement = _resolve_theorem(raw, proofs)
         try:
             result, log = _run_single(
-                statement, cfg, table, corpus, proofs, index, gateway=shared_gateway
+                statement, cfg, table, corpus, index, gateway=shared_gateway
             )
             return statement, result, log, None
         except (PortFailure, ProoforgeError) as exc:
@@ -502,17 +502,13 @@ def cmd_clarity(args: argparse.Namespace) -> int:
         )
         if not compiled.success:
             raise ValueError(f"theorem does not compile: {compiled.error}")
-        states.append(compiled.state)
+        states.append((compiled.state, concept_pairs(corpus, table, compiled.state)))
 
     reports = []
     for config in _clarity_configs(cfg):
         bundles = [
-            render_prove_prompt(
-                state,
-                concepts=concept_pairs(corpus, table, state),
-                config=config,
-            )
-            for state in states
+            render_prove_prompt(render_state_context(state, concepts, config))
+            for state, concepts in states
         ]
         probes = sample_probes(bundles, per_bundle=cfg["per_bundle"], seed=cfg["seed"])
         gateway = _build_gateway(cfg)
@@ -617,11 +613,12 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
     compiled = backend.compile_theorem(statement, tuple(cfg["require"]))
     if not compiled.success:
         raise ValueError(f"theorem does not compile: {compiled.error}")
-    bundle = render_prove_prompt(
+    context = render_state_context(
         compiled.state,
-        concepts=concept_pairs(corpus, table, compiled.state),
-        config=InfoConfiguration.parse(cfg["info_config"]),
+        concept_pairs(corpus, table, compiled.state),
+        InfoConfiguration.parse(cfg["info_config"]),
     )
+    bundle = render_prove_prompt(context)
     print(bundle.rendered, end="")
     return EXIT_OK
 
@@ -642,21 +639,27 @@ def _add_corpora(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vocab", default=None, help="vocabulary file path")
 
 
-def _add_ports(parser: argparse.ArgumentParser) -> None:
+def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("synthetic", "subprocess"), default=None)
     parser.add_argument("--backend-spec", dest="backend_spec", default=None)
     parser.add_argument("--executable", default=None)
+    parser.add_argument(
+        "--require", action="append", default=None, help="Require line (repeatable)"
+    )
+
+
+def _add_gateway(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gateway", choices=("mock", "http"), default=None)
     parser.add_argument("--gateway-script", dest="gateway_script", default=None)
     parser.add_argument("--base-url", dest="base_url", default=None)
     parser.add_argument("--model", default=None)
     parser.add_argument("--api-key-env", dest="api_key_env", default=None)
-    parser.add_argument("--embed-url", dest="embed_url", default=None)
-    parser.add_argument("--embed-model", dest="embed_model", default=None)
-    parser.add_argument("--retrieve-k", dest="retrieve_k", type=int, default=None)
 
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--embed-url", dest="embed_url", default=None)
+    parser.add_argument("--embed-model", dest="embed_model", default=None)
+    parser.add_argument("--retrieve-k", dest="retrieve_k", type=int, default=None)
     parser.add_argument("--max-depth", dest="max_depth", type=int, default=None)
     parser.add_argument("--beam-width", dest="beam_width", type=int, default=None)
     parser.add_argument("--max-retries", dest="max_retries", type=int, default=None)
@@ -671,9 +674,6 @@ def _add_search(parser: argparse.ArgumentParser) -> None:
         "--selection", choices=("ModelBased", "ShortestProof"), default=None
     )
     parser.add_argument("--info-config", dest="info_config", default=None)
-    parser.add_argument(
-        "--require", action="append", default=None, help="Require line (repeatable)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -699,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="prove one theorem")
     _add_common(p)
     _add_corpora(p)
-    _add_ports(p)
+    _add_backend(p)
+    _add_gateway(p)
     _add_search(p)
     p.add_argument("theorem", help="statement text or proof-corpus theorem name")
     p.set_defaults(func=cmd_prove)
@@ -707,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="prove a theorem list")
     _add_common(p)
     _add_corpora(p)
-    _add_ports(p)
+    _add_backend(p)
+    _add_gateway(p)
     _add_search(p)
     p.add_argument("--theorems", required=True, help="file of statements, one per line")
     p.add_argument("--jobs", type=int, default=None)
@@ -716,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clarity", help="run clarity probes per configuration")
     _add_common(p)
     _add_corpora(p)
-    _add_ports(p)
-    _add_search(p)
+    _add_backend(p)
+    _add_gateway(p)
     p.add_argument("--theorem", default=None)
     p.add_argument("--theorems", default=None)
     p.add_argument("--configs", default=None, help="comma list or 'all'")
@@ -742,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-prompt", help="render a structured prompt")
     _add_common(p)
     _add_corpora(p)
-    _add_ports(p)
-    _add_search(p)
+    _add_backend(p)
+    p.add_argument("--info-config", dest="info_config", default=None)
     p.add_argument("theorem")
     p.set_defaults(func=cmd_dump_prompt)
 

@@ -26,6 +26,12 @@ and the action instructions. ChineseTranslation renders glob-def bodies from
 the records' pre-translated ``*_zh`` fields (falling back to the untranslated
 text when a translation is missing); nothing is machine-translated here.
 
+The planner and proving prompts share one input, a `StateContext`:
+`render_state_context` renders a state's proof-state block and its concepts'
+glob-def text once under one configuration, and both prompts read the state,
+the concepts and the configuration from it alone. Each block is filled in one
+``str.format`` pass, so inserted text is never scanned for placeholders.
+
 All renderers are pure functions of their inputs.
 """
 
@@ -34,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .core_model import EntityRecord, Notebook, ProofState
 
@@ -117,19 +123,18 @@ def expected_sections(config: InfoConfiguration) -> frozenset:
 @dataclass(frozen=True)
 class PromptBundle:
     rendered: str
-    sections_present: frozenset
     config: InfoConfiguration
     concept_tokens: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.sections_present != expected_sections(self.config):
-            raise ValueError(
-                f"sections_present does not match the {self.config.value} matrix row"
-            )
+    @property
+    def sections_present(self) -> frozenset:
+        return expected_sections(self.config)
 
 
 # ======================================================================
-# Template blocks: the proving prompt's skeleton, in rendering order.
+# Template blocks: the proving prompt's skeleton, in rendering order. Each
+# is filled by one str.format call; _BLOCK_HEADER and _BLOCK_ACTIONS are
+# literal text (the braces in _BLOCK_ACTIONS are JSON) and never formatted.
 # ======================================================================
 
 _BLOCK_HEADER = (
@@ -216,23 +221,9 @@ def shorten_qualified_names(text: str) -> str:
     return _QUALIFIED_RE.sub(r"\1", text)
 
 
-ConceptInput = Union[EntityRecord, tuple]
-
-
-def _normalize_concepts(concepts: Sequence[ConceptInput]) -> list[tuple[Optional[int], EntityRecord]]:
-    out: list[tuple[Optional[int], EntityRecord]] = []
-    for entry in concepts:
-        if isinstance(entry, EntityRecord):
-            out.append((None, entry))
-        else:
-            token, record = entry
-            out.append((token, record))
-    return out
-
-
 def _order_concepts(
-    state: ProofState, concepts: list[tuple[Optional[int], EntityRecord]]
-) -> list[tuple[Optional[int], EntityRecord]]:
+    state: ProofState, concepts: Sequence[tuple[int, EntityRecord]]
+) -> list[tuple[int, EntityRecord]]:
     # First occurrence in the internal goal texts, then the internal
     # hypothesis types; concepts never mentioned keep their input order last.
     scan = "\n".join(
@@ -302,7 +293,7 @@ def _record_texts(record: EntityRecord, traits: ConfigTraits) -> tuple[str, str,
 
 
 def _render_glob_defs(
-    concepts: list[tuple[Optional[int], EntityRecord]], traits: ConfigTraits
+    concepts: list[tuple[int, EntityRecord]], traits: ConfigTraits
 ) -> str:
     if not (traits.origin or traits.internal or traits.intuition):
         return ""
@@ -327,74 +318,65 @@ def _render_list(entries: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class StateContext:
     """What the planner and proving prompts share, rendered once from a
-    state, its concepts and a configuration: hypotheses, goal, the concepts'
-    glob-def text and their token ids in prompt order."""
+    state, its concepts and a configuration: the configuration itself, the
+    proof-state block, the concepts' glob-def text and their token ids in
+    prompt order."""
 
-    hyps: str
-    goal: str
+    config: InfoConfiguration
+    state_block: str
     glob_defs: str
     concept_tokens: tuple[int, ...]
 
 
 def render_state_context(
     state: ProofState,
-    concepts: Sequence[ConceptInput] = (),
+    concepts: Sequence[tuple[int, EntityRecord]] = (),
     config: InfoConfiguration = InfoConfiguration.COMPLETE,
 ) -> StateContext:
+    """`concepts` are (token_id, EntityRecord) pairs, as `concept_pairs`
+    returns them; the ids are carried into each bundle for clarity probing."""
     traits = CONFIG_MATRIX[config]
-    ordered = _order_concepts(state, _normalize_concepts(concepts))
+    ordered = _order_concepts(state, concepts)
     return StateContext(
-        hyps=_render_hypotheses(state, traits),
-        goal=_render_goal(state, traits),
+        config=config,
+        state_block=_BLOCK_PROOF_STATE.format(
+            hyps=_render_hypotheses(state, traits), goal=_render_goal(state, traits)
+        ),
         glob_defs=_render_glob_defs(ordered, traits),
-        concept_tokens=tuple(t for t, _r in ordered if t is not None),
+        concept_tokens=tuple(token for token, _record in ordered),
     )
 
 
 def render_prove_prompt(
-    state: ProofState,
-    concepts: Sequence[ConceptInput] = (),
+    context: StateContext,
     trace: Sequence[tuple[str, str]] = (),
     summary: str = "",
     premises: Sequence[str] = (),
     tactics: Sequence[str] = (),
     notes: Notebook = Notebook(),
     hint: str = "",
-    config: InfoConfiguration = InfoConfiguration.COMPLETE,
-    context: Optional[StateContext] = None,
 ) -> PromptBundle:
-    """Render the proving prompt for one state under one configuration.
-
-    `concepts` entries are EntityRecord or (token_id, EntityRecord) pairs;
-    ids, when given, are carried into the bundle for clarity probing. A
-    `context` from `render_state_context` on the same inputs saves the work.
-    """
-    traits = CONFIG_MATRIX[config]
-    if context is None:
-        context = render_state_context(state, concepts, config)
-    parts = [_BLOCK_HEADER]
-    parts.append(
-        _BLOCK_PROOF_STATE
-        .replace("{hyps}", context.hyps)
-        .replace("{goal}", context.goal)
-    )
+    """Render the proving prompt for one state context; its configuration
+    decides which sections appear."""
+    traits = CONFIG_MATRIX[context.config]
+    parts = [_BLOCK_HEADER, context.state_block]
     if traits.glob_def_section:
-        parts.append(_BLOCK_GLOB_DEF.replace("{glob_def}", context.glob_defs))
+        parts.append(_BLOCK_GLOB_DEF.format(glob_def=context.glob_defs))
     if traits.extra_sections:
-        parts.append(
-            _BLOCK_PROOF_TRACING
-            .replace("{tactic_seq}", " -> ".join(tactic for tactic, _ in trace))
-            .replace("{proof_summary}", summary)
-        )
-        parts.append(_BLOCK_PREMISES.replace("{premises}", _render_list(premises)))
-        parts.append(_BLOCK_TACTICS.replace("{tactics}", _render_list(tactics)))
-        parts.append(_BLOCK_NOTES.replace("{public_notes}", _render_list(notes.items)))
-        parts.append(_BLOCK_HINT.replace("{hint}", hint))
+        parts += [
+            _BLOCK_PROOF_TRACING.format(
+                tactic_seq=" -> ".join(tactic for tactic, _ in trace),
+                proof_summary=summary,
+            ),
+            _BLOCK_PREMISES.format(premises=_render_list(premises)),
+            _BLOCK_TACTICS.format(tactics=_render_list(tactics)),
+            _BLOCK_NOTES.format(public_notes=_render_list(notes.items)),
+            _BLOCK_HINT.format(hint=hint),
+        ]
     parts.append(_BLOCK_ACTIONS)
     return PromptBundle(
         rendered="".join(parts),
-        sections_present=expected_sections(config),
-        config=config,
+        config=context.config,
         concept_tokens=context.concept_tokens,
     )
 
@@ -413,35 +395,23 @@ PLANNER_SECTION_LABELS = (
 
 
 def render_planner_prompt(
-    state: ProofState,
-    concepts: Sequence[ConceptInput] = (),
+    context: StateContext,
     trace: Sequence[tuple[str, str]] = (),
     summary: str = "",
     notes: Notebook = Notebook(),
     errors: Sequence[tuple[str, str]] = (),
-    config: InfoConfiguration = InfoConfiguration.COMPLETE,
-    context: Optional[StateContext] = None,
 ) -> str:
     """Strategy-analysis prompt; with `errors`, a reflection prompt that lists
-    each failed tactic and its compiler error verbatim. `context` is as for
-    `render_prove_prompt`."""
-    if context is None:
-        context = render_state_context(state, concepts, config)
-    lines = [
+    each failed tactic and its compiler error verbatim. It shows the
+    context's proof-state block, and its glob-def block when there is text."""
+    head = (
         "You are planning the next steps of a formal Coq proof. "
-        "Analyze the state and context below, then lay out a strategy.",
-        "",
-        "=== Current Proof States ===",
-        "# Hypotheses:",
-        context.hyps,
-        "",
-        "# Goal:",
-        context.goal,
-        "",
-    ]
+        "Analyze the state and context below, then lay out a strategy.\n\n"
+        + context.state_block
+    )
     if context.glob_defs:
-        lines += ["Global definitions referenced:", "# Glob def:", context.glob_defs, ""]
-    lines += ["=== Proof Tracing ===", "Tactics: " + " -> ".join(t for t, _ in trace)]
+        head += _BLOCK_GLOB_DEF.format(glob_def=context.glob_defs) + "\n"
+    lines = ["=== Proof Tracing ===", "Tactics: " + " -> ".join(t for t, _ in trace)]
     if summary:
         lines.append(summary)
     lines += ["", "=== Public Notes ===", _render_list(notes.items), ""]
@@ -458,7 +428,7 @@ def render_planner_prompt(
         "Respond with exactly these labeled sections:",
         *PLANNER_SECTION_LABELS,
     ]
-    return "\n".join(lines)
+    return head + "\n".join(lines)
 
 
 # ======================================================================

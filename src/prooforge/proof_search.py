@@ -281,13 +281,13 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
     return chosen
 
 
-def concept_pairs(corpus, table, state: ProofState, depth: int = 1, memo=None):
+def concept_pairs(corpus, table, state: ProofState, memo=None):
     """(token, record) pairs for every corpus concept the state references,
     in token order; empty when either port is absent."""
     if corpus is None or table is None:
         return ()
     pairs = []
-    for token in sorted(extract_concepts(corpus, table, state, depth=depth, memo=memo)):
+    for token in sorted(extract_concepts(corpus, table, state, memo=memo)):
         record = corpus.record_for(token)
         if record is not None:
             pairs.append((token, record))
@@ -343,8 +343,7 @@ def _expand_branch(
 
     def plan(errors) -> str:
         prompt = render_planner_prompt(
-            state, trace=trace, summary=summary, notes=notebook, errors=errors,
-            config=ports.config, context=context,
+            context, trace=trace, summary=summary, notes=notebook, errors=errors
         )
         return _text(ports.gateway, prompt, PLANNER_TEMPERATURE, "planner")
 
@@ -353,15 +352,13 @@ def _expand_branch(
 
     def ask_executor(strategy_text: str):
         bundle = render_prove_prompt(
-            state,
+            context,
             trace=trace,
             summary=summary,
             premises=premises,
             tactics=tactic_examples,
             notes=notebook,
             hint=strategy_text,
-            config=ports.config,
-            context=context,
         )
         reply = _text(ports.gateway, bundle.rendered, EXECUTOR_TEMPERATURE, "executor")
         return parse_action_response(reply)

@@ -24,7 +24,11 @@ from prooforge.clarity_eval import (
 )
 from prooforge.errors import DegenerateSeries
 from prooforge.llm_gateway import MockGateway, ScriptRecord, YesNoLogprobs
-from prooforge.prompt_builder import InfoConfiguration, render_prove_prompt
+from prooforge.prompt_builder import (
+    InfoConfiguration,
+    render_prove_prompt,
+    render_state_context,
+)
 
 from conftest import make_entity
 
@@ -125,7 +129,7 @@ def bundle_with_concepts(count: int, base: int = 100):
         (base + i, make_entity(f"Lib.Mod.c{i}", origin=f"Definition c{i}.", internal=f"c{i}"))
         for i in range(count)
     ]
-    return render_prove_prompt(sigma_0(), concepts=pairs)
+    return render_prove_prompt(render_state_context(sigma_0(), pairs))
 
 
 class TestSampleProbes:
@@ -181,7 +185,7 @@ class TestRunConfiguration:
         corpus, _table = info_corpus(tmp_path)
         token = corpus.tokens[0]
         bundle = render_prove_prompt(
-            sigma_0(), concepts=[(token, corpus.records[0])]
+            render_state_context(sigma_0(), [(token, corpus.records[0])])
         )
         return corpus, [(bundle, token)] * count
 

@@ -459,7 +459,8 @@ class TestDumpPrompt:
     def args(self, config: str) -> list[str]:
         return [
             "dump-prompt",
-            *mock_ports_args(),
+            "--backend", "synthetic",
+            "--backend-spec", backend_spec_path(),
             "--entities", entities_path(),
             "--info-config", config,
             WORKED,
@@ -476,3 +477,26 @@ class TestDumpPrompt:
         full = capsys.readouterr().out
         assert "Global definitions referenced:" in full
         assert len(full) > len(bare)
+
+
+# ----------------------------------------------------------------------
+# Each subcommand registers only the flags it reads
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump-prompt", "--max-depth", "3", WORKED],
+        ["dump-prompt", "--gateway", "mock", WORKED],
+        ["dump-prompt", "--retrieve-k", "3", WORKED],
+        ["clarity", "--max-depth", "3", "--theorem", WORKED],
+        ["clarity", "--info-config", "Complete", "--theorem", WORKED],
+        ["clarity", "--embed-model", "m", "--theorem", WORKED],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[1]}",
+)
+def test_unread_flags_are_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err

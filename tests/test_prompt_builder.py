@@ -33,6 +33,7 @@ from prooforge.prompt_builder import (
     render_planner_prompt,
     render_prove_prompt,
     render_rank_prompt,
+    render_state_context,
     render_summarize_prompt,
     shorten_qualified_names,
 )
@@ -78,15 +79,17 @@ def golden_bundle(config: InfoConfiguration) -> PromptBundle:
     corpus = load_entity_corpus(entities_path(), table)
     by_name = {r.name: (t, r) for t, r in zip(corpus.tokens, corpus.records)}
     return render_prove_prompt(
-        fixfun_state(),
-        concepts=[by_name["Coq.Init.Logic.eq"], by_name["TLC.LibFix.FixFun"]],
+        render_state_context(
+            fixfun_state(),
+            [by_name["Coq.Init.Logic.eq"], by_name["TLC.LibFix.FixFun"]],
+            config,
+        ),
         trace=[("intros f", "introduced f")],
         summary="One hypothesis introduced; the fixpoint equation remains.",
         premises=["TLC.LibFix.FixFunMod : forall ..., FixFunMod E F = f"],
         tactics=["unfold FixFun"],
         notes=Notebook(items=("Unfold fixpoint combinators before rewriting.",)),
         hint="Consider unfolding the definition first.",
-        config=config,
     )
 
 
@@ -105,15 +108,6 @@ class TestTemplate:
         with pytest.raises(ValueError):
             InfoConfiguration.parse("Bogus")
 
-    def test_bundle_rejects_wrong_sections(self):
-        with pytest.raises(ValueError):
-            PromptBundle(
-                rendered="x",
-                sections_present=frozenset({SECTION_PROOF_STATE}),
-                config=InfoConfiguration.COMPLETE,
-                concept_tokens=(),
-            )
-
 
 class TestConfigurationMatrix:
     @pytest.mark.parametrize("config", list(InfoConfiguration))
@@ -121,15 +115,13 @@ class TestConfigurationMatrix:
         # Exhaustive inclusion table: every configuration, every section.
         tid, record = fixfun_record()
         bundle = render_prove_prompt(
-            fixfun_state(),
-            concepts=[(tid, record)],
+            render_state_context(fixfun_state(), [(tid, record)], config),
             trace=[("intros f", "intro")],
             summary="progressing",
             premises=["P1 : something"],
             tactics=["intros"],
             notes=Notebook(items=("note a",)),
             hint="try unfolding",
-            config=config,
         )
         assert bundle.sections_present == expected_sections(config)
         for section, header in SECTION_HEADERS.items():
@@ -144,7 +136,7 @@ class TestConfigurationMatrix:
         tid, record = fixfun_record()
         traits = CONFIG_MATRIX[config]
         bundle = render_prove_prompt(
-            fixfun_state(), concepts=[(tid, record)], config=config
+            render_state_context(fixfun_state(), [(tid, record)], config)
         )
         origin = record.origin_zh if traits.translated else record.origin
         internal = record.internal_zh if traits.translated else record.internal
@@ -160,7 +152,7 @@ class TestRenderProvePrompt:
         # intuition bodies all render.
         tid, record = fixfun_record()
         bundle = render_prove_prompt(
-            fixfun_state(), concepts=[(tid, record)], config=InfoConfiguration.COMPLETE
+            render_state_context(fixfun_state(), [(tid, record)], InfoConfiguration.COMPLETE)
         )
         assert f"- {record.name} ({record.kind.render()})" in bundle.rendered
         assert f"Origin: {record.origin}" in bundle.rendered
@@ -173,7 +165,7 @@ class TestRenderProvePrompt:
         # no definition bodies.
         tid, record = fixfun_record()
         bundle = render_prove_prompt(
-            fixfun_state(), concepts=[(tid, record)], config=InfoConfiguration.NO_CONTEXT
+            render_state_context(fixfun_state(), [(tid, record)], InfoConfiguration.NO_CONTEXT)
         )
         assert "FixFun" in bundle.rendered
         assert "TLC.LibFix.FixFun" not in bundle.rendered
@@ -183,16 +175,16 @@ class TestRenderProvePrompt:
     def test_qualified_name_config_uses_internal_views(self):
         tid, record = fixfun_record()
         bundle = render_prove_prompt(
-            fixfun_state(),
-            concepts=[(tid, record)],
-            config=InfoConfiguration.QUALIFIED_NAME,
+            render_state_context(
+                fixfun_state(), [(tid, record)], InfoConfiguration.QUALIFIED_NAME
+            )
         )
         assert "TLC.LibFix.FixFun A B IB F" in bundle.rendered
         assert record.origin not in bundle.rendered
 
     def test_empty_trace_and_notes_keep_structure(self):
         # [TRIVIAL] template stability: headers render with blank bodies.
-        bundle = render_prove_prompt(sigma_1(), config=InfoConfiguration.COMPLETE)
+        bundle = render_prove_prompt(render_state_context(sigma_1()))
         assert "Tactics: \n" in bundle.rendered
         assert (
             "=== Public Notes ===\nCurated insights relevant to current proof:\n\n"
@@ -211,9 +203,7 @@ class TestRenderProvePrompt:
             if r.name == "Coq.Init.Nat.add"
         )
         bundle = render_prove_prompt(
-            sigma_1(),
-            concepts=[plain],
-            config=InfoConfiguration.CHINESE_TRANSLATION,
+            render_state_context(sigma_1(), [plain], InfoConfiguration.CHINESE_TRANSLATION)
         )
         assert plain[1].origin in bundle.rendered
 
@@ -228,9 +218,7 @@ class TestRenderProvePrompt:
         )
         # The internal goal mentions eq before FixFun.
         bundle = render_prove_prompt(
-            fixfun_state(),
-            concepts=[(tid, record), eq_entry],
-            config=InfoConfiguration.COMPLETE,
+            render_state_context(fixfun_state(), [(tid, record), eq_entry])
         )
         assert bundle.concept_tokens == (eq_entry[0], tid)
 
@@ -241,9 +229,30 @@ class TestRenderProvePrompt:
                 GoalState((), (), "Q", "Q"),
             )
         )
-        bundle = render_prove_prompt(state, config=InfoConfiguration.COMPLETE)
+        bundle = render_prove_prompt(render_state_context(state))
         assert "Goal 1: P" in bundle.rendered
         assert "Goal 2: Q" in bundle.rendered
+
+
+class TestOnePassFill:
+    # Text that looks like a placeholder is inserted as it stands: a block
+    # is filled in one pass, so inserted text is never scanned again.
+    def test_hypothesis_naming_the_goal_placeholder(self):
+        hypothesis = "forall {goal}, goal = goal"
+        state = ProofState(
+            (GoalState.from_pairs([("H", hypothesis, hypothesis)], "P x", "P x"),)
+        )
+        context = render_state_context(state)
+        for text in (render_prove_prompt(context).rendered, render_planner_prompt(context)):
+            assert "# Hypotheses:\nH : forall {goal}, goal = goal\n\n# Goal:\nP x\n" in text
+
+    def test_tactic_naming_the_summary_placeholder(self):
+        bundle = render_prove_prompt(
+            render_state_context(sigma_1()),
+            trace=[("exact {proof_summary}", "closed")],
+            summary="Nearly done.",
+        )
+        assert "Tactics: exact {proof_summary}\nNearly done.\n" in bundle.rendered
 
 
 class TestShorten:
@@ -265,14 +274,14 @@ class TestShorten:
 class TestPlannerPrompt:
     def test_requests_all_five_sections(self):
         # [TRIVIAL] structural contract.
-        text = render_planner_prompt(sigma_1())
+        text = render_planner_prompt(render_state_context(sigma_1()))
         for label in PLANNER_SECTION_LABELS:
             assert label in text
 
     def test_notebook_embedded(self):
         # [TRIVIAL]
         text = render_planner_prompt(
-            sigma_1(), notes=Notebook(items=("use simpl early",))
+            render_state_context(sigma_1()), notes=Notebook(items=("use simpl early",))
         )
         assert "- use simpl early" in text
 
@@ -280,7 +289,7 @@ class TestPlannerPrompt:
         # [PAPER] error reflection: each failed tactic with its error text.
         error_text = 'Unable to unify "n" with "0 + n".'
         text = render_planner_prompt(
-            sigma_1(), errors=[("reflexivity", error_text)]
+            render_state_context(sigma_1()), errors=[("reflexivity", error_text)]
         )
         assert "- tactic: reflexivity" in text
         assert f"  error: {error_text}" in text
@@ -328,7 +337,7 @@ class TestAuxiliaryPrompts:
 class TestClarityPrompts:
     def test_probe_ends_with_question_naming_concept(self):
         # [PAPER] the probe question names the concept.
-        bundle = render_prove_prompt(sigma_1(), config=InfoConfiguration.COMPLETE)
+        bundle = render_prove_prompt(render_state_context(sigma_1()))
         text = render_clarity_probe(bundle, "plus")
         assert text.endswith("of the concept `plus`.")
         assert PROBE_MARKER in text
@@ -345,9 +354,9 @@ class TestClarityPrompts:
         # [PAPER] ChineseTranslation renders the record's translated texts.
         tid, record = fixfun_record()
         bundle = render_prove_prompt(
-            fixfun_state(),
-            concepts=[(tid, record)],
-            config=InfoConfiguration.CHINESE_TRANSLATION,
+            render_state_context(
+                fixfun_state(), [(tid, record)], InfoConfiguration.CHINESE_TRANSLATION
+            )
         )
         probe = render_clarity_probe(bundle, "FixFun")
         assert record.origin_zh in probe
