@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import glob
 import hashlib
 import json
@@ -627,16 +628,21 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_COMMON_FLAGS = {
+    "seed": dict(type=int, default=None),
+    "out": dict(default=None, help="output directory"),
+    "entities": dict(default=None, help="entity corpus path"),
+    "proofs": dict(default=None, help="proof corpus path"),
+    "vocab": dict(default=None, help="vocabulary file path"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register `--config` and the named `_COMMON_FLAGS` (all of them when
+    none is named); a subcommand names only the flags it reads."""
     parser.add_argument("--config", help="JSON config file (no credentials)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-
-
-def _add_corpora(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--entities", default=None, help="entity corpus path")
-    parser.add_argument("--proofs", default=None, help="proof corpus path")
-    parser.add_argument("--vocab", default=None, help="vocabulary file path")
+    for name in names or _COMMON_FLAGS:
+        parser.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
@@ -682,23 +688,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structured-context theorem proving toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: ingest's --vocab-out must not answer to --vocab.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("ingest", help="load corpora and emit the vocabulary")
-    _add_common(p)
-    _add_corpora(p)
+    _add_common(p, "entities", "proofs")
     p.add_argument("--vocab-out", dest="vocab_out", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("vocab", help="build or inspect a vocabulary")
-    _add_common(p)
-    _add_corpora(p)
+    _add_common(p, "entities", "vocab")
     p.add_argument("--vocab-out", dest="vocab_out", default=None)
     p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("prove", help="prove one theorem")
     _add_common(p)
-    _add_corpora(p)
     _add_backend(p)
     _add_gateway(p)
     _add_search(p)
@@ -707,7 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="prove a theorem list")
     _add_common(p)
-    _add_corpora(p)
     _add_backend(p)
     _add_gateway(p)
     _add_search(p)
@@ -717,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clarity", help="run clarity probes per configuration")
     _add_common(p)
-    _add_corpora(p)
     _add_backend(p)
     _add_gateway(p)
     p.add_argument("--theorem", default=None)
@@ -735,15 +741,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_clarity)
 
     p = sub.add_parser("report", help="aggregate run logs; correlate with clarity")
-    _add_common(p)
+    _add_common(p, "out")
     p.add_argument("--runs", default=None, help="run-log directory (default: --out)")
     p.add_argument("--clarity", default=None, help="clarity rows TSV to correlate")
     p.add_argument("--report-out", dest="report_out", default=None)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("dump-prompt", help="render a structured prompt")
-    _add_common(p)
-    _add_corpora(p)
+    _add_common(p, "out", "entities", "proofs", "vocab")
     _add_backend(p)
     p.add_argument("--info-config", dest="info_config", default=None)
     p.add_argument("theorem")

@@ -438,9 +438,10 @@ class HttpGateway:
     """Client for an OpenAI-style chat-completions endpoint.
 
     Timeouts, rate limits, and 5xx responses retry per policy with backoff;
-    malformed payloads fail the call immediately. A process-wide semaphore
-    caps concurrent in-flight requests. Credentials come only from the
-    environment variable named at construction.
+    malformed payloads fail the call immediately. A semaphore owned by each
+    instance caps the requests that instance has in flight, so share one
+    instance to cap a process. Credentials come only from the environment
+    variable named at construction.
     """
 
     def __init__(

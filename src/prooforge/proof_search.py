@@ -17,18 +17,32 @@ explanations feed the shared notebook at the layer barrier; the beam is cut
 back to `beam_width` by model-based ranking (with a deterministic
 shortest-proof fallback).
 
+Only the notebook merge, the ranking and a proved trace read explanations
+and summaries. So while every gateway call of the proof has waited at least
+`OVERLAP_MIN_CALL_S`, those calls go to two FIFO lanes, one worker thread per
+role, and the search thread goes on; everything else, prompt rendering
+included, stays on the search thread in its sequential order. The replies
+are read in branch order when the layer is collected, at the barrier or
+before a proof is returned. A role never has two calls in flight, so it sees
+its calls in sequential order. With a fast gateway a hand-off costs more than
+a call, so calls run inline, in exactly the sequential global order.
+
 The search returns immediately when an applied tactic empties the goal stack,
 refreshes the focus with ``idtac`` when a tactic closes a subgoal but goals
 remain, reports Failure when a layer expands to nothing, and reports
-BudgetExhausted the moment a validation would exceed the budget.
+BudgetExhausted the moment a validation would exceed the budget. A port
+failure prunes its branch; the branch's `branch-pruned` event is recorded
+when the layer is collected, in branch order.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core_model import (
     Notebook,
@@ -71,6 +85,10 @@ RANK_TEMPERATURE = 0.0
 EXPLAIN_TEMPERATURE = 0.7
 SUMMARY_TEMPERATURE = 0.7
 NOTEBOOK_TEMPERATURE = 0.7
+
+#: Explain and summarize calls overlap only while every gateway call of the
+#: proof has taken at least this long; a lane hand-off costs more than that.
+OVERLAP_MIN_CALL_S = 0.001
 
 class SelectionMode(enum.Enum):
     MODEL_BASED = "ModelBased"
@@ -181,7 +199,11 @@ class BudgetCounter:
 @dataclass
 class SearchPorts:
     """Everything the search talks to. `backend` and `gateway` are required;
-    the rest degrade gracefully when absent (no concepts, no retrieval)."""
+    the rest degrade gracefully when absent (no concepts, no retrieval).
+
+    One proof may call `gateway.complete` from three threads at once (the
+    search thread and the explain and summarize lanes), with at most one
+    call in flight per role, so the gateway must be thread-safe."""
 
     backend: object
     gateway: object
@@ -202,14 +224,55 @@ class _Branch:
 
 @dataclass
 class _Expansion:
-    branches: list
-    insights: list
-    proved: Optional[tuple[tuple[str, str], ...]] = None
+    """(tactic, state, session, explanation, summary) per child in tactic
+    order, replies still to be read; a proving child, always the last, has
+    no summary. `error` is a port failure raised during the expansion."""
+
+    parent: SearchCandidate
+    children: list = field(default_factory=list)
+    proves: bool = False
+    error: Optional[Exception] = None
 
 
 def _text(gateway, prompt: str, temperature: float, role: str) -> str:
     request = ChatRequest.user(prompt, temperature=temperature, role=role)
     return gateway.complete(request).text
+
+
+class _ProofGateway:
+    """The gateway as one proof uses it. Every call is timed; `later` uses
+    its role's lane while no call has been fast, or while the lane still
+    holds a call (which keeps the role's order), and otherwise runs inline."""
+
+    def __init__(self, gateway):
+        self._gateway = gateway
+        self._waits = True
+        self._lanes: dict[str, ThreadPoolExecutor] = {}
+        self._last: dict = {}
+
+    def complete(self, request: ChatRequest):
+        start = time.perf_counter()
+        try:
+            return self._gateway.complete(request)
+        finally:
+            if time.perf_counter() - start < OVERLAP_MIN_CALL_S:
+                self._waits = False
+
+    def later(self, prompt: str, temperature: float, role: str) -> Callable[[], str]:
+        """Send a call; the callable returned gives its reply or raises."""
+        last = self._last.get(role)
+        if not self._waits and (last is None or last.done()):
+            text = _text(self, prompt, temperature, role)
+            return lambda: text
+        lane = self._lanes.get(role)
+        if lane is None:
+            lane = self._lanes[role] = ThreadPoolExecutor(1, f"prooforge-{role}")
+        self._last[role] = lane.submit(_text, self, prompt, temperature, role)
+        return self._last[role].result
+
+    def close(self) -> None:
+        for lane in self._lanes.values():
+            lane.shutdown()
 
 
 def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Notebook:
@@ -325,6 +388,7 @@ def _expand_branch(
     branch: _Branch,
     params: SearchParams,
     ports: SearchPorts,
+    calls: _ProofGateway,
     notebook: Notebook,
     budget: BudgetCounter,
     depth: int,
@@ -345,7 +409,7 @@ def _expand_branch(
         prompt = render_planner_prompt(
             context, trace=trace, summary=summary, notes=notebook, errors=errors
         )
-        return _text(ports.gateway, prompt, PLANNER_TEMPERATURE, "planner")
+        return _text(calls, prompt, PLANNER_TEMPERATURE, "planner")
 
     strategy = plan(())
     premises, tactic_examples = _retrieve_context(ports, state)
@@ -360,7 +424,7 @@ def _expand_branch(
             notes=notebook,
             hint=strategy_text,
         )
-        reply = _text(ports.gateway, bundle.rendered, EXECUTOR_TEMPERATURE, "executor")
+        reply = _text(calls, bundle.rendered, EXECUTOR_TEMPERATURE, "executor")
         return parse_action_response(reply)
 
     def executor_round(strategy_text: str) -> list[str]:
@@ -413,33 +477,71 @@ def _expand_branch(
         if not failed or len(valid) > params.tactics_per_state:
             break
 
-    branches: list[_Branch] = []
-    insights: list[str] = []
+    expansion = _Expansion(branch.candidate)
     for tactic, _validated in valid:
         child = ports.backend.clone_session(branch.session)
         after = ports.backend.apply_tactic(tactic, child)
         if is_subgoal_complete(state, after):
             after = ports.backend.apply_tactic("idtac", child)
-        explanation = _text(
-            ports.gateway,
-            render_explanation_prompt(state, tactic, after),
-            EXPLAIN_TEMPERATURE,
-            "explain",
+        explanation = calls.later(
+            render_explanation_prompt(state, tactic, after), EXPLAIN_TEMPERATURE, "explain"
         )
-        new_trace = trace + ((tactic, explanation),)
         if is_goal_complete(after):
-            return _Expansion([], [], proved=new_trace)
-        new_summary = _text(
-            ports.gateway,
+            expansion.children.append((tactic, after, child, explanation, None))
+            expansion.proves = True
+            break
+        new_summary = calls.later(
             render_summarize_prompt(trace + ((tactic, ""),), after),
             SUMMARY_TEMPERATURE,
             "summarize",
         )
-        candidate = SearchCandidate(state=after, trace=new_trace, summary=new_summary)
-        branches.append(_Branch(candidate, child))
-        if explanation.strip():
-            insights.append(explanation.strip())
-    return _Expansion(branches, insights)
+        expansion.children.append((tactic, after, child, explanation, new_summary))
+    return expansion
+
+
+@dataclass
+class _Layer:
+    """One depth's expansions, read in branch order as they are collected."""
+
+    theorem: str
+    depth: int
+    recorder: RunRecorder
+    pending: list = field(default_factory=list)
+    branches: list = field(default_factory=list)
+    insights: list = field(default_factory=list)
+    port_errors: list = field(default_factory=list)
+    dead_end: bool = False
+
+    def collect(self):
+        """Read the pending expansions' replies in call order; the first
+        failure prunes its branch. Returns the proved trace, if one holds
+        (a proving expansion is always the last one pending)."""
+        pending, self.pending = self.pending, []
+        for idx, expansion in pending:
+            branches, insights = [], []
+            try:
+                if expansion.error is not None:
+                    raise expansion.error
+                for tactic, after, session, explanation, summary in expansion.children:
+                    text = explanation()
+                    trace = expansion.parent.trace + ((tactic, text),)
+                    if summary is None:
+                        return trace
+                    candidate = SearchCandidate(state=after, trace=trace, summary=summary())
+                    branches.append(_Branch(candidate, session))
+                    if text.strip():
+                        insights.append(text.strip())
+            except (ProviderError, SessionDesync) as exc:
+                self.recorder.record(
+                    "branch-pruned", depth=self.depth, branch=idx, error=str(exc)
+                )
+                context = f"theorem {self.theorem!r}, depth {self.depth}, branch {idx}"
+                self.port_errors.append(PortFailure(str(exc), context=context))
+                continue
+            self.dead_end |= not branches
+            self.branches.extend(branches)
+            self.insights.extend(insights)
+        return None
 
 
 def _dedupe_branches(branches: list[_Branch]) -> list[_Branch]:
@@ -461,7 +563,8 @@ def _dedupe_branches(branches: list[_Branch]) -> list[_Branch]:
 def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult:
     """Run the full search on one theorem. See the module docstring for the
     layer anatomy. Branch-level port failures prune the branch; a layer lost
-    entirely to port failures raises PortFailure with the branch context."""
+    entirely to port failures raises PortFailure with the branch context.
+    No lane thread outlives the call."""
     recorder = ports.recorder
     recorder.record(
         "start",
@@ -492,43 +595,34 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
     notebook = Notebook()
     token_memo: dict = {}
     depth = 0
+    calls = _ProofGateway(ports.gateway)
 
     try:
         for depth in range(1, params.max_depth + 1):
-            next_branches: list[_Branch] = []
-            insights: list[str] = []
-            port_errors: list[PortFailure] = []
-            model_dead_end = False
+            collected = _Layer(theorem, depth, recorder)
             for idx, branch in enumerate(layer):
-                context = f"theorem {theorem!r}, depth {depth}, branch {idx}"
                 try:
                     expansion = _expand_branch(
-                        branch, params, ports, notebook, budget, depth, idx, token_memo
+                        branch, params, ports, calls, notebook, budget, depth, idx, token_memo
                     )
-                except _Exhausted:
-                    raise
                 except (ProviderError, SessionDesync) as exc:
-                    recorder.record(
-                        "branch-pruned", depth=depth, branch=idx, error=str(exc)
-                    )
-                    port_errors.append(PortFailure(str(exc), context=context))
-                    continue
-                if expansion.proved is not None:
-                    return finish(Outcome.PROVED, depth, expansion.proved)
-                if not expansion.branches:
-                    model_dead_end = True
-                next_branches.extend(expansion.branches)
-                insights.extend(expansion.insights)
+                    expansion = _Expansion(branch.candidate, error=exc)
+                collected.pending.append((idx, expansion))
+                if expansion.proves:
+                    proved = collected.collect()
+                    if proved is not None:
+                        return finish(Outcome.PROVED, depth, proved)
+            collected.collect()
 
-            if not next_branches:
-                if port_errors and not model_dead_end:
-                    raise port_errors[-1]
+            if not collected.branches:
+                if collected.port_errors and not collected.dead_end:
+                    raise collected.port_errors[-1]
                 return finish(Outcome.FAILURE, depth)
 
-            next_branches = _dedupe_branches(next_branches)
-            if insights:
+            next_branches = _dedupe_branches(collected.branches)
+            if collected.insights:
                 notebook = update_notebook(
-                    initial_state, insights, notebook, ports.gateway
+                    initial_state, collected.insights, notebook, calls
                 )
                 recorder.record("notebook", depth=depth, size=len(notebook.items))
             if len(next_branches) > params.beam_width:
@@ -537,7 +631,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                     [branch.candidate for branch in next_branches],
                     params.beam_width,
                     params.selection_mode,
-                    ports.gateway,
+                    calls,
                 )
                 by_identity = {id(branch.candidate): branch for branch in next_branches}
                 next_branches = [by_identity[id(candidate)] for candidate in kept]
@@ -546,5 +640,8 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
             )
             layer = next_branches
     except _Exhausted:
+        collected.collect()
         return finish(Outcome.BUDGET_EXHAUSTED, depth)
+    finally:
+        calls.close()
     return finish(Outcome.FAILURE, depth)

@@ -492,6 +492,14 @@ class TestDumpPrompt:
         ["clarity", "--max-depth", "3", "--theorem", WORKED],
         ["clarity", "--info-config", "Complete", "--theorem", WORKED],
         ["clarity", "--embed-model", "m", "--theorem", WORKED],
+        ["ingest", "--vocab", "v.txt", "--vocab-out", "out.txt"],
+        ["ingest", "--seed", "3", "--vocab-out", "out.txt"],
+        ["ingest", "--out", "runs", "--vocab-out", "out.txt"],
+        ["vocab", "--proofs", "p.jsonl"],
+        ["vocab", "--seed", "3"],
+        ["vocab", "--out", "runs"],
+        ["report", "--seed", "3"],
+        ["dump-prompt", "--seed", "3", WORKED],
     ],
     ids=lambda argv: f"{argv[0]} {argv[1]}",
 )

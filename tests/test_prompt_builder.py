@@ -351,13 +351,19 @@ class TestClarityPrompts:
         assert record.origin in text
 
     def test_translated_probe_context(self):
-        # [PAPER] ChineseTranslation renders the record's translated texts.
+        # [PAPER] ChineseTranslation renders the record's translated texts,
+        # in the proving prompt and in the planner prompt alike.
         tid, record = fixfun_record()
-        bundle = render_prove_prompt(
-            render_state_context(
-                fixfun_state(), [(tid, record)], InfoConfiguration.CHINESE_TRANSLATION
-            )
-        )
-        probe = render_clarity_probe(bundle, "FixFun")
+
+        def context(config):
+            return render_state_context(fixfun_state(), [(tid, record)], config)
+
+        translated = context(InfoConfiguration.CHINESE_TRANSLATION)
+        probe = render_clarity_probe(render_prove_prompt(translated), "FixFun")
         assert record.origin_zh in probe
         assert record.origin not in probe
+        planner = render_planner_prompt(translated)
+        for text in (record.origin_zh, record.internal_zh, record.intuition_zh):
+            assert f": {text}\n" in planner
+        assert record.origin not in planner
+        assert planner != render_planner_prompt(context(InfoConfiguration.COMPLETE))

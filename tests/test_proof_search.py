@@ -1,10 +1,16 @@
 """Planner–Executor beam search: the budget arithmetic, scripted end-to-end
 runs against the synthetic backend, candidate selection, the shared notebook,
-and the failure modes (retry exhaustion, budget exhaustion, port failures)."""
+the failure modes (retry exhaustion, budget exhaustion, port failures), and
+the explain and summarize calls overlapped on per-role lanes."""
 
 import dataclasses
 import json
 import random
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -475,6 +481,204 @@ class TestPortFailureHandling:
         ports = SearchPorts(backend=SyntheticBackend(), gateway=MockGateway())
         with pytest.raises(PortFailure):
             prove("A -> B -> A", SearchParams(), ports)
+
+
+# ----------------------------------------------------------------------
+# Explain and summarize calls on per-role lanes
+# ----------------------------------------------------------------------
+
+class WaitingGateway:
+    """A MockGateway behind a fixed delay per call. Thread-safe; tracks the
+    peak number of calls in flight, in total ("all") and per role, and the
+    threads that made calls."""
+
+    def __init__(self, records, delay_s: float):
+        self.mock = MockGateway(records)
+        self.delay_s = delay_s
+        self.peak: Counter = Counter()
+        self.threads: set[str] = set()
+        self._inflight: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        keys = ("all", request.role)
+        with self._lock:
+            self.threads.add(threading.current_thread().name)
+            for key in keys:
+                self._inflight[key] += 1
+                self.peak[key] = max(self.peak[key], self._inflight[key])
+        try:
+            time.sleep(self.delay(request))
+            return self.mock.complete(request)
+        finally:
+            with self._lock:
+                for key in keys:
+                    self._inflight[key] -= 1
+
+    def delay(self, request) -> float:
+        return self.delay_s
+
+    def digests(self) -> dict[str, list[str]]:
+        by_role: dict[str, list[str]] = {}
+        for request in self.mock.calls:
+            by_role.setdefault(request.role, []).append(request.digest())
+        return by_role
+
+
+LANE_DELAY_S = 0.002
+FAILING_DIGEST = "0" * 64
+
+
+def branching_records(explain=None, summarize=None) -> list[ScriptRecord]:
+    """A two-layer proof of A -> B -> A. Depth 1 applies three tactics and
+    ranks two children on; at depth 2, branch 0 applies two tactics and
+    branch 1 proves the theorem with its second. `explain` and `summarize`
+    replace the numbered replies of their role."""
+    executor = [
+        ("intros", "intros H", "idtac"),
+        ("intros", "intros H"),
+        ("idtac", "assumption"),
+    ]
+    if explain is None:
+        explain = [ScriptRecord(reply=f"Explained {i}.", route="explain") for i in range(7)]
+    if summarize is None:
+        summarize = [ScriptRecord(reply=f"Summary {i}.", route="summarize") for i in range(6)]
+    return route_defaults() + [
+        ScriptRecord(reply=tactics_reply(*tactics), route="executor") for tactics in executor
+    ] + [ScriptRecord(reply="[2, 0]", route="rank")] + explain + summarize
+
+
+BRANCHING_PARAMS = SearchParams(max_depth=3, beam_width=2, max_retries=0)
+
+
+class TurnsFast(WaitingGateway):
+    """Waits on every call but the planner and executor calls after the
+    fourth: calls stop waiting at depth 2, branch 1, while the lanes still
+    hold branch 0's calls."""
+
+    searched = 0
+
+    def delay(self, request) -> float:
+        if request.role in ("planner", "executor"):
+            self.searched += 1  # only the search thread makes these calls
+            if self.searched > 4:
+                return 0.0
+        return self.delay_s
+
+
+def run_branching(records, delay_s: float, params=BRANCHING_PARAMS, kind=WaitingGateway):
+    gateway = kind(records, delay_s)
+    ports = SearchPorts(backend=SyntheticBackend(), gateway=gateway)
+    return prove("A -> B -> A", params, ports), ports.recorder.events, gateway
+
+
+def failing_at_depth_two(route: str) -> list[ScriptRecord]:
+    """Three replies per role cover depth 1; the first depth-2 call of
+    `route` fails (its record expects another prompt). Every later call gets
+    its role's default reply, so calls a pruned branch makes after its
+    failure shift no other reply."""
+    records = {
+        role: [ScriptRecord(reply=f"{role} {i}.", route=role) for i in range(3)]
+        for role in ("explain", "summarize")
+    }
+    records[route].append(
+        ScriptRecord(reply="unused", route=route, expect_digest=FAILING_DIGEST)
+    )
+    return branching_records(**records)
+
+
+class TestOverlappedCalls:
+    def test_lanes_change_nothing_but_the_overlap(self):
+        fast = run_branching(branching_records(), 0.0)
+        slow = run_branching(branching_records(), LANE_DELAY_S)
+        result, events, gateway = slow
+        assert result.outcome is Outcome.PROVED
+        assert result.trace == (("intros", "Explained 0."), ("assumption", "Explained 6."))
+        assert (result, events) == fast[:2]
+        assert gateway.digests() == fast[2].digests()
+        assert gateway.peak["all"] >= 2
+        assert {role: gateway.peak[role] for role in gateway.digests()} == dict.fromkeys(
+            gateway.digests(), 1
+        )
+        assert fast[2].peak["all"] == 1
+
+    def test_a_role_keeps_its_lane_until_the_lane_is_empty(self):
+        fast = run_branching(branching_records(), 0.0)
+        turning = run_branching(branching_records(), LANE_DELAY_S, kind=TurnsFast)
+        gateway = turning[2]
+        assert turning[:2] == fast[:2]
+        assert gateway.digests() == fast[2].digests()
+        assert max(gateway.peak[role] for role in gateway.digests()) == 1
+
+    @pytest.mark.parametrize("route", ["explain", "summarize"])
+    def test_a_failed_call_prunes_its_branch_on_both_paths(self, route):
+        fast = run_branching(failing_at_depth_two(route), 0.0)
+        slow = run_branching(failing_at_depth_two(route), LANE_DELAY_S)
+        for result, events, _gateway in (fast, slow):
+            assert result.outcome is Outcome.PROVED
+            assert [t for t, _e in result.trace] == ["intros", "assumption"]
+            pruned = [e for e in events if e["event"] == "branch-pruned"]
+            assert [(e["depth"], e["branch"]) for e in pruned] == [(2, 0)]
+            assert "prompt digest mismatch" in pruned[0]["error"]
+        assert slow[:2] == fast[:2]
+        # Inline, the pruned branch makes no call after its failed one: one
+        # explain and at most one summarize at depth 2, branch 0.
+        calls = Counter(request.role for request in fast[2].mock.calls)
+        expected = {"explain": (6, 4), "summarize": (6, 5)}[route]
+        assert (calls["explain"], calls["summarize"]) == expected
+
+    def test_a_branch_pruned_before_the_budget_runs_out_is_recorded(self):
+        params = dataclasses.replace(BRANCHING_PARAMS, budget=5)
+        runs = [
+            run_branching(failing_at_depth_two("explain"), delay_s, params)
+            for delay_s in (0.0, LANE_DELAY_S)
+        ]
+        for result, events, _gateway in runs:
+            assert result.outcome is Outcome.BUDGET_EXHAUSTED
+            assert [e["event"] for e in events[-2:]] == ["branch-pruned", "result"]
+        assert runs[0][:2] == runs[1][:2]
+
+    def test_concurrent_proofs_under_contention(self):
+        # Four proofs at once (twelve threads with their lanes) and a short
+        # switch interval: every proof still gives the sequential result.
+        expected = run_branching(branching_records(), 0.0)[:2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [
+                    pool.submit(run_branching, branching_records(), LANE_DELAY_S)
+                    for _ in range(8)
+                ]
+                results = [run.result(timeout=60)[:2] for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+
+    def test_no_lane_thread_outlives_a_proof(self):
+        exhausting = dataclasses.replace(BRANCHING_PARAMS, budget=5)
+        no_explain = [r for r in route_defaults() if r.route != "explain"] + [
+            ScriptRecord(reply=tactics_reply("intros"), route="executor"),
+        ]
+        runs = [
+            (branching_records(), BRANCHING_PARAMS, Outcome.PROVED),
+            (branching_records(), SearchParams(max_depth=1, max_retries=0), Outcome.FAILURE),
+            (branching_records(), exhausting, Outcome.BUDGET_EXHAUSTED),
+            (no_explain, BRANCHING_PARAMS, None),
+        ]
+        for records, params, outcome in runs:
+            before = set(threading.enumerate())
+            count = threading.active_count()
+            if outcome is None:
+                with pytest.raises(PortFailure):
+                    run_branching(records, LANE_DELAY_S, params)
+                gateway = None
+            else:
+                result, _events, gateway = run_branching(records, LANE_DELAY_S, params)
+                assert result.outcome is outcome
+                assert "prooforge-explain_0" in gateway.threads
+            assert set(threading.enumerate()) == before
+            assert threading.active_count() == count
 
 
 # ----------------------------------------------------------------------
