@@ -353,6 +353,20 @@ class TestClarity:
             assert mean == pytest.approx(0.8, abs=1e-9)
         assert (tmp_path / "clarity_table.txt").exists()
 
+    def test_a_theorem_that_does_not_compile_is_a_usage_error(self, tmp_path, capsys):
+        code = main([
+            "clarity",
+            *mock_ports_args(),
+            "--gateway-script", CLARITY_SCRIPT,
+            "--entities", entities_path(),
+            "--theorem", "(((",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: theorem does not compile: Syntax error: unbalanced parentheses.\n"
+        )
+
     def test_requires_a_theorem(self, tmp_path, capsys):
         code = main([
             "clarity",
@@ -477,6 +491,14 @@ class TestDumpPrompt:
         full = capsys.readouterr().out
         assert "Global definitions referenced:" in full
         assert len(full) > len(bare)
+
+    def test_a_theorem_that_does_not_compile_is_a_usage_error(self, capsys):
+        assert main(self.args("Complete")[:-1] + ["((("]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: theorem does not compile: Syntax error: unbalanced parentheses.\n"
+        )
 
 
 # ----------------------------------------------------------------------
