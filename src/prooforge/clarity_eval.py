@@ -30,7 +30,6 @@ from .prompt_builder import (
     render_clarity_probe,
 )
 
-PROBE_TEMPERATURE = 0.0
 DEFAULT_PROBES_PER_BUNDLE = 3
 
 
@@ -153,11 +152,7 @@ def run_configuration(
         name = record.name
         try:
             reply = gateway.complete(
-                ChatRequest.user(
-                    render_clarity_probe(bundle, name),
-                    temperature=PROBE_TEMPERATURE,
-                    role="probe",
-                )
+                ChatRequest.for_role("probe", render_clarity_probe(bundle, name))
             )
             judge_prompt = render_clarity_judge(name, reply.text, record)
             logprobs = gateway.yes_no_logprobs(judge_prompt)

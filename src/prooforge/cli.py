@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .clarity_eval import (
+    DEFAULT_PROBES_PER_BUNDLE,
     format_report_rows,
     format_report_table,
     parse_report_rows,
@@ -36,15 +37,16 @@ from .clarity_eval import (
     run_configuration,
     sample_probes,
 )
-from .coq_backend import Lemma, SubprocessBackend, SyntheticBackend
+from .coq_backend import Lemma, SubprocessBackend, SyntheticBackend, truncate_error
 from .corpus import load_entity_corpus, load_proof_corpus
 from .errors import (
     DegenerateSeries,
     FormatError,
     PortFailure,
     ProoforgeError,
+    SessionDesync,
 )
-from .llm_gateway import HttpGateway, MockGateway
+from .llm_gateway import DEFAULT_API_KEY_ENV, HttpGateway, MockGateway
 from .prompt_builder import InfoConfiguration, render_prove_prompt, render_state_context
 from .proof_search import (
     Outcome,
@@ -64,6 +66,18 @@ EXIT_USAGE = 2
 
 _FORBIDDEN_CONFIG_KEYS = {"api_key", "apikey", "token", "secret", "password"}
 
+# The search-shape config keys, each named after its SearchParams field.
+_SHAPE_KEYS = ("max_depth", "beam_width", "max_retries", "tactics_per_state", "reconsider_factor", "budget")
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+_PARAM_DEFAULTS = _field_defaults(SearchParams)
+_PORT_DEFAULTS = _field_defaults(SearchPorts)
+
+# The library's defaults for everything it owns; the rest are the CLI's own.
 _DEFAULTS = {
     "backend": "synthetic",
     "backend_spec": "",
@@ -72,7 +86,7 @@ _DEFAULTS = {
     "gateway_script": "",
     "base_url": "",
     "model": "",
-    "api_key_env": "PROOFORGE_API_KEY",
+    "api_key_env": DEFAULT_API_KEY_ENV,
     "embed_url": "",
     "embed_model": "",
     "entities": "",
@@ -80,18 +94,13 @@ _DEFAULTS = {
     "vocab": "",
     "seed": 0,
     "out": "runs",
-    "retrieve_k": 5,
-    "max_depth": 15,
-    "beam_width": 3,
-    "max_retries": 3,
-    "tactics_per_state": 10,
-    "reconsider_factor": 2,
-    "budget": None,
-    "selection": "ModelBased",
-    "info_config": "Complete",
+    "retrieve_k": _PORT_DEFAULTS["retrieve_k"],
+    **{key: _PARAM_DEFAULTS[key] for key in _SHAPE_KEYS},
+    "selection": _PARAM_DEFAULTS["selection_mode"].value,
+    "info_config": _PORT_DEFAULTS["config"].value,
     "require": [],
     "jobs": 1,
-    "per_bundle": 3,
+    "per_bundle": DEFAULT_PROBES_PER_BUNDLE,
     "unjudgeable_half": False,
     "configs": "all",
 }
@@ -153,19 +162,26 @@ def _merged(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 def _load_backend_spec(path: str) -> dict:
+    """SyntheticBackend arguments from a JSON spec; a malformed spec raises
+    ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    lemmas = {
-        name: Lemma(body["conclusion"], tuple(body.get("premises", ())))
-        for name, body in obj.get("lemmas", {}).items()
-    }
-    return dict(
-        rewrites=obj.get("rewrites", {}),
-        lemmas=lemmas,
-        required_modules=obj.get("required_modules", {}),
-        internal_forms=obj.get("internal_forms", {}),
-        auto_solved=obj.get("auto_solved", ()),
-    )
+        try:
+            obj = json.load(fh)
+            lemmas = {
+                name: Lemma(body["conclusion"], tuple(body.get("premises", ())))
+                for name, body in obj.get("lemmas", {}).items()
+            }
+            return dict(
+                rewrites=dict(obj.get("rewrites", {})),
+                lemmas=lemmas,
+                required_modules=dict(obj.get("required_modules", {})),
+                internal_forms=dict(obj.get("internal_forms", {})),
+                auto_solved=tuple(obj.get("auto_solved", ())),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"backend spec {path} is malformed: {type(exc).__name__}: {exc}"
+            ) from None
 
 
 def _build_backend(cfg: dict):
@@ -221,12 +237,7 @@ def _params(cfg: dict) -> SearchParams:
     """Search parameters; with no budget set, the budget is the one the
     search shape allows (`compute_budget`)."""
     return SearchParams(
-        max_depth=cfg["max_depth"],
-        beam_width=cfg["beam_width"],
-        max_retries=cfg["max_retries"],
-        tactics_per_state=cfg["tactics_per_state"],
-        reconsider_factor=cfg["reconsider_factor"],
-        budget=cfg["budget"],
+        **{key: cfg[key] for key in _SHAPE_KEYS},
         selection_mode=SelectionMode(cfg["selection"]),
     )
 
@@ -235,6 +246,17 @@ def _params_dict(params: SearchParams) -> dict:
     fields = dataclasses.asdict(params)
     fields["selection"] = fields.pop("selection_mode").value
     return fields
+
+
+def _initial_state(backend, statement: str, cfg: dict):
+    """The state `statement` opens at: start a session, read its state and
+    close it. A theorem that does not compile is a ValueError."""
+    try:
+        session = backend.start_session(statement, tuple(cfg["require"]))
+    except SessionDesync as exc:
+        raise ValueError(f"theorem does not compile: {truncate_error(str(exc))}") from None
+    backend.close_session(session)
+    return session.state
 
 
 def _resolve_theorem(name_or_statement: str, proofs) -> str:
@@ -437,44 +459,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_one, statements))
 
-    port_errors = 0
-    proved = 0
-    depths = []
-    evaluations = []
-    resolved = []
     for statement, result, log, error in outcomes:
-        resolved.append(statement)
         _write_json(
             os.path.join(out_dir, f"run-{_statement_digest(statement)}.json"), log
         )
         if error is not None:
-            port_errors += 1
             print(f"{statement}: PortError ({error})")
             continue
-        depths.append(result.depth_reached)
-        evaluations.append(result.tactic_evaluations_used)
-        if result.outcome is Outcome.PROVED:
-            proved += 1
         print(
             f"{statement}: {result.outcome.value} "
             f"(depth {result.depth_reached}, evaluations {result.tactic_evaluations_used})"
         )
 
-    completed = len(statements) - port_errors
-    summary = {
-        "runs": len(statements),
-        "completed": completed,
-        "port_errors": port_errors,
-        "proved": proved,
-        "success_rate": (proved / completed) if completed else None,
-        "avg_depth": (sum(depths) / len(depths)) if depths else None,
-        "avg_tactics": (sum(evaluations) / len(evaluations)) if evaluations else None,
-    }
+    summary = _tally([log for _statement, _result, log, _error in outcomes])
     _write_json(os.path.join(out_dir, "summary.json"), summary)
+    resolved = [statement for statement, _result, _log, _error in outcomes]
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg, resolved))
     rate = f"{summary['success_rate']:.2%}" if summary["success_rate"] is not None else "-"
-    print(f"proved {proved}/{completed} ({rate}), {port_errors} port errors")
-    return EXIT_OK if port_errors == 0 else EXIT_DOMAIN
+    print(
+        f"proved {summary['proved']}/{summary['completed']} ({rate}), "
+        f"{summary['port_errors']} port errors"
+    )
+    return EXIT_OK if summary["port_errors"] == 0 else EXIT_DOMAIN
 
 
 def _clarity_configs(cfg: dict) -> list[InfoConfiguration]:
@@ -498,12 +504,8 @@ def cmd_clarity(args: argparse.Namespace) -> int:
     backend = _build_backend(cfg)
     states = []
     for statement in statements:
-        compiled = backend.compile_theorem(
-            _resolve_theorem(statement, proofs), tuple(cfg["require"])
-        )
-        if not compiled.success:
-            raise ValueError(f"theorem does not compile: {compiled.error}")
-        states.append((compiled.state, concept_pairs(corpus, table, compiled.state)))
+        state = _initial_state(backend, _resolve_theorem(statement, proofs), cfg)
+        states.append((state, concept_pairs(corpus, table, state)))
 
     reports = []
     for config in _clarity_configs(cfg):
@@ -533,6 +535,27 @@ def cmd_clarity(args: argparse.Namespace) -> int:
         print("warning: at least one configuration run is incomplete", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
+
+
+def _tally(logs: Sequence[dict]) -> dict:
+    """Outcome counts over run logs. The rate and the means cover the runs
+    that did not end in a port error, and are None when there are none."""
+    completed = [log for log in logs if log["outcome"] != "PortError"]
+    proved = sum(1 for log in completed if log["outcome"] == Outcome.PROVED.value)
+
+    def mean(key: str) -> Optional[float]:
+        values = [log.get(key, 0) for log in completed]
+        return sum(values) / len(values) if values else None
+
+    return {
+        "runs": len(logs),
+        "completed": len(completed),
+        "port_errors": len(logs) - len(completed),
+        "proved": proved,
+        "success_rate": proved / len(completed) if completed else None,
+        "avg_depth": mean("depth_reached"),
+        "avg_tactics": mean("tactic_evaluations_used"),
+    }
 
 
 def _load_run_logs(runs_dir: str) -> list[dict]:
@@ -568,18 +591,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
     success_by_config: dict[str, float] = {}
     for config in sorted(grouped):
-        runs = grouped[config]
-        completed = [log for log in runs if log["outcome"] != "PortError"]
-        proved = sum(1 for log in completed if log["outcome"] == "Proved")
-        rate = 100.0 * proved / len(completed) if completed else 0.0
-        depths = [log.get("depth_reached", 0) for log in completed]
-        tactics = [log.get("tactic_evaluations_used", 0) for log in completed]
-        avg_depth = sum(depths) / len(depths) if depths else 0.0
-        avg_tactics = sum(tactics) / len(tactics) if tactics else 0.0
+        tally = _tally(grouped[config])
+        proved, completed = tally["proved"], tally["completed"]
+        rate = 100.0 * proved / completed if completed else 0.0
         success_by_config[config] = rate
         lines.append(
-            f"{config:<22} {len(runs):>5} {proved:>6} {rate:>8.1f} "
-            f"{avg_depth:>8.2f} {avg_tactics:>10.2f}"
+            f"{config:<22} {tally['runs']:>5} {proved:>6} {rate:>8.1f} "
+            f"{tally['avg_depth'] or 0.0:>8.2f} {tally['avg_tactics'] or 0.0:>10.2f}"
         )
 
     if args.clarity:
@@ -610,13 +628,10 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
     cfg = _merged(args)
     table, corpus, proofs = _load_corpora(cfg)
     backend = _build_backend(cfg)
-    statement = _resolve_theorem(args.theorem, proofs)
-    compiled = backend.compile_theorem(statement, tuple(cfg["require"]))
-    if not compiled.success:
-        raise ValueError(f"theorem does not compile: {compiled.error}")
+    state = _initial_state(backend, _resolve_theorem(args.theorem, proofs), cfg)
     context = render_state_context(
-        compiled.state,
-        concept_pairs(corpus, table, compiled.state),
+        state,
+        concept_pairs(corpus, table, state),
         InfoConfiguration.parse(cfg["info_config"]),
     )
     bundle = render_prove_prompt(context)

@@ -1,5 +1,11 @@
-"""The proof-engine port: theorem compilation, tactic validation/application,
-and goal-completion queries.
+"""The proof-engine port and its two backends.
+
+The port is five operations on sessions: ``start_session`` opens a theorem
+(raising SessionDesync with the compile error when it does not compile),
+``clone_session`` copies a session, ``compile_tactic`` validates a tactic
+without advancing, ``apply_tactic`` advances, and ``close_session`` releases
+what the session holds. A tactic's text is compared, deduplicated and sent in
+one form, `canonical_tactic`.
 
 Two backends ship. SyntheticBackend implements a deterministic toy goal
 calculus so the whole search stack runs offline: goals are plain term texts,
@@ -20,8 +26,11 @@ and the supported tactics are
 Elaborated (internal) texts come from a scripted ``internal_forms`` mapping,
 defaulting to the surface text, so fixtures can carry real elaborations.
 ``start_session`` raises SessionDesync carrying the bare compile error of a
-theorem that does not compile. Proof states are immutable, so
-``clone_session`` copies a session by value.
+theorem that does not compile; it gets that error from
+``SyntheticBackend.compile_theorem``, which stays a method of its own because
+the offline benchmark times it under that name. Proof states are immutable, so
+``clone_session`` copies a session by value and ``close_session`` has nothing
+to release.
 
 SubprocessBackend adapts a serialization-protocol prover subprocess
 (s-expression framing over pipes). It is best-effort and feature-gated on an
@@ -75,6 +84,13 @@ def is_subgoal_complete(prev: ProofState, next_state: ProofState) -> bool:
 
 def truncate_error(error: str, limit: int = ERROR_TEXT_LIMIT) -> str:
     return error if len(error) <= limit else error[:limit]
+
+
+def canonical_tactic(tactic: str) -> str:
+    """The one form of a tactic's text: no surrounding blanks and no
+    trailing periods. The search deduplicates and budgets on it, backends
+    run it, and session transcripts hold it."""
+    return tactic.strip().rstrip(".")
 
 
 @dataclass
@@ -218,6 +234,9 @@ class SyntheticBackend:
             transcript=list(session.transcript),
         )
 
+    def close_session(self, session: BackendSession) -> None:
+        """A synthetic session holds nothing to release."""
+
     # -- tactic rules -------------------------------------------------------
 
     def _rewrite_fixpoint(self, text: str) -> str:
@@ -260,7 +279,7 @@ class SyntheticBackend:
         return f"H{n}"
 
     def _step(self, tactic: str, state: ProofState) -> CompileResult:
-        text = tactic.strip().rstrip(".")
+        text = canonical_tactic(tactic)
         if not text:
             return CompileResult(False, error="empty tactic")
         if not state.goals:
@@ -375,7 +394,7 @@ class SyntheticBackend:
             raise SessionDesync(
                 f"tactic {tactic!r} failed on session {session.session_id}: {result.error}"
             )
-        canonical = tactic.strip().rstrip(".")
+        canonical = canonical_tactic(tactic)
         if canonical != "idtac":
             session.transcript.append(canonical)
         session.state = result.state
@@ -545,7 +564,7 @@ class SubprocessBackend:
                     return answers
         except (OSError, ValueError, SessionDesync):
             session.poisoned = True
-            proc.kill()
+            self.close_session(session)
             raise SessionDesync(f"session {session.session_id} poisoned")
 
     def _exec_sentence(self, session: BackendSession, sentence: str) -> Optional[str]:
@@ -572,17 +591,6 @@ class SubprocessBackend:
         )
         return ProofState(goals)
 
-    def compile_theorem(self, theorem_source: str, requires: Sequence[str] = ()) -> CompileResult:
-        session = None
-        try:
-            session = self.start_session(theorem_source, requires)
-            return CompileResult(True, state=session.state)
-        except SessionDesync as exc:
-            return CompileResult(False, error=truncate_error(str(exc)))
-        finally:
-            if session is not None:
-                self.close_session(session)
-
     def start_session(self, theorem_source: str, requires: Sequence[str] = ()) -> BackendSession:
         session = BackendSession(
             session_id=next(self._ids),
@@ -607,7 +615,7 @@ class SubprocessBackend:
 
     def compile_tactic(self, tactic: str, state: ProofState, session: BackendSession) -> CompileResult:
         checkpoint = self._tips.get(session.session_id)
-        error = self._exec_sentence(session, f"{tactic.strip().rstrip('.')}.")
+        error = self._exec_sentence(session, f"{canonical_tactic(tactic)}.")
         if error is not None:
             return CompileResult(False, error=truncate_error(error))
         after = self._query_goals(session)
@@ -618,21 +626,28 @@ class SubprocessBackend:
         return CompileResult(True, state=after)
 
     def apply_tactic(self, tactic: str, session: BackendSession) -> ProofState:
-        error = self._exec_sentence(session, f"{tactic.strip().rstrip('.')}.")
+        canonical = canonical_tactic(tactic)
+        error = self._exec_sentence(session, f"{canonical}.")
         if error is not None:
             session.poisoned = True
             raise SessionDesync(error)
-        session.transcript.append(tactic.strip().rstrip("."))
+        session.transcript.append(canonical)
         session.state = self._query_goals(session)
         return session.state
 
     def close_session(self, session: BackendSession) -> None:
+        """Kill the session's prover, reap it and close its pipes."""
         proc = self._procs.pop(session.session_id, None)
-        if proc is not None:
-            try:
-                proc.kill()
-            except OSError:
-                pass
+        self._tips.pop(session.session_id, None)
+        if proc is None:
+            return
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:  # a command the dead prover never read
+            pass
 
 
 def _flatten_atoms(expr) -> list[str]:

@@ -94,24 +94,16 @@ def _resolve_dependency(table: TokenTable, name) -> Optional[int]:
     return resolve_name(table, name, EMPTY_CONTEXT)
 
 
-def decode_entity_record(obj: dict, table: Optional[TokenTable] = None) -> tuple[EntityRecord, dict]:
-    """Decode one entity object; returns the record plus any unknown fields."""
+def decode_entity_record(obj: dict) -> tuple[EntityRecord, dict]:
+    """Decode one entity object; returns the record plus any unknown fields.
+    Dependencies are read as raw token ids; `load_entity_corpus` resolves
+    dependency names itself, once every entity is interned."""
     known = {
         "name", "kernel_name", "kind", "origin", "internal", "intuition",
         "source_file", "dependencies", "origin_zh", "internal_zh", "intuition_zh",
     }
     extras = {k: v for k, v in obj.items() if k not in known}
-    deps: tuple[int, ...] = ()
-    raw_deps = obj.get("dependencies", [])
-    if raw_deps and table is not None:
-        seen: list[int] = []
-        for name in raw_deps:
-            tid = _resolve_dependency(table, name)
-            if tid is not None and tid not in seen:
-                seen.append(tid)
-        deps = tuple(seen)
-    elif raw_deps:
-        deps = tuple(dict.fromkeys(int(d) for d in raw_deps))
+    deps = tuple(dict.fromkeys(int(d) for d in obj.get("dependencies", [])))
     record = EntityRecord(
         name=obj["name"],
         kernel_name=obj["kernel_name"],
@@ -337,8 +329,8 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
             raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
         if not isinstance(obj, dict):
             raise FormatError("each line must hold one JSON object", line=lineno)
-        # Dependencies resolve in the second pass, once every entity is
-        # interned; strip them so the decoder doesn't try to resolve early.
+        # Dependencies are names, resolved in the second pass once every
+        # entity is interned; the decoder reads only raw ids.
         stripped = {k: v for k, v in obj.items() if k != "dependencies"}
         try:
             record, extras = decode_entity_record(stripped)

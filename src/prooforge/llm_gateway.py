@@ -1,13 +1,17 @@
 """Uniform chat-completion interface: free-text completion, structured
 action-response parsing, and YES/NO log-probability judgment.
 
+Every call the library makes has a role, and `ROLE_SETTINGS` is the one
+table of roles and of the settings each role's requests are sent with;
+`ChatRequest.for_role` builds every such request from it.
+
 Two gateways ship. MockGateway replays a script of records routed by the role
-each caller sets on its request (planner, executor, explain, summarize,
-notebook, rank, probe or judge); every record names the route it answers. It
-is what every test and fixture run uses.
-HttpGateway talks to a chat-completions endpoint with a retry policy; its
-transport is injectable so the policy is testable without a network. The API
-key is read from an environment variable at call time, never from files.
+each caller sets on its request; every record names the route it answers,
+which must be a role of the table. It is what every test and fixture run
+uses. HttpGateway talks to a chat-completions endpoint with a retry policy;
+its transport is injectable so the policy is testable without a network. The
+API key is read at call time from an environment variable (by default
+`DEFAULT_API_KEY_ENV`), never from files.
 
 parse_action_response is total: any text yields InfoRequest, TacticSuggestions,
 or Unparsed, tolerating prose, code fences, and unquoted keys around the
@@ -40,17 +44,47 @@ logger = logging.getLogger("prooforge.llm_gateway")
 #: Default floor applied when YES or NO is missing from the top-k alternatives.
 LOGPROB_FLOOR = -20.0
 
+#: The environment variable a client reads its API key from by default.
+DEFAULT_API_KEY_ENV = "PROOFORGE_API_KEY"
+
 VALID_ROLES = ("system", "user", "assistant")
+
+
+@dataclass(frozen=True)
+class RoleSettings:
+    temperature: float
+    max_tokens: int = 1024
+    want_logprobs: bool = False
+
+
+#: Every kind of call the library makes, with the settings of its requests.
+ROLE_SETTINGS: dict[str, RoleSettings] = {
+    "planner": RoleSettings(temperature=0.7),
+    "executor": RoleSettings(temperature=0.7),
+    "explain": RoleSettings(temperature=0.7),
+    "summarize": RoleSettings(temperature=0.7),
+    "notebook": RoleSettings(temperature=0.7),
+    "rank": RoleSettings(temperature=0.0),
+    "probe": RoleSettings(temperature=0.0),
+    "judge": RoleSettings(temperature=0.0, max_tokens=4, want_logprobs=True),
+}
+
+
+def _check_role(role: str, what: str) -> None:
+    if role not in ROLE_SETTINGS:
+        raise ValueError(
+            f"{what} {role!r} is not a role; roles are {', '.join(ROLE_SETTINGS)}"
+        )
 
 
 @dataclass(frozen=True)
 class ChatRequest:
     """One chat-completion call.
 
-    `role` names the kind of call (planner, executor, explain, summarize,
-    notebook, rank, probe or judge), set by the caller; MockGateway routes
-    on it. It is not a message role (see VALID_ROLES), is never sent to a
-    provider, and is left out of `digest()`.
+    `role` names the kind of call, one of `ROLE_SETTINGS`, set by the
+    caller; MockGateway routes on it. It is not a message role (see
+    VALID_ROLES), is never sent to a provider, and is left out of
+    `digest()`. A request may have no role; no mock route answers it.
     """
 
     messages: tuple[tuple[str, str], ...]
@@ -69,10 +103,25 @@ class ChatRequest:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
+        if self.role is not None:
+            _check_role(self.role, "request role")
 
     @classmethod
     def user(cls, content: str, **kwargs) -> "ChatRequest":
         return cls(messages=(("user", content),), **kwargs)
+
+    @classmethod
+    def for_role(cls, role: str, content: str) -> "ChatRequest":
+        """A one-message request with `role`'s settings from the table."""
+        _check_role(role, "request role")
+        settings = ROLE_SETTINGS[role]
+        return cls.user(
+            content,
+            temperature=settings.temperature,
+            max_tokens=settings.max_tokens,
+            want_logprobs=settings.want_logprobs,
+            role=role,
+        )
 
     def digest(self) -> str:
         joined = "\x1f".join(f"{role}\x1e{content}" for role, content in self.messages)
@@ -349,10 +398,11 @@ class ScriptRecord:
 class MockGateway:
     """Deterministic scripted gateway.
 
-    Every record names a route. Each call consumes the next record queued
-    for its request's `role`, falling back to that role's default record; a
-    role with neither, or a request without a role, raises ProviderError.
-    Replay files are JSON lines, one record per line; `#` lines are comments.
+    Every record names a route, one of `ROLE_SETTINGS`. Each call consumes
+    the next record queued for its request's `role`, falling back to that
+    role's default record; a role with neither, or a request without a role,
+    raises ProviderError. Replay files are JSON lines, one record per line;
+    `#` lines are comments.
     """
 
     def __init__(self, records: Sequence[ScriptRecord] = ()):
@@ -361,23 +411,35 @@ class MockGateway:
         self._routed: dict[str, list[ScriptRecord]] = {}
         self._defaults: dict[str, ScriptRecord] = {}
         for record in records:
-            if not record.route:
-                raise ValueError(f"script record {record.reply!r} names no route")
-            if record.default:
-                self._defaults[record.route] = record
-            else:
-                self._routed.setdefault(record.route, []).append(record)
+            self._add(record)
+
+    def _add(self, record: ScriptRecord) -> None:
+        if not record.route:
+            raise ValueError(f"script record {record.reply!r} names no route")
+        _check_role(record.route, f"script record {record.reply!r} route")
+        if record.default:
+            self._defaults[record.route] = record
+        else:
+            self._routed.setdefault(record.route, []).append(record)
 
     @classmethod
     def from_file(cls, path: str) -> "MockGateway":
-        records = []
+        """Load a replay file; a malformed line raises ValueError naming the
+        file and the line."""
+        gateway = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                records.append(ScriptRecord.from_obj(json.loads(line)))
-        return cls(records)
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("a script record must be a JSON object")
+                    gateway._add(ScriptRecord.from_obj(obj))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"gateway script {path}, line {lineno}: {exc}") from None
+        return gateway
 
     def _next_record(self, request: ChatRequest) -> ScriptRecord:
         with self._lock:
@@ -407,9 +469,7 @@ class MockGateway:
         return CompletionResult(text=record.reply, logprobs=logprobs)
 
     def yes_no_logprobs(self, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
-        request = ChatRequest.user(
-            judge_prompt, temperature=0.0, max_tokens=4, want_logprobs=True, role="judge"
-        )
+        request = ChatRequest.for_role("judge", judge_prompt)
         record = self._next_record(request)
         self._check_digest(record, request)
         if record.yes_no is not None:
@@ -448,7 +508,7 @@ class HttpGateway:
         self,
         base_url: str,
         model: str,
-        api_key_env: str = "PROOFORGE_API_KEY",
+        api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout: float = 120.0,
         retry: RetryPolicy = RetryPolicy(),
         max_concurrency: int = 4,
@@ -556,9 +616,7 @@ class HttpGateway:
         return CompletionResult(text=text, logprobs=logprobs)
 
     def yes_no_logprobs(self, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
-        request = ChatRequest.user(
-            judge_prompt, temperature=0.0, max_tokens=4, want_logprobs=True, role="judge"
-        )
+        request = ChatRequest.for_role("judge", judge_prompt)
         result = self.complete(request)
         if not result.logprobs:
             raise UnjudgeableResponse("provider returned no token logprobs")

@@ -3,26 +3,29 @@
 One skeleton, the ``_BLOCK_*`` constants below, drives the proving prompt.
 Eleven information configurations control what goes into it:
 
-====================  ========  ======  ========  =========  =========  ==========
-configuration         glob-def  origin  internal  intuition  qualified  extra
-                      section   body    body      body       names      sections
-====================  ========  ======  ========  =========  =========  ==========
-NoContext             no        -       -         -          no         no
-QualifiedName         no        -       -         -          yes        no
-EmptyReference        yes       no      no        no         yes        yes
-OriginOnly            yes       yes     no        no         yes        yes
-InternalOnly          yes       no      yes       no         yes        yes
-IntuitionOnly         yes       no      no        yes        yes        yes
-OriginInternal        yes       yes     yes       no         yes        yes
-OriginIntuition       yes       yes     no        yes        yes        yes
-InternalIntuition     yes       no      yes       yes        yes        yes
-Complete              yes       yes     yes       yes        yes        yes
-ChineseTranslation    yes       yes     yes       yes        yes        yes
-====================  ========  ======  ========  =========  =========  ==========
+====================  ==========  ======  ========  =========  =========
+configuration         structured  origin  internal  intuition  qualified
+                                  body    body      body       names
+====================  ==========  ======  ========  =========  =========
+NoContext             no          -       -         -          no
+QualifiedName         no          -       -         -          yes
+EmptyReference        yes         no      no        no         yes
+OriginOnly            yes         yes     no        no         yes
+InternalOnly          yes         no      yes       no         yes
+IntuitionOnly         yes         no      no        yes        yes
+OriginInternal        yes         yes     yes       no         yes
+OriginIntuition       yes         yes     no        yes        yes
+InternalIntuition     yes         no      yes       yes        yes
+Complete              yes         yes     yes       yes        yes
+ChineseTranslation    yes         yes     yes       yes        yes
+====================  ==========  ======  ========  =========  =========
 
-"Extra sections" are proof tracing, related premises, related tactics, public
-notes, and hint. The two bare configurations carry only the proof-state block
-and the action instructions. ChineseTranslation renders glob-def bodies from
+A structured configuration shows each hypothesis and goal in both its
+surface and internal forms, and adds the glob-def section and the extra
+sections: proof tracing, related premises, related tactics, public notes and
+hint. The two bare configurations carry only the proof-state block (surface
+text with shortened names, or the internal text) and the action
+instructions. ChineseTranslation renders glob-def bodies from
 the records' pre-translated ``*_zh`` fields (falling back to the untranslated
 text when a translation is missing); nothing is machine-translated here.
 
@@ -70,27 +73,26 @@ class InfoConfiguration(Enum):
 class ConfigTraits:
     """What one configuration includes; the table above, as data."""
 
-    glob_def_section: bool
+    structured: bool
     origin: bool
     internal: bool
     intuition: bool
     qualified_names: bool
-    extra_sections: bool
     translated: bool = False
 
 
 CONFIG_MATRIX: dict[InfoConfiguration, ConfigTraits] = {
-    InfoConfiguration.NO_CONTEXT: ConfigTraits(False, False, False, False, False, False),
-    InfoConfiguration.QUALIFIED_NAME: ConfigTraits(False, False, False, False, True, False),
-    InfoConfiguration.EMPTY_REFERENCE: ConfigTraits(True, False, False, False, True, True),
-    InfoConfiguration.ORIGIN_ONLY: ConfigTraits(True, True, False, False, True, True),
-    InfoConfiguration.INTERNAL_ONLY: ConfigTraits(True, False, True, False, True, True),
-    InfoConfiguration.INTUITION_ONLY: ConfigTraits(True, False, False, True, True, True),
-    InfoConfiguration.ORIGIN_INTERNAL: ConfigTraits(True, True, True, False, True, True),
-    InfoConfiguration.ORIGIN_INTUITION: ConfigTraits(True, True, False, True, True, True),
-    InfoConfiguration.INTERNAL_INTUITION: ConfigTraits(True, False, True, True, True, True),
-    InfoConfiguration.COMPLETE: ConfigTraits(True, True, True, True, True, True),
-    InfoConfiguration.CHINESE_TRANSLATION: ConfigTraits(True, True, True, True, True, True, translated=True),
+    InfoConfiguration.NO_CONTEXT: ConfigTraits(False, False, False, False, False),
+    InfoConfiguration.QUALIFIED_NAME: ConfigTraits(False, False, False, False, True),
+    InfoConfiguration.EMPTY_REFERENCE: ConfigTraits(True, False, False, False, True),
+    InfoConfiguration.ORIGIN_ONLY: ConfigTraits(True, True, False, False, True),
+    InfoConfiguration.INTERNAL_ONLY: ConfigTraits(True, False, True, False, True),
+    InfoConfiguration.INTUITION_ONLY: ConfigTraits(True, False, False, True, True),
+    InfoConfiguration.ORIGIN_INTERNAL: ConfigTraits(True, True, True, False, True),
+    InfoConfiguration.ORIGIN_INTUITION: ConfigTraits(True, True, False, True, True),
+    InfoConfiguration.INTERNAL_INTUITION: ConfigTraits(True, False, True, True, True),
+    InfoConfiguration.COMPLETE: ConfigTraits(True, True, True, True, True),
+    InfoConfiguration.CHINESE_TRANSLATION: ConfigTraits(True, True, True, True, True, translated=True),
 }
 
 # Section labels reported in PromptBundle.sections_present.
@@ -105,12 +107,10 @@ SECTION_AVAILABLE_ACTIONS = "available_actions"
 
 
 def expected_sections(config: InfoConfiguration) -> frozenset:
-    traits = CONFIG_MATRIX[config]
     present = {SECTION_PROOF_STATE, SECTION_AVAILABLE_ACTIONS}
-    if traits.glob_def_section:
-        present.add(SECTION_GLOB_DEF)
-    if traits.extra_sections:
+    if CONFIG_MATRIX[config].structured:
         present.update((
+            SECTION_GLOB_DEF,
             SECTION_PROOF_TRACING,
             SECTION_RELATED_PREMISES,
             SECTION_RELATED_TACTIC,
@@ -252,15 +252,15 @@ def _render_hypotheses(state: ProofState, traits: ConfigTraits) -> str:
         if multi:
             lines.append(f"Goal {number}:")
         for hs, hi in zip(goal.hypotheses_surface, goal.hypotheses_internal):
-            if not traits.qualified_names and not traits.extra_sections:
-                lines.append(f"{hs.name} : {shorten_qualified_names(hs.surface_type)}")
-            elif traits.qualified_names and not traits.extra_sections:
-                lines.append(f"{hi.name} : {hi.internal_type}")
-            else:
+            if traits.structured:
                 line = f"{hs.name} : {hs.surface_type}"
                 if hi.internal_type and hi.internal_type != hs.surface_type:
                     line += f"  (internal: {hi.internal_type})"
                 lines.append(line)
+            elif traits.qualified_names:
+                lines.append(f"{hi.name} : {hi.internal_type}")
+            else:
+                lines.append(f"{hs.name} : {shorten_qualified_names(hs.surface_type)}")
         blocks.append("\n".join(lines))
     return "\n".join(block for block in blocks if block)
 
@@ -270,15 +270,15 @@ def _render_goal(state: ProofState, traits: ConfigTraits) -> str:
     multi = len(state.goals) > 1
     for number, goal in enumerate(state.goals, start=1):
         prefix = f"Goal {number}: " if multi else ""
-        if not traits.qualified_names and not traits.extra_sections:
-            blocks.append(prefix + shorten_qualified_names(goal.goal_surface))
-        elif traits.qualified_names and not traits.extra_sections:
-            blocks.append(prefix + goal.goal_internal)
-        else:
+        if traits.structured:
             text = prefix + goal.goal_surface
             if goal.goal_internal != goal.goal_surface:
                 text += f"\n{' ' * len(prefix)}(internal) {goal.goal_internal}"
             blocks.append(text)
+        elif traits.qualified_names:
+            blocks.append(prefix + goal.goal_internal)
+        else:
+            blocks.append(prefix + shorten_qualified_names(goal.goal_surface))
     return "\n".join(blocks)
 
 
@@ -358,12 +358,10 @@ def render_prove_prompt(
 ) -> PromptBundle:
     """Render the proving prompt for one state context; its configuration
     decides which sections appear."""
-    traits = CONFIG_MATRIX[context.config]
     parts = [_BLOCK_HEADER, context.state_block]
-    if traits.glob_def_section:
-        parts.append(_BLOCK_GLOB_DEF.format(glob_def=context.glob_defs))
-    if traits.extra_sections:
+    if CONFIG_MATRIX[context.config].structured:
         parts += [
+            _BLOCK_GLOB_DEF.format(glob_def=context.glob_defs),
             _BLOCK_PROOF_TRACING.format(
                 tactic_seq=" -> ".join(tactic for tactic, _ in trace),
                 proof_summary=summary,

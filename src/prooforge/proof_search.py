@@ -52,6 +52,7 @@ from .core_model import (
     state_fingerprint,
 )
 from .coq_backend import (
+    canonical_tactic,
     is_goal_complete,
     is_subgoal_complete,
     truncate_error,
@@ -78,13 +79,6 @@ from .prompt_builder import (
 )
 from .retrieval import PREMISE, TACTIC, RetrievalIndex, retrieve
 from .tokenizer import TokenTable
-
-PLANNER_TEMPERATURE = 0.7
-EXECUTOR_TEMPERATURE = 0.7
-RANK_TEMPERATURE = 0.0
-EXPLAIN_TEMPERATURE = 0.7
-SUMMARY_TEMPERATURE = 0.7
-NOTEBOOK_TEMPERATURE = 0.7
 
 #: Explain and summarize calls overlap only while every gateway call of the
 #: proof has taken at least this long; a lane hand-off costs more than that.
@@ -234,9 +228,8 @@ class _Expansion:
     error: Optional[Exception] = None
 
 
-def _text(gateway, prompt: str, temperature: float, role: str) -> str:
-    request = ChatRequest.user(prompt, temperature=temperature, role=role)
-    return gateway.complete(request).text
+def _text(gateway, prompt: str, role: str) -> str:
+    return gateway.complete(ChatRequest.for_role(role, prompt)).text
 
 
 class _ProofGateway:
@@ -258,16 +251,16 @@ class _ProofGateway:
             if time.perf_counter() - start < OVERLAP_MIN_CALL_S:
                 self._waits = False
 
-    def later(self, prompt: str, temperature: float, role: str) -> Callable[[], str]:
+    def later(self, prompt: str, role: str) -> Callable[[], str]:
         """Send a call; the callable returned gives its reply or raises."""
         last = self._last.get(role)
         if not self._waits and (last is None or last.done()):
-            text = _text(self, prompt, temperature, role)
+            text = _text(self, prompt, role)
             return lambda: text
         lane = self._lanes.get(role)
         if lane is None:
             lane = self._lanes[role] = ThreadPoolExecutor(1, f"prooforge-{role}")
-        self._last[role] = lane.submit(_text, self, prompt, temperature, role)
+        self._last[role] = lane.submit(_text, self, prompt, role)
         return self._last[role].result
 
     def close(self) -> None:
@@ -282,7 +275,7 @@ def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Not
     if not insights:
         return notebook
     prompt = render_notebook_prompt(initial_state, insights, notebook)
-    reply = _text(gateway, prompt, NOTEBOOK_TEMPERATURE, "notebook")
+    reply = _text(gateway, prompt, "notebook")
     merged = parse_string_array(reply)
     if merged is None:
         combined = notebook.items + tuple(insights)
@@ -319,12 +312,7 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
     for i, candidate in enumerate(candidates):
         goals_text = " ; ".join(g.goal_internal for g in candidate.state.goals)
         triples.append((i, goals_text or "no goals remaining", candidate.summary))
-    reply = _text(
-        gateway,
-        render_rank_prompt(initial_state, triples, beam_width),
-        RANK_TEMPERATURE,
-        "rank",
-    )
+    reply = _text(gateway, render_rank_prompt(initial_state, triples, beam_width), "rank")
     ranked = parse_int_array(reply)
     if ranked is None:
         return _shortest_proof_order(candidates)[:beam_width]
@@ -409,7 +397,7 @@ def _expand_branch(
         prompt = render_planner_prompt(
             context, trace=trace, summary=summary, notes=notebook, errors=errors
         )
-        return _text(calls, prompt, PLANNER_TEMPERATURE, "planner")
+        return _text(calls, prompt, "planner")
 
     strategy = plan(())
     premises, tactic_examples = _retrieve_context(ports, state)
@@ -424,7 +412,7 @@ def _expand_branch(
             notes=notebook,
             hint=strategy_text,
         )
-        reply = _text(calls, bundle.rendered, EXECUTOR_TEMPERATURE, "executor")
+        reply = _text(calls, bundle.rendered, "executor")
         return parse_action_response(reply)
 
     def executor_round(strategy_text: str) -> list[str]:
@@ -450,7 +438,7 @@ def _expand_branch(
     def validate_batch(tactics: list[str]) -> list[tuple[str, str]]:
         failed = []
         for tactic in tactics[: params.tactics_per_state]:
-            canonical = tactic.strip().rstrip(".")
+            canonical = canonical_tactic(tactic)
             if not canonical or canonical in seen:
                 continue
             seen.add(canonical)
@@ -483,17 +471,13 @@ def _expand_branch(
         after = ports.backend.apply_tactic(tactic, child)
         if is_subgoal_complete(state, after):
             after = ports.backend.apply_tactic("idtac", child)
-        explanation = calls.later(
-            render_explanation_prompt(state, tactic, after), EXPLAIN_TEMPERATURE, "explain"
-        )
+        explanation = calls.later(render_explanation_prompt(state, tactic, after), "explain")
         if is_goal_complete(after):
             expansion.children.append((tactic, after, child, explanation, None))
             expansion.proves = True
             break
         new_summary = calls.later(
-            render_summarize_prompt(trace + ((tactic, ""),), after),
-            SUMMARY_TEMPERATURE,
-            "summarize",
+            render_summarize_prompt(trace + ((tactic, ""),), after), "summarize"
         )
         expansion.children.append((tactic, after, child, explanation, new_summary))
     return expansion

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ProviderError, ZeroVectorError
+from .llm_gateway import DEFAULT_API_KEY_ENV
 
 PREMISE = "premise"
 TACTIC = "tactic"
@@ -78,7 +79,7 @@ class HttpEmbeddingProvider:
         self,
         base_url: str,
         model: str,
-        api_key_env: str = "PROOFORGE_API_KEY",
+        api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout: float = 30.0,
         transport: Optional[Callable] = None,
     ):

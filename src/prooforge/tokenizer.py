@@ -157,6 +157,7 @@ class TokenTable:
     entries maps DisambiguatedName -> TokenId for global identifiers; reverse
     maps every allocated id back to its (name-or-label, TokenClass). Reserved
     tokens are interned at construction so tokenization stays read-only.
+    Every write goes through `_write`, whether it interns or loads a file.
     """
 
     def __init__(self, reserved: Iterable[str] = RESERVED_TOKENS):
@@ -167,35 +168,45 @@ class TokenTable:
         self._by_kernel: dict[str, TokenId] = {}
         self._reserved_ids: dict[str, TokenId] = {}
         self._local_ids: dict[str, TokenId] = {}
+        # The key -> id map of each token class kind.
+        self._ids = {
+            TokenClass.GLOBAL: self.entries,
+            TokenClass.RESERVED: self._reserved_ids,
+            TokenClass.LOCAL: self._local_ids,
+        }
         for label in reserved:
             self.intern_reserved(label)
 
     def __len__(self) -> int:
         return len(self.reverse)
 
-    def _allocate(self) -> TokenId:
-        tid = self.next_id
-        self.next_id += 1
+    def _write(self, key, cls: TokenClass, tid: TokenId) -> TokenId:
+        """Record a new token: `key` is the DisambiguatedName of a global,
+        the label of a reserved token or the type text of a local class."""
+        self._ids[cls.kind][key] = tid
+        if cls.kind == TokenClass.GLOBAL:
+            self.reverse[tid] = (key.rendered(), cls)
+            # First interning wins for bare-path lookup; later entities sharing
+            # a path remain reachable through their full disambiguated name.
+            self._by_canonical.setdefault(key.canonical_path, tid)
+            self._by_kernel.setdefault(key.kernel_path, tid)
+        else:
+            self.reverse[tid] = (key, cls)
+        self.next_id = max(self.next_id, tid + 1)
         return tid
 
-    def intern_reserved(self, label: str) -> TokenId:
-        existing = self._reserved_ids.get(label)
+    def _intern(self, key, cls: TokenClass) -> TokenId:
+        existing = self._ids[cls.kind].get(key)
         if existing is not None:
             return existing
-        tid = self._allocate()
-        self._reserved_ids[label] = tid
-        self.reverse[tid] = (label, TokenClass.reserved(label))
-        return tid
+        return self._write(key, cls, self.next_id)
+
+    def intern_reserved(self, label: str) -> TokenId:
+        return self._intern(label, TokenClass.reserved(label))
 
     def intern_local(self, type_text: str = "") -> TokenId:
         cls = TokenClass.local(type_text)
-        existing = self._local_ids.get(cls.detail)
-        if existing is not None:
-            return existing
-        tid = self._allocate()
-        self._local_ids[cls.detail] = tid
-        self.reverse[tid] = (cls.detail, cls)
-        return tid
+        return self._intern(cls.detail, cls)
 
     def intern_entity(self, entity: EntityRecord) -> TokenId:
         """Intern an entity, returning its stable TokenId.
@@ -203,17 +214,7 @@ class TokenTable:
         Idempotent per DisambiguatedName; existing ids are never renumbered.
         """
         name = DisambiguatedName(entity.name, entity.kernel_name)
-        existing = self.entries.get(name)
-        if existing is not None:
-            return existing
-        tid = self._allocate()
-        self.entries[name] = tid
-        self.reverse[tid] = (name.rendered(), TokenClass.global_id())
-        # First interning wins for bare-path lookup; later entities sharing a
-        # path remain reachable through their full disambiguated name.
-        self._by_canonical.setdefault(name.canonical_path, tid)
-        self._by_kernel.setdefault(name.kernel_path, tid)
-        return tid
+        return self._intern(name, TokenClass.global_id())
 
     def id_for_rendered(self, rendered: str) -> Optional[TokenId]:
         try:
@@ -359,7 +360,9 @@ def save_vocabulary(table: TokenTable, path: str) -> None:
 
 
 def load_vocabulary(path: str) -> TokenTable:
-    """Reload a vocabulary file into a table equal to the one that wrote it."""
+    """Reload a vocabulary file into a table equal to the one that wrote it.
+    A repeated id or a repeated key of one class is a FormatError naming
+    its line, since `save_vocabulary` never writes either."""
     table = TokenTable(reserved=())
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -369,29 +372,26 @@ def load_vocabulary(path: str) -> TokenTable:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError("expected id<TAB>key<TAB>class", line=lineno)
-            tid_text, key, kind = parts
+            tid_text, text, kind = parts
             try:
                 tid = int(tid_text)
             except ValueError:
                 raise FormatError(f"bad token id {tid_text!r}", line=lineno)
             if tid in table.reverse:
                 raise FormatError(f"duplicate token id {tid}", line=lineno)
-            if kind == "global":
-                try:
-                    name = DisambiguatedName.parse(key)
-                except ValueError as exc:
-                    raise FormatError(str(exc), line=lineno)
-                table.entries[name] = tid
-                table.reverse[tid] = (key, TokenClass.global_id())
-                table._by_canonical.setdefault(name.canonical_path, tid)
-                table._by_kernel.setdefault(name.kernel_path, tid)
-            elif kind == "reserved":
-                table._reserved_ids[key] = tid
-                table.reverse[tid] = (key, TokenClass.reserved(key))
-            elif kind == "local":
-                table._local_ids[key] = tid
-                table.reverse[tid] = (key, TokenClass.local(key))
-            else:
-                raise FormatError(f"unknown token class {kind!r}", line=lineno)
-            table.next_id = max(table.next_id, tid + 1)
+            try:
+                if kind == TokenClass.GLOBAL:
+                    key, cls = DisambiguatedName.parse(text), TokenClass.global_id()
+                elif kind == TokenClass.RESERVED:
+                    key, cls = text, TokenClass.reserved(text)
+                elif kind == TokenClass.LOCAL:
+                    cls = TokenClass.local(text)
+                    key = cls.detail
+                else:
+                    raise ValueError(f"unknown token class {kind!r}")
+            except ValueError as exc:
+                raise FormatError(str(exc), line=lineno)
+            if key in table._ids[kind]:
+                raise FormatError(f"repeated {kind} key {text!r}", line=lineno)
+            table._write(key, cls, tid)
     return table

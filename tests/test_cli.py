@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, entities_path, proofs_path, backend_spec_path
+from prooforge import cli
 from prooforge.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from prooforge.clarity_eval import parse_report_rows
 from prooforge.llm_gateway import HttpGateway
@@ -162,6 +163,36 @@ class TestProve:
         assert [t for t, _e in log["trace"]] == ["intros n", "simpl", "reflexivity"]
         assert log["events"][0]["event"] == "start"
         assert (tmp_path / "manifest.json").exists()
+
+    def test_malformed_backend_spec_is_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"lemmas": {"a": {}}}), encoding="utf-8")
+        code = main(prove_args(tmp_path) + ["--backend-spec", str(spec), "A -> A"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: backend spec {spec} is malformed:")
+        assert "conclusion" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1]", "a script record must be a JSON object"),
+            ('{"route": "planer", "reply": "x"}', "'planer' is not a role"),
+            ('{"reply": "x"', "Expecting"),
+        ],
+        ids=["not-an-object", "unknown-route", "bad-json"],
+    )
+    def test_malformed_gateway_script_is_a_usage_error(self, tmp_path, capsys, line, message):
+        script = tmp_path / "script.jsonl"
+        script.write_text(
+            '# replies\n{"route": "planner", "default": true, "reply": "p"}\n' + line + "\n",
+            encoding="utf-8",
+        )
+        code = main(prove_args(tmp_path, script=str(script)) + ["A -> A"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: gateway script {script}, line 3: ")
+        assert message in err
 
     def test_missing_gateway_script_is_a_usage_error(self, tmp_path, capsys):
         code = main([
@@ -499,6 +530,69 @@ class TestDumpPrompt:
         assert captured.err == (
             "error: theorem does not compile: Syntax error: unbalanced parentheses.\n"
         )
+
+
+# ----------------------------------------------------------------------
+# clarity and dump-prompt open each theorem as prove does: one session,
+# closed once its state is read
+# ----------------------------------------------------------------------
+
+class CountingBackend:
+    """Counts every port call it passes on to the real backend."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.counts = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.counts[name] = self.counts.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def counting_backends(monkeypatch):
+    backends = []
+    build = cli._build_backend
+
+    def counting_build(cfg):
+        backends.append(CountingBackend(build(cfg)))
+        return backends[-1]
+
+    monkeypatch.setattr(cli, "_build_backend", counting_build)
+    return backends
+
+
+def test_dump_prompt_opens_one_session_and_closes_it(counting_backends, capsys):
+    assert main(TestDumpPrompt().args("Complete")) == EXIT_OK
+    capsys.readouterr()
+    assert [b.counts for b in counting_backends] == [
+        {"start_session": 1, "close_session": 1}
+    ]
+
+
+def test_clarity_opens_one_session_per_theorem(counting_backends, tmp_path, capsys):
+    theorems = tmp_path / "theorems.txt"
+    theorems.write_text(f"{WORKED}\nA -> A\n", encoding="utf-8")
+    code = main([
+        "clarity",
+        *mock_ports_args(),
+        "--gateway-script", CLARITY_SCRIPT,
+        "--entities", entities_path(),
+        "--theorem", WORKED,
+        "--theorems", str(theorems),
+        "--configs", "Complete",
+        "--out", str(tmp_path / "out"),
+    ])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert [b.counts for b in counting_backends] == [
+        {"start_session": 3, "close_session": 3}
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Synthetic backend: compilation, the tactic calculus, sessions, replay,
-and the s-expression layer of the subprocess adapter."""
+the canonical tactic text, and the subprocess adapter's s-expression layer
+and session lifecycle."""
+
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,7 +20,9 @@ from prooforge.coq_backend import (
     CompileResult,
     ERROR_TEXT_LIMIT,
     Lemma,
+    SubprocessBackend,
     SyntheticBackend,
+    canonical_tactic,
     is_goal_complete,
     is_subgoal_complete,
     parse_sexp,
@@ -393,6 +398,100 @@ class TestSessions:
         for tactic in tactics:
             backend.compile_tactic(tactic, session.state, session)
             assert state_fingerprint(session.state) == fingerprint
+
+
+# ----------------------------------------------------------------------
+# The canonical tactic text
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["ring", "ring.", "  ring  ", "ring.."])
+def test_canonical_tactic(text):
+    assert canonical_tactic(text) == "ring"
+
+
+def test_search_dedupe_key_is_the_transcript_entry():
+    # Three spellings of one tactic cost one validation, which the search
+    # records under the same text the synthetic transcript holds.
+    from prooforge.llm_gateway import MockGateway, ScriptRecord
+    from prooforge.proof_search import Outcome, RunRecorder, SearchParams, SearchPorts, prove
+
+    class Recording(SyntheticBackend):
+        def __init__(self):
+            super().__init__()
+            self.clones = []
+
+        def clone_session(self, session):
+            self.clones.append(super().clone_session(session))
+            return self.clones[-1]
+
+    def tactics(*texts):
+        return '{"tactics": [%s]}' % ", ".join('{"tactic": "%s"}' % t for t in texts)
+
+    replies = {"planner": "Plan.", "explain": "Done.", "summarize": "score: 0.5", "notebook": "[]"}
+    gateway = MockGateway(
+        [ScriptRecord(reply=r, route=role, default=True) for role, r in replies.items()]
+        + [
+            ScriptRecord(reply=tactics("intros.", "  intros ", "intros.."), route="executor"),
+            ScriptRecord(reply=tactics("assumption."), route="executor"),
+        ]
+    )
+    recorder = RunRecorder()
+    backend = Recording()
+    ports = SearchPorts(backend=backend, gateway=gateway, recorder=recorder)
+    result = prove("A -> A", SearchParams(), ports)
+    assert result.outcome is Outcome.PROVED
+    assert result.tactic_evaluations_used == 2
+    keys = [e["tactic"] for e in recorder.events if e["event"] == "tactic"]
+    assert keys == ["intros", "assumption"]
+    assert backend.clones[-1].transcript == keys
+    assert [tactic for tactic, _ in result.trace] == keys
+
+
+# ----------------------------------------------------------------------
+# Session lifecycle of the subprocess adapter, against a stdio fake
+# ----------------------------------------------------------------------
+
+# Acknowledges every command with one added sentence and a completion.
+FAKE_PROVER = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print('(Answer 0 (Added 1 loc NewTip))')\n"
+    "    print('(Answer 0 Completed)', flush=True)\n"
+)
+
+
+def test_subprocess_close_session_reaps_the_prover():
+    backend = SubprocessBackend(sys.executable, args=("-c", FAKE_PROVER))
+    session = backend.start_session("A -> A")
+    proc = backend._procs[session.session_id]
+    assert proc.returncode is None
+    backend.close_session(session)
+    assert proc.returncode is not None
+    assert proc.stdin.closed and proc.stdout.closed
+    assert backend._procs == {}
+    backend.close_session(session)  # closing twice is harmless
+
+
+def test_subprocess_dead_prover_is_reaped_on_the_failed_start():
+    # The prover exits at once: the first command finds no answer, the
+    # start fails with SessionDesync, and the child is already reaped.
+    backend = SubprocessBackend(sys.executable, args=("-c", "pass"))
+    procs = []
+    spawn = backend._spawn
+    backend._spawn = lambda: procs.append(spawn()) or procs[-1]
+    with pytest.raises(SessionDesync):
+        backend.start_session("A -> A")
+    assert procs[0].returncode is not None
+    assert procs[0].stdin.closed and procs[0].stdout.closed
+    assert backend._procs == {}
+
+
+def test_synthetic_close_session_is_a_no_op():
+    backend = worked_backend()
+    session = backend.start_session(ADD_0_L_SURFACE)
+    backend.close_session(session)
+    backend.apply_tactic("intros n", session)
+    assert session.transcript == ["intros n"]
 
 
 # ----------------------------------------------------------------------

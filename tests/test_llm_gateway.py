@@ -19,6 +19,7 @@ from prooforge.llm_gateway import (
     InfoRequest,
     LOGPROB_FLOOR,
     MockGateway,
+    ROLE_SETTINGS,
     RetryPolicy,
     ScriptRecord,
     TacticSuggestions,
@@ -54,6 +55,26 @@ class TestChatRequest:
         assert a.digest() != c.digest()
         tagged = ChatRequest.user("prompt text", temperature=0.7, role="planner")
         assert tagged.digest() == a.digest()
+
+    def test_unknown_role_rejected(self):
+        # A mistyped role fails where it is written, not as an exhausted
+        # script later on.
+        with pytest.raises(ValueError, match="'planer' is not a role"):
+            ChatRequest.user("prompt text", role="planer")
+        with pytest.raises(ValueError, match="'planer' is not a role"):
+            ChatRequest.for_role("planer", "prompt text")
+
+    def test_for_role_takes_the_settings_from_the_table(self):
+        assert set(ROLE_SETTINGS) == {
+            "planner", "executor", "explain", "summarize", "notebook", "rank", "probe", "judge",
+        }
+        for role, settings in ROLE_SETTINGS.items():
+            request = ChatRequest.for_role(role, "prompt text")
+            assert request.messages == (("user", "prompt text"),)
+            assert request.role == role
+            assert (request.temperature, request.max_tokens, request.want_logprobs) == (
+                settings.temperature, settings.max_tokens, settings.want_logprobs,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +277,12 @@ class TestMockGateway:
             MockGateway([ScriptRecord(reply="a")])
         with pytest.raises(ValueError):
             MockGateway([ScriptRecord(reply="b", default=True)])
+
+    def test_record_with_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="'planer' is not a role"):
+            MockGateway([ScriptRecord(reply="a", route="planer")])
+        with pytest.raises(ValueError, match="'Planner' is not a role"):
+            MockGateway([ScriptRecord(reply="b", route="Planner", default=True)])
 
     def test_exhausted_route_raises_while_others_have_records(self):
         # [TRIVIAL] a route never borrows another route's records.

@@ -294,6 +294,32 @@ class TestVocabularyIO:
             load_vocabulary(str(path))
         assert exc_info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "first, repeat",
+        [
+            ("A<ker>A\tglobal", "A<ker>A\tglobal"),
+            ("forall\treserved", "forall\treserved"),
+            ("nat\tlocal", "nat\tlocal"),
+            ("nat list\tlocal", "nat  list\tlocal"),
+        ],
+        ids=["global", "reserved", "local", "local-spacing"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, first, repeat):
+        # save_vocabulary writes each key once; a second id for the same
+        # key would load as a second token of one name.
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"0\tM.x<ker>M.x\tglobal\n1\t{first}\n2\t{repeat}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="repeated") as exc_info:
+            load_vocabulary(str(path))
+        assert exc_info.value.line == 3
+
+    def test_a_key_may_repeat_across_classes(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("0\tnat\treserved\n1\tnat\tlocal\n", encoding="utf-8")
+        table = load_vocabulary(str(path))
+        assert (table.reserved_id("nat"), table.local_id("nat")) == (0, 1)
+        assert table.next_id == 2
+
 
 # ----------------------------------------------------------------------
 # Definition 4 properties (the full-scale suite lives in the acceptance
