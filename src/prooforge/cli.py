@@ -69,15 +69,7 @@ _FORBIDDEN_CONFIG_KEYS = {"api_key", "apikey", "token", "secret", "password"}
 # The search-shape config keys, each named after its SearchParams field.
 _SHAPE_KEYS = ("max_depth", "beam_width", "max_retries", "tactics_per_state", "reconsider_factor", "budget")
 
-
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls)}
-
-
-_PARAM_DEFAULTS = _field_defaults(SearchParams)
-_PORT_DEFAULTS = _field_defaults(SearchPorts)
-
-# The library's defaults for everything it owns; the rest are the CLI's own.
+# The library's defaults (the dataclass defaults among them) for what it owns.
 _DEFAULTS = {
     "backend": "synthetic",
     "backend_spec": "",
@@ -94,10 +86,10 @@ _DEFAULTS = {
     "vocab": "",
     "seed": 0,
     "out": "runs",
-    "retrieve_k": _PORT_DEFAULTS["retrieve_k"],
-    **{key: _PARAM_DEFAULTS[key] for key in _SHAPE_KEYS},
-    "selection": _PARAM_DEFAULTS["selection_mode"].value,
-    "info_config": _PORT_DEFAULTS["config"].value,
+    "retrieve_k": SearchPorts.retrieve_k,
+    **{key: getattr(SearchParams, key) for key in _SHAPE_KEYS},
+    "selection": SearchParams.selection_mode.value,
+    "info_config": SearchPorts.config.value,
     "require": [],
     "jobs": 1,
     "per_bundle": DEFAULT_PROBES_PER_BUNDLE,
@@ -272,11 +264,7 @@ def _resolve_theorem(name_or_statement: str, proofs) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -287,8 +275,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _statement_digest(statement: str) -> str:
-    return hashlib.sha256(statement.encode("utf-8")).hexdigest()[:12]
+def _run_log_path(out_dir: str, statement: str) -> str:
+    digest = hashlib.sha256(statement.encode("utf-8")).hexdigest()[:12]
+    return os.path.join(out_dir, f"run-{digest}.json")
 
 
 def _read_theorem_list(path: str) -> list[str]:
@@ -349,6 +338,11 @@ def cmd_vocab(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _log_head(statement: str, cfg: dict) -> dict:
+    """The fields every run log starts with."""
+    return {"theorem": statement, "info_config": cfg["info_config"], "seed": cfg["seed"]}
+
+
 def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None):
     """Prove one statement on a fresh backend. `gateway` is shared across
     runs when given; otherwise each run builds its own, so a mock script
@@ -368,9 +362,7 @@ def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None):
     params = _params(cfg)
     result = prove(statement, params, ports)
     log = {
-        "theorem": statement,
-        "info_config": cfg["info_config"],
-        "seed": cfg["seed"],
+        **_log_head(statement, cfg),
         "params": _params_dict(params),
         "outcome": result.outcome.value,
         "depth_reached": result.depth_reached,
@@ -404,9 +396,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
     index = _build_index(cfg, corpus, proofs)
     statement = _resolve_theorem(args.theorem, proofs)
     result, log = _run_single(statement, cfg, table, corpus, index)
-    out_dir = cfg["out"]
-    _write_json(os.path.join(out_dir, f"run-{_statement_digest(statement)}.json"), log)
-    _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg, [statement]))
+    _write_json(_run_log_path(cfg["out"], statement), log)
+    _write_json(os.path.join(cfg["out"], "manifest.json"), _manifest(cfg, [statement]))
     print(f"theorem: {statement}")
     print(
         f"outcome: {result.outcome.value}  depth: {result.depth_reached}  "
@@ -421,8 +412,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _merged(args)
-    if not args.theorems:
-        raise ValueError("bench requires --theorems")
     statements = _read_theorem_list(args.theorems)
     if not statements:
         raise ValueError(f"theorem list {args.theorems} is empty")
@@ -440,14 +429,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 statement, cfg, table, corpus, index, gateway=shared_gateway
             )
             return statement, result, log, None
-        except (PortFailure, ProoforgeError) as exc:
-            log = {
-                "theorem": statement,
-                "info_config": cfg["info_config"],
-                "seed": cfg["seed"],
-                "outcome": "PortError",
-                "error": str(exc),
-            }
+        except ProoforgeError as exc:
+            log = {**_log_head(statement, cfg), "outcome": "PortError", "error": str(exc)}
             return statement, None, log, exc
 
     jobs = max(1, int(cfg["jobs"]))
@@ -460,9 +443,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             outcomes = list(pool.map(run_one, statements))
 
     for statement, result, log, error in outcomes:
-        _write_json(
-            os.path.join(out_dir, f"run-{_statement_digest(statement)}.json"), log
-        )
+        _write_json(_run_log_path(out_dir, statement), log)
         if error is not None:
             print(f"{statement}: PortError ({error})")
             continue
@@ -476,10 +457,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     resolved = [statement for statement, _result, _log, _error in outcomes]
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg, resolved))
     rate = f"{summary['success_rate']:.2%}" if summary["success_rate"] is not None else "-"
-    print(
-        f"proved {summary['proved']}/{summary['completed']} ({rate}), "
-        f"{summary['port_errors']} port errors"
-    )
+    print("proved {proved}/{completed} ({rate}), {port_errors} port errors".format(rate=rate, **summary))
     return EXIT_OK if summary["port_errors"] == 0 else EXIT_DOMAIN
 
 
@@ -541,20 +519,16 @@ def _tally(logs: Sequence[dict]) -> dict:
     """Outcome counts over run logs. The rate and the means cover the runs
     that did not end in a port error, and are None when there are none."""
     completed = [log for log in logs if log["outcome"] != "PortError"]
-    proved = sum(1 for log in completed if log["outcome"] == Outcome.PROVED.value)
-
-    def mean(key: str) -> Optional[float]:
-        values = [log.get(key, 0) for log in completed]
-        return sum(values) / len(values) if values else None
-
+    n = len(completed)
+    proved = sum(log["outcome"] == Outcome.PROVED.value for log in completed)
     return {
         "runs": len(logs),
-        "completed": len(completed),
-        "port_errors": len(logs) - len(completed),
+        "completed": n,
+        "port_errors": len(logs) - n,
         "proved": proved,
-        "success_rate": proved / len(completed) if completed else None,
-        "avg_depth": mean("depth_reached"),
-        "avg_tactics": mean("tactic_evaluations_used"),
+        "success_rate": proved / n if n else None,
+        "avg_depth": sum(log.get("depth_reached", 0) for log in completed) / n if n else None,
+        "avg_tactics": sum(log.get("tactic_evaluations_used", 0) for log in completed) / n if n else None,
     }
 
 
@@ -681,16 +655,8 @@ def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embed-url", dest="embed_url", default=None)
     parser.add_argument("--embed-model", dest="embed_model", default=None)
     parser.add_argument("--retrieve-k", dest="retrieve_k", type=int, default=None)
-    parser.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    parser.add_argument("--beam-width", dest="beam_width", type=int, default=None)
-    parser.add_argument("--max-retries", dest="max_retries", type=int, default=None)
-    parser.add_argument(
-        "--tactics-per-state", dest="tactics_per_state", type=int, default=None
-    )
-    parser.add_argument(
-        "--reconsider-factor", dest="reconsider_factor", type=int, default=None
-    )
-    parser.add_argument("--budget", type=int, default=None)
+    for key in _SHAPE_KEYS:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
     parser.add_argument(
         "--selection", choices=("ModelBased", "ShortestProof"), default=None
     )
@@ -779,16 +745,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PortFailure as exc:
         print(f"port failure: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ProoforgeError as exc:
+    except (ProoforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """The proof-engine port and its two backends.
 
-The port is five operations on sessions: ``start_session`` opens a theorem
-(raising SessionDesync with the compile error when it does not compile),
-``clone_session`` copies a session, ``compile_tactic`` validates a tactic
-without advancing, ``apply_tactic`` advances, and ``close_session`` releases
-what the session holds. A tactic's text is compared, deduplicated and sent in
-one form, `canonical_tactic`.
+The port is five session operations: ``start_session`` opens a theorem (a
+theorem that does not compile raises SessionDesync carrying the bare compile
+error), ``clone_session`` copies, ``compile_tactic`` validates without
+advancing, ``apply_tactic`` advances, and ``close_session`` releases the
+session. Tactic texts are compared and sent in one form, `canonical_tactic`.
 
 Two backends ship. SyntheticBackend implements a deterministic toy goal
 calculus so the whole search stack runs offline: goals are plain term texts,
@@ -25,12 +24,10 @@ and the supported tactics are
 
 Elaborated (internal) texts come from a scripted ``internal_forms`` mapping,
 defaulting to the surface text, so fixtures can carry real elaborations.
-``start_session`` raises SessionDesync carrying the bare compile error of a
-theorem that does not compile; it gets that error from
-``SyntheticBackend.compile_theorem``, which stays a method of its own because
-the offline benchmark times it under that name. Proof states are immutable, so
-``clone_session`` copies a session by value and ``close_session`` has nothing
-to release.
+Its ``start_session`` checks the theorem with ``compile_theorem``, kept as a
+method of its own because the offline benchmark times it under that name.
+Proof states are immutable, so ``clone_session`` copies a session by value
+and ``close_session`` has nothing to release.
 
 SubprocessBackend adapts a serialization-protocol prover subprocess
 (s-expression framing over pipes). It is best-effort and feature-gated on an
@@ -136,6 +133,10 @@ def _split_top(text: str, separator: str) -> Optional[tuple[str, str]]:
     return None
 
 
+def _not_found(name: str) -> CompileResult:
+    return CompileResult(False, error=f"The reference {name} was not found in the current environment.")
+
+
 def _balanced(text: str) -> bool:
     depth = 0
     for ch in text:
@@ -204,10 +205,7 @@ class SyntheticBackend:
             return CompileResult(False, error="Syntax error: unbalanced parentheses.")
         missing = self._missing_reference(source, requires)
         if missing is not None:
-            return CompileResult(
-                False,
-                error=f"The reference {missing} was not found in the current environment.",
-            )
+            return _not_found(missing)
         if source in self.auto_solved:
             return CompileResult(True, state=ProofState(()))
         return CompileResult(True, state=ProofState((self._goal((), (), source),)))
@@ -346,16 +344,8 @@ class SyntheticBackend:
             name = words[1]
             lemma = self.lemmas.get(name)
             missing = self._missing_reference(name, ())
-            if missing is not None:
-                return CompileResult(
-                    False,
-                    error=f"The reference {missing} was not found in the current environment.",
-                )
-            if lemma is None:
-                return CompileResult(
-                    False,
-                    error=f"The reference {name} was not found in the current environment.",
-                )
+            if missing is not None or lemma is None:
+                return _not_found(missing or name)
             if lemma.conclusion.strip() != focus.goal_surface.strip():
                 return CompileResult(
                     False,
@@ -516,9 +506,6 @@ class SubprocessBackend:
         self._ids = itertools.count(1)
         self._procs: dict[int, object] = {}
         self._tips: dict[int, int] = {}
-
-    # The subprocess wiring below is exercised only against a live prover;
-    # the framing and answer walking are kept small enough to audit by eye.
 
     def _spawn(self):
         import subprocess

@@ -1,9 +1,8 @@
 """Uniform chat-completion interface: free-text completion, structured
 action-response parsing, and YES/NO log-probability judgment.
 
-Every call the library makes has a role, and `ROLE_SETTINGS` is the one
-table of roles and of the settings each role's requests are sent with;
-`ChatRequest.for_role` builds every such request from it.
+`ROLE_SETTINGS` is the one table of the roles of the library's calls and of
+each role's request settings; `ChatRequest.for_role` builds every request.
 
 Two gateways ship. MockGateway replays a script of records routed by the role
 each caller sets on its request; every record names the route it answers,
@@ -29,7 +28,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     MalformedResponse,
@@ -50,8 +49,7 @@ DEFAULT_API_KEY_ENV = "PROOFORGE_API_KEY"
 VALID_ROLES = ("system", "user", "assistant")
 
 
-@dataclass(frozen=True)
-class RoleSettings:
+class RoleSettings(NamedTuple):
     temperature: float
     max_tokens: int = 1024
     want_logprobs: bool = False
@@ -72,9 +70,7 @@ ROLE_SETTINGS: dict[str, RoleSettings] = {
 
 def _check_role(role: str, what: str) -> None:
     if role not in ROLE_SETTINGS:
-        raise ValueError(
-            f"{what} {role!r} is not a role; roles are {', '.join(ROLE_SETTINGS)}"
-        )
+        raise ValueError(f"{what} {role!r} is not a role; roles are {', '.join(ROLE_SETTINGS)}")
 
 
 @dataclass(frozen=True)
@@ -114,14 +110,7 @@ class ChatRequest:
     def for_role(cls, role: str, content: str) -> "ChatRequest":
         """A one-message request with `role`'s settings from the table."""
         _check_role(role, "request role")
-        settings = ROLE_SETTINGS[role]
-        return cls.user(
-            content,
-            temperature=settings.temperature,
-            max_tokens=settings.max_tokens,
-            want_logprobs=settings.want_logprobs,
-            role=role,
-        )
+        return cls.user(content, role=role, **ROLE_SETTINGS[role]._asdict())
 
     def digest(self) -> str:
         joined = "\x1f".join(f"{role}\x1e{content}" for role, content in self.messages)
@@ -414,8 +403,6 @@ class MockGateway:
             self._add(record)
 
     def _add(self, record: ScriptRecord) -> None:
-        if not record.route:
-            raise ValueError(f"script record {record.reply!r} names no route")
         _check_role(record.route, f"script record {record.reply!r} route")
         if record.default:
             self._defaults[record.route] = record

@@ -20,12 +20,11 @@ Complete              yes         yes     yes       yes        yes
 ChineseTranslation    yes         yes     yes       yes        yes
 ====================  ==========  ======  ========  =========  =========
 
-A structured configuration shows each hypothesis and goal in both its
-surface and internal forms, and adds the glob-def section and the extra
-sections: proof tracing, related premises, related tactics, public notes and
-hint. The two bare configurations carry only the proof-state block (surface
-text with shortened names, or the internal text) and the action
-instructions. ChineseTranslation renders glob-def bodies from
+A structured configuration shows the proof state in surface and internal
+forms and adds the glob-def, proof tracing, related premises, related
+tactics, public notes and hint sections. The two bare configurations carry
+only the proof-state block and the action instructions. ChineseTranslation
+renders glob-def bodies from
 the records' pre-translated ``*_zh`` fields (falling back to the untranslated
 text when a translation is missing); nothing is machine-translated here.
 

@@ -299,6 +299,27 @@ class TestBench:
         assert summary["proved"] == 1
         assert summary["success_rate"] == 0.5
 
+    def test_report_tallies_the_runs_as_bench_does(self, tmp_path, capsys):
+        # A port error counts as a run and nowhere else.
+        runs = tmp_path / "runs"
+        assert main(bench_args(runs)) == EXIT_OK
+        summary = json.loads((runs / "summary.json").read_text(encoding="utf-8"))
+        (runs / "run-port-error.json").write_text(
+            json.dumps({"theorem": "X", "info_config": "Complete", "outcome": "PortError"}),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[2].split()
+        assert row == [
+            "Complete",
+            str(summary["runs"] + 1),
+            str(summary["proved"]),
+            f"{100 * summary['success_rate']:.1f}",
+            f"{summary['avg_depth']:.2f}",
+            f"{summary['avg_tactics']:.2f}",
+        ]
+
     def test_equal_seeds_produce_byte_identical_logs(self, tmp_path, capsys):
         # Two runs, same seed, different directories: every artifact byte
         # matches.
