@@ -69,7 +69,7 @@ _FORBIDDEN_CONFIG_KEYS = {"api_key", "apikey", "token", "secret", "password"}
 # The search-shape config keys, each named after its SearchParams field.
 _SHAPE_KEYS = ("max_depth", "beam_width", "max_retries", "tactics_per_state", "reconsider_factor", "budget")
 
-# The library's defaults (the dataclass defaults among them) for what it owns.
+# Every default the library owns is read from it; the rest belong to the CLI.
 _DEFAULTS = {
     "backend": "synthetic",
     "backend_spec": "",
