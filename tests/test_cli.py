@@ -554,8 +554,8 @@ class TestDumpPrompt:
 
 
 # ----------------------------------------------------------------------
-# clarity and dump-prompt open each theorem as prove does: one session,
-# closed once its state is read
+# clarity and dump-prompt open each theorem with one session and close it
+# once its state is read
 # ----------------------------------------------------------------------
 
 class CountingBackend:
