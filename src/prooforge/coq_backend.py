@@ -399,14 +399,17 @@ def replay_trace(
 ) -> ProofState:
     """Replay a (tactic, explanation) trace from scratch: each tactic is
     validated then applied. Returns the final state; raises SessionDesync if
-    any step fails validation."""
+    any step fails validation. The session is closed either way."""
     session = backend.start_session(theorem_source, requires)
-    for tactic, _explanation in trace:
-        result = backend.compile_tactic(tactic, session.state, session)
-        if not result.success:
-            raise SessionDesync(f"trace step {tactic!r} failed: {result.error}")
-        backend.apply_tactic(tactic, session)
-    return session.state
+    try:
+        for tactic, _explanation in trace:
+            result = backend.compile_tactic(tactic, session.state, session)
+            if not result.success:
+                raise SessionDesync(f"trace step {tactic!r} failed: {result.error}")
+            backend.apply_tactic(tactic, session)
+        return session.state
+    finally:
+        backend.close_session(session)
 
 
 # ======================================================================

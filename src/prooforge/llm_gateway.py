@@ -14,7 +14,9 @@ API key is read at call time from an environment variable (by default
 
 parse_action_response is total: any text yields InfoRequest, TacticSuggestions,
 or Unparsed, tolerating prose, code fences, and unquoted keys around the
-structured object.
+structured object. It and the two array parsers share one helper,
+`_candidates`: a reply that is one bare JSON value loads in a single pass,
+and any other reply is scanned for balanced regions, each loaded in turn.
 """
 
 from __future__ import annotations
@@ -231,15 +233,34 @@ def _interpret(obj) -> Optional[ActionResponse]:
     return None
 
 
+def _candidates(raw: str, open_ch: str, close_ch: str):
+    """The values to try, in order, for the open..close values in a reply.
+
+    A reply that is one JSON value, give or take surrounding whitespace,
+    loads in one pass and is the only candidate: a valid JSON value is
+    exactly the first outermost balanced region, so the scan would find it
+    first and nothing after it. Any other reply yields the load of each
+    balanced region in turn (None for one that does not load)."""
+    text = raw.strip()
+    if text[:1] == open_ch and text[-1:] == close_ch:
+        try:
+            yield json.loads(text)
+            return
+        except json.JSONDecodeError:
+            pass
+    for region in _balanced_regions(raw, open_ch, close_ch):
+        yield _try_load(region)
+
+
 def parse_action_response(raw: str) -> ActionResponse:
     """Parse a model reply into the first recognizable action, else Unparsed.
 
     Never raises. Surrounding prose and code fences are ignored; an object
     carrying both keys counts as whichever interpretation succeeds first
-    (tactics take precedence since they advance the proof).
+    (tactics take precedence since they advance the proof). The objects
+    tried come from `_candidates`.
     """
-    for candidate in _balanced_regions(raw, "{", "}"):
-        obj = _try_load(candidate)
+    for obj in _candidates(raw, "{", "}"):
         action = _interpret(obj)
         if action is not None:
             return action
@@ -247,18 +268,17 @@ def parse_action_response(raw: str) -> ActionResponse:
 
 
 def parse_string_array(raw: str) -> Optional[list[str]]:
-    """First balanced JSON array of strings in the text, or None."""
-    for candidate in _balanced_regions(raw, "[", "]"):
-        loaded = _try_load(candidate)
+    """First JSON array of strings among the reply's `_candidates`, or None."""
+    for loaded in _candidates(raw, "[", "]"):
         if isinstance(loaded, list) and all(isinstance(x, str) for x in loaded):
             return loaded
     return None
 
 
 def parse_int_array(raw: str) -> Optional[list[int]]:
-    """First balanced JSON array of integers in the text, or None."""
-    for candidate in _balanced_regions(raw, "[", "]"):
-        loaded = _try_load(candidate)
+    """First non-empty JSON array of integers among the reply's
+    `_candidates`, or None."""
+    for loaded in _candidates(raw, "[", "]"):
         if (
             isinstance(loaded, list)
             and loaded
@@ -345,7 +365,8 @@ class ScriptRecord:
     `route` is the request role the record answers; MockGateway rejects a
     record without one. `default` marks a reusable fallback reply for its
     route. `expect_digest`, when set, must match the incoming request digest
-    exactly. `yes_no` scripts the judged pair returned by yes_no_logprobs.
+    exactly. `yes_no` scripts the judged pair returned by yes_no_logprobs;
+    `from_obj` checks it as a `YesNoLogprobs`, so a bad pair fails the load.
     """
 
     reply: str = ""
@@ -372,8 +393,8 @@ class ScriptRecord:
             )
         yes_no = None
         if obj.get("yes_no") is not None:
-            pair = obj["yes_no"]
-            yes_no = (float(pair[0]), float(pair[1]))
+            pair = YesNoLogprobs(float(obj["yes_no"][0]), float(obj["yes_no"][1]))
+            yes_no = (pair.log_p_yes, pair.log_p_no)
         return cls(
             reply=obj.get("reply", ""),
             route=obj.get("route"),

@@ -5,8 +5,12 @@ context once: the corpus concepts the current state references, a planner
 strategy, and the related premises and tactic examples, both ranked from
 one embedding of the first goal. The proof-state and concept blocks the
 planner and executor prompts share are rendered once per expansion, and
-again only after an info request adds concepts; each goal or hypothesis
-text is tokenized once per proof. Then up to `max_retries + 1` rounds run:
+again only after an info request adds concepts. Two facts are computed once
+per proof and kept for that proof only: the global tokens of each goal or
+hypothesis text, and the premises and tactic examples of each first-goal
+text, which is embedded and ranked the first time the proof sees it (a goal
+that embeds to zero gets none; a provider failure is not kept). Then up to
+`max_retries + 1` rounds run:
 the executor proposes up to `tactics_per_state` tactics (after at most one
 request for more concepts per expansion, resolved through the corpus name
 index), each proposal is validated against the live session (the only
@@ -33,6 +37,11 @@ remain, reports Failure when a layer expands to nothing, and reports
 BudgetExhausted the moment a validation would exceed the budget. A port
 failure prunes its branch; the branch's `branch-pruned` event is recorded
 when the layer is collected, in branch order.
+
+Every backend session the search opens is closed: a branch's once its
+expansion is done, a child's once dedupe, the beam cut or a pruned expansion
+drops it (before the next layer validates anything), and all the rest when
+the proof returns or raises.
 """
 
 from __future__ import annotations
@@ -362,14 +371,58 @@ def _lookup_info(ports: SearchPorts, names, have_tokens: set):
     return tuple(pairs)
 
 
-def _retrieve_context(ports: SearchPorts, state: ProofState):
+class _ProofScope:
+    """What one proof keeps, and nothing outlives it: the global tokens of
+    each goal or hypothesis text, the (premises, tactic examples) ranked for
+    each first-goal text, and the backend sessions still open."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.tokens: dict = {}
+        self.retrieved: dict = {}
+        self._open: dict = {}
+
+    def opened(self, session):
+        self._open[id(session)] = session
+        return session
+
+    def clone(self, session):
+        return self.opened(self.backend.clone_session(session))
+
+    def close(self, session) -> None:
+        if self._open.pop(id(session), None) is not None:
+            self.backend.close_session(session)
+
+    def close_all_but(self, branches) -> None:
+        """Close every open session no branch in `branches` holds."""
+        keep = {id(branch.session) for branch in branches}
+        for key, session in list(self._open.items()):
+            if key not in keep:
+                del self._open[key]
+                self.backend.close_session(session)
+
+
+def _retrieve_context(ports: SearchPorts, state: ProofState, memo: dict):
+    """Premises and tactic examples ranked for the first goal, embedded and
+    ranked only the first time `memo` sees its text. A goal that embeds to
+    zero gets none; a provider failure is not kept, so the next expansion
+    asks again."""
     if ports.index is None or not state.goals:
         return (), ()
-    try:
-        ranked = retrieve(ports.index, state.goals[0].goal_internal, k=ports.retrieve_k)
-    except ZeroVectorError:
-        return (), ()
-    return tuple(p for p, _sim in ranked[PREMISE]), tuple(p for p, _sim in ranked[TACTIC])
+    goal = state.goals[0].goal_internal
+    context = memo.get(goal)
+    if context is None:
+        try:
+            ranked = retrieve(ports.index, goal, k=ports.retrieve_k)
+        except ZeroVectorError:
+            context = (), ()
+        else:
+            context = (
+                tuple(p for p, _sim in ranked[PREMISE]),
+                tuple(p for p, _sim in ranked[TACTIC]),
+            )
+        memo[goal] = context
+    return context
 
 
 def _expand_branch(
@@ -381,14 +434,14 @@ def _expand_branch(
     budget: BudgetCounter,
     depth: int,
     index_in_layer: int,
-    token_memo: dict,
+    scope: _ProofScope,
 ) -> _Expansion:
     state = branch.candidate.state
     trace = branch.candidate.trace
     summary = branch.candidate.summary
     recorder = ports.recorder
 
-    concepts = concept_pairs(ports.corpus, ports.table, state, memo=token_memo)
+    concepts = concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens)
     have_tokens = {token for token, _record in concepts}
     context = render_state_context(state, concepts, ports.config)
     info_used = False
@@ -400,7 +453,7 @@ def _expand_branch(
         return _text(calls, prompt, "planner")
 
     strategy = plan(())
-    premises, tactic_examples = _retrieve_context(ports, state)
+    premises, tactic_examples = _retrieve_context(ports, state, scope.retrieved)
 
     def ask_executor(strategy_text: str):
         bundle = render_prove_prompt(
@@ -467,7 +520,7 @@ def _expand_branch(
 
     expansion = _Expansion(branch.candidate)
     for tactic, _validated in valid:
-        child = ports.backend.clone_session(branch.session)
+        child = scope.clone(branch.session)
         after = ports.backend.apply_tactic(tactic, child)
         if is_subgoal_complete(state, after):
             after = ports.backend.apply_tactic("idtac", child)
@@ -548,7 +601,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
     """Run the full search on one theorem. See the module docstring for the
     layer anatomy. Branch-level port failures prune the branch; a layer lost
     entirely to port failures raises PortFailure with the branch context.
-    No lane thread outlives the call."""
+    No lane thread and no session the search opened outlives the call."""
     recorder = ports.recorder
     recorder.record(
         "start",
@@ -572,25 +625,28 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
             f"theorem does not compile: {truncate_error(str(exc))}",
             context=f"theorem {theorem!r}",
         ) from exc
-    initial_state = root_session.state
-    if is_goal_complete(initial_state):
-        return finish(Outcome.PROVED, 0)
-    layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
+    scope = _ProofScope(ports.backend)
+    scope.opened(root_session)
     notebook = Notebook()
-    token_memo: dict = {}
     depth = 0
     calls = _ProofGateway(ports.gateway)
 
     try:
+        initial_state = root_session.state
+        if is_goal_complete(initial_state):
+            return finish(Outcome.PROVED, 0)
+        layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
         for depth in range(1, params.max_depth + 1):
             collected = _Layer(theorem, depth, recorder)
             for idx, branch in enumerate(layer):
                 try:
                     expansion = _expand_branch(
-                        branch, params, ports, calls, notebook, budget, depth, idx, token_memo
+                        branch, params, ports, calls, notebook, budget, depth, idx, scope
                     )
                 except (ProviderError, SessionDesync) as exc:
                     expansion = _Expansion(branch.candidate, error=exc)
+                finally:
+                    scope.close(branch.session)
                 collected.pending.append((idx, expansion))
                 if expansion.proves:
                     proved = collected.collect()
@@ -604,6 +660,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                 return finish(Outcome.FAILURE, depth)
 
             next_branches = _dedupe_branches(collected.branches)
+            scope.close_all_but(next_branches)
             if collected.insights:
                 notebook = update_notebook(
                     initial_state, collected.insights, notebook, calls
@@ -619,6 +676,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                 )
                 by_identity = {id(branch.candidate): branch for branch in next_branches}
                 next_branches = [by_identity[id(candidate)] for candidate in kept]
+                scope.close_all_but(next_branches)
             recorder.record(
                 "layer", depth=depth, width=len(next_branches), evaluations=budget.used
             )
@@ -628,4 +686,5 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         return finish(Outcome.BUDGET_EXHAUSTED, depth)
     finally:
         calls.close()
+        scope.close_all_but(())
     return finish(Outcome.FAILURE, depth)

@@ -419,6 +419,30 @@ class TestClarity:
             "error: theorem does not compile: Syntax error: unbalanced parentheses.\n"
         )
 
+    def test_a_bad_judge_pair_fails_the_script_load(self, tmp_path, capsys):
+        script = tmp_path / "script.jsonl"
+        script.write_text(
+            '{"route": "probe", "default": true, "reply": "p"}\n'
+            '{"route": "judge", "default": true, "yes_no": [0.5, -1.0]}\n',
+            encoding="utf-8",
+        )
+        code = main([
+            "clarity",
+            *mock_ports_args(),
+            "--gateway-script", str(script),
+            "--entities", entities_path(),
+            "--theorem", WORKED,
+            "--out", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == (
+            f"error: gateway script {script}, line 2: "
+            "log probabilities must be <= 0 and not NaN\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_requires_a_theorem(self, tmp_path, capsys):
         code = main([
             "clarity",

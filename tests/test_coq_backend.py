@@ -390,6 +390,24 @@ class TestSessions:
         with pytest.raises(SessionDesync):
             replay_trace(backend, ADD_0_L_SURFACE, (), [("reflexivity", "")])
 
+    def test_replay_trace_closes_its_session(self):
+        class Counting(SyntheticBackend):
+            starts = closes = 0
+
+            def start_session(self, *args, **kwargs):
+                self.starts += 1
+                return super().start_session(*args, **kwargs)
+
+            def close_session(self, session):
+                self.closes += 1
+
+        backend = Counting()
+        replay_trace(backend, "A -> A", (), [("intros", ""), ("assumption", "")])
+        assert (backend.starts, backend.closes) == (1, 1)
+        with pytest.raises(SessionDesync):
+            replay_trace(backend, "A -> A", (), [("assumption", "")])
+        assert (backend.starts, backend.closes) == (2, 2)
+
     @given(st.lists(st.sampled_from(["intros n", "simpl", "reflexivity", "ring"]), max_size=4))
     def test_validation_is_always_side_effect_free(self, tactics):
         backend = worked_backend()

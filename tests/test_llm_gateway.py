@@ -1,6 +1,7 @@
 """Gateway layer: requests, action parsing, judged logprobs, mock and HTTP."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from prooforge.llm_gateway import (
     TokenLogprob,
     Unparsed,
     _balanced_regions,
+    _interpret,
+    _try_load,
     derive_yes_no_logprobs,
     parse_action_response,
     parse_int_array,
@@ -209,6 +212,102 @@ class TestBalancedRegions:
 
 
 # ----------------------------------------------------------------------
+# The three parsers, against the region scan they share when a reply is not
+# one bare JSON value
+# ----------------------------------------------------------------------
+
+def reference_loads(raw: str, open_ch: str, close_ch: str):
+    return (_try_load(region) for region in _balanced_regions(raw, open_ch, close_ch))
+
+
+def reference_action(raw: str):
+    for obj in reference_loads(raw, "{", "}"):
+        action = _interpret(obj)
+        if action is not None:
+            return action
+    return Unparsed(raw=raw)
+
+
+def reference_string_array(raw: str):
+    for loaded in reference_loads(raw, "[", "]"):
+        if isinstance(loaded, list) and all(isinstance(x, str) for x in loaded):
+            return loaded
+    return None
+
+
+def reference_int_array(raw: str):
+    for loaded in reference_loads(raw, "[", "]"):
+        if isinstance(loaded, list) and loaded and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in loaded
+        ):
+            return loaded
+    return None
+
+
+_KEYS = st.sampled_from(["tactics", "info", "tactic", "reason", "a_b", "x"])
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-5, 99)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.text(alphabet='ab {}[]":,\\\n', max_size=8)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=10,
+)
+_ACTIONS = st.one_of(
+    st.builds(
+        lambda tactics: {"tactics": [{"tactic": t, "reason": "r"} for t in tactics]},
+        st.lists(st.sampled_from(["intros", "simpl", " ", "ring"]), max_size=3),
+    ),
+    st.builds(lambda names: {"info": names}, st.lists(st.sampled_from(["eq", "add", ""]), max_size=3)),
+    st.lists(st.sampled_from(["note", "x"]), max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+
+
+@st.composite
+def replies(draw):
+    value = draw(_ACTIONS | _JSON)
+    text = json.dumps(value, indent=draw(st.sampled_from([None, 2])))
+    if draw(st.booleans()):
+        text = re.sub(r'"([A-Za-z_]+)":', r"\1:", text)  # bare keys
+    pad = st.text(alphabet=" \t\n\x0b\u00a0", max_size=3)
+    shape = draw(st.sampled_from(["bare", "padded", "prose", "fenced", "two"]))
+    if shape == "padded":
+        text = draw(pad) + text + draw(pad)
+    elif shape == "prose":
+        text = draw(st.text(alphabet="ab :{[", max_size=6)) + text + draw(st.text(alphabet="ab }]", max_size=6))
+    elif shape == "fenced":
+        text = "Plan:\n```json\n" + text + "\n```\n"
+    elif shape == "two":
+        text = text + draw(pad) + json.dumps(draw(_ACTIONS))
+    return text
+
+
+class TestParsersMatchTheRegionScan:
+    @settings(max_examples=600)
+    @given(replies())
+    def test_every_parser_gives_the_reference_result(self, raw):
+        assert parse_action_response(raw) == reference_action(raw)
+        assert parse_string_array(raw) == reference_string_array(raw)
+        assert parse_int_array(raw) == reference_int_array(raw)
+
+    @pytest.mark.parametrize("raw", [
+        '{"tactics": [{"tactic": "simpl"}]}',
+        '\n [1, 2] \n',
+        '{"tactics": [{"tactic": "a]"}]} {"info": ["eq"]}',
+        '["a"] ["b"]',
+        '{"tactics": []}',
+        '{"x": 1}',
+    ])
+    def test_fixed_cases(self, raw):
+        assert parse_action_response(raw) == reference_action(raw)
+        assert parse_string_array(raw) == reference_string_array(raw)
+        assert parse_int_array(raw) == reference_int_array(raw)
+
+
+# ----------------------------------------------------------------------
 # YES/NO derivation
 # ----------------------------------------------------------------------
 
@@ -372,6 +471,21 @@ class TestMockGateway:
         gateway = MockGateway.from_file(str(path))
         assert gateway.complete(ChatRequest.user("a", role="planner")).text == "hello"
         assert gateway.complete(ChatRequest.user("b", role="planner")).text == "world"
+
+    def test_from_file_checks_a_yes_no_pair_at_load(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({"route": "judge", "default": True, "yes_no": [-0.1, -2.3]})
+            + "\n"
+            + json.dumps({"route": "judge", "yes_no": [0.5, -1.0]})
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == (
+            f"gateway script {path}, line 2: log probabilities must be <= 0 and not NaN"
+        )
 
     def test_calls_are_recorded(self):
         gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])

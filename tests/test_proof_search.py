@@ -33,7 +33,7 @@ from prooforge.corpus import (
     encode_entity_record,
     load_entity_corpus,
 )
-from prooforge.errors import PortFailure
+from prooforge.errors import PortFailure, ProviderError
 from prooforge.llm_gateway import MockGateway, ScriptRecord
 from prooforge.proof_search import (
     Outcome,
@@ -46,7 +46,7 @@ from prooforge.proof_search import (
     select_best,
     update_notebook,
 )
-from prooforge.retrieval import MockEmbeddingProvider, build_index
+from prooforge.retrieval import HttpEmbeddingProvider, MockEmbeddingProvider, build_index
 from prooforge.tokenizer import TokenTable
 
 
@@ -221,11 +221,14 @@ class TestScriptedRuns:
 
     def test_one_session_per_proof(self):
         # The root session is the theorem's only compilation, so a
-        # subprocess backend starts one prover process per proof.
+        # subprocess backend starts one prover process per proof; every
+        # session, the clones included, is closed by the time prove returns.
         class CountingBackend:
             def __init__(self, inner):
                 self.inner = inner
-                self.counts = {"compile_theorem": 0, "start_session": 0}
+                self.counts = dict.fromkeys(
+                    ("compile_theorem", "start_session", "clone_session", "close_session"), 0
+                )
 
             def __getattr__(self, name):
                 method = getattr(self.inner, name)
@@ -237,15 +240,20 @@ class TestScriptedRuns:
                     return method(*args, **kwargs)
                 return counted
 
-        for theorem, inner in (
-            (ADD_0_L_SURFACE, worked_backend()),
-            ("True", SyntheticBackend(auto_solved=["True"])),
+        for theorem, inner, clones in (
+            (ADD_0_L_SURFACE, worked_backend(), 3),
+            ("True", SyntheticBackend(auto_solved=["True"]), 0),
         ):
             _gateway, ports = self.proved_ports()
             ports.backend = backend = CountingBackend(inner)
             result = prove(theorem, SearchParams(max_depth=3), ports)
             assert result.outcome is Outcome.PROVED
-            assert backend.counts == {"compile_theorem": 0, "start_session": 1}
+            assert backend.counts == {
+                "compile_theorem": 0,
+                "start_session": 1,
+                "clone_session": clones,
+                "close_session": 1 + clones,
+            }
 
     def test_each_applied_tactic_is_explained_once(self):
         # [PAPER] the explanation prompt shows the tactic and the goals before
@@ -566,9 +574,11 @@ class TurnsFast(WaitingGateway):
         return self.delay_s
 
 
-def run_branching(records, delay_s: float, params=BRANCHING_PARAMS, kind=WaitingGateway):
+def run_branching(
+    records, delay_s: float, params=BRANCHING_PARAMS, kind=WaitingGateway, backend=None
+):
     gateway = kind(records, delay_s)
-    ports = SearchPorts(backend=SyntheticBackend(), gateway=gateway)
+    ports = SearchPorts(backend=backend or SyntheticBackend(), gateway=gateway)
     return prove("A -> B -> A", params, ports), ports.recorder.events, gateway
 
 
@@ -679,6 +689,210 @@ class TestOverlappedCalls:
                 assert "prooforge-explain_0" in gateway.threads
             assert set(threading.enumerate()) == before
             assert threading.active_count() == count
+
+
+# ----------------------------------------------------------------------
+# Every session the search opens is closed
+# ----------------------------------------------------------------------
+
+class SessionLedger:
+    """A synthetic backend that logs the sessions it opens and closes, and
+    which sessions are open at each validation."""
+
+    def __init__(self, inner=None):
+        self.inner = inner or SyntheticBackend()
+        self.opened: list[int] = []
+        self.closed: list[int] = []
+        self.validations: list[tuple[int, set]] = []
+
+    def open_ids(self) -> set:
+        return set(self.opened) - set(self.closed)
+
+    def start_session(self, *args, **kwargs):
+        session = self.inner.start_session(*args, **kwargs)
+        self.opened.append(session.session_id)
+        return session
+
+    def clone_session(self, session):
+        clone = self.inner.clone_session(session)
+        self.opened.append(clone.session_id)
+        return clone
+
+    def close_session(self, session):
+        assert session.session_id in self.open_ids()
+        self.closed.append(session.session_id)
+
+    def compile_tactic(self, tactic, state, session):
+        self.validations.append((session.session_id, self.open_ids()))
+        return self.inner.compile_tactic(tactic, state, session)
+
+    def apply_tactic(self, tactic, session):
+        return self.inner.apply_tactic(tactic, session)
+
+    def first_validation_after(self, session_id: int) -> set:
+        """The open sessions at the first validation on a later session."""
+        return next(open_ids for sid, open_ids in self.validations if sid > session_id)
+
+
+class TestSessionLifecycle:
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    @pytest.mark.parametrize("records, params, outcome", [
+        (branching_records(), BRANCHING_PARAMS, Outcome.PROVED),
+        (branching_records(), SearchParams(max_depth=1, max_retries=0), Outcome.FAILURE),
+        (branching_records(), dataclasses.replace(BRANCHING_PARAMS, budget=5),
+         Outcome.BUDGET_EXHAUSTED),
+        (failing_at_depth_two("explain"), BRANCHING_PARAMS, Outcome.PROVED),
+        ([r for r in route_defaults() if r.route != "explain"]
+         + [ScriptRecord(reply=tactics_reply("intros"), route="executor")],
+         BRANCHING_PARAMS, None),
+    ], ids=["proved", "failure", "budget", "pruned", "port-failure"])
+    def test_every_opened_session_is_closed_once(self, records, params, outcome, delay_s):
+        backend = SessionLedger()
+        if outcome is None:
+            with pytest.raises(PortFailure):
+                run_branching(records, delay_s, params, backend=backend)
+        else:
+            result, _events, _gateway = run_branching(records, delay_s, params, backend=backend)
+            assert result.outcome is outcome
+        assert len(backend.opened) > 1
+        assert sorted(backend.closed) == sorted(backend.opened)
+
+    def test_an_expanded_branch_and_a_beam_dropped_child_are_closed_at_once(self):
+        # Depth 1 clones sessions 2, 3 and 4; the rank reply keeps 4 and 2.
+        # At depth 2, branch 0 (session 4) clones 5 and 6 and is closed
+        # before branch 1 (session 2) validates.
+        backend = SessionLedger()
+        result, _events, _gateway = run_branching(branching_records(), 0.0, backend=backend)
+        assert result.outcome is Outcome.PROVED
+        assert backend.first_validation_after(1) == {2, 4}
+        assert next(ids for sid, ids in backend.validations if sid == 2) == {2, 5, 6}
+
+    def test_a_duplicate_child_is_closed_before_the_next_layer_validates(self):
+        # `split` and `apply conj_intro` give sessions 2 and 3 the same state;
+        # dedupe keeps the earlier one.
+        backend = SessionLedger(
+            SyntheticBackend(lemmas={"conj_intro": Lemma("P /\\ Q", ("P", "Q"))})
+        )
+        records = route_defaults() + [
+            ScriptRecord(reply=tactics_reply("split", "apply conj_intro"), route="executor"),
+            ScriptRecord(reply=tactics_reply("idtac"), route="executor"),
+        ]
+        ports = SearchPorts(backend=backend, gateway=MockGateway(records))
+        prove("P /\\ Q", SearchParams(max_depth=2, beam_width=1, max_retries=0), ports)
+        assert backend.first_validation_after(1) == {2}
+
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    def test_a_pruned_expansion_closes_its_children_before_the_next_layer(self, delay_s):
+        # Depth 2, branch 0 (session 4) clones 5, then its explain call
+        # fails; on lanes the failure shows at the barrier, after it cloned
+        # 5 and 6. Branch 1 (session 2) keeps one child, the only session
+        # open when depth 3 validates.
+        records = failing_at_depth_two("explain")
+        executor = [r for r in records if r.route == "executor"]
+        executor[2].reply = tactics_reply("idtac")
+        records.append(ScriptRecord(reply=tactics_reply("assumption"), route="executor"))
+        backend = SessionLedger()
+        result, events, _gateway = run_branching(records, delay_s, backend=backend)
+        assert result.outcome is Outcome.PROVED
+        assert [(e["depth"], e["branch"]) for e in events if e["event"] == "branch-pruned"] == [(2, 0)]
+        assert len(backend.opened) == (7 if delay_s == 0.0 else 8)
+        kept, open_ids = backend.validations[-1]
+        assert open_ids == {kept}
+        assert sorted(backend.closed) == sorted(backend.opened)
+
+
+# ----------------------------------------------------------------------
+# Retrieval is computed once per goal text and proof
+# ----------------------------------------------------------------------
+
+class CountingTransport:
+    """An embeddings endpoint stand-in: answers with the mock provider's
+    vectors and logs every requested text; `fail` texts raise once each."""
+
+    def __init__(self, fail=()):
+        self.mock = MockEmbeddingProvider()
+        self.texts: list[str] = []
+        self.fail = set(fail)
+
+    def __call__(self, url, payload, headers):
+        (text,) = payload["input"]
+        self.texts.append(text)
+        if text in self.fail:
+            self.fail.discard(text)
+            raise ConnectionError("endpoint down")
+        return {"data": [{"embedding": self.mock.embed(text).tolist()}]}
+
+
+def retrieval_ports(records, transport) -> SearchPorts:
+    provider = HttpEmbeddingProvider("http://embed.invalid", "m", transport=transport)
+    index = build_index(provider, premises=[("A.a", "alpha")], tactics=[("intros", "goal")])
+    transport.texts.clear()
+    return SearchPorts(backend=SyntheticBackend(), gateway=MockGateway(records), index=index)
+
+
+class TestRetrievalMemo:
+    def test_a_repeated_goal_costs_no_request_and_a_new_proof_asks_again(self):
+        # `idtac` twice keeps the goal A -> B -> A for three expansions.
+        transport = CountingTransport()
+        requests = []
+        for _proof in range(2):
+            records = route_defaults() + [
+                ScriptRecord(reply=tactics_reply("idtac"), route="executor"),
+                ScriptRecord(reply=tactics_reply("idtac"), route="executor"),
+                ScriptRecord(reply=tactics_reply("intros"), route="executor"),
+                ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+            ]
+            ports = retrieval_ports(records, transport)
+            result = prove("A -> B -> A", SearchParams(max_depth=4, max_retries=0), ports)
+            assert result.outcome is Outcome.PROVED
+            assert result.depth_reached == 4
+            requests.append(list(transport.texts))
+            executor_prompts = calls_for(ports.gateway, "executor")
+            assert len(executor_prompts) == 4
+            assert all("- A.a : alpha" in prompt for prompt in executor_prompts)
+        assert requests == [["A -> B -> A", "A"], ["A -> B -> A", "A"]]
+
+    def test_a_provider_failure_is_asked_again_at_the_next_expansion(self):
+        # Both depth-1 children have the goal A. Branch 0's query fails and
+        # prunes it; branch 1 asks for the same text again and proves.
+        transport = CountingTransport(fail={"A"})
+        records = route_defaults() + [
+            ScriptRecord(reply=tactics_reply("intros", "intros a b"), route="executor"),
+            ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+        ]
+        ports = retrieval_ports(records, transport)
+        result = prove("A -> B -> A", SearchParams(max_depth=2, beam_width=2, max_retries=0), ports)
+        assert result.outcome is Outcome.PROVED
+        assert transport.texts == ["A -> B -> A", "A", "A"]
+        pruned = [e for e in ports.recorder.events if e["event"] == "branch-pruned"]
+        assert [(e["depth"], e["branch"]) for e in pruned] == [(2, 0)]
+        assert "endpoint down" in pruned[0]["error"]
+
+    def test_a_zero_vector_goal_is_ranked_once_as_empty(self):
+        class ZeroForA(MockEmbeddingProvider):
+            def embed(self, text):
+                self.queries.append(text)
+                return super().embed(text) * (text != "A")
+
+        provider = ZeroForA()
+        provider.queries = []
+        records = route_defaults() + [
+            ScriptRecord(reply=tactics_reply("intros"), route="executor"),
+            ScriptRecord(reply=tactics_reply("idtac"), route="executor"),
+            ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+        ]
+        ports = SearchPorts(
+            backend=SyntheticBackend(),
+            gateway=MockGateway(records),
+            index=build_index(provider, premises=[("A.a", "alpha")]),
+        )
+        provider.queries.clear()
+        result = prove("A -> B -> A", SearchParams(max_depth=3, max_retries=0), ports)
+        assert result.outcome is Outcome.PROVED
+        assert provider.queries == ["A -> B -> A", "A"]
+        prompts = calls_for(ports.gateway, "executor")
+        assert "- A.a : alpha" in prompts[0]
+        assert not any("- A.a : alpha" in prompt for prompt in prompts[1:])
 
 
 # ----------------------------------------------------------------------
