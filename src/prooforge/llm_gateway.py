@@ -234,7 +234,8 @@ def _interpret(obj) -> Optional[ActionResponse]:
 
 
 def _candidates(raw: str, open_ch: str, close_ch: str):
-    """The values to try, in order, for the open..close values in a reply.
+    """The loaded values a parser tries, in order, for a reply's
+    open..close JSON values.
 
     A reply that is one JSON value, give or take surrounding whitespace,
     loads in one pass and is the only candidate: a valid JSON value is
