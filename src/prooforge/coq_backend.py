@@ -29,17 +29,19 @@ method of its own because the offline benchmark times it under that name.
 Proof states are immutable, so ``clone_session`` copies a session by value
 and ``close_session`` has nothing to release.
 
-SubprocessBackend adapts a serialization-protocol prover subprocess
-(s-expression framing over pipes). It is best-effort and feature-gated on an
-executable being configured; everything test-critical runs on the synthetic
-backend. Validation-then-apply maps to checkpoint/rollback there, since real
-provers advance on execution.
+SubprocessBackend drives a prover that speaks a subset of SerAPI over pipes
+(``Add``, ``Exec``, ``Cancel`` and a ``Goals`` query), reading each command's
+answers up to its ``Completed``. Goals come back as printed strings, without
+hypotheses or internal forms. It is feature-gated on an executable being
+configured. Since real provers advance on execution, validation executes the
+tactic and then cancels exactly the state ids it added.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -416,81 +418,72 @@ def replay_trace(
 # S-expression answers and the subprocess adapter
 # ======================================================================
 
+_SEXP_TOKEN_RE = re.compile(
+    r'(?P<open>\()|(?P<close>\))|"(?P<string>(?:[^"\\]|\\.)*)"'
+    r'|(?P<atom>[^\s()"]+)|(?P<stray>")',
+    re.DOTALL,
+)
+_SEXP_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def parse_sexp(text: str):
     """Parse one s-expression into nested lists of atoms (strings).
 
-    Supports quoted strings with backslash escapes. Raises ValueError on
-    malformed input.
+    Supports quoted strings with backslash escapes. Reads with an explicit
+    stack, so any nesting depth parses. Raises ValueError on malformed input.
     """
-    tokens = _sexp_tokens(text)
-    if not tokens:
-        raise ValueError("empty s-expression")
-    expr, rest = _sexp_read(tokens, 0)
-    if rest != len(tokens):
-        raise ValueError("trailing tokens after s-expression")
-    return expr
-
-
-def _sexp_tokens(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            out = []
-            while j < size and text[j] != '"':
-                if text[j] == "\\" and j + 1 < size:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= size:
-                raise ValueError("unterminated string")
-            tokens.append('"' + "".join(out))
-            i = j + 1
+    stack: list[list] = [[]]
+    for match in _SEXP_TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "open":
+            stack.append([])
+        elif kind == "close":
+            if len(stack) == 1:
+                raise ValueError("unexpected )")
+            stack[-2].append(stack.pop())
+        elif kind == "string":
+            stack[-1].append(_SEXP_ESCAPE_RE.sub(r"\1", match.group(kind)))
+        elif kind == "atom":
+            stack[-1].append(match.group())
         else:
-            j = i
-            while j < size and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+            raise ValueError("unterminated string")
+    if len(stack) > 1:
+        raise ValueError("unbalanced s-expression")
+    if not stack[0]:
+        raise ValueError("empty s-expression")
+    if len(stack[0]) > 1:
+        raise ValueError("trailing tokens after s-expression")
+    return stack[0][0]
 
 
-def _sexp_read(tokens: list[str], pos: int):
-    tok = tokens[pos]
-    if tok == "(":
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            expr, pos = _sexp_read(tokens, pos)
-            out.append(expr)
-        if pos >= len(tokens):
-            raise ValueError("unbalanced s-expression")
-        return out, pos + 1
-    if tok == ")":
-        raise ValueError("unexpected )")
-    return (tok[1:] if tok.startswith('"') else tok), pos + 1
+def _payloads(items, head: str) -> list:
+    """The second element of each ``(head x ...)`` among `items`."""
+    return [b[1] for b in items if isinstance(b, list) and len(b) > 1 and b[0] == head]
+
+
+def _coq_error(bodies: list) -> Optional[str]:
+    """The message of the first ``(CoqExn (... (str "message") ...))`` body,
+    or None when no body is a CoqExn."""
+    exns = _payloads(bodies, "CoqExn")
+    if not exns:
+        return None
+    messages = [m for m in _payloads(exns[0], "str") if isinstance(m, str) and m]
+    return messages[0] if messages else "prover error without a message"
 
 
 class SubprocessBackend:
-    """Adapter for a serialization-protocol prover subprocess.
+    """Adapter for a prover that speaks a subset of SerAPI over pipes.
 
-    Best-effort: constructed only when an executable path is configured, one
-    subprocess per session, commands framed as s-expressions over stdin, and
-    answers read until the matching Completed acknowledgment. A crashed or
-    timed-out subprocess poisons the session so the search prunes the branch.
-    Validation compiles the tactic and then cancels back to the checkpoint
-    state id, mirroring compile/apply on provers that advance on execution.
-    Each session writes its command transcript to `log_dir` when given.
+    One subprocess per session, one command per line: ``(Add () "s")``,
+    ``(Exec sid)``, ``(Cancel (sid ...))`` and ``(Query ((pp ((pp_format
+    PpStr)))) Goals)``. A command's answers are read up to its ``(Answer tag
+    Completed)``, skipping any other line. State ids come from ``(Added sid
+    ...)``, errors from the ``str`` field of ``(CoqExn (...))`` and goals from
+    ``(ObjList ((CoqString "goal") ...))``, one per string, read without
+    hypotheses or internal forms. A command unanswered after `timeout`
+    seconds kills the prover; a dead or garbled prover poisons and closes the
+    session and raises SessionDesync, which prunes the branch. Each session
+    writes its commands to `log_dir` when given.
     """
 
     def __init__(
@@ -508,7 +501,6 @@ class SubprocessBackend:
         self.timeout = timeout
         self._ids = itertools.count(1)
         self._procs: dict[int, object] = {}
-        self._tips: dict[int, int] = {}
 
     def _spawn(self):
         import subprocess
@@ -532,54 +524,61 @@ class SubprocessBackend:
             fh.write(line + "\n")
 
     def _send(self, session: BackendSession, command: str) -> list:
+        """Send one command; returns the bodies of its answers."""
         proc = self._procs.get(session.session_id)
         if proc is None or session.poisoned:
             raise SessionDesync(f"session {session.session_id} has no live process")
         self._log(session, command)
+        deadline = threading.Timer(self.timeout, proc.kill)
+        deadline.start()
         try:
             proc.stdin.write(command + "\n")
             proc.stdin.flush()
-            answers = []
-            while True:
-                line = proc.stdout.readline()
-                if not line:
-                    raise SessionDesync("prover subprocess closed its output")
-                line = line.strip()
-                if not line:
+            bodies = []
+            for line in proc.stdout:
+                if not line.strip():
                     continue
                 answer = parse_sexp(line)
-                answers.append(answer)
-                flat = _flatten_atoms(answer)
-                if "Completed" in flat or "CoqExn" in flat:
-                    return answers
-        except (OSError, ValueError, SessionDesync):
+                if isinstance(answer, list) and len(answer) == 3 and answer[0] == "Answer":
+                    if answer[2] == "Completed":
+                        return bodies
+                    bodies.append(answer[2])
+            raise SessionDesync("prover subprocess closed its output")
+        except (OSError, ValueError, SessionDesync) as exc:
             session.poisoned = True
             self.close_session(session)
-            raise SessionDesync(f"session {session.session_id} poisoned")
+            raise SessionDesync(f"session {session.session_id} poisoned: {exc}") from exc
+        finally:
+            deadline.cancel()
+            deadline.join()
 
-    def _exec_sentence(self, session: BackendSession, sentence: str) -> Optional[str]:
-        """Add one sentence and execute it; returns an error text or None."""
+    def _exec_sentence(self, session: BackendSession, sentence: str) -> tuple[list, Optional[str]]:
+        """Add one sentence and execute it. Returns the state ids it added and
+        None, or the error with those ids already cancelled."""
         escaped = sentence.replace("\\", "\\\\").replace('"', '\\"')
-        answers = self._send(session, f'(Add () "{escaped}")')
-        sids = [int(a) for a in _collect_after(answers, "Added") if a.isdigit()]
-        if not sids:
-            return _first_error(answers) or "statement was not accepted"
-        tip = sids[-1]
-        answers = self._send(session, f"(Exec {tip})")
-        error = _first_error(answers)
-        if error is not None:
-            self._send(session, f"(Cancel ({' '.join(str(s) for s in sids)}))")
-            return error
-        self._tips[session.session_id] = tip
-        return None
+        bodies = self._send(session, f'(Add () "{escaped}")')
+        sids = [sid for sid in _payloads(bodies, "Added") if isinstance(sid, str)]
+        error = _coq_error(bodies)
+        if error is None and not sids:
+            error = "statement was not accepted"
+        if error is None:
+            error = _coq_error(self._send(session, f"(Exec {sids[-1]})"))
+        if error is not None and sids:
+            self._cancel(session, sids)
+        return sids, error
+
+    def _cancel(self, session: BackendSession, sids: list) -> None:
+        self._send(session, f"(Cancel ({' '.join(sids)}))")
 
     def _query_goals(self, session: BackendSession) -> ProofState:
-        answers = self._send(session, "(Query ((pp ((pp_format PpStr)))) Goals)")
-        texts = [a for a in _collect_strings(answers) if a.strip()]
-        goals = tuple(
-            GoalState((), (), goal_text, goal_text) for goal_text in texts
-        )
-        return ProofState(goals)
+        bodies = self._send(session, "(Query ((pp ((pp_format PpStr)))) Goals)")
+        texts = [
+            text
+            for objs in _payloads(bodies, "ObjList")
+            for text in _payloads(objs, "CoqString")
+            if isinstance(text, str) and text.strip()
+        ]
+        return ProofState(tuple(GoalState((), (), text, text) for text in texts))
 
     def start_session(self, theorem_source: str, requires: Sequence[str] = ()) -> BackendSession:
         session = BackendSession(
@@ -590,7 +589,7 @@ class SubprocessBackend:
         )
         self._procs[session.session_id] = self._spawn()
         for sentence in tuple(requires) + (f"Theorem goal_ : {theorem_source}.", "Proof."):
-            error = self._exec_sentence(session, sentence)
+            _sids, error = self._exec_sentence(session, sentence)
             if error is not None:
                 self.close_session(session)
                 raise SessionDesync(error)
@@ -598,26 +597,28 @@ class SubprocessBackend:
         return session
 
     def clone_session(self, session: BackendSession) -> BackendSession:
+        """A new prover replaying the theorem and the transcript; a replay
+        that fails closes it before the error propagates."""
         clone = self.start_session(session.theorem, session.requires)
-        for tactic in session.transcript:
-            self.apply_tactic(tactic, clone)
+        try:
+            for tactic in session.transcript:
+                self.apply_tactic(tactic, clone)
+        except BaseException:
+            self.close_session(clone)
+            raise
         return clone
 
     def compile_tactic(self, tactic: str, state: ProofState, session: BackendSession) -> CompileResult:
-        checkpoint = self._tips.get(session.session_id)
-        error = self._exec_sentence(session, f"{canonical_tactic(tactic)}.")
+        sids, error = self._exec_sentence(session, f"{canonical_tactic(tactic)}.")
         if error is not None:
             return CompileResult(False, error=truncate_error(error))
         after = self._query_goals(session)
-        tip = self._tips.get(session.session_id)
-        if checkpoint is not None and tip is not None and tip != checkpoint:
-            self._send(session, f"(Cancel ({tip}))")
-            self._tips[session.session_id] = checkpoint
+        self._cancel(session, sids)
         return CompileResult(True, state=after)
 
     def apply_tactic(self, tactic: str, session: BackendSession) -> ProofState:
         canonical = canonical_tactic(tactic)
-        error = self._exec_sentence(session, f"{canonical}.")
+        _sids, error = self._exec_sentence(session, f"{canonical}.")
         if error is not None:
             session.poisoned = True
             raise SessionDesync(error)
@@ -628,7 +629,6 @@ class SubprocessBackend:
     def close_session(self, session: BackendSession) -> None:
         """Kill the session's prover, reap it and close its pipes."""
         proc = self._procs.pop(session.session_id, None)
-        self._tips.pop(session.session_id, None)
         if proc is None:
             return
         proc.kill()
@@ -638,40 +638,3 @@ class SubprocessBackend:
             proc.stdin.close()
         except BrokenPipeError:  # a command the dead prover never read
             pass
-
-
-def _flatten_atoms(expr) -> list[str]:
-    if isinstance(expr, str):
-        return [expr]
-    out = []
-    for item in expr:
-        out.extend(_flatten_atoms(item))
-    return out
-
-
-def _collect_after(answers, marker: str) -> list[str]:
-    atoms = []
-    for answer in answers:
-        flat = _flatten_atoms(answer)
-        for i, atom in enumerate(flat):
-            if atom == marker and i + 1 < len(flat):
-                atoms.append(flat[i + 1])
-    return atoms
-
-
-def _first_error(answers) -> Optional[str]:
-    for answer in answers:
-        flat = _flatten_atoms(answer)
-        if "CoqExn" in flat:
-            strings = [a for a in flat if " " in a or a.islower()]
-            return strings[-1] if strings else "prover error"
-    return None
-
-
-def _collect_strings(answers) -> list[str]:
-    out = []
-    for answer in answers:
-        for atom in _flatten_atoms(answer):
-            if " " in atom or "\n" in atom:
-                out.append(atom)
-    return out

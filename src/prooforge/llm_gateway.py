@@ -194,17 +194,23 @@ def _balanced_regions(text: str, open_ch: str, close_ch: str) -> list[str]:
     return regions
 
 
+#: What `json.loads` raises on a reply it cannot load: a decode error (a
+#: ValueError), an integer past the digit limit (ValueError) or nesting past
+#: the interpreter's recursion limit (RecursionError).
+_UNLOADABLE = (ValueError, RecursionError)
+
+
 def _try_load(candidate: str):
     try:
         return json.loads(candidate)
-    except json.JSONDecodeError:
+    except _UNLOADABLE:
         pass
     # The action schema itself shows an unquoted `tactics:` key, so tolerate
     # bare identifier keys before giving up.
     fixed = _BARE_KEY_RE.sub(r'\1"\2"\3', candidate)
     try:
         return json.loads(fixed)
-    except json.JSONDecodeError:
+    except _UNLOADABLE:
         return None
 
 
@@ -247,7 +253,7 @@ def _candidates(raw: str, open_ch: str, close_ch: str):
         try:
             yield json.loads(text)
             return
-        except json.JSONDecodeError:
+        except _UNLOADABLE:
             pass
     for region in _balanced_regions(raw, open_ch, close_ch):
         yield _try_load(region)

@@ -532,3 +532,79 @@ class TestSexp:
             parse_sexp("(unclosed")
         with pytest.raises(ValueError):
             parse_sexp("dangling)")
+
+    def test_deep_nesting_parses_without_recursion(self):
+        depth = 100_000
+        expr = parse_sexp("(" * depth + "x" + ")" * depth)
+        for _ in range(depth - 1):
+            (expr,) = expr
+        assert expr == ["x"]
+
+    def test_atoms_empty_strings_and_stray_quotes(self):
+        assert parse_sexp(" Completed\n") == "Completed"
+        assert parse_sexp('(a "" b"c"d)') == ["a", "", "b", "c", "d"]
+        for text in ("", "  ", '(msg "open)', "(a) (b)", '"a\\"'):
+            with pytest.raises(ValueError):
+                parse_sexp(text)
+
+    @given(st.text(alphabet='() "\\ab\n', max_size=40))
+    def test_matches_the_recursive_reader(self, text):
+        try:
+            expected = _reference_sexp(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_sexp(text)
+        else:
+            assert parse_sexp(text) == expected
+
+
+def _reference_sexp(text: str):
+    """The character-loop tokenizer and recursive reader parse_sexp replaced."""
+    tokens, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch == '"':
+            j, out = i + 1, []
+            while j < len(text) and text[j] != '"':
+                if text[j] == "\\" and j + 1 < len(text):
+                    out.append(text[j + 1])
+                    j += 2
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= len(text):
+                raise ValueError("unterminated string")
+            tokens.append('"' + "".join(out))
+            i = j + 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+
+    def read(pos):
+        tok = tokens[pos]
+        if tok == "(":
+            out, pos = [], pos + 1
+            while pos < len(tokens) and tokens[pos] != ")":
+                expr, pos = read(pos)
+                out.append(expr)
+            if pos >= len(tokens):
+                raise ValueError("unbalanced s-expression")
+            return out, pos + 1
+        if tok == ")":
+            raise ValueError("unexpected )")
+        return (tok[1:] if tok.startswith('"') else tok), pos + 1
+
+    if not tokens:
+        raise ValueError("empty s-expression")
+    expr, rest = read(0)
+    if rest != len(tokens):
+        raise ValueError("trailing tokens after s-expression")
+    return expr

@@ -151,6 +151,32 @@ class TestArrayParsing:
         assert parse_int_array("[true]") is None
 
 
+_DEEP = 100_000
+
+
+class TestHostileReplies:
+    """The parsers are total: replies that make `json.loads` raise something
+    other than a decode error read as Unparsed or None."""
+
+    @pytest.mark.parametrize("parser, raw", [
+        (parse_action_response, '{"tactics": %s}' % ("9" * 5000)),
+        (parse_action_response, '{"a": ' * _DEEP + "1" + "}" * _DEEP),
+        (parse_string_array, "[%s]" % ("9" * 5000)),
+        (parse_string_array, "[" * _DEEP + "]" * _DEEP),
+        (parse_int_array, "[%s]" % ("9" * 5000)),
+        (parse_int_array, "[" * _DEEP + "]" * _DEEP),
+    ], ids=[
+        "action-long-int", "action-deep", "strings-long-int", "strings-deep",
+        "ints-long-int", "ints-deep",
+    ])
+    def test_reads_as_unparsed(self, parser, raw):
+        result = parser(raw)
+        if parser is parse_action_response:
+            assert isinstance(result, Unparsed)
+        else:
+            assert result is None
+
+
 # ----------------------------------------------------------------------
 # Balanced-region scan, against the character loop it replaced
 # ----------------------------------------------------------------------
