@@ -423,15 +423,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     shared_gateway = None if cfg["gateway"] == "mock" else _build_gateway(cfg)
 
     def run_one(raw: str):
+        """One theorem; its run log is written as soon as it finishes, so an
+        error that ends the run keeps every finished theorem's log."""
         statement = _resolve_theorem(raw, proofs)
+        result, error = None, None
         try:
             result, log = _run_single(
                 statement, cfg, table, corpus, index, gateway=shared_gateway
             )
-            return statement, result, log, None
         except ProoforgeError as exc:
             log = {**_log_head(statement, cfg), "outcome": "PortError", "error": str(exc)}
-            return statement, None, log, exc
+            error = exc
+        _write_json(_run_log_path(out_dir, statement), log)
+        return statement, result, log, error
 
     jobs = max(1, int(cfg["jobs"]))
     if jobs == 1:
@@ -442,8 +446,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_one, statements))
 
-    for statement, result, log, error in outcomes:
-        _write_json(_run_log_path(out_dir, statement), log)
+    for statement, result, _log, error in outcomes:
         if error is not None:
             print(f"{statement}: PortError ({error})")
             continue

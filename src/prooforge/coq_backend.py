@@ -423,13 +423,34 @@ _SEXP_TOKEN_RE = re.compile(
     r'|(?P<atom>[^\s()"]+)|(?P<stray>")',
     re.DOTALL,
 )
-_SEXP_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_SEXP_ESCAPE_RE = re.compile(r'\\(?:([ntrb"\\])|([0-9]{3})|x([0-9A-Fa-f]{2}))')
+_SEXP_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", '"': '"', "\\": "\\"}
+
+
+def _sexp_escape(match) -> str:
+    """One escape's character; a byte of ``\\ddd`` (decimal) or ``\\xhh``
+    above 127 becomes a surrogate that `_sexp_string` turns back into it."""
+    simple, decimal, hexadecimal = match.groups()
+    if simple:
+        return _SEXP_ESCAPES[simple]
+    byte = int(decimal) if decimal else int(hexadecimal, 16)
+    if byte > 255:
+        raise ValueError(f"escape {match.group()} is not a byte")
+    return chr(byte if byte < 128 else 0xDC00 + byte)
+
+
+def _sexp_string(body: str) -> str:
+    """A quoted string's text. Decodes the OCaml escapes sexplib prints
+    (``\\n \\t \\r \\b \\\\ \\"``, and bytes of the UTF-8 text as ``\\ddd``
+    or ``\\xhh``); any other backslash is kept, as sexplib reads it."""
+    text = _SEXP_ESCAPE_RE.sub(_sexp_escape, body)
+    return text.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
 def parse_sexp(text: str):
     """Parse one s-expression into nested lists of atoms (strings).
 
-    Supports quoted strings with backslash escapes. Reads with an explicit
+    Quoted strings are decoded by `_sexp_string`. Reads with an explicit
     stack, so any nesting depth parses. Raises ValueError on malformed input.
     """
     stack: list[list] = [[]]
@@ -442,7 +463,7 @@ def parse_sexp(text: str):
                 raise ValueError("unexpected )")
             stack[-2].append(stack.pop())
         elif kind == "string":
-            stack[-1].append(_SEXP_ESCAPE_RE.sub(r"\1", match.group(kind)))
+            stack[-1].append(_sexp_string(match.group(kind)))
         elif kind == "atom":
             stack[-1].append(match.group())
         else:
@@ -469,6 +490,10 @@ def _coq_error(bodies: list) -> Optional[str]:
         return None
     messages = [m for m in _payloads(exns[0], "str") if isinstance(m, str) and m]
     return messages[0] if messages else "prover error without a message"
+
+
+#: Escapes that keep a quoted sentence, and so its command, on one line.
+_COMMAND_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
 class SubprocessBackend:
@@ -555,8 +580,7 @@ class SubprocessBackend:
     def _exec_sentence(self, session: BackendSession, sentence: str) -> tuple[list, Optional[str]]:
         """Add one sentence and execute it. Returns the state ids it added and
         None, or the error with those ids already cancelled."""
-        escaped = sentence.replace("\\", "\\\\").replace('"', '\\"')
-        bodies = self._send(session, f'(Add () "{escaped}")')
+        bodies = self._send(session, f'(Add () "{sentence.translate(_COMMAND_ESCAPES)}")')
         sids = [sid for sid in _payloads(bodies, "Added") if isinstance(sid, str)]
         error = _coq_error(bodies)
         if error is None and not sids:

@@ -60,15 +60,21 @@ class EntityKind:
 
     @classmethod
     def parse(cls, text: str) -> "EntityKind":
+        """The kind a rendered text names; known kinds are shared constants,
+        ``Other:`` labels are parsed fresh."""
         if text.startswith("Other:"):
             return cls("Other", text[len("Other:"):])
-        return cls(text)
+        known = _KNOWN_KIND_VALUES.get(text)
+        return known if known is not None else cls(text)
+
+
+_KNOWN_KIND_VALUES = {variant: EntityKind(variant) for variant in KNOWN_KINDS}
 
 
 def _check_dotted_path(value: str, what: str) -> None:
     if not value:
         raise ValueError(f"{what} must be non-empty")
-    if any(not seg for seg in value.split(".")):
+    if "" in value.split("."):
         raise ValueError(f"{what} has an empty dot-separated segment: {value!r}")
 
 

@@ -22,7 +22,7 @@ which keeps load -> save -> load a fixpoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core_model import (
@@ -39,7 +39,6 @@ from .errors import FormatError, UnknownTokenError
 from .tokenizer import (
     EMPTY_CONTEXT,
     KERNEL_SEPARATOR,
-    DisambiguatedName,
     TokenClass,
     TokenTable,
     resolve_name,
@@ -94,16 +93,22 @@ def _resolve_dependency(table: TokenTable, name) -> Optional[int]:
     return resolve_name(table, name, EMPTY_CONTEXT)
 
 
+_ENTITY_FIELDS = frozenset((
+    "name", "kernel_name", "kind", "origin", "internal", "intuition",
+    "source_file", "dependencies", "origin_zh", "internal_zh", "intuition_zh",
+))
+
+
 def decode_entity_record(obj: dict) -> tuple[EntityRecord, dict]:
     """Decode one entity object; returns the record plus any unknown fields.
     Dependencies are read as raw token ids; `load_entity_corpus` resolves
     dependency names itself, once every entity is interned."""
-    known = {
-        "name", "kernel_name", "kind", "origin", "internal", "intuition",
-        "source_file", "dependencies", "origin_zh", "internal_zh", "intuition_zh",
-    }
-    extras = {k: v for k, v in obj.items() if k not in known}
     deps = tuple(dict.fromkeys(int(d) for d in obj.get("dependencies", [])))
+    return _decode_entity(obj, deps)
+
+
+def _decode_entity(obj: dict, dependencies: tuple) -> tuple[EntityRecord, dict]:
+    extras = {k: v for k, v in obj.items() if k not in _ENTITY_FIELDS}
     record = EntityRecord(
         name=obj["name"],
         kernel_name=obj["kernel_name"],
@@ -112,7 +117,7 @@ def decode_entity_record(obj: dict) -> tuple[EntityRecord, dict]:
         internal=obj["internal"],
         intuition=obj.get("intuition", ""),
         source_file=obj.get("source_file", ""),
-        dependencies=deps,
+        dependencies=dependencies,
         origin_zh=obj.get("origin_zh", ""),
         internal_zh=obj.get("internal_zh", ""),
         intuition_zh=obj.get("intuition_zh", ""),
@@ -277,6 +282,9 @@ def _constructor_clauses(internal: str) -> list[tuple[str, str]]:
     return clauses
 
 
+_CONSTRUCTOR = EntityKind.parse("Constructor")
+
+
 def derive_constructors(record: EntityRecord) -> list[EntityRecord]:
     """Constructor records implied by an Inductive record's internal text."""
     if record.kind.variant != "Inductive":
@@ -292,7 +300,7 @@ def derive_constructors(record: EntityRecord) -> list[EntityRecord]:
             out.append(EntityRecord(
                 name=ctor_name,
                 kernel_name=kernel,
-                kind=EntityKind("Constructor"),
+                kind=_CONSTRUCTOR,
                 origin=f"{ctor_name} : {ctor_type}",
                 internal=f"{ctor_name} : {ctor_type}",
                 source_file=record.source_file,
@@ -319,9 +327,16 @@ def _read_lines(path: str, expected_header: str) -> list[tuple[int, str]]:
 def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
     """Load an entities file, interning every record (and derived
     constructors) into `table`. Raises FormatError with the offending line
-    number on any malformed or duplicate record."""
-    parsed: list[tuple[int, EntityRecord, dict, list]] = []
-    explicit_names: set[DisambiguatedName] = set()
+    number on any malformed or duplicate record.
+
+    Each record is built and validated once. Every line is read and checked
+    before anything is interned, so a file that fails to load interns
+    nothing. A record's dependency names resolve only once every entity is
+    interned; until then the record is the loader's own, and its
+    `dependencies` are filled in place before the corpus is returned.
+    """
+    parsed: list[tuple[EntityRecord, dict, list]] = []
+    names: set[tuple[str, str]] = set()
     for lineno, line in _read_lines(path, ENTITIES_HEADER):
         try:
             obj = json.loads(line)
@@ -329,60 +344,60 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
             raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
         if not isinstance(obj, dict):
             raise FormatError("each line must hold one JSON object", line=lineno)
-        # Dependencies are names, resolved in the second pass once every
-        # entity is interned; the decoder reads only raw ids.
-        stripped = {k: v for k, v in obj.items() if k != "dependencies"}
         try:
-            record, extras = decode_entity_record(stripped)
-        except (KeyError, TypeError) as exc:
+            record, extras = _decode_entity(obj, ())
+        except (KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"missing or bad field: {exc}", line=lineno)
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno)
-        dn = DisambiguatedName(record.name, record.kernel_name)
-        if dn in explicit_names:
-            raise FormatError(f"duplicate entity {dn.rendered()}", line=lineno)
-        explicit_names.add(dn)
-        parsed.append((lineno, record, extras, obj.get("dependencies", [])))
+        raw_deps = obj.get("dependencies", [])
+        if not isinstance(raw_deps, list) or not all(
+            isinstance(name, (str, int)) for name in raw_deps
+        ):
+            raise FormatError("dependencies must be a list of names and token ids", line=lineno)
+        key = (record.name, record.kernel_name)
+        if key in names:
+            raise FormatError(
+                f"duplicate entity {record.name}{KERNEL_SEPARATOR}{record.kernel_name}",
+                line=lineno,
+            )
+        names.add(key)
+        parsed.append((record, extras, raw_deps))
 
     records: list[EntityRecord] = []
     tokens: list[int] = []
     derived: set[int] = set()
     extras_map: dict[int, dict] = {}
-    seen: set[DisambiguatedName] = set()
 
-    def add(record: EntityRecord, extras: dict, is_derived: bool) -> None:
-        dn = DisambiguatedName(record.name, record.kernel_name)
-        if dn in seen:
-            return
-        seen.add(dn)
-        tid = table.intern_entity(record)
-        index = len(records)
-        records.append(record)
-        tokens.append(tid)
-        if is_derived:
-            derived.add(index)
+    def add(record: EntityRecord, extras: dict) -> None:
         if extras:
-            extras_map[index] = extras
+            extras_map[len(records)] = extras
+        tokens.append(table.intern_entity(record))
+        records.append(record)
 
-    for lineno, record, extras, _raw_deps in parsed:
-        add(record, extras, is_derived=False)
+    # Explicit names are unique; a derived constructor is added unless an
+    # explicit record or an earlier constructor carries its name.
+    for record, extras, _raw_deps in parsed:
+        add(record, extras)
         for ctor in derive_constructors(record):
-            dn = DisambiguatedName(ctor.name, ctor.kernel_name)
-            if dn not in explicit_names:
-                add(ctor, {}, is_derived=True)
+            key = (ctor.name, ctor.kernel_name)
+            if key not in names:
+                names.add(key)
+                derived.add(len(records))
+                add(ctor, {})
 
-    # Second pass: with every entity interned, resolve dependency names.
-    position = {DisambiguatedName(r.name, r.kernel_name): i for i, r in enumerate(records)}
-    for lineno, record, _extras, raw_deps in parsed:
+    # With every entity interned, resolve dependency names.
+    for record, _extras, raw_deps in parsed:
         if not raw_deps:
             continue
-        resolved: list[int] = []
+        resolved: dict[int, None] = {}
         for name in raw_deps:
             tid = _resolve_dependency(table, name)
-            if tid is not None and tid not in resolved:
-                resolved.append(tid)
-        index = position[DisambiguatedName(record.name, record.kernel_name)]
-        records[index] = replace(records[index], dependencies=tuple(resolved))
+            if tid is not None:
+                resolved[tid] = None
+        # Resolved ids are duplicate-free, the one thing validation checks
+        # of `dependencies`.
+        object.__setattr__(record, "dependencies", tuple(resolved))
 
     return EntityCorpus(
         records=tuple(records),

@@ -21,6 +21,7 @@ come from environment variables only.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -32,6 +33,21 @@ from .llm_gateway import DEFAULT_API_KEY_ENV
 
 PREMISE = "premise"
 TACTIC = "tactic"
+
+
+def _matrix(outputs: list) -> np.ndarray:
+    """Provider outputs as the rows of one float matrix, with one
+    finiteness check for them all. ValueError unless every output is 1-D
+    with finite entries and all have one length; the first bad output, in
+    order, names the error, as `_vector` on each would."""
+    try:
+        matrix = np.array(outputs, dtype=float)
+    except ValueError:  # ragged outputs
+        matrix = None
+    if matrix is None or matrix.ndim != 2 or not np.isfinite(matrix).all():
+        dims = {len(_vector(output)) for output in outputs}
+        raise ValueError(f"provider returned mixed dimensions: {sorted(dims)}")
+    return matrix
 
 
 def _vector(values) -> np.ndarray:
@@ -60,10 +76,11 @@ class MockEmbeddingProvider:
         digest = hashlib.sha256(f"{self.seed}\x1f{text}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         raw = rng.standard_normal(self.dim)
-        norm = float(np.linalg.norm(raw))
+        # The bits of np.linalg.norm on a 1-D float array, without its overhead.
+        norm = math.sqrt(raw.dot(raw))
         if norm == 0.0:  # astronomically unlikely; keep the contract total
             raw = np.ones(self.dim)
-            norm = float(np.linalg.norm(raw))
+            norm = math.sqrt(raw.dot(raw))
         return raw / norm
 
 
@@ -156,18 +173,14 @@ def build_index(
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
         TACTIC: [(f"{tactic} \x1f {goal}", tactic) for tactic, goal in tactics],
     }
-    vectors = {
-        kind: [_vector(provider.embed(key)) for key, _payload in keyed]
-        for kind, keyed in entries.items()
-    }
-    dims = {len(vector) for rows in vectors.values() for vector in rows}
-    if len(dims) > 1:
-        raise ValueError(f"provider returned mixed dimensions: {sorted(dims)}")
-    dim = dims.pop() if dims else getattr(provider, "dim", None) or 0
+    outputs = [provider.embed(key) for keyed in entries.values() for key, _payload in keyed]
+    stacked = _matrix(outputs) if outputs else np.empty((0, getattr(provider, "dim", None) or 0))
     kinds = {}
+    start = 0
     for kind, keyed in entries.items():
         keys = [key for key, _payload in keyed]
-        matrix = np.array(vectors[kind], dtype=float).reshape(len(keys), dim)
+        matrix = stacked[start:start + len(keys)]
+        start += len(keys)
         key_rank = np.empty(len(keys), dtype=np.intp)
         key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
         norms = np.linalg.norm(matrix, axis=1)
@@ -178,7 +191,7 @@ def build_index(
             norms == 0.0,
             key_rank,
         )
-    return RetrievalIndex(provider=provider, kinds=kinds, dim=dim)
+    return RetrievalIndex(provider=provider, kinds=kinds, dim=stacked.shape[1])
 
 
 def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[str, float]]]:

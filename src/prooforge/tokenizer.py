@@ -97,7 +97,7 @@ class TokenClass:
 
     @classmethod
     def global_id(cls) -> "TokenClass":
-        return cls(cls.GLOBAL)
+        return _GLOBAL_CLASS
 
     @classmethod
     def local(cls, type_text: str = "") -> "TokenClass":
@@ -106,6 +106,9 @@ class TokenClass:
     @classmethod
     def reserved(cls, label: str) -> "TokenClass":
         return cls(cls.RESERVED, label)
+
+
+_GLOBAL_CLASS = TokenClass(TokenClass.GLOBAL)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ Run as ``python -S fake_prover.py PACKAGE_DIR SPEC_JSON``. PACKAGE_DIR is the
 prooforge package directory; a stub package loads only ``coq_backend`` and
 what it imports, so a child starts without numpy or the rest of prooforge.
 SPEC_JSON holds the SyntheticBackend arguments in the ``--backend-spec``
-format, plus an optional ``fault``.
+format, plus an optional ``fault`` and an optional ``stats`` path. Every
+fake sharing a stats file appends ``start`` to it when it starts and
+``exec`` for each sentence it executes.
 
 Commands are ``(Add () "sentence")``, ``(Exec sid)``, ``(Cancel (sid ...))``
 and ``(Query (...) Goals)``. Each is answered with ``(Answer n Ack)``, its
 answer bodies and ``(Answer n Completed)``; Exec also prints a feedback line
 first. The document is a list of sentences, each with its context once
 executed: the Require lines and the proof state after it. The goals print as
-one ``CoqString`` per goal, without hypotheses.
+one ``CoqString`` per goal, without hypotheses, escaped as sexplib prints.
 
 A fault ``{"kind": k, "sentence": s, "flag": path}`` fires on the first Exec
 of sentence `s` among all fakes sharing the flag file, after the Ack:
@@ -31,8 +33,22 @@ THEOREM = "Theorem goal_ : "
 DEEP = 100_000
 
 
+ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r", "\b": "\\b"}
+
+
 def quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A quoted sexplib atom: OCaml's ``String.escaped`` over the UTF-8
+    bytes, so every byte outside printable ASCII prints as ``\\ddd``."""
+    out = []
+    for byte in text.encode("utf-8"):
+        char = chr(byte)
+        if char in ESCAPES:
+            out.append(ESCAPES[char])
+        elif 32 <= byte <= 126:
+            out.append(char)
+        else:
+            out.append(f"\\{byte:03d}")
+    return '"' + "".join(out) + '"'
 
 
 def coq_exn(sid, message: str) -> str:
@@ -97,6 +113,13 @@ def main(package_dir: str, spec_path: str) -> None:
         spec = json.load(fh)
     fault = spec.get("fault")
     backend = load_backend(spec)
+
+    def count(event: str) -> None:
+        if spec.get("stats"):
+            with open(spec["stats"], "a", encoding="utf-8") as fh:
+                fh.write(event + "\n")
+
+    count("start")
     doc = []  # [sid, sentence, context], in document order
     ids = itertools.count(1)
 
@@ -114,6 +137,7 @@ def main(package_dir: str, spec_path: str) -> None:
         elif head == "Exec":
             index = [entry[0] for entry in doc].index(command[1])
             sid, sentence, _ = doc[index]
+            count("exec")
             if fault_fires(fault, sentence):
                 if fault["kind"] == "crash":
                     return

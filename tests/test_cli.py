@@ -320,6 +320,28 @@ class TestBench:
             f"{summary['avg_tactics']:.2f}",
         ]
 
+    def test_a_crash_keeps_the_finished_theorems_logs(self, tmp_path, monkeypatch, capsys):
+        # A later theorem raises an error that is not a ProoforgeError: the
+        # run ends, and the first theorem's log is on disk as a clean run
+        # writes it.
+        assert main(bench_args(tmp_path / "clean")) == EXIT_OK
+        run_single = cli._run_single
+
+        def crash_after_the_worked_proof(statement, *args, **kwargs):
+            if statement != WORKED:
+                raise RuntimeError("prover exploded")
+            return run_single(statement, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_single", crash_after_the_worked_proof)
+        with pytest.raises(RuntimeError, match="prover exploded"):
+            main(bench_args(tmp_path / "runs"))
+        capsys.readouterr()
+        log_name = os.path.basename(cli._run_log_path("", WORKED))
+        assert os.listdir(tmp_path / "runs") == [log_name]
+        assert (tmp_path / "runs" / log_name).read_bytes() == (
+            tmp_path / "clean" / log_name
+        ).read_bytes()
+
     def test_equal_seeds_produce_byte_identical_logs(self, tmp_path, capsys):
         # Two runs, same seed, different directories: every artifact byte
         # matches.

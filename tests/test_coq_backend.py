@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fake_prover
 from conftest import (
     ADD_0_L_INTERNAL,
     ADD_0_L_SURFACE,
@@ -524,6 +525,30 @@ class TestSexp:
     def test_quoted_strings_with_escapes(self):
         assert parse_sexp('(msg "hello \\"world\\"")') == ["msg", 'hello "world"']
 
+    @pytest.mark.parametrize("printed, text", [
+        (r'(CoqString "a\nb")', "a\nb"),
+        (r'(CoqString "tab\there\r\b")', "tab\there\r\b"),
+        (r'(CoqString "back\\slash \"q\"")', 'back\\slash "q"'),
+        (r'(CoqString "\\n")', "\\n"),
+        (r'(CoqString "\065\x42\x6a")', "ABj"),
+        # sexplib prints every byte outside printable ASCII as \ddd.
+        (r'(CoqString "\226\136\128 n, n = n")', "\u2200 n, n = n"),
+        (r'(CoqString "\xe2\x88\x80")', "\u2200"),
+        # Not an escape sexplib prints: the backslash stays.
+        (r'(CoqString "a\qb\1x")', "a\\qb\\1x"),
+    ])
+    def test_ocaml_escapes_decode(self, printed, text):
+        assert parse_sexp(printed) == ["CoqString", text]
+
+    @pytest.mark.parametrize("printed", [r'"\256"', r'"\255"', r'"\xe2\x88"'])
+    def test_escapes_that_are_no_utf8_text_raise(self, printed):
+        with pytest.raises(ValueError):
+            parse_sexp(printed)
+
+    @given(st.text())
+    def test_round_trips_the_fake_provers_quoting(self, text):
+        assert parse_sexp(f"(CoqString {fake_prover.quote(text)})") == ["CoqString", text]
+
     def test_empty_list(self):
         assert parse_sexp("()") == []
 
@@ -547,7 +572,7 @@ class TestSexp:
             with pytest.raises(ValueError):
                 parse_sexp(text)
 
-    @given(st.text(alphabet='() "\\ab\n', max_size=40))
+    @given(st.text(alphabet='() "\\abn\n', max_size=40))
     def test_matches_the_recursive_reader(self, text):
         try:
             expected = _reference_sexp(text)
@@ -558,8 +583,13 @@ class TestSexp:
             assert parse_sexp(text) == expected
 
 
+#: The escapes `_reference_sexp` decodes; any other backslash stays.
+_REFERENCE_ESCAPES = {"n": "\n", "b": "\b", '"': '"', "\\": "\\"}
+
+
 def _reference_sexp(text: str):
-    """The character-loop tokenizer and recursive reader parse_sexp replaced."""
+    """The character-loop tokenizer and recursive reader parse_sexp replaced,
+    reading escapes as sexplib does for the test alphabet's characters."""
     tokens, i = [], 0
     while i < len(text):
         ch = text[i]
@@ -572,7 +602,8 @@ def _reference_sexp(text: str):
             j, out = i + 1, []
             while j < len(text) and text[j] != '"':
                 if text[j] == "\\" and j + 1 < len(text):
-                    out.append(text[j + 1])
+                    escaped = text[j + 1]
+                    out.append(_REFERENCE_ESCAPES.get(escaped, "\\" + escaped))
                     j += 2
                 else:
                     out.append(text[j])

@@ -103,6 +103,14 @@ def test_generated_set_up_bytes_are_pinned(wide_corpus):
                 "origin": "x", "internal": "x"}),
     json.dumps({"name": "Bad.x", "kernel_name": "Bad.x", "kind": "Other:",
                 "origin": "x", "internal": "x"}),
+    json.dumps({"name": "Bad.x", "kernel_name": "Bad.x", "kind": 5,
+                "origin": "x", "internal": "x"}),
+    json.dumps({"name": 3, "kernel_name": "Bad.x", "kind": "Lemma",
+                "origin": "x", "internal": "x"}),
+    json.dumps({"name": "Bad.x", "kernel_name": "Bad.x", "kind": "Lemma",
+                "origin": "x", "internal": "x", "dependencies": 7}),
+    json.dumps({"name": "Bad.x", "kernel_name": "Bad.x", "kind": "Lemma",
+                "origin": "x", "internal": "x", "dependencies": ["Bench.Core.nat", None]}),
 ])
 def test_a_malformed_line_is_named_and_interns_nothing(wide_corpus, tmp_path, bad):
     lines = (wide_corpus / "entities.jsonl").read_text(encoding="utf-8").splitlines()

@@ -3,6 +3,7 @@ by SyntheticBackend: the 25 conformance scenarios give the same results and
 events on both backends, a crashing, hanging or garbled prover costs exactly
 one branch, and no prover or thread outlives a test."""
 
+import collections
 import json
 import os
 import pathlib
@@ -67,9 +68,9 @@ def fake_backend(tmp_path):
     threads = threading.active_count()
     made = []
 
-    def make(synthetic: SyntheticBackend, fault=None, timeout: float = 60.0):
+    def make(synthetic: SyntheticBackend, fault=None, timeout: float = 60.0, stats=None):
         spec_path = tmp_path / f"spec-{len(made)}.json"
-        spec_path.write_text(json.dumps(dict(spec_of(synthetic), fault=fault)))
+        spec_path.write_text(json.dumps(dict(spec_of(synthetic), fault=fault, stats=stats)))
         made.append(FakeProverBackend(spec_path, timeout=timeout))
         return made[-1]
 
@@ -178,3 +179,41 @@ def test_validation_cancels_what_it_added(fake_backend):
         "B -> A"
     ]
     backend.close_session(session)
+
+
+def test_a_multi_line_tactic_is_one_command(fake_backend):
+    synthetic = SyntheticBackend()
+    backend = fake_backend(synthetic)
+    tactic = "intros\nassumption"
+
+    def outcome(backend):
+        session = backend.start_session("A -> A")
+        result = backend.compile_tactic(tactic, session.state, session)
+        after = backend.apply_tactic(tactic, session)
+        backend.close_session(session)
+        goals = [g.goal_surface for g in result.state.goals] if result.success else None
+        return result.success, result.error, goals, [g.goal_surface for g in after.goals]
+
+    assert outcome(backend) == outcome(synthetic) == (True, None, ["A"], ["A"])
+
+
+def test_prover_starts_and_executed_sentences_of_the_worked_proof(fake_backend, tmp_path):
+    """The gate for one prover per proof: today every clone starts a prover
+    and replays the theorem and the transcript."""
+    scenario = SCENARIOS[0]
+    assert scenario.name == "happy-three-layers"
+    stats = tmp_path / "stats"
+    backend = fake_backend(scenario.backend(), stats=str(stats))
+    clones = []
+    clone_session = backend.clone_session
+    backend.clone_session = lambda session: clones.append(len(session.transcript)) or clone_session(session)
+
+    result, _events = run(scenario.theorem, scenario.params, scenario.records(), backend, tmp_path)
+    assert result.outcome is Outcome.PROVED
+    counts = collections.Counter(stats.read_text().split())
+    # One clone per layer, of transcripts of 0, 1 and 2 tactics.
+    assert clones == [0, 1, 2]
+    assert counts["start"] == 1 + len(clones) == 4
+    # Each start runs `Theorem` and `Proof.`; each clone replays its
+    # transcript; 3 validations and 3 applies run one sentence each.
+    assert counts["exec"] == 2 * 4 + (0 + 1 + 2) + 3 + 3 == 17
