@@ -86,8 +86,11 @@ def encode_entity_record(record: EntityRecord, table: Optional[TokenTable] = Non
 
 
 def _resolve_dependency(table: TokenTable, name) -> Optional[int]:
+    """A dependency name, or a token id that must be an entity's, as the
+    entity's token id; None when it names no entity."""
     if isinstance(name, int):
-        return name if name in table.reverse else None
+        entry = table.reverse.get(name)
+        return name if entry is not None and entry[1].kind == TokenClass.GLOBAL else None
     if KERNEL_SEPARATOR in name:
         return table.id_for_rendered(name)
     return resolve_name(table, name, EMPTY_CONTEXT)
@@ -352,7 +355,7 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
             raise FormatError(str(exc), line=lineno)
         raw_deps = obj.get("dependencies", [])
         if not isinstance(raw_deps, list) or not all(
-            isinstance(name, (str, int)) for name in raw_deps
+            isinstance(name, (str, int)) and not isinstance(name, bool) for name in raw_deps
         ):
             raise FormatError("dependencies must be a list of names and token ids", line=lineno)
         key = (record.name, record.kernel_name)

@@ -15,33 +15,49 @@ the executor proposes up to `tactics_per_state` tactics (after at most one
 request for more concepts per expansion, resolved through the corpus name
 index), each proposal is validated against the live session (the only
 operation that consumes budget), and a failed round's errors go back to the
-planner for the next one. The validated tactics are then applied. Each gets
-one explanation and, unless it proves the theorem, a running summary;
-explanations feed the shared notebook at the layer barrier; the beam is cut
-back to `beam_width` by model-based ranking (with a deterministic
-shortest-proof fallback).
+planner for the next one. As each tactic validates, its child is made: the
+branch session is cloned, the tactic applied, and the child's explain call
+and, unless the child proves the theorem, its summarize call are sent.
+After a proving child no further child is made, but the rounds run on as
+they would; explanations feed the shared notebook at the layer barrier; the
+beam is cut back to `beam_width` by model-based ranking (with a
+deterministic shortest-proof fallback).
 
 Only the notebook merge, the ranking and a proved trace read explanations
 and summaries. So while every gateway call of the proof has waited at least
 `OVERLAP_MIN_CALL_S`, those calls go to two FIFO lanes, one worker thread per
-role, and the search thread goes on; everything else, prompt rendering
-included, stays on the search thread in its sequential order. The replies
-are read in branch order when the layer is collected, at the barrier or
-before a proof is returned. A role never has two calls in flight, so it sees
-its calls in sequential order. With a fast gateway a hand-off costs more than
-a call, so calls run inline, in exactly the sequential global order.
+role, as their children are made, and the search thread goes on: they
+overlap the branch's remaining validations and rounds and the later
+branches. Everything else, prompt rendering included, stays on the search
+thread in its sequential order. The replies are read in branch order when
+the layer is collected, at the barrier or before a proof is returned. A
+role never has two calls in flight, so it sees its calls in sequential
+order. With a fast gateway a hand-off costs more than a call, so the calls
+are queued and sent inline once the expansion's rounds end, in exactly the
+sequential global order; an expansion that raises first drops its queue.
+On lanes, an expansion that loses a later round (a provider failure, or the
+budget running out) has already sent its earlier children's calls; those
+calls are made and their replies are never read.
 
 The search returns immediately when an applied tactic empties the goal stack,
 refreshes the focus with ``idtac`` when a tactic closes a subgoal but goals
 remain, reports Failure when a layer expands to nothing, and reports
-BudgetExhausted the moment a validation would exceed the budget. A port
-failure prunes its branch; the branch's `branch-pruned` event is recorded
-when the layer is collected, in branch order.
+BudgetExhausted the moment a validation would exceed the budget.
+
+A `ProviderError` or `SessionDesync` is branch-scoped: it prunes its branch,
+whether the expansion raised it or a reply read at the barrier did, and the
+branch's `branch-pruned` event is recorded when the layer is collected, in
+branch order. A child's `SessionDesync` is held: no further child is made,
+the rounds and the queued calls run as they would, and then it is raised.
+Run-scoped are a `PortFailure`, raised when the theorem does not compile or
+a whole layer is lost to branch-scoped failures, and any other exception;
+they end the proof.
 
 Every backend session the search opens is closed: a branch's once its
 expansion is done, a child's once dedupe, the beam cut or a pruned expansion
-drops it (before the next layer validates anything), and all the rest when
-the proof returns or raises.
+drops it (an expansion that raises closes its children at once; one pruned
+at the barrier, before the next layer validates anything), and all the rest
+when the proof returns or raises.
 """
 
 from __future__ import annotations
@@ -229,7 +245,7 @@ class _Branch:
 class _Expansion:
     """(tactic, state, session, explanation, summary) per child in tactic
     order, replies still to be read; a proving child, always the last, has
-    no summary. `error` is a port failure raised during the expansion."""
+    no summary. `error` is a branch-scoped failure the expansion raised."""
 
     parent: SearchCandidate
     children: list = field(default_factory=list)
@@ -244,7 +260,8 @@ def _text(gateway, prompt: str, role: str) -> str:
 class _ProofGateway:
     """The gateway as one proof uses it. Every call is timed; `later` uses
     its role's lane while no call has been fast, or while the lane still
-    holds a call (which keeps the role's order), and otherwise runs inline."""
+    holds a call (which keeps the role's order), and otherwise queues the
+    call on `inline` for `send`."""
 
     def __init__(self, gateway):
         self._gateway = gateway
@@ -260,17 +277,25 @@ class _ProofGateway:
             if time.perf_counter() - start < OVERLAP_MIN_CALL_S:
                 self._waits = False
 
-    def later(self, prompt: str, role: str) -> Callable[[], str]:
-        """Send a call; the callable returned gives its reply or raises."""
+    def later(self, prompt: str, role: str, inline: list) -> Callable[[], str]:
+        """Send a call, or queue it on `inline`; the callable returned gives
+        its reply or raises."""
         last = self._last.get(role)
         if not self._waits and (last is None or last.done()):
-            text = _text(self, prompt, role)
-            return lambda: text
+            reply: list = []
+            inline.append((reply, prompt, role))
+            return lambda: reply[0]
         lane = self._lanes.get(role)
         if lane is None:
             lane = self._lanes[role] = ThreadPoolExecutor(1, f"prooforge-{role}")
         self._last[role] = lane.submit(_text, self, prompt, role)
         return self._last[role].result
+
+    def send(self, inline: list) -> None:
+        """Make the queued calls in order, on this thread; the first failure
+        raises and leaves the rest unsent."""
+        for reply, prompt, role in inline:
+            reply.append(_text(self, prompt, role))
 
     def close(self) -> None:
         for lane in self._lanes.values():
@@ -485,7 +510,37 @@ def _expand_branch(
             return [suggestion.tactic for suggestion in action.items]
         return []
 
-    valid: list[tuple[str, ProofState]] = []
+    expansion = _Expansion(branch.candidate)
+    inline: list = []  # calls to send once the rounds end
+    opened: list = []  # child sessions, closed if the expansion raises
+    held: Optional[SessionDesync] = None
+
+    def add_child(tactic: str) -> None:
+        """Make a validated tactic's child and send its calls; after a proving
+        child or a held desync, make none."""
+        nonlocal held
+        if expansion.proves or held is not None:
+            return
+        try:
+            child = scope.clone(branch.session)
+            opened.append(child)
+            after = ports.backend.apply_tactic(tactic, child)
+            if is_subgoal_complete(state, after):
+                after = ports.backend.apply_tactic("idtac", child)
+        except SessionDesync as exc:
+            held = exc
+            return
+        explanation = calls.later(render_explanation_prompt(state, tactic, after), "explain", inline)
+        new_summary = None
+        if is_goal_complete(after):
+            expansion.proves = True
+        else:
+            new_summary = calls.later(
+                render_summarize_prompt(trace + ((tactic, ""),), after), "summarize", inline
+            )
+        expansion.children.append((tactic, after, child, explanation, new_summary))
+
+    valid: list[str] = []
     seen: set[str] = set()
 
     def validate_batch(tactics: list[str]) -> list[tuple[str, str]]:
@@ -506,33 +561,26 @@ def _expand_branch(
                 error=result.error,
             )
             if result.success:
-                valid.append((canonical, result.state))
+                valid.append(canonical)
+                add_child(canonical)
             else:
                 failed.append((canonical, truncate_error(result.error)))
         return failed
 
-    for retry in range(params.max_retries + 1):
-        if retry:
-            strategy = plan(tuple(failed))
-        failed = validate_batch(executor_round(strategy))
-        if not failed or len(valid) > params.tactics_per_state:
-            break
-
-    expansion = _Expansion(branch.candidate)
-    for tactic, _validated in valid:
-        child = scope.clone(branch.session)
-        after = ports.backend.apply_tactic(tactic, child)
-        if is_subgoal_complete(state, after):
-            after = ports.backend.apply_tactic("idtac", child)
-        explanation = calls.later(render_explanation_prompt(state, tactic, after), "explain")
-        if is_goal_complete(after):
-            expansion.children.append((tactic, after, child, explanation, None))
-            expansion.proves = True
-            break
-        new_summary = calls.later(
-            render_summarize_prompt(trace + ((tactic, ""),), after), "summarize"
-        )
-        expansion.children.append((tactic, after, child, explanation, new_summary))
+    try:
+        for retry in range(params.max_retries + 1):
+            if retry:
+                strategy = plan(tuple(failed))
+            failed = validate_batch(executor_round(strategy))
+            if not failed or len(valid) > params.tactics_per_state:
+                break
+        calls.send(inline)
+        if held is not None:
+            raise held
+    except BaseException:
+        for child in opened:
+            scope.close(child)
+        raise
     return expansion
 
 

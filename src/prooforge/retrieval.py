@@ -168,12 +168,16 @@ def build_index(
     Premises are (name, statement) pairs keyed by ``name : statement``.
     Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
     it was used on; the payload returned by retrieval is just the tactic.
+    Each distinct key is embedded once; a repeated key's row is a copy of
+    the first one's.
     """
     entries = {
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
         TACTIC: [(f"{tactic} \x1f {goal}", tactic) for tactic, goal in tactics],
     }
-    outputs = [provider.embed(key) for keyed in entries.values() for key, _payload in keyed]
+    all_keys = [key for keyed in entries.values() for key, _payload in keyed]
+    embedded = {key: provider.embed(key) for key in dict.fromkeys(all_keys)}
+    outputs = [embedded[key] for key in all_keys]
     stacked = _matrix(outputs) if outputs else np.empty((0, getattr(provider, "dim", None) or 0))
     kinds = {}
     start = 0

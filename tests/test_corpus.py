@@ -126,6 +126,45 @@ class TestLoadEntities:
         uses_record = corpus.records[[r.name for r in corpus.records].index("M.uses")]
         assert uses_record.dependencies == (base_tid,)
 
+    def test_a_bool_dependency_is_named_and_interns_nothing(self, tmp_path):
+        bad = json.dumps(
+            {
+                "name": "M.x",
+                "kernel_name": "M.x",
+                "kind": "Definition",
+                "origin": "o",
+                "internal": "i",
+                "dependencies": [0, 5, True],
+            }
+        )
+        table = TokenTable()
+        before = len(table)
+        with pytest.raises(FormatError) as exc_info:
+            load_entity_corpus(_write_entities(tmp_path, TRUE_RECORD_LINE, bad), table)
+        assert exc_info.value.line == 3
+        assert len(table) == before
+
+    def test_an_integer_dependency_resolves_only_to_an_entity(self, tmp_path):
+        # Token 0 is reserved, `local` a local class and 10**6 unallocated:
+        # none of them names an entity.
+        table = TokenTable()
+        local = table.intern_local("nat")
+        true_tid = len(table)  # the next id, which `True` gets
+        uses = json.dumps(
+            {
+                "name": "M.uses",
+                "kernel_name": "M.uses",
+                "kind": "Definition",
+                "origin": "o",
+                "internal": "i",
+                "dependencies": [0, local, 10**6, true_tid],
+            }
+        )
+        corpus = load_entity_corpus(_write_entities(tmp_path, TRUE_RECORD_LINE, uses), table)
+        assert corpus.tokens[0] == true_tid
+        uses_record = corpus.records[[r.name for r in corpus.records].index("M.uses")]
+        assert uses_record.dependencies == (true_tid,)
+
     def test_unknown_fields_preserved_as_extras(self, tmp_path):
         extra = json.dumps(
             {

@@ -4,6 +4,7 @@ the failure modes (retry exhaustion, budget exhaustion, port failures), and
 the explain and summarize calls overlapped on per-role lanes."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import sys
@@ -33,7 +34,7 @@ from prooforge.corpus import (
     encode_entity_record,
     load_entity_corpus,
 )
-from prooforge.errors import PortFailure, ProviderError
+from prooforge.errors import PortFailure, ProviderError, SessionDesync
 from prooforge.llm_gateway import MockGateway, ScriptRecord
 from prooforge.proof_search import (
     Outcome,
@@ -597,6 +598,43 @@ def failing_at_depth_two(route: str) -> list[ScriptRecord]:
     return branching_records(**records)
 
 
+class StartLog(WaitingGateway):
+    """Logs each call's role as the call starts. On lanes, a planner call
+    fed a failed round first gives the explain and summarize calls up to a
+    second to start, so the log does not depend on how soon a lane thread
+    runs."""
+
+    def __init__(self, records, delay_s: float):
+        super().__init__(records, delay_s)
+        self.starts: list[str] = []
+        self.started = {role: threading.Event() for role in ("explain", "summarize")}
+
+    def delay(self, request) -> float:
+        if request.role in self.started:
+            self.started[request.role].set()
+        elif self.delay_s and request.role == "planner" and "Unknown tactic" in str(request.messages):
+            for event in self.started.values():
+                event.wait(1.0)
+        with self._lock:
+            self.starts.append(request.role)
+        return self.delay_s
+
+
+def early_child_records(round_two) -> list[ScriptRecord]:
+    """A two-layer proof of A -> B -> A in which depth 2, branch 0 validates
+    `idtac` and fails `ring` in round 1; `round_two` is its round-2 executor
+    record. Branch 1 then proves with `assumption`."""
+    return route_defaults() + [
+        ScriptRecord(reply=tactics_reply("intros", "intros a b"), route="executor"),
+        ScriptRecord(reply=tactics_reply("idtac", "ring"), route="executor"),
+        round_two,
+        ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+    ]
+
+
+EARLY_CHILD_PARAMS = SearchParams(max_depth=2, beam_width=2, max_retries=1)
+
+
 class TestOverlappedCalls:
     def test_lanes_change_nothing_but_the_overlap(self):
         fast = run_branching(branching_records(), 0.0)
@@ -611,6 +649,39 @@ class TestOverlappedCalls:
             gateway.digests(), 1
         )
         assert fast[2].peak["all"] == 1
+
+    def test_a_child_calls_are_sent_as_its_tactic_validates(self):
+        # Round 1 validates `intros` and fails `ring`, so round 2 asks the
+        # planner again and validates `idtac`. On lanes the `intros` child's
+        # explain and summarize calls start before that planner call; inline
+        # every call keeps the sequential order, the children's calls after
+        # the rounds.
+        records = route_defaults() + [
+            ScriptRecord(reply=tactics_reply("intros", "ring"), route="executor"),
+            ScriptRecord(reply=tactics_reply("idtac"), route="executor"),
+            ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+        ]
+        fast = run_branching(records, 0.0, EARLY_CHILD_PARAMS, kind=StartLog)
+        slow = run_branching(records, LANE_DELAY_S, EARLY_CHILD_PARAMS, kind=StartLog)
+        result, events, gateway = slow
+        assert result.outcome is Outcome.PROVED
+        assert result.trace == (("intros", "The tactic advanced the goal."),
+                                ("assumption", "The tactic advanced the goal."))
+        assert gateway.starts.index("explain") < gateway.starts.index("planner", 1)
+        assert gateway.starts.index("summarize") < gateway.starts.index("planner", 1)
+        assert [request.role for request in fast[2].mock.calls] == fast[2].starts == [
+            "planner", "executor", "planner", "executor",
+            "explain", "summarize", "explain", "summarize", "notebook",
+            "planner", "executor", "explain",
+        ]
+        # The sequential request list, as the children-after-the-rounds
+        # search made it.
+        in_order = "".join(request.digest() for request in fast[2].mock.calls)
+        assert hashlib.sha256(in_order.encode()).hexdigest() == (
+            "9d9acf5cc9722aba565a51e572b431e23c8e5e508ed51a08bc16b628a4b1bc7b"
+        )
+        assert (result, events) == fast[:2]
+        assert gateway.digests() == fast[2].digests()
 
     def test_a_role_keeps_its_lane_until_the_lane_is_empty(self):
         fast = run_branching(branching_records(), 0.0)
@@ -783,10 +854,10 @@ class TestSessionLifecycle:
 
     @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
     def test_a_pruned_expansion_closes_its_children_before_the_next_layer(self, delay_s):
-        # Depth 2, branch 0 (session 4) clones 5, then its explain call
-        # fails; on lanes the failure shows at the barrier, after it cloned
-        # 5 and 6. Branch 1 (session 2) keeps one child, the only session
-        # open when depth 3 validates.
+        # Depth 2, branch 0 (session 4) clones 5 and 6 as its tactics
+        # validate, then its explain call fails: inline when its queued
+        # calls are sent, on lanes at the barrier. Branch 1 (session 2)
+        # keeps one child, the only session open when depth 3 validates.
         records = failing_at_depth_two("explain")
         executor = [r for r in records if r.route == "executor"]
         executor[2].reply = tactics_reply("idtac")
@@ -795,10 +866,93 @@ class TestSessionLifecycle:
         result, events, _gateway = run_branching(records, delay_s, backend=backend)
         assert result.outcome is Outcome.PROVED
         assert [(e["depth"], e["branch"]) for e in events if e["event"] == "branch-pruned"] == [(2, 0)]
-        assert len(backend.opened) == (7 if delay_s == 0.0 else 8)
+        assert len(backend.opened) == 8
         kept, open_ids = backend.validations[-1]
         assert open_ids == {kept}
         assert sorted(backend.closed) == sorted(backend.opened)
+
+
+class TestEarlyChildren:
+    @pytest.mark.parametrize("lost_by", ["budget", "provider"])
+    def test_a_round_lost_after_a_child_is_the_same_on_both_paths(self, lost_by):
+        # Depth 2, branch 0 clones session 4 for its round-1 `idtac`, then
+        # loses round 2: the budget runs out, or the executor call fails.
+        # Inline, the child's queued calls are dropped; on lanes they were
+        # sent and their replies are never read.
+        if lost_by == "budget":
+            round_two = ScriptRecord(reply=tactics_reply("assumption"), route="executor")
+            params = dataclasses.replace(EARLY_CHILD_PARAMS, budget=4)
+        else:
+            round_two = ScriptRecord(
+                reply="unused", route="executor", expect_digest=FAILING_DIGEST
+            )
+            params = EARLY_CHILD_PARAMS
+        runs = []
+        for delay_s in (0.0, LANE_DELAY_S):
+            backend = SessionLedger()
+            before = set(threading.enumerate())
+            result, events, gateway = run_branching(
+                early_child_records(round_two), delay_s, params, backend=backend
+            )
+            assert set(threading.enumerate()) == before
+            assert sorted(backend.closed) == sorted(backend.opened)
+            if lost_by == "provider":
+                # Branch 0 (session 2) and its child are closed before
+                # branch 1 (session 3) validates; branch 1 proves on 5.
+                assert backend.first_validation_after(2) == {3}
+                assert len(backend.opened) == 5
+            calls = Counter(request.role for request in gateway.mock.calls)
+            runs.append((result, events, calls))
+        (inline, inline_events, inline_calls), (lanes, lanes_events, lanes_calls) = runs
+        if lost_by == "budget":
+            assert inline.outcome is Outcome.BUDGET_EXHAUSTED
+            assert inline.tactic_evaluations_used == 4
+        else:
+            assert inline.outcome is Outcome.PROVED
+            pruned = [e for e in inline_events if e["event"] == "branch-pruned"]
+            assert [(e["depth"], e["branch"]) for e in pruned] == [(2, 0)]
+        assert (lanes, lanes_events) == (inline, inline_events)
+        assert lanes_calls - inline_calls == Counter(explain=1, summarize=1)
+        assert inline_calls - lanes_calls == Counter()
+
+
+    def test_a_child_desync_is_held_until_the_rounds_end(self):
+        # Depth 2, branch 0 makes a child for `idtac`; applying `simpl` on
+        # the next child desyncs. The rest of the round and round 2 still
+        # validate, the `idtac` child's calls are sent, and then the branch
+        # is pruned, its children closed before branch 1 validates.
+        class DesyncOnSimpl(SessionLedger):
+            def apply_tactic(self, tactic, session):
+                if tactic == "simpl":
+                    raise SessionDesync(f"session {session.session_id} desynced")
+                return super().apply_tactic(tactic, session)
+
+        records = route_defaults() + [
+            ScriptRecord(reply=tactics_reply("intros", "intros a b"), route="executor"),
+            ScriptRecord(reply=tactics_reply("idtac", "simpl", "ring"), route="executor"),
+            ScriptRecord(reply=tactics_reply("intros"), route="executor"),
+            ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+        ]
+        runs = []
+        for delay_s in (0.0, LANE_DELAY_S):
+            backend = DesyncOnSimpl()
+            result, events, gateway = run_branching(
+                records, delay_s, EARLY_CHILD_PARAMS, backend=backend
+            )
+            assert result.outcome is Outcome.PROVED
+            assert result.tactic_evaluations_used == 7
+            tactics = [e["tactic"] for e in events if e["event"] == "tactic"
+                       and (e["depth"], e["branch"]) == (2, 0)]
+            assert tactics == ["idtac", "simpl", "ring", "intros"]
+            pruned = [e for e in events if e["event"] == "branch-pruned"]
+            assert [(e["depth"], e["branch"]) for e in pruned] == [(2, 0)]
+            assert pruned[0]["error"] == "session 5 desynced"
+            assert backend.first_validation_after(2) == {3}
+            assert sorted(backend.closed) == sorted(backend.opened)
+            calls = Counter(request.role for request in gateway.mock.calls)
+            assert (calls["explain"], calls["summarize"]) == (4, 3)
+            runs.append((result, events))
+        assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------

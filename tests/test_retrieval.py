@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_proof_search import CountingTransport
 from prooforge.errors import ProviderError, ZeroVectorError
 from prooforge.retrieval import (
     HttpEmbeddingProvider,
@@ -138,6 +139,24 @@ class TestBuildIndex:
         )
         matrix = dup.kinds[TACTIC].matrix
         assert np.array_equal(matrix[0], matrix[1])
+
+    def test_a_repeated_key_costs_one_request_per_build(self):
+        transport = CountingTransport()
+        provider = HttpEmbeddingProvider("http://embed.invalid", "m", transport=transport)
+        premises = [("A.a", "alpha"), ("B.b", "beta"), ("A.a", "alpha")]
+        tactics = [("intros", "g"), ("intros", "g"), ("simpl", "g")]
+        distinct = ["A.a : alpha", "B.b : beta", "intros \x1f g", "simpl \x1f g"]
+        for build in (1, 2):
+            index = build_index(provider, premises=premises, tactics=tactics)
+            assert transport.texts == distinct * build
+        rows = index.kinds[PREMISE]
+        assert rows.payloads == ("A.a : alpha", "B.b : beta", "A.a : alpha")
+        assert np.array_equal(rows.matrix[0], rows.matrix[2])
+        assert list(rows.key_rank) == [0, 2, 1]
+        rows = index.kinds[TACTIC]
+        assert rows.payloads == ("intros", "intros", "simpl")
+        assert np.array_equal(rows.matrix[0], rows.matrix[1])
+        assert not np.array_equal(rows.matrix[0], rows.matrix[2])
 
     def test_tactic_payload_is_the_tactic_text(self):
         index = build_index(
@@ -311,11 +330,23 @@ class TestRetrieve:
     def test_ranking_matches_brute_force(self, pool, items, query_vector):
         # Property: each kind's full ranking equals an independent cosine
         # computation sorted by (-sim, key), stable in insertion order.  Keys
-        # and vectors repeat; integer components keep every similarity
-        # exact, so ties are real ties and the tie-break is what is tested.
-        premises = [(name, text, pool[v % len(pool)]) for kind, name, text, v in items if kind == PREMISE]
-        tactics = [(name, text, pool[v % len(pool)]) for kind, name, text, v in items if kind == TACTIC]
-        queue = [vec for _n, _t, vec in premises + tactics]
+        # and vectors repeat; a repeated key is embedded once, so its rows
+        # share the first one's vector. Integer components keep every
+        # similarity exact, so ties are real ties and the tie-break is what
+        # is tested.
+        first: dict[str, list] = {}
+
+        def vector(kind, name, text, v):
+            key = f"{name} : {text}" if kind == PREMISE else f"{name} \x1f {text}"
+            return first.setdefault(key, pool[v % len(pool)])
+
+        premises = [(n, t, vector(k, n, t, v)) for k, n, t, v in items if k == PREMISE]
+        tactics = [(n, t, vector(k, n, t, v)) for k, n, t, v in items if k == TACTIC]
+        queue = list({
+            (kind, name, text): vec
+            for kind, rows in ((PREMISE, premises), (TACTIC, tactics))
+            for name, text, vec in rows
+        }.values())
 
         class QueueProvider:
             def embed(self, text):
