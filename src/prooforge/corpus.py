@@ -102,32 +102,6 @@ _ENTITY_FIELDS = frozenset((
 ))
 
 
-def decode_entity_record(obj: dict) -> tuple[EntityRecord, dict]:
-    """Decode one entity object; returns the record plus any unknown fields.
-    Dependencies are read as raw token ids; `load_entity_corpus` resolves
-    dependency names itself, once every entity is interned."""
-    deps = tuple(dict.fromkeys(int(d) for d in obj.get("dependencies", [])))
-    return _decode_entity(obj, deps)
-
-
-def _decode_entity(obj: dict, dependencies: tuple) -> tuple[EntityRecord, dict]:
-    extras = {k: v for k, v in obj.items() if k not in _ENTITY_FIELDS}
-    record = EntityRecord(
-        name=obj["name"],
-        kernel_name=obj["kernel_name"],
-        kind=EntityKind.parse(obj["kind"]),
-        origin=obj["origin"],
-        internal=obj["internal"],
-        intuition=obj.get("intuition", ""),
-        source_file=obj.get("source_file", ""),
-        dependencies=dependencies,
-        origin_zh=obj.get("origin_zh", ""),
-        internal_zh=obj.get("internal_zh", ""),
-        intuition_zh=obj.get("intuition_zh", ""),
-    )
-    return record, extras
-
-
 def encode_hypothesis(hyp: Hypothesis) -> dict:
     return {
         "name": hyp.name,
@@ -348,11 +322,24 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
         if not isinstance(obj, dict):
             raise FormatError("each line must hold one JSON object", line=lineno)
         try:
-            record, extras = _decode_entity(obj, ())
+            record = EntityRecord(
+                name=obj["name"],
+                kernel_name=obj["kernel_name"],
+                kind=EntityKind.parse(obj["kind"]),
+                origin=obj["origin"],
+                internal=obj["internal"],
+                intuition=obj.get("intuition", ""),
+                source_file=obj.get("source_file", ""),
+                dependencies=(),
+                origin_zh=obj.get("origin_zh", ""),
+                internal_zh=obj.get("internal_zh", ""),
+                intuition_zh=obj.get("intuition_zh", ""),
+            )
         except (KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"missing or bad field: {exc}", line=lineno)
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno)
+        extras = {k: v for k, v in obj.items() if k not in _ENTITY_FIELDS}
         raw_deps = obj.get("dependencies", [])
         if not isinstance(raw_deps, list) or not all(
             isinstance(name, (str, int)) and not isinstance(name, bool) for name in raw_deps

@@ -116,7 +116,7 @@ class ChatRequest:
 
     def digest(self) -> str:
         joined = "\x1f".join(f"{role}\x1e{content}" for role, content in self.messages)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        return hashlib.sha256(joined.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,9 @@ whether the expansion raised it or a reply read at the barrier did, and the
 branch's `branch-pruned` event is recorded when the layer is collected, in
 branch order. A child's `SessionDesync` is held: no further child is made,
 the rounds and the queued calls run as they would, and then it is raised.
+The notebook and rank calls belong to no branch: a `ProviderError` there
+reads as an unusable reply, so the notebook keeps its items and appends the
+layer's insights, and the beam is cut in shortest-proof order.
 Run-scoped are a `PortFailure`, raised when the theorem does not compile or
 a whole layer is lost to branch-scoped failures, and any other exception;
 they end the proof.
@@ -304,13 +307,15 @@ class _ProofGateway:
 
 def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Notebook:
     """Merge new insights into the shared notebook via the gateway; on an
-    unusable reply keep the old items and append the newest insights, cut to
-    capacity from the oldest end."""
+    unusable reply or a provider failure keep the old items and append the
+    newest insights, cut to capacity from the oldest end."""
     if not insights:
         return notebook
     prompt = render_notebook_prompt(initial_state, insights, notebook)
-    reply = _text(gateway, prompt, "notebook")
-    merged = parse_string_array(reply)
+    try:
+        merged = parse_string_array(_text(gateway, prompt, "notebook"))
+    except ProviderError:
+        merged = None
     if merged is None:
         combined = notebook.items + tuple(insights)
         return Notebook(items=combined[-notebook.capacity:], capacity=notebook.capacity)
@@ -333,7 +338,8 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
 
     ModelBased asks the gateway to rank candidate ids against the initial
     goal; ids missing from the reply are backfilled in shortest-proof order,
-    and an unusable reply falls back to shortest-proof entirely."""
+    and an unusable reply or a provider failure falls back to shortest-proof
+    entirely."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("select_best requires candidates")
@@ -346,8 +352,12 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
     for i, candidate in enumerate(candidates):
         goals_text = " ; ".join(g.goal_internal for g in candidate.state.goals)
         triples.append((i, goals_text or "no goals remaining", candidate.summary))
-    reply = _text(gateway, render_rank_prompt(initial_state, triples, beam_width), "rank")
-    ranked = parse_int_array(reply)
+    try:
+        ranked = parse_int_array(
+            _text(gateway, render_rank_prompt(initial_state, triples, beam_width), "rank")
+        )
+    except ProviderError:
+        ranked = None
     if ranked is None:
         return _shortest_proof_order(candidates)[:beam_width]
     chosen = []

@@ -1,14 +1,21 @@
 """Embedding-backed nearest-neighbor retrieval of premises and tactics.
 
-The index is an exact full-scan cosine index: small corpora make anything
-fancier pointless. It holds one matrix per kind ("premise" or "tactic"):
-one row per item in insertion order, with the row norms, each row's payload
-(what gets spliced into prompts) and each row's rank in key-text order (the
-key text is what got embedded). A query is embedded once and scored against
-every row of both kinds; each kind's results come in descending similarity,
-ties broken by ascending key text and then by insertion order, so they are
-reproducible across platforms.
-A row with zero norm scores -1 against every query.
+The index holds one matrix per kind ("premise" or "tactic"): one row per
+item in insertion order, with the row norms, each row's payload (what gets
+spliced into prompts), each row's rank in key-text order (the key text is
+what got embedded) and a "screen": the rows divided by their norms and
+rounded to float32. A query is embedded once and scored against both kinds;
+each kind's results come in descending similarity, ties broken by ascending
+key text and then by insertion order, so they are reproducible across
+platforms. A row with zero norm scores -1 against every query.
+
+Retrieval is exact in two stages. The float32 screen scores every row
+against the unit query, and every row within `_screen_slack` of the k-th
+best screened score survives: a bound on the float32 error that follows
+from the dimension alone, so no row of the exact top k, nor one tied with
+its k-th, is dropped. Only the survivors get exact float64 cosines, each
+computed from its own row so that its bits do not depend on which other
+rows survive, and only they are sorted.
 
 A provider is any object whose ``embed(text)`` returns a 1-D float array of
 finite entries, the same length for every text. Both are checked on every
@@ -48,6 +55,17 @@ def _matrix(outputs: list) -> np.ndarray:
         dims = {len(_vector(output)) for output in outputs}
         raise ValueError(f"provider returned mixed dimensions: {sorted(dims)}")
     return matrix
+
+
+def _screen_slack(dim: int) -> float:
+    """How far below the k-th best screened score a row may screen and
+    still be in the exact top k, or tied with its k-th row, in `dim`
+    dimensions. A screened score is within (dim + 2) * 2**-24 of the true
+    cosine and an exact score within (dim + 2) * 2**-52 of it; call their sum
+    e. The k-th scores of the two then differ by at most e, so a row scoring
+    at least the exact k-th screens at most 2e below the k-th screened score.
+    The slack is 4e: that bound doubled for margin."""
+    return 4 * (dim + 2) * (2.0**-24 + 2.0**-52)
 
 
 def _vector(values) -> np.ndarray:
@@ -139,19 +157,22 @@ class HttpEmbeddingProvider:
 class KindRows:
     """Every item of one kind: row i of `matrix` embeds the key of
     `payloads[i]`, `norms[i]` is that row's norm (1.0 for a zero row, which
-    `zero[i]` flags) and `key_rank[i]` its position in key-text order."""
+    `zero[i]` flags), `key_rank[i]` its position in key-text order and
+    `screen[i]` the row divided by its norm, rounded to float32 (all zeros
+    for a zero row, which `retrieve` screens as -1)."""
 
     payloads: tuple[str, ...]
     matrix: np.ndarray
     norms: np.ndarray
     zero: np.ndarray
     key_rank: np.ndarray
+    screen: np.ndarray
 
 
 @dataclass
 class RetrievalIndex:
-    """Exact cosine index: one `KindRows` per kind, queries embedded through
-    `provider`."""
+    """Exact two-stage cosine index: one `KindRows` per kind, queries
+    embedded through `provider`."""
 
     provider: object
     kinds: dict[str, KindRows]
@@ -169,7 +190,8 @@ def build_index(
     Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
     it was used on; the payload returned by retrieval is just the tactic.
     Each distinct key is embedded once; a repeated key's row is a copy of
-    the first one's.
+    the first one's. The provider's vectors are let go once they are
+    stacked, before each kind's norms and float32 screen are computed.
     """
     entries = {
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
@@ -179,6 +201,7 @@ def build_index(
     embedded = {key: provider.embed(key) for key in dict.fromkeys(all_keys)}
     outputs = [embedded[key] for key in all_keys]
     stacked = _matrix(outputs) if outputs else np.empty((0, getattr(provider, "dim", None) or 0))
+    del embedded, outputs
     kinds = {}
     start = 0
     for kind, keyed in entries.items():
@@ -188,14 +211,24 @@ def build_index(
         key_rank = np.empty(len(keys), dtype=np.intp)
         key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
         norms = np.linalg.norm(matrix, axis=1)
+        zero = norms == 0.0
+        norms[zero] = 1.0
+        screen = np.divide(
+            matrix, norms[:, None], out=np.empty(matrix.shape, np.float32), casting="same_kind"
+        )
         kinds[kind] = KindRows(
-            tuple(payload for _key, payload in keyed),
-            matrix,
-            np.where(norms == 0.0, 1.0, norms),
-            norms == 0.0,
-            key_rank,
+            tuple(payload for _key, payload in keyed), matrix, norms, zero, key_rank, screen
         )
     return RetrievalIndex(provider=provider, kinds=kinds, dim=stacked.shape[1])
+
+
+def _cosines(rows: KindRows, top: np.ndarray, q: np.ndarray, qnorm: float) -> np.ndarray:
+    """Exact float64 cosines of the rows `top` with `q`, -1 for a zero row.
+    Each is summed from its own row alone, so its bits do not depend on
+    which other rows are scored with it (a matrix-vector product over a
+    subset may sum in another order)."""
+    dots = (rows.matrix.take(top, axis=0) * q).sum(axis=1)
+    return np.where(rows.zero.take(top), -1.0, dots / (rows.norms.take(top) * qnorm))
 
 
 def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[str, float]]]:
@@ -203,12 +236,16 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
 
     The query is embedded once and scored against the rows of both kinds;
     each kind's list is in descending similarity, ties broken by ascending
-    key text, then insertion order. Only the rows scoring at least the k-th
-    best similarity (a partition finds it; rows tied with it stay in) are
-    sorted; k == 0 and k >= the row count sort every row. A query that
-    embeds to the zero vector raises ZeroVectorError; provider failures, and a query vector whose
-    length is not that of a non-empty kind's rows, propagate as
-    ProviderError with the query as the failing key.
+    key text, then insertion order. For 0 < k < the row count, the float32
+    screen keeps the rows within `_screen_slack` of the k-th best screened
+    score, and only those get exact scores and are sorted; k == 0 and
+    k >= the row count score and sort every row. A row's exact score is the
+    same float whichever other rows are scored with it.
+
+    A query that embeds to the zero vector raises ZeroVectorError. Provider
+    failures, and a query vector whose length is not that of a non-empty
+    kind's rows, propagate as ProviderError with the query as the failing
+    key.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -221,9 +258,12 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroVectorError(f"query embeds to the zero vector: {query!r}")
+    unit = (q / qnorm).astype(np.float32)
+    slack = _screen_slack(len(q))
     ranked = {}
     for kind, rows in index.kinds.items():
-        if not rows.payloads:
+        n = len(rows.payloads)
+        if not n:
             ranked[kind] = []
             continue
         if len(q) != rows.matrix.shape[1]:
@@ -231,10 +271,16 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
                 f"query embeds to {len(q)} dimensions, the index holds {rows.matrix.shape[1]}",
                 key=query,
             )
-        sims = np.where(rows.zero, -1.0, (rows.matrix @ q) / (rows.norms * qnorm))
-        top = np.arange(len(sims))
-        if 0 < k < len(sims):
-            top = np.flatnonzero(sims >= np.partition(sims, len(sims) - k)[len(sims) - k])
-        order = top[np.lexsort((rows.key_rank[top], -sims[top]))][:k]
-        ranked[kind] = [(rows.payloads[i], float(sims[i])) for i in order]
+        if 0 < k < n:
+            screened = rows.screen @ unit
+            screened[rows.zero] = -1.0
+            top = (screened >= np.partition(screened, n - k)[n - k] - slack).nonzero()[0]
+        else:
+            top = np.arange(n)
+        sims = _cosines(rows, top, q, qnorm)
+        best = np.lexsort((rows.key_rank.take(top), -sims))[:k]
+        ranked[kind] = [
+            (rows.payloads[i], sim)
+            for i, sim in zip(top.take(best).tolist(), sims.take(best).tolist())
+        ]
     return ranked

@@ -17,9 +17,7 @@ from prooforge.corpus import (
     ENTITIES_HEADER,
     PROOFS_HEADER,
     EntityCorpus,
-    decode_entity_record,
     derive_constructors,
-    encode_entity_record,
     extract_concepts,
     generate_require,
     load_entity_corpus,
@@ -261,7 +259,7 @@ class TestRoundTrips:
         assert Path(first).read_bytes() == Path(second).read_bytes()
         assert reloaded.proofs == corpus.proofs
 
-    def test_record_encode_decode_identity(self):
+    def test_record_save_load_identity(self, tmp_path):
         record = make_entity(
             "M.thing",
             kind="Lemma",
@@ -272,9 +270,12 @@ class TestRoundTrips:
             intuition_zh="直觉",
             source_file="M/Thing.v",
         )
-        decoded, extras = decode_entity_record(encode_entity_record(record))
-        assert decoded == record
-        assert extras == {}
+        extras = {"note": "kept", "tags": ["a", 1]}
+        path = str(tmp_path / "entities.jsonl")
+        save_entity_corpus(EntityCorpus(records=(record,), extras={0: extras}), TokenTable(), path)
+        reloaded = load_entity_corpus(path, TokenTable())
+        assert reloaded.records == (record,)
+        assert reloaded.extras == {0: extras}
 
 
 # ----------------------------------------------------------------------

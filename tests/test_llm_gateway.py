@@ -1,5 +1,6 @@
 """Gateway layer: requests, action parsing, judged logprobs, mock and HTTP."""
 
+import hashlib
 import json
 import re
 
@@ -58,6 +59,15 @@ class TestChatRequest:
         assert a.digest() != c.digest()
         tagged = ChatRequest.user("prompt text", temperature=0.7, role="planner")
         assert tagged.digest() == a.digest()
+
+    def test_digest_takes_a_lone_surrogate(self):
+        # A JSON reply may carry "\\ud83d" alone, and a later prompt quotes
+        # it; the digest is still defined, and other text hashes as UTF-8.
+        lone = ChatRequest.user("reply \ud83d quoted")
+        assert lone.digest() != ChatRequest.user("reply quoted").digest()
+        plain = ChatRequest.user("caf\u00e9 \U0001f600")
+        joined = "user\x1ecaf\u00e9 \U0001f600".encode("utf-8")
+        assert plain.digest() == hashlib.sha256(joined).hexdigest()
 
     def test_unknown_role_rejected(self):
         # A mistyped role fails where it is written, not as an exhausted

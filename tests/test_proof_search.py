@@ -14,6 +14,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ADD_0_L_SURFACE,
@@ -35,7 +37,7 @@ from prooforge.corpus import (
     load_entity_corpus,
 )
 from prooforge.errors import PortFailure, ProviderError, SessionDesync
-from prooforge.llm_gateway import MockGateway, ScriptRecord
+from prooforge.llm_gateway import CompletionResult, MockGateway, ScriptRecord
 from prooforge.proof_search import (
     Outcome,
     ProofResult,
@@ -956,6 +958,137 @@ class TestEarlyChildren:
 
 
 # ----------------------------------------------------------------------
+# Fault injection: a bad reply or a desynced session costs one branch
+# ----------------------------------------------------------------------
+
+HOSTILE_REPLIES = (
+    "",
+    "no JSON here at all",
+    "9" * 5000,
+    "[" * 100_000,
+    '{"tactics": 5}',
+    '{"tactics": [{"tactic": ""}, {"tactic": 7}, null]}',
+    '{"info": ["Nowhere.nothing"]}',
+    "[-1, 99, \"x\", 0]",
+    # Surrogate code points, as an unpaired JSON "\ud83d" escape decodes to.
+    "\u0000\ud83d\ude00 \\ \" } ] {",
+)
+
+
+class FaultyGateway(WaitingGateway):
+    """A WaitingGateway whose call number `at`, counted as calls arrive,
+    gets `reply` in place of its scripted one, or raises ProviderError when
+    `reply` is None. The scripted record is used up either way, so later
+    calls get the replies they would have got."""
+
+    def __init__(self, records, delay_s: float, at: int, reply):
+        super().__init__(records, delay_s)
+        self.at = at
+        self.reply = reply
+        self.arrived = 0
+
+    def complete(self, request):
+        with self._lock:
+            number, self.arrived = self.arrived, self.arrived + 1
+        result = super().complete(request)
+        if number != self.at:
+            return result
+        if self.reply is None:
+            raise ProviderError(f"injected failure at call {number}", key=request.digest())
+        return CompletionResult(text=self.reply)
+
+
+class DesyncLedger(SessionLedger):
+    """A SessionLedger whose operation number `at` (clones, validations and
+    applications, counted in order) raises SessionDesync before it acts."""
+
+    def __init__(self, at: int):
+        super().__init__()
+        self.at = at
+        self.operations = 0
+
+    def _operation(self, name: str) -> None:
+        number, self.operations = self.operations, self.operations + 1
+        if number == self.at:
+            raise SessionDesync(f"injected desync at {name} {number}")
+
+    def clone_session(self, session):
+        self._operation("clone")
+        return super().clone_session(session)
+
+    def compile_tactic(self, tactic, state, session):
+        self._operation("compile")
+        return super().compile_tactic(tactic, state, session)
+
+    def apply_tactic(self, tactic, session):
+        self._operation("apply")
+        return super().apply_tactic(tactic, session)
+
+
+FAULT_SCENARIOS = {
+    "two-layers": (branching_records, BRANCHING_PARAMS),
+    "budget": (branching_records, dataclasses.replace(BRANCHING_PARAMS, budget=5)),
+    "early-child": (
+        lambda: early_child_records(
+            ScriptRecord(reply=tactics_reply("assumption"), route="executor")
+        ),
+        EARLY_CHILD_PARAMS,
+    ),
+}
+
+faults = st.tuples(
+    st.sampled_from(sorted(FAULT_SCENARIOS)),
+    st.one_of(st.none(), st.tuples(
+        st.integers(0, 24), st.one_of(st.none(), st.sampled_from(HOSTILE_REPLIES))
+    )),
+    st.one_of(st.none(), st.integers(0, 30)),
+)
+
+
+def check_fault_domains(delay_s: float, fault) -> None:
+    """Run one scenario with at most one gateway fault and one backend
+    fault, and check what must hold whatever failed."""
+    name, gateway_fault, desync_at = fault
+    records, params = FAULT_SCENARIOS[name]
+    at, reply = gateway_fault if gateway_fault is not None else (-1, None)
+    gateway = FaultyGateway(records(), delay_s, at, reply)
+    backend = DesyncLedger(-1 if desync_at is None else desync_at)
+    ports = SearchPorts(backend=backend, gateway=gateway)
+    before = set(threading.enumerate())
+    try:
+        result = prove("A -> B -> A", params, ports)
+    except PortFailure:
+        result = None
+    events = ports.recorder.events
+    pruned = [(e["depth"], e["branch"]) for e in events if e["event"] == "branch-pruned"]
+    if result is None:
+        # Only a whole lost layer raises: every branch of the last layer
+        # expanded was pruned.
+        depth = max(e["depth"] for e in events if "depth" in e)
+        widths = {e["depth"] + 1: e["width"] for e in events if e["event"] == "layer"}
+        assert [b for d, b in pruned if d == depth] == list(range(widths.get(depth, 1)))
+    else:
+        assert result.tactic_evaluations_used <= params.budget
+    assert len(backend.validations) <= params.budget
+    assert pruned == sorted(pruned)
+    assert len(set(pruned)) == len(pruned)
+    assert sorted(backend.closed) == sorted(backend.opened)
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not [t for t in left if t.name.startswith("prooforge-")]
+
+
+class TestFaultDomains:
+    @given(faults)
+    def test_inline(self, fault):
+        check_fault_domains(0.0, fault)
+
+    @settings(max_examples=25)
+    @given(faults)
+    def test_lanes(self, fault):
+        check_fault_domains(LANE_DELAY_S, fault)
+
+
+# ----------------------------------------------------------------------
 # Retrieval is computed once per goal text and proof
 # ----------------------------------------------------------------------
 
@@ -1214,6 +1347,15 @@ class TestSelectBest:
         kept = select_best(self.initial, [c0, c1, c2], 2, SelectionMode.MODEL_BASED, gateway)
         assert kept == [c1, c2]
 
+    def test_model_based_falls_back_on_a_provider_failure(self):
+        c0 = _candidate(3, 1, "a")
+        c1 = _candidate(1, 1, "b")
+        c2 = _candidate(2, 1, "c")
+        gateway = MockGateway()  # no rank record: the call raises ProviderError
+        kept = select_best(self.initial, [c0, c1, c2], 2, SelectionMode.MODEL_BASED, gateway)
+        assert kept == [c1, c2]
+        assert [request.role for request in gateway.calls] == ["rank"]
+
     def test_no_candidates_rejected(self):
         with pytest.raises(ValueError):
             select_best(self.initial, [], 2, SelectionMode.SHORTEST_PROOF, None)
@@ -1243,3 +1385,9 @@ class TestNotebook:
         )
         assert merged.items == tuple(f"old{i}" for i in range(2, 14)) + ("a", "b", "c")
         assert len(merged.items) == 15
+
+    def test_a_provider_failure_reads_as_an_unusable_reply(self):
+        gateway = MockGateway()  # no notebook record: the call raises ProviderError
+        merged = update_notebook(sigma_0(), ["a", "b"], Notebook(items=("old",)), gateway)
+        assert merged.items == ("old", "a", "b")
+        assert [request.role for request in gateway.calls] == ["notebook"]

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from test_proof_search import CountingTransport
+from prooforge import retrieval
 from prooforge.errors import ProviderError, ZeroVectorError
 from prooforge.retrieval import (
     HttpEmbeddingProvider,
@@ -373,3 +374,126 @@ class TestRetrieve:
             want = [(payload, sim) for _key, payload, sim in expected]
             assert ranked[kind] == want
             assert top_two[kind] == want[:2]
+
+
+# ----------------------------------------------------------------------
+# The float32 screen
+# ----------------------------------------------------------------------
+
+@st.composite
+def screened_rows(draw):
+    """Row vectors for one kind plus a query, generated from a drawn seed:
+    random rows, zero rows, duplicates of a row under another key, positive
+    multiples of a row, and a cluster of rows planted within the screen's
+    slack of an anchor row (or of the query), so the k-th score falls among
+    near-ties whose float32 order may differ from their exact order."""
+    dim = draw(st.one_of(st.sampled_from([1, 2, 3, 32, 512]), st.integers(1, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = list(rng.standard_normal((draw(st.integers(1, 12)), dim)))
+    query = rng.standard_normal(dim)
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(np.zeros(dim))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+    for _ in range(draw(st.integers(0, 2))):
+        scale = draw(st.sampled_from([0.5, 3.0, 1e-3]))
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))] * scale)
+    anchor = draw(st.one_of(st.none(), st.integers(0, len(rows) - 1)))
+    centre = query if anchor is None else rows[anchor]
+    for _ in range(draw(st.integers(0, 8))):
+        spread = draw(st.sampled_from([0.0, 2.0**-40, 2.0**-30, 2.0**-24, 2.0**-20, 2.0**-16]))
+        noise = spread * rng.standard_normal(dim)
+        rows.append(centre * (1 + spread * rng.standard_normal()) + noise)
+    order = rng.permutation(len(rows))
+    return [rows[i] for i in order], query
+
+
+def _screened_index(rows, query):
+    """Premise rows keyed by shuffled names, so key order is not insertion
+    order, with `query` embedded for the text "query"."""
+    rng = np.random.default_rng(len(rows))
+    names = [f"p{rng.integers(0, len(rows))}" for _ in rows]
+    vectors = {f"{name}#{i} : t": row for i, (name, row) in enumerate(zip(names, rows))}
+    vectors["query"] = query
+    premises = [(f"{name}#{i}", "t") for i, name in enumerate(names)]
+    return build_index(BasisProvider(vectors), premises=premises)
+
+
+class TestScreen:
+    @given(screened_rows(), st.data())
+    def test_retrieve_equals_a_brute_force_ranking(self, drawn, data):
+        # Each row scored on its own by the exact per-row formula, every
+        # row sorted by (-score, key text, insertion order): the screen
+        # must never drop a row that belongs in the top k.
+        rows, query = drawn
+        index = _screened_index(rows, query)
+        kind = index.kinds[PREMISE]
+        q = np.asarray(query, dtype=float)
+        qnorm = float(np.linalg.norm(q))
+        scores = []
+        for i in range(len(rows)):
+            if kind.zero[i]:
+                scores.append(-1.0)
+            else:
+                scores.append(float((kind.matrix[i] * q).sum() / (kind.norms[i] * qnorm)))
+        full = sorted(range(len(rows)), key=lambda i: (-scores[i], kind.payloads[i], i))
+        # Half the draws put the k-th row among rows that score within the
+        # slack of the next one, where the screen's own order may differ.
+        slack = retrieval._screen_slack(len(query))
+        near = [k for k in range(1, len(rows)) if scores[full[k - 1]] - scores[full[k]] < slack]
+        if near and data.draw(st.booleans()):
+            k = data.draw(st.sampled_from(near), label="k")
+        else:
+            k = data.draw(st.integers(0, len(rows) + 1), label="k")
+        expected = [(kind.payloads[i], scores[i]) for i in full[:k]]
+        assert retrieve(index, "query", k)[PREMISE] == expected
+
+    @given(screened_rows())
+    def test_the_screen_error_is_within_its_bound(self, drawn):
+        # The premise of the slack: a screened score is within a quarter of
+        # the slack of the exact one.
+        rows, query = drawn
+        index = _screened_index(rows, query)
+        kind = index.kinds[PREMISE]
+        q = np.asarray(query, dtype=float)
+        qnorm = float(np.linalg.norm(q))
+        exact = retrieval._cosines(kind, np.arange(len(rows)), q, qnorm)
+        unit = (q / qnorm).astype(np.float32)
+        screened = np.where(kind.zero, -1.0, kind.screen @ unit)
+        assert np.abs(screened - exact).max() <= retrieval._screen_slack(len(query)) / 4
+
+    @given(screened_rows(), st.data())
+    def test_a_row_scores_the_same_in_any_subset(self, drawn, data):
+        rows, query = drawn
+        kind = _screened_index(rows, query).kinds[PREMISE]
+        q = np.asarray(query, dtype=float)
+        qnorm = float(np.linalg.norm(q))
+        every = retrieval._cosines(kind, np.arange(len(rows)), q, qnorm)
+        subset = np.array(data.draw(
+            st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2 * len(rows)),
+            label="subset",
+        ))
+        assert retrieval._cosines(kind, subset, q, qnorm).tobytes() == every[subset].tobytes()
+
+    def test_zero_rows_screen_below_every_row(self):
+        # Every non-zero row points away from the query; two zero rows
+        # screening as 0 would take the top two places before the exact
+        # pass and push the best real rows out of the screen.
+        vectors = {"a : t": [-1.0, 0.1], "b : t": [-1.0, 0.2], "c : t": [-1.0, 0.3],
+                   "z1 : t": [0.0, 0.0], "z2 : t": [0.0, 0.0], "query": [1.0, 0.0]}
+        index = build_index(BasisProvider(vectors), premises=[
+            ("a", "t"), ("z1", "t"), ("b", "t"), ("z2", "t"), ("c", "t"),
+        ])
+        assert [p for p, _s in retrieve(index, "query", 2)[PREMISE]] == ["c : t", "b : t"]
+        assert [p for p, _s in retrieve(index, "query", 4)[PREMISE]] == [
+            "c : t", "b : t", "a : t", "z1 : t",
+        ]
+
+    def test_the_screen_is_the_unit_rows_in_float32(self):
+        index = build_index(
+            BasisProvider({"a : t": [3.0, 4.0], "z : t": [0.0, 0.0]}),
+            premises=[("a", "t"), ("z", "t")],
+        )
+        screen = index.kinds[PREMISE].screen
+        assert screen.dtype == np.float32
+        assert screen.tolist() == [[np.float32(0.6), np.float32(0.8)], [0.0, 0.0]]

@@ -1,7 +1,8 @@
 """Set-up bytes: everything `load_entity_corpus` and `build_index` produce,
 hashed and pinned for the fixture corpus and for a generated wide corpus
-(Inductive constructors, dependency names). A malformed line is named and
-interns nothing, and the index rejects three kinds of bad embedding."""
+(Inductive constructors, dependency names); each kind's float32 screen has
+its own pin. A malformed line is named and interns nothing, and the index
+rejects three kinds of bad embedding."""
 
 import hashlib
 import json
@@ -24,6 +25,19 @@ GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 PINNED = {
     "fixtures": "159d2a5d8f806b11d140ebe6f6115078684818a50be4db4e1201413e5340dcfb",
     "wide-corpus": "f7af84e1c70908d8f92ac589967592739c168a287cf3f6074df718d1e55afc5b",
+}
+
+
+#: sha256 of each kind's float32 screen (`_array_bytes`), per corpus.
+SCREENS = {
+    "fixtures": {
+        "premise": "e4de61dee1adcf2368a02805e88232be1ac703d3be9d5293db745a8babd0bce6",
+        "tactic": "e63cfb31c388959c0597e55115032b6fd353a49927649d32c7e7891767f39050",
+    },
+    "wide-corpus": {
+        "premise": "cf7ef406d66e953c0b81a4af1a0abaa19f8ad7fb3607f6a270f60935aa681f0e",
+        "tactic": "0d88b4ae7cb727cb1016b124424563e86cae8c3f5cc62e24693e72763b04af81",
+    },
 }
 
 
@@ -91,6 +105,19 @@ def test_generated_set_up_bytes_are_pinned(wide_corpus):
     assert sum(bool(record.dependencies) for record in corpus.records) > 100
     parts = _setup_parts(table, corpus, index)
     assert _digest(parts) == PINNED["wide-corpus"], parts
+
+
+@pytest.mark.parametrize("corpus", sorted(SCREENS))
+def test_screen_bytes_are_pinned(corpus, request):
+    directory = Path(FIXTURES) if corpus == "fixtures" else request.getfixturevalue("wide_corpus")
+    _table, _corpus, index = _set_up(directory)
+    for rows in index.kinds.values():
+        assert np.array_equal(rows.screen, (rows.matrix / rows.norms[:, None]).astype(np.float32))
+    screens = {
+        kind: hashlib.sha256(_array_bytes(rows.screen)).hexdigest()
+        for kind, rows in sorted(index.kinds.items())
+    }
+    assert screens == SCREENS[corpus]
 
 
 @pytest.mark.parametrize("bad", [
