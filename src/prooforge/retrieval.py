@@ -227,8 +227,9 @@ def _cosines(rows: KindRows, top: np.ndarray, q: np.ndarray, qnorm: float) -> np
     Each is summed from its own row alone, so its bits do not depend on
     which other rows are scored with it (a matrix-vector product over a
     subset may sum in another order)."""
-    dots = (rows.matrix.take(top, axis=0) * q).sum(axis=1)
-    return np.where(rows.zero.take(top), -1.0, dots / (rows.norms.take(top) * qnorm))
+    sims = (rows.matrix.take(top, axis=0) * q).sum(axis=1) / (rows.norms.take(top) * qnorm)
+    sims[rows.zero.take(top)] = -1.0
+    return sims
 
 
 def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[str, float]]]:
@@ -255,7 +256,7 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
         raise
     except Exception as exc:
         raise ProviderError(f"query embedding failed: {exc}", key=query)
-    qnorm = float(np.linalg.norm(q))
+    qnorm = math.sqrt(q.dot(q))  # the bits of np.linalg.norm, without its overhead
     if qnorm == 0.0:
         raise ZeroVectorError(f"query embeds to the zero vector: {query!r}")
     unit = (q / qnorm).astype(np.float32)
