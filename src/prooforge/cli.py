@@ -264,14 +264,19 @@ def _resolve_theorem(name_or_statement: str, proofs) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    """Write `obj` as UTF-8 JSON. A lone surrogate, which a reply's JSON
+    ``\\ud83d`` escape can carry and UTF-8 cannot encode, is written as that
+    escape again; it can only stand inside a JSON string, so the file loads
+    back to the same text."""
+    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    _write_text(path, text, errors="backslashreplace")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, errors: str = "strict") -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", errors=errors) as fh:
         fh.write(text)
 
 

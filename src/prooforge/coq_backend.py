@@ -371,7 +371,7 @@ class SyntheticBackend:
                 f"session {session.session_id} is not at the state being validated"
             )
         result = self._step(tactic, state)
-        if result.success:
+        if result.success or len(result.error) <= ERROR_TEXT_LIMIT:
             return result
         return CompileResult(False, error=truncate_error(result.error))
 

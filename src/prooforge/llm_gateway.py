@@ -111,8 +111,13 @@ class ChatRequest:
     @classmethod
     def for_role(cls, role: str, content: str) -> "ChatRequest":
         """A one-message request with `role`'s settings from the table."""
-        _check_role(role, "request role")
-        return cls.user(content, role=role, **ROLE_SETTINGS[role]._asdict())
+        try:
+            settings = ROLE_SETTINGS[role]
+        except KeyError:
+            _check_role(role, "request role")
+            raise
+        temperature, max_tokens, want_logprobs = settings
+        return cls((("user", content),), temperature, max_tokens, want_logprobs, role)
 
     def digest(self) -> str:
         joined = "\x1f".join(f"{role}\x1e{content}" for role, content in self.messages)
@@ -220,11 +225,13 @@ def _interpret(obj) -> Optional[ActionResponse]:
     if "tactics" in obj and isinstance(obj["tactics"], list):
         items = []
         for entry in obj["tactics"]:
-            if isinstance(entry, dict) and isinstance(entry.get("tactic"), str) and entry["tactic"].strip():
-                items.append(TacticSuggestion(
-                    tactic=entry["tactic"].strip(),
-                    reason=str(entry.get("reason", "")),
-                ))
+            if not isinstance(entry, dict):
+                continue
+            tactic = entry.get("tactic")
+            if isinstance(tactic, str):
+                tactic = tactic.strip()
+                if tactic:
+                    items.append(TacticSuggestion(tactic, str(entry.get("reason", ""))))
         if items:
             clamped = len(items) > 10
             if clamped:
@@ -385,6 +392,13 @@ class ScriptRecord:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScriptRecord":
+        """Read one JSON record; a `reply` or `route` that is not a string,
+        or a `default` that is not a boolean, raises ValueError."""
+        for key in ("reply", "route"):
+            if key in obj and not isinstance(obj[key], str):
+                raise ValueError(f"{key} must be a string, not {obj[key]!r}")
+        if "default" in obj and not isinstance(obj["default"], bool):
+            raise ValueError(f"default must be true or false, not {obj['default']!r}")
         logprobs = None
         if obj.get("logprobs"):
             logprobs = tuple(
@@ -405,7 +419,7 @@ class ScriptRecord:
         return cls(
             reply=obj.get("reply", ""),
             route=obj.get("route"),
-            default=bool(obj.get("default", False)),
+            default=obj.get("default", False),
             expect_digest=obj.get("expect_digest"),
             logprobs=logprobs,
             yes_no=yes_no,

@@ -34,7 +34,11 @@ glob-def text once under one configuration, and both prompts read the state,
 the concepts and the configuration from it alone. Each block is filled in one
 ``str.format`` pass, so inserted text is never scanned for placeholders.
 
-All renderers are pure functions of their inputs.
+All renderers are pure functions of their inputs. Three take an optional
+memo that keeps text they have rendered: `render_state_context` each
+concept's glob-def chunk, `render_prove_prompt` the text before the hint,
+and `render_planner_prompt` the text before the failed tactics. The search
+keeps the first for a proof and the other two for an expansion context.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core_model import EntityRecord, Notebook, ProofState
 
@@ -291,22 +295,29 @@ def _record_texts(record: EntityRecord, traits: ConfigTraits) -> tuple[str, str,
     return record.origin, record.internal, record.intuition
 
 
+def _render_glob_def(record: EntityRecord, traits: ConfigTraits) -> str:
+    origin, internal, intuition = _record_texts(record, traits)
+    lines = [f"- {record.name} ({record.kind.render()})"]
+    if traits.origin:
+        lines.append(f"  Origin: {origin}")
+    if traits.internal:
+        lines.append(f"  Internal: {internal}")
+    if traits.intuition and intuition:
+        lines.append(f"  Intuition: {intuition}")
+    return "\n".join(lines)
+
+
 def _render_glob_defs(
-    concepts: list[tuple[int, EntityRecord]], traits: ConfigTraits
+    concepts: list[tuple[int, EntityRecord]], traits: ConfigTraits, memo: dict
 ) -> str:
     if not (traits.origin or traits.internal or traits.intuition):
         return ""
     chunks: list[str] = []
-    for _token, record in concepts:
-        origin, internal, intuition = _record_texts(record, traits)
-        lines = [f"- {record.name} ({record.kind.render()})"]
-        if traits.origin:
-            lines.append(f"  Origin: {origin}")
-        if traits.internal:
-            lines.append(f"  Internal: {internal}")
-        if traits.intuition and intuition:
-            lines.append(f"  Intuition: {intuition}")
-        chunks.append("\n".join(lines))
+    for token, record in concepts:
+        chunk = memo.get(token)
+        if chunk is None:
+            chunk = memo[token] = _render_glob_def(record, traits)
+        chunks.append(chunk)
     return "\n".join(chunks)
 
 
@@ -331,9 +342,15 @@ def render_state_context(
     state: ProofState,
     concepts: Sequence[tuple[int, EntityRecord]] = (),
     config: InfoConfiguration = InfoConfiguration.COMPLETE,
+    memo: Optional[dict] = None,
 ) -> StateContext:
     """`concepts` are (token_id, EntityRecord) pairs, as `concept_pairs`
-    returns them; the ids are carried into each bundle for clarity probing."""
+    returns them; the ids are carried into each bundle for clarity probing.
+
+    `memo` maps each concept token to its rendered glob-def chunk, so a
+    concept is rendered once however many contexts show it; it must be used
+    with one configuration and one corpus only. The search keeps one per
+    proof, other callers one per call."""
     traits = CONFIG_MATRIX[config]
     ordered = _order_concepts(state, concepts)
     return StateContext(
@@ -341,22 +358,13 @@ def render_state_context(
         state_block=_BLOCK_PROOF_STATE.format(
             hyps=_render_hypotheses(state, traits), goal=_render_goal(state, traits)
         ),
-        glob_defs=_render_glob_defs(ordered, traits),
+        glob_defs=_render_glob_defs(ordered, traits, {} if memo is None else memo),
         concept_tokens=tuple(token for token, _record in ordered),
     )
 
 
-def render_prove_prompt(
-    context: StateContext,
-    trace: Sequence[tuple[str, str]] = (),
-    summary: str = "",
-    premises: Sequence[str] = (),
-    tactics: Sequence[str] = (),
-    notes: Notebook = Notebook(),
-    hint: str = "",
-) -> PromptBundle:
-    """Render the proving prompt for one state context; its configuration
-    decides which sections appear."""
+def _prove_body(context, trace, summary, premises, tactics, notes) -> str:
+    """The proving prompt up to its hint section."""
     parts = [_BLOCK_HEADER, context.state_block]
     if CONFIG_MATRIX[context.config].structured:
         parts += [
@@ -368,11 +376,37 @@ def render_prove_prompt(
             _BLOCK_PREMISES.format(premises=_render_list(premises)),
             _BLOCK_TACTICS.format(tactics=_render_list(tactics)),
             _BLOCK_NOTES.format(public_notes=_render_list(notes.items)),
-            _BLOCK_HINT.format(hint=hint),
         ]
-    parts.append(_BLOCK_ACTIONS)
+    return "".join(parts)
+
+
+def render_prove_prompt(
+    context: StateContext,
+    trace: Sequence[tuple[str, str]] = (),
+    summary: str = "",
+    premises: Sequence[str] = (),
+    tactics: Sequence[str] = (),
+    notes: Notebook = Notebook(),
+    hint: str = "",
+    memo: Optional[dict] = None,
+) -> PromptBundle:
+    """Render the proving prompt for one state context; its configuration
+    decides which sections appear.
+
+    `memo` keeps the text before the hint section, so calls that share it
+    render only the hint and the actions; they must pass the same arguments
+    but `hint`. The search keeps one per expansion context, together with
+    the planner's (see `render_planner_prompt`)."""
+    memo = {} if memo is None else memo
+    body = memo.get("prove")
+    if body is None:
+        body = memo["prove"] = _prove_body(context, trace, summary, premises, tactics, notes)
+    if CONFIG_MATRIX[context.config].structured:
+        rendered = body + _BLOCK_HINT.format(hint=hint) + _BLOCK_ACTIONS
+    else:
+        rendered = body + _BLOCK_ACTIONS
     return PromptBundle(
-        rendered="".join(parts),
+        rendered=rendered,
         config=context.config,
         concept_tokens=context.concept_tokens,
     )
@@ -391,16 +425,13 @@ PLANNER_SECTION_LABELS = (
 )
 
 
-def render_planner_prompt(
-    context: StateContext,
-    trace: Sequence[tuple[str, str]] = (),
-    summary: str = "",
-    notes: Notebook = Notebook(),
-    errors: Sequence[tuple[str, str]] = (),
-) -> str:
-    """Strategy-analysis prompt; with `errors`, a reflection prompt that lists
-    each failed tactic and its compiler error verbatim. It shows the
-    context's proof-state block, and its glob-def block when there is text."""
+_PLANNER_FOOTER = "\n".join(
+    ("Respond with exactly these labeled sections:", *PLANNER_SECTION_LABELS)
+)
+
+
+def _planner_body(context, trace, summary, notes) -> str:
+    """The planner prompt up to its failed-tactics section."""
     head = (
         "You are planning the next steps of a formal Coq proof. "
         "Analyze the state and context below, then lay out a strategy.\n\n"
@@ -411,7 +442,30 @@ def render_planner_prompt(
     lines = ["=== Proof Tracing ===", "Tactics: " + " -> ".join(t for t, _ in trace)]
     if summary:
         lines.append(summary)
-    lines += ["", "=== Public Notes ===", _render_list(notes.items), ""]
+    lines += ["", "=== Public Notes ===", _render_list(notes.items), "", ""]
+    return head + "\n".join(lines)
+
+
+def render_planner_prompt(
+    context: StateContext,
+    trace: Sequence[tuple[str, str]] = (),
+    summary: str = "",
+    notes: Notebook = Notebook(),
+    errors: Sequence[tuple[str, str]] = (),
+    memo: Optional[dict] = None,
+) -> str:
+    """Strategy-analysis prompt; with `errors`, a reflection prompt that lists
+    each failed tactic and its compiler error verbatim. It shows the
+    context's proof-state block, and its glob-def block when there is text.
+
+    `memo` keeps the text before the failed tactics, so calls that share it
+    render only the errors; they must pass the same arguments but `errors`.
+    It may be the memo `render_prove_prompt` keeps for the same context."""
+    memo = {} if memo is None else memo
+    body = memo.get("planner")
+    if body is None:
+        body = memo["planner"] = _planner_body(context, trace, summary, notes)
+    lines = []
     if errors:
         lines += [
             "=== Failed Tactics ===",
@@ -420,12 +474,8 @@ def render_planner_prompt(
         for tactic, error in errors:
             lines.append(f"- tactic: {tactic}")
             lines.append(f"  error: {error}")
-        lines.append("")
-    lines += [
-        "Respond with exactly these labeled sections:",
-        *PLANNER_SECTION_LABELS,
-    ]
-    return head + "\n".join(lines)
+        lines += ["", ""]
+    return body + "\n".join(lines) + _PLANNER_FOOTER
 
 
 # ======================================================================

@@ -4,12 +4,15 @@ One search layer expands every kept candidate. An expansion gathers its
 context once: the corpus concepts the current state references, a planner
 strategy, and the related premises and tactic examples, both ranked from
 one embedding of the first goal. The proof-state and concept blocks the
-planner and executor prompts share are rendered once per expansion, and
-again only after an info request adds concepts. Two facts are computed once
-per proof and kept for that proof only: the global tokens of each goal or
-hypothesis text, and the premises and tactic examples of each first-goal
-text, which is embedded and ranked the first time the proof sees it (a goal
-that embeds to zero gets none; a provider failure is not kept). Then up to
+planner and executor prompts share make the expansion's context, rendered
+once per expansion and again only after an info request adds concepts; the
+planner prompt up to its failed tactics and the executor prompt up to its
+hint are rendered once per context, so each round adds only those. Three
+facts are computed once per proof and kept for that proof only: the global
+tokens of each goal or hypothesis text, the glob-def chunk of each concept,
+and the premises and tactic examples of each first-goal text, which is
+embedded and ranked the first time the proof sees it (a goal that embeds to
+zero gets none; a provider failure is not kept). Then up to
 `max_retries + 1` rounds run:
 the executor proposes up to `tactics_per_state` tactics (after at most one
 request for more concepts per expansion, resolved through the corpus name
@@ -191,8 +194,7 @@ class RunRecorder:
         self._lock = threading.Lock()
 
     def record(self, kind: str, **data) -> None:
-        event = {"event": kind}
-        event.update(data)
+        event = {"event": kind, **data}
         with self._lock:
             self.events.append(event)
 
@@ -408,12 +410,14 @@ def _lookup_info(ports: SearchPorts, names, have_tokens: set):
 
 class _ProofScope:
     """What one proof keeps, and nothing outlives it: the global tokens of
-    each goal or hypothesis text, the (premises, tactic examples) ranked for
-    each first-goal text, and the backend sessions still open."""
+    each goal or hypothesis text, the glob-def chunk of each concept token,
+    the (premises, tactic examples) ranked for each first-goal text, and the
+    backend sessions still open."""
 
     def __init__(self, backend):
         self.backend = backend
         self.tokens: dict = {}
+        self.chunks: dict = {}
         self.retrieved: dict = {}
         self._open: dict = {}
 
@@ -478,12 +482,13 @@ def _expand_branch(
 
     concepts = concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens)
     have_tokens = {token for token, _record in concepts}
-    context = render_state_context(state, concepts, ports.config)
+    context = render_state_context(state, concepts, ports.config, memo=scope.chunks)
+    bodies: dict = {}  # the planner and prove prompt bodies of `context`
     info_used = False
 
     def plan(errors) -> str:
         prompt = render_planner_prompt(
-            context, trace=trace, summary=summary, notes=notebook, errors=errors
+            context, trace=trace, summary=summary, notes=notebook, errors=errors, memo=bodies
         )
         return _text(calls, prompt, "planner")
 
@@ -499,6 +504,7 @@ def _expand_branch(
             tactics=tactic_examples,
             notes=notebook,
             hint=strategy_text,
+            memo=bodies,
         )
         reply = _text(calls, bundle.rendered, "executor")
         return parse_action_response(reply)
@@ -506,12 +512,13 @@ def _expand_branch(
     def executor_round(strategy_text: str) -> list[str]:
         """One executor exchange; resolves at most one info request per
         expansion, after which an info request yields no tactics."""
-        nonlocal concepts, context, info_used
+        nonlocal concepts, context, bodies, info_used
         action = ask_executor(strategy_text)
         if isinstance(action, InfoRequest) and not info_used:
             info_used = True
             concepts = concepts + _lookup_info(ports, action.names, have_tokens)
-            context = render_state_context(state, concepts, ports.config)
+            context = render_state_context(state, concepts, ports.config, memo=scope.chunks)
+            bodies = {}
             recorder.record(
                 "info", depth=depth, branch=index_in_layer, names=list(action.names)
             )

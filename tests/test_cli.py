@@ -194,6 +194,45 @@ class TestProve:
         assert err.startswith(f"error: gateway script {script}, line 3: ")
         assert message in err
 
+    def test_non_string_executor_reply_is_a_usage_error(self, tmp_path, capsys):
+        # Such a reply once loaded and ended the proof with an AttributeError.
+        script = tmp_path / "script.jsonl"
+        script.write_text(
+            Path(PROVE_SCRIPT).read_text(encoding="utf-8")
+            + '{"route": "executor", "reply": 5}\n',
+            encoding="utf-8",
+        )
+        code = main(prove_args(tmp_path / "runs", script=str(script)) + [WORKED])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: gateway script {script}, line 11: reply must be a string")
+
+    def test_lone_surrogate_in_a_reply_is_logged_as_its_escape(self, tmp_path, capsys):
+        # The JSON escape \ud83d loads as a lone surrogate, which UTF-8
+        # cannot encode; the run log writes it back as the same escape.
+        lines = Path(PROVE_SCRIPT).read_text(encoding="utf-8").splitlines()
+        script = tmp_path / "script.jsonl"
+        script.write_text(
+            "\n".join(
+                line.replace('"reply": "The tactic', '"reply": "\\ud83d The tactic')
+                for line in lines
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        runs = tmp_path / "runs"
+        assert main(prove_args(runs, script=str(script)) + [WORKED]) == EXIT_OK
+        [log_path] = runs.glob("run-*.json")
+        raw = log_path.read_bytes()
+        raw.decode("utf-8")
+        assert b"\\ud83d The tactic" in raw
+        with open(log_path, encoding="utf-8") as fh:
+            log = json.load(fh)
+        assert [explanation[:1] for _tactic, explanation in log["trace"]] == ["\ud83d"] * 3
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == EXIT_OK
+        assert "Complete" in capsys.readouterr().out
+
     def test_missing_gateway_script_is_a_usage_error(self, tmp_path, capsys):
         code = main([
             "prove", "--backend", "synthetic",

@@ -179,6 +179,12 @@ class TestTacticRules:
         assert not result.success
         assert result.error == "Unknown tactic: ring."
 
+    def test_long_error_is_cut_to_the_limit(self):
+        tactic = "ring " + "x" * ERROR_TEXT_LIMIT
+        result = self.backend.compile_tactic(tactic, sigma_0(), self.session)
+        assert not result.success
+        assert result.error == f"Unknown tactic: {tactic}."[:ERROR_TEXT_LIMIT]
+
     def test_trailing_period_stripped(self):
         result = self.backend.compile_tactic("intros n.", sigma_0(), self.session)
         assert result.success

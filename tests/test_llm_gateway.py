@@ -89,6 +89,19 @@ class TestChatRequest:
                 settings.temperature, settings.max_tokens, settings.want_logprobs,
             )
 
+    @pytest.mark.parametrize("role", list(ROLE_SETTINGS))
+    def test_for_role_equals_the_request_built_from_the_table(self, role):
+        expected = ChatRequest.user("prompt text", role=role, **ROLE_SETTINGS[role]._asdict())
+        assert ChatRequest.for_role(role, "prompt text") == expected
+
+    @pytest.mark.parametrize("role", ["planer", "", None])
+    def test_for_role_rejects_an_unknown_role_listing_the_roles(self, role):
+        with pytest.raises(ValueError) as exc_info:
+            ChatRequest.for_role(role, "prompt text")
+        assert str(exc_info.value) == (
+            f"request role {role!r} is not a role; roles are {', '.join(ROLE_SETTINGS)}"
+        )
+
 
 # ----------------------------------------------------------------------
 # Action parsing
@@ -522,6 +535,32 @@ class TestMockGateway:
         assert str(exc_info.value) == (
             f"gateway script {path}, line 2: log probabilities must be <= 0 and not NaN"
         )
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"route": "executor", "reply": 5}, "reply must be a string, not 5"),
+            ({"route": "planner", "reply": None}, "reply must be a string, not None"),
+            ({"route": "executor", "reply": ["intros"]}, "reply must be a string, not ['intros']"),
+            ({"route": 5, "reply": "x"}, "route must be a string, not 5"),
+            ({"route": None, "reply": "x"}, "route must be a string, not None"),
+            ({"route": "planner", "default": "no", "reply": "x"}, "default must be true or false, not 'no'"),
+            ({"route": "planner", "default": 1, "reply": "x"}, "default must be true or false, not 1"),
+        ],
+        ids=["int-reply", "null-reply", "list-reply", "int-route", "null-route", "string-default", "int-default"],
+    )
+    def test_from_file_rejects_a_malformed_record(self, tmp_path, record, message):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({"route": "planner", "default": True, "reply": "p"})
+            + "\n"
+            + json.dumps(record)
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == f"gateway script {path}, line 2: {message}"
 
     def test_calls_are_recorded(self):
         gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])

@@ -255,6 +255,39 @@ class TestOnePassFill:
         assert "Tactics: exact {proof_summary}\nNearly done.\n" in bundle.rendered
 
 
+class TestMemos:
+    # A memo keeps rendered text between calls; what a call returns is
+    # the same with one as without.
+    @pytest.mark.parametrize("config", list(InfoConfiguration), ids=lambda c: c.value)
+    def test_rendering_with_memos_matches_rendering_without(self, config):
+        table = TokenTable()
+        corpus = load_entity_corpus(entities_path(), table)
+        concepts = list(zip(corpus.tokens, corpus.records))
+        chunks: dict = {}
+        for state in (fixfun_state(), sigma_1(), fixfun_state()):
+            for shown in (concepts[:3], concepts):
+                context = render_state_context(state, shown, config, memo=chunks)
+                assert context == render_state_context(state, shown, config)
+                args = dict(
+                    trace=[("intros f", "introduced f")],
+                    summary="One step taken.",
+                    premises=["FixFunMod_eq"],
+                    tactics=["unfold FixFun"],
+                    notes=Notebook(items=("Unfold first.",)),
+                )
+                bodies: dict = {}
+                for hint in ("Unfold FixFun.", "", "Try {hint} literally."):
+                    assert render_prove_prompt(context, hint=hint, memo=bodies, **args) == (
+                        render_prove_prompt(context, hint=hint, **args)
+                    )
+                del args["premises"], args["tactics"]
+                for errors in ((), [("ring", "Unknown tactic: ring.")], ()):
+                    assert render_planner_prompt(context, errors=errors, memo=bodies, **args) == (
+                        render_planner_prompt(context, errors=errors, **args)
+                    )
+        assert set(chunks) <= set(corpus.tokens)
+
+
 class TestShorten:
     def test_final_segment_kept(self):
         assert shorten_qualified_names("Coq.Init.Nat.add x y") == "add x y"

@@ -15,6 +15,7 @@ tactic, are hashed together.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -187,3 +188,71 @@ def test_planner_requests_are_unchanged(config, with_concepts):
     )
     digest = hashlib.sha256("\x00".join(planner).encode("utf-8")).hexdigest()[:16]
     assert digest == PLANNER_DIGESTS[config][0 if with_concepts else 1]
+
+
+def translated_entities(tmp_path) -> str:
+    """The fixture entities, with `Coq.Init.Nat.add`, a concept of the
+    worked proof, also carrying `*_zh` texts, so ChineseTranslation renders
+    a translated glob-def chunk."""
+    lines = []
+    with open(entities_path(), encoding="utf-8") as fh:
+        for line in fh:
+            if '"name": "Coq.Init.Nat.add"' in line:
+                obj = json.loads(line)
+                obj.update(
+                    origin_zh="加法的不动点定义：对第一个参数 n 做结构递归。",
+                    internal_zh="add：对 n 分情况，零时返回 m，后继时返回后继。",
+                    intuition_zh="按第一个参数结构递归的加法，所以 0 + n 归约为 n。",
+                )
+                line = json.dumps(obj, ensure_ascii=False) + "\n"
+            lines.append(line)
+    path = tmp_path / "entities.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+# Per configuration: the executor digest with the translated fixture corpus,
+# then without a corpus. Recorded before the search kept rendered concept
+# chunks and prompt bodies between rounds.
+EXECUTOR_DIGESTS = {
+    InfoConfiguration.NO_CONTEXT: ("7a3c34752853b3ba", "7a3c34752853b3ba"),
+    InfoConfiguration.QUALIFIED_NAME: ("7e3efdb7cc043bda", "7e3efdb7cc043bda"),
+    InfoConfiguration.EMPTY_REFERENCE: ("02ca88397a4375b3", "02ca88397a4375b3"),
+    InfoConfiguration.ORIGIN_ONLY: ("f865fc6ae6fd01ae", "02ca88397a4375b3"),
+    InfoConfiguration.INTERNAL_ONLY: ("5f2379ec23178ac1", "02ca88397a4375b3"),
+    InfoConfiguration.INTUITION_ONLY: ("167d2c3e43d19b4b", "02ca88397a4375b3"),
+    InfoConfiguration.ORIGIN_INTERNAL: ("e2e67cbfe6e884e9", "02ca88397a4375b3"),
+    InfoConfiguration.ORIGIN_INTUITION: ("361e80010c04deec", "02ca88397a4375b3"),
+    InfoConfiguration.INTERNAL_INTUITION: ("14029bf23ce2f3ac", "02ca88397a4375b3"),
+    InfoConfiguration.COMPLETE: ("b453a57a29bcd298", "02ca88397a4375b3"),
+    InfoConfiguration.CHINESE_TRANSLATION: ("48878bb16356c607", "02ca88397a4375b3"),
+}
+
+
+@pytest.mark.parametrize("with_concepts", [True, False], ids=["concepts", "no-concepts"])
+@pytest.mark.parametrize("config", list(InfoConfiguration), ids=lambda c: c.value)
+def test_executor_requests_are_unchanged(tmp_path, config, with_concepts):
+    table = TokenTable()
+    corpus = load_entity_corpus(translated_entities(tmp_path), table)
+    proofs = load_proof_corpus(proofs_path())
+    gateway = MockGateway.from_file(PROVE_SCRIPT)
+    ports = SearchPorts(
+        backend=SyntheticBackend(**_load_backend_spec(backend_spec_path())),
+        gateway=gateway,
+        index=fixture_index(corpus, proofs),
+        corpus=corpus if with_concepts else None,
+        table=table,
+        config=config,
+    )
+    result = prove(ADD_0_L_SURFACE, SearchParams(), ports)
+    assert result.outcome is Outcome.PROVED
+    executor = [
+        "\n".join(content for _role, content in request.messages)
+        for request in gateway.calls
+        if request.role == "executor"
+    ]
+    assert len(executor) == 4
+    translated = with_concepts and CONFIG_MATRIX[config].translated
+    assert any("加法" in text for text in executor) == translated
+    digest = hashlib.sha256("\x00".join(executor).encode("utf-8")).hexdigest()[:16]
+    assert digest == EXECUTOR_DIGESTS[config][0 if with_concepts else 1]
