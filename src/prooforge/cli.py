@@ -416,6 +416,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Prove each theorem of the list, then write `summary.json` and
+    `manifest.json`. A `ProoforgeError` costs only its theorem, logged as a
+    PortError. Any other exception ends the run: the finished theorems' logs
+    are kept, but no summary or manifest is written."""
     cfg = _merged(args)
     statements = _read_theorem_list(args.theorems)
     if not statements:

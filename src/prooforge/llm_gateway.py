@@ -372,6 +372,12 @@ def derive_yes_no_logprobs(
 # Scripted mock gateway
 # ======================================================================
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {value!r}")
+    return value
+
+
 @dataclass
 class ScriptRecord:
     """One replay entry.
@@ -392,21 +398,22 @@ class ScriptRecord:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScriptRecord":
-        """Read one JSON record; a `reply` or `route` that is not a string,
-        or a `default` that is not a boolean, raises ValueError."""
-        for key in ("reply", "route"):
-            if key in obj and not isinstance(obj[key], str):
-                raise ValueError(f"{key} must be a string, not {obj[key]!r}")
+        """Read one JSON record; a `reply`, `route`, `expect_digest` or
+        logprob token that is not a string, or a `default` that is not a
+        boolean, raises ValueError."""
+        for key in ("reply", "route", "expect_digest"):
+            if key in obj:
+                _string(obj[key], key)
         if "default" in obj and not isinstance(obj["default"], bool):
             raise ValueError(f"default must be true or false, not {obj['default']!r}")
         logprobs = None
         if obj.get("logprobs"):
             logprobs = tuple(
                 TokenLogprob(
-                    token=t["token"],
+                    token=_string(t["token"], "a logprobs token"),
                     logprob=float(t["logprob"]),
                     top_alternatives=tuple(
-                        (a["token"], float(a["logprob"]))
+                        (_string(a["token"], "a top_alternatives token"), float(a["logprob"]))
                         for a in t.get("top_alternatives", [])
                     ),
                 )

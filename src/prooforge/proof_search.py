@@ -1,30 +1,26 @@
 """Planner–Executor beam search over proof states.
 
-One search layer expands every kept candidate. An expansion gathers its
-context once: the corpus concepts the current state references, a planner
-strategy, and the related premises and tactic examples, both ranked from
-one embedding of the first goal. The proof-state and concept blocks the
-planner and executor prompts share make the expansion's context, rendered
-once per expansion and again only after an info request adds concepts; the
-planner prompt up to its failed tactics and the executor prompt up to its
-hint are rendered once per context, so each round adds only those. Three
-facts are computed once per proof and kept for that proof only: the global
-tokens of each goal or hypothesis text, the glob-def chunk of each concept,
-and the premises and tactic examples of each first-goal text, which is
-embedded and ranked the first time the proof sees it (a goal that embeds to
-zero gets none; a provider failure is not kept). Then up to
-`max_retries + 1` rounds run:
-the executor proposes up to `tactics_per_state` tactics (after at most one
-request for more concepts per expansion, resolved through the corpus name
-index), each proposal is validated against the live session (the only
-operation that consumes budget), and a failed round's errors go back to the
-planner for the next one. As each tactic validates, its child is made: the
-branch session is cloned, the tactic applied, and the child's explain call
-and, unless the child proves the theorem, its summarize call are sent.
-After a proving child no further child is made, but the rounds run on as
-they would; explanations feed the shared notebook at the layer barrier; the
-beam is cut back to `beam_width` by model-based ranking (with a
-deterministic shortest-proof fallback).
+One search layer expands every kept candidate. An `_Expansion` runs one
+branch through its phases: `render_context` renders the proof-state and
+concept blocks both prompts share; `plan` asks the planner for a strategy;
+`retrieve` ranks related premises and tactic examples from one embedding of
+the first goal. Then up to `max_retries + 1` rounds run: `execute` asks for
+up to `tactics_per_state` tactics (resolving at most one request for more
+concepts per expansion through the corpus name index, which renders the
+context anew); `validate` checks each against the live session (the only
+operation that consumes budget); a failed round's errors go back to `plan`.
+As each tactic validates, `make_child` clones the branch session, applies
+the tactic and sends the child's explain call and, unless it proves the
+theorem, its summarize call; after a proving child none is made, but the
+rounds run on. The prompt bodies before the failed tactics and the hint are
+rendered once per context and kept on the expansion. What every expansion
+of a proof shares is kept in its `_ProofScope`, for that proof only: the
+ports, gateway and budget, the open sessions, the global tokens of each
+goal or hypothesis text, the glob-def chunk of each concept, and the ranked
+premises and tactic examples of each first-goal text (a goal that embeds to
+zero gets none; a provider failure is not kept). Explanations feed the
+shared notebook at the layer barrier; the beam is cut back to `beam_width`
+by model-based ranking (with a deterministic shortest-proof fallback).
 
 Only the notebook merge, the ranking and a proved trace read explanations
 and summaries. So while every gateway call of the proof has waited at least
@@ -246,18 +242,6 @@ class _Branch:
     session: object
 
 
-@dataclass
-class _Expansion:
-    """(tactic, state, session, explanation, summary) per child in tactic
-    order, replies still to be read; a proving child, always the last, has
-    no summary. `error` is a branch-scoped failure the expansion raised."""
-
-    parent: SearchCandidate
-    children: list = field(default_factory=list)
-    proves: bool = False
-    error: Optional[Exception] = None
-
-
 def _text(gateway, prompt: str, role: str) -> str:
     return gateway.complete(ChatRequest.for_role(role, prompt)).text
 
@@ -362,19 +346,12 @@ def select_best(initial_state, candidates, beam_width: int, mode: SelectionMode,
         ranked = None
     if ranked is None:
         return _shortest_proof_order(candidates)[:beam_width]
-    chosen = []
-    seen = set()
-    for idx in ranked:
-        if 0 <= idx < len(candidates) and idx not in seen:
-            seen.add(idx)
-            chosen.append(candidates[idx])
-        if len(chosen) == beam_width:
-            return chosen
-    for candidate in _shortest_proof_order(candidates):
-        if len(chosen) == beam_width:
-            break
-        if not any(candidate is c for c in chosen):
-            chosen.append(candidate)
+    chosen = [candidates[i] for i in dict.fromkeys(ranked) if 0 <= i < len(candidates)]
+    chosen = chosen[:beam_width]
+    if len(chosen) < beam_width:
+        taken = {id(candidate) for candidate in chosen}
+        rest = [c for c in _shortest_proof_order(candidates) if id(c) not in taken]
+        chosen += rest[: beam_width - len(chosen)]
     return chosen
 
 
@@ -391,31 +368,35 @@ def concept_pairs(corpus, table, state: ProofState, memo=None):
     return tuple(pairs)
 
 
-def _lookup_info(ports: SearchPorts, names, have_tokens: set):
+def _lookup_info(corpus, names, concepts):
     """Resolve requested concept names against the corpus (`by_name`);
-    unknown names and already-shown concepts are skipped."""
-    if ports.corpus is None:
+    unknown names and concepts already in `concepts` are skipped."""
+    if corpus is None:
         return ()
+    have = {token for token, _record in concepts}
     pairs = []
     for name in names:
-        i = ports.corpus.by_name.get(name)
+        i = corpus.by_name.get(name)
         if i is None:
             continue
-        token = ports.corpus.tokens[i]
-        if token not in have_tokens:
-            have_tokens.add(token)
-            pairs.append((token, ports.corpus.records[i]))
+        token = corpus.tokens[i]
+        if token not in have:
+            have.add(token)
+            pairs.append((token, corpus.records[i]))
     return tuple(pairs)
 
 
 class _ProofScope:
-    """What one proof keeps, and nothing outlives it: the global tokens of
-    each goal or hypothesis text, the glob-def chunk of each concept token,
-    the (premises, tactic examples) ranked for each first-goal text, and the
-    backend sessions still open."""
+    """What every expansion of one proof shares and nothing outlives: the
+    ports, search shape, timed gateway (`calls`), budget, the per-proof memos
+    (see the module docstring) and the backend sessions still open."""
 
-    def __init__(self, backend):
-        self.backend = backend
+    def __init__(self, params: SearchParams, ports: SearchPorts):
+        self.params = params
+        self.ports = ports
+        self.backend = ports.backend
+        self.calls = _ProofGateway(ports.gateway)
+        self.budget = BudgetCounter(params.budget)
         self.tokens: dict = {}
         self.chunks: dict = {}
         self.retrieved: dict = {}
@@ -441,164 +422,181 @@ class _ProofScope:
                 self.backend.close_session(session)
 
 
-def _retrieve_context(ports: SearchPorts, state: ProofState, memo: dict):
-    """Premises and tactic examples ranked for the first goal, embedded and
-    ranked only the first time `memo` sees its text. A goal that embeds to
-    zero gets none; a provider failure is not kept, so the next expansion
-    asks again."""
-    if ports.index is None or not state.goals:
-        return (), ()
-    goal = state.goals[0].goal_internal
-    context = memo.get(goal)
-    if context is None:
+@dataclass(eq=False)
+class _Expansion:
+    """One branch's expansion at one depth, one method per phase, driven by
+    `run`. `children` holds (tactic, state, session, explanation, summary)
+    per child in tactic order, replies still to be read; a proving child,
+    always the last, has no summary. `error` is a branch-scoped failure the
+    expansion raised; it then has no children."""
+
+    scope: _ProofScope
+    branch: _Branch
+    depth: int
+    idx: int
+    notebook: Notebook
+    concepts: tuple = ()
+    context: object = None
+    bodies: dict = field(default_factory=dict)  # the planner and prove prompt bodies of `context`
+    info_used: bool = False
+    premises: tuple = ()
+    tactic_examples: tuple = ()
+    seen: set = field(default_factory=set)  # canonical tactics already validated
+    valid: int = 0
+    inline: list = field(default_factory=list)  # calls to send once the rounds end
+    opened: list = field(default_factory=list)  # child sessions, closed if the expansion raises
+    children: list = field(default_factory=list)
+    proves: bool = False
+    held: Optional[SessionDesync] = None
+    error: Optional[Exception] = None
+
+    def run(self) -> None:
+        """Gather the context, plan and retrieve; then up to `max_retries + 1`
+        rounds execute, validate, and plan again from the errors; then send
+        the queued calls and raise a held desync. Whatever raises closes the
+        children made so far; a branch-scoped failure is kept as `error`. The
+        branch's session is closed when the run ends."""
+        scope = self.scope
+        params, ports = scope.params, scope.ports
         try:
-            ranked = retrieve(ports.index, goal, k=ports.retrieve_k)
-        except ZeroVectorError:
-            context = (), ()
-        else:
-            context = (
-                tuple(p for p, _sim in ranked[PREMISE]),
-                tuple(p for p, _sim in ranked[TACTIC]),
-            )
-        memo[goal] = context
-    return context
+            state = self.branch.candidate.state
+            self.render_context(concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens))
+            strategy = self.plan(())
+            self.retrieve()
+            for retry in range(params.max_retries + 1):
+                if retry:
+                    strategy = self.plan(tuple(failed))
+                failed = self.validate(self.execute(strategy))
+                if not failed or self.valid > params.tactics_per_state:
+                    break
+            scope.calls.send(self.inline)
+            if self.held is not None:
+                raise self.held
+        except BaseException as exc:
+            for child in self.opened:
+                scope.close(child)
+            self.children, self.proves = [], False
+            if not isinstance(exc, (ProviderError, SessionDesync)):
+                raise
+            self.error = exc
+        finally:
+            scope.close(self.branch.session)
 
+    def render_context(self, concepts) -> None:
+        """Render the state context that shows `concepts`; the prompt bodies
+        of the old context go with it."""
+        self.concepts = concepts
+        self.context = render_state_context(
+            self.branch.candidate.state, concepts, self.scope.ports.config, memo=self.scope.chunks
+        )
+        self.bodies = {}
 
-def _expand_branch(
-    branch: _Branch,
-    params: SearchParams,
-    ports: SearchPorts,
-    calls: _ProofGateway,
-    notebook: Notebook,
-    budget: BudgetCounter,
-    depth: int,
-    index_in_layer: int,
-    scope: _ProofScope,
-) -> _Expansion:
-    state = branch.candidate.state
-    trace = branch.candidate.trace
-    summary = branch.candidate.summary
-    recorder = ports.recorder
-
-    concepts = concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens)
-    have_tokens = {token for token, _record in concepts}
-    context = render_state_context(state, concepts, ports.config, memo=scope.chunks)
-    bodies: dict = {}  # the planner and prove prompt bodies of `context`
-    info_used = False
-
-    def plan(errors) -> str:
+    def plan(self, errors) -> str:
+        candidate = self.branch.candidate
         prompt = render_planner_prompt(
-            context, trace=trace, summary=summary, notes=notebook, errors=errors, memo=bodies
+            self.context, trace=candidate.trace, summary=candidate.summary,
+            notes=self.notebook, errors=errors, memo=self.bodies,
         )
-        return _text(calls, prompt, "planner")
+        return _text(self.scope.calls, prompt, "planner")
 
-    strategy = plan(())
-    premises, tactic_examples = _retrieve_context(ports, state, scope.retrieved)
+    def retrieve(self) -> None:
+        """Premises and tactic examples ranked for the first goal, embedded
+        and ranked only the first time the proof sees its text. A goal that
+        embeds to zero gets none; a provider failure is not kept, so the
+        next expansion asks again."""
+        ports, memo = self.scope.ports, self.scope.retrieved
+        goals = self.branch.candidate.state.goals
+        if ports.index is None or not goals:
+            return
+        goal = goals[0].goal_internal
+        found = memo.get(goal)
+        if found is None:
+            try:
+                ranked = retrieve(ports.index, goal, k=ports.retrieve_k)
+            except ZeroVectorError:
+                found = (), ()
+            else:
+                found = tuple(tuple(p for p, _sim in ranked[kind]) for kind in (PREMISE, TACTIC))
+            memo[goal] = found
+        self.premises, self.tactic_examples = found
 
-    def ask_executor(strategy_text: str):
-        bundle = render_prove_prompt(
-            context,
-            trace=trace,
-            summary=summary,
-            premises=premises,
-            tactics=tactic_examples,
-            notes=notebook,
-            hint=strategy_text,
-            memo=bodies,
-        )
-        reply = _text(calls, bundle.rendered, "executor")
-        return parse_action_response(reply)
-
-    def executor_round(strategy_text: str) -> list[str]:
-        """One executor exchange; resolves at most one info request per
-        expansion, after which an info request yields no tactics."""
-        nonlocal concepts, context, bodies, info_used
-        action = ask_executor(strategy_text)
-        if isinstance(action, InfoRequest) and not info_used:
-            info_used = True
-            concepts = concepts + _lookup_info(ports, action.names, have_tokens)
-            context = render_state_context(state, concepts, ports.config, memo=scope.chunks)
-            bodies = {}
-            recorder.record(
-                "info", depth=depth, branch=index_in_layer, names=list(action.names)
+    def execute(self, hint: str) -> list[str]:
+        """One executor round. The expansion's first info request adds the
+        named concepts to the context and asks again; a later one yields no
+        tactics."""
+        action = self._ask(hint)
+        if isinstance(action, InfoRequest) and not self.info_used:
+            self.info_used = True
+            ports = self.scope.ports
+            self.render_context(
+                self.concepts + _lookup_info(ports.corpus, action.names, self.concepts)
             )
-            action = ask_executor(strategy_text)
+            ports.recorder.record("info", depth=self.depth, branch=self.idx, names=list(action.names))
+            action = self._ask(hint)
         if isinstance(action, TacticSuggestions):
             return [suggestion.tactic for suggestion in action.items]
         return []
 
-    expansion = _Expansion(branch.candidate)
-    inline: list = []  # calls to send once the rounds end
-    opened: list = []  # child sessions, closed if the expansion raises
-    held: Optional[SessionDesync] = None
+    def _ask(self, hint: str):
+        candidate = self.branch.candidate
+        bundle = render_prove_prompt(
+            self.context, trace=candidate.trace, summary=candidate.summary,
+            premises=self.premises, tactics=self.tactic_examples, notes=self.notebook,
+            hint=hint, memo=self.bodies,
+        )
+        return parse_action_response(_text(self.scope.calls, bundle.rendered, "executor"))
 
-    def add_child(tactic: str) -> None:
-        """Make a validated tactic's child and send its calls; after a proving
-        child or a held desync, make none."""
-        nonlocal held
-        if expansion.proves or held is not None:
-            return
-        try:
-            child = scope.clone(branch.session)
-            opened.append(child)
-            after = ports.backend.apply_tactic(tactic, child)
-            if is_subgoal_complete(state, after):
-                after = ports.backend.apply_tactic("idtac", child)
-        except SessionDesync as exc:
-            held = exc
-            return
-        explanation = calls.later(render_explanation_prompt(state, tactic, after), "explain", inline)
-        new_summary = None
-        if is_goal_complete(after):
-            expansion.proves = True
-        else:
-            new_summary = calls.later(
-                render_summarize_prompt(trace + ((tactic, ""),), after), "summarize", inline
-            )
-        expansion.children.append((tactic, after, child, explanation, new_summary))
-
-    valid: list[str] = []
-    seen: set[str] = set()
-
-    def validate_batch(tactics: list[str]) -> list[tuple[str, str]]:
+    def validate(self, tactics: list[str]) -> list[tuple[str, str]]:
+        """Validate the first `tactics_per_state` new canonical tactics,
+        making each valid one's child; returns the failed ones' errors."""
+        scope, state, session = self.scope, self.branch.candidate.state, self.branch.session
+        recorder = scope.ports.recorder
         failed = []
-        for tactic in tactics[: params.tactics_per_state]:
+        for tactic in tactics[: scope.params.tactics_per_state]:
             canonical = canonical_tactic(tactic)
-            if not canonical or canonical in seen:
+            if not canonical or canonical in self.seen:
                 continue
-            seen.add(canonical)
-            budget.spend()
-            result = ports.backend.compile_tactic(canonical, state, branch.session)
+            self.seen.add(canonical)
+            scope.budget.spend()
+            result = scope.backend.compile_tactic(canonical, state, session)
             recorder.record(
-                "tactic",
-                depth=depth,
-                branch=index_in_layer,
-                tactic=canonical,
-                ok=result.success,
-                error=result.error,
+                "tactic", depth=self.depth, branch=self.idx, tactic=canonical,
+                ok=result.success, error=result.error,
             )
             if result.success:
-                valid.append(canonical)
-                add_child(canonical)
+                self.valid += 1
+                self.make_child(canonical)
             else:
                 failed.append((canonical, truncate_error(result.error)))
         return failed
 
-    try:
-        for retry in range(params.max_retries + 1):
-            if retry:
-                strategy = plan(tuple(failed))
-            failed = validate_batch(executor_round(strategy))
-            if not failed or len(valid) > params.tactics_per_state:
-                break
-        calls.send(inline)
-        if held is not None:
-            raise held
-    except BaseException:
-        for child in opened:
-            scope.close(child)
-        raise
-    return expansion
+    def make_child(self, tactic: str) -> None:
+        """Clone the branch session, apply a validated tactic (then ``idtac``
+        if it closed a subgoal), and send the child's explain call and, unless
+        it proves the theorem, its summarize call. After a proving child or a
+        held desync, make none."""
+        if self.proves or self.held is not None:
+            return
+        scope, state = self.scope, self.branch.candidate.state
+        try:
+            child = scope.clone(self.branch.session)
+            self.opened.append(child)
+            after = scope.backend.apply_tactic(tactic, child)
+            if is_subgoal_complete(state, after):
+                after = scope.backend.apply_tactic("idtac", child)
+        except SessionDesync as exc:
+            self.held = exc
+            return
+        explanation = scope.calls.later(
+            render_explanation_prompt(state, tactic, after), "explain", self.inline
+        )
+        summary = None
+        if is_goal_complete(after):
+            self.proves = True
+        else:
+            trace = self.branch.candidate.trace + ((tactic, ""),)
+            summary = scope.calls.later(render_summarize_prompt(trace, after), "summarize", self.inline)
+        self.children.append((tactic, after, child, explanation, summary))
 
 
 @dataclass
@@ -619,14 +617,14 @@ class _Layer:
         failure prunes its branch. Returns the proved trace, if one holds
         (a proving expansion is always the last one pending)."""
         pending, self.pending = self.pending, []
-        for idx, expansion in pending:
+        for expansion in pending:
             branches, insights = [], []
             try:
                 if expansion.error is not None:
                     raise expansion.error
                 for tactic, after, session, explanation, summary in expansion.children:
                     text = explanation()
-                    trace = expansion.parent.trace + ((tactic, text),)
+                    trace = expansion.branch.candidate.trace + ((tactic, text),)
                     if summary is None:
                         return trace
                     candidate = SearchCandidate(state=after, trace=trace, summary=summary())
@@ -635,9 +633,9 @@ class _Layer:
                         insights.append(text.strip())
             except (ProviderError, SessionDesync) as exc:
                 self.recorder.record(
-                    "branch-pruned", depth=self.depth, branch=idx, error=str(exc)
+                    "branch-pruned", depth=self.depth, branch=expansion.idx, error=str(exc)
                 )
-                context = f"theorem {self.theorem!r}, depth {self.depth}, branch {idx}"
+                context = f"theorem {self.theorem!r}, depth {self.depth}, branch {expansion.idx}"
                 self.port_errors.append(PortFailure(str(exc), context=context))
                 continue
             self.dead_end |= not branches
@@ -650,16 +648,12 @@ def _dedupe_branches(branches: list[_Branch]) -> list[_Branch]:
     """Within a layer, keep one branch per state fingerprint — the one with
     the shorter trace (earlier arrival wins ties)."""
     best: dict[str, _Branch] = {}
-    order: list[str] = []
     for branch in branches:
         fp = state_fingerprint(branch.candidate.state)
         kept = best.get(fp)
-        if kept is None:
+        if kept is None or len(branch.candidate.trace) < len(kept.candidate.trace):
             best[fp] = branch
-            order.append(fp)
-        elif len(branch.candidate.trace) < len(kept.candidate.trace):
-            best[fp] = branch
-    return [best[fp] for fp in order]
+    return list(best.values())
 
 
 def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult:
@@ -675,7 +669,8 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         beam_width=params.beam_width,
         budget=params.budget,
     )
-    budget = BudgetCounter(params.budget)
+    scope = _ProofScope(params, ports)
+    budget, calls = scope.budget, scope.calls
 
     def finish(outcome: Outcome, depth: int, trace=()) -> ProofResult:
         recorder.record(
@@ -690,11 +685,9 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
             f"theorem does not compile: {truncate_error(str(exc))}",
             context=f"theorem {theorem!r}",
         ) from exc
-    scope = _ProofScope(ports.backend)
     scope.opened(root_session)
     notebook = Notebook()
     depth = 0
-    calls = _ProofGateway(ports.gateway)
 
     try:
         initial_state = root_session.state
@@ -704,15 +697,9 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         for depth in range(1, params.max_depth + 1):
             collected = _Layer(theorem, depth, recorder)
             for idx, branch in enumerate(layer):
-                try:
-                    expansion = _expand_branch(
-                        branch, params, ports, calls, notebook, budget, depth, idx, scope
-                    )
-                except (ProviderError, SessionDesync) as exc:
-                    expansion = _Expansion(branch.candidate, error=exc)
-                finally:
-                    scope.close(branch.session)
-                collected.pending.append((idx, expansion))
+                expansion = _Expansion(scope, branch, depth, idx, notebook)
+                expansion.run()
+                collected.pending.append(expansion)
                 if expansion.proves:
                     proved = collected.collect()
                     if proved is not None:

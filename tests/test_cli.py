@@ -381,6 +381,37 @@ class TestBench:
             tmp_path / "clean" / log_name
         ).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_gateway_crash_ends_the_run_without_a_summary(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
+        # A RuntimeError is not a ProoforgeError, so it is outside the
+        # per-theorem failure domain: the first theorem's log is kept as a
+        # clean run writes it, and no summary.json or manifest.json is.
+        assert main(bench_args(tmp_path / "clean") + ["--jobs", jobs]) == EXIT_OK
+        build_gateway = cli._build_gateway
+
+        class CrashesOnTheSecondTheorem:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                if "P /\\ Q" in request.messages[-1][1]:
+                    raise RuntimeError("gateway exploded")
+                return self.inner.complete(request)
+
+        monkeypatch.setattr(
+            cli, "_build_gateway", lambda cfg: CrashesOnTheSecondTheorem(build_gateway(cfg))
+        )
+        with pytest.raises(RuntimeError, match="gateway exploded"):
+            main(bench_args(tmp_path / "runs") + ["--jobs", jobs])
+        capsys.readouterr()
+        log_name = os.path.basename(cli._run_log_path("", WORKED))
+        assert os.listdir(tmp_path / "runs") == [log_name]
+        assert (tmp_path / "runs" / log_name).read_bytes() == (
+            tmp_path / "clean" / log_name
+        ).read_bytes()
+
     def test_equal_seeds_produce_byte_identical_logs(self, tmp_path, capsys):
         # Two runs, same seed, different directories: every artifact byte
         # matches.

@@ -562,6 +562,49 @@ class TestMockGateway:
             MockGateway.from_file(str(path))
         assert str(exc_info.value) == f"gateway script {path}, line 2: {message}"
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (
+                {"route": "judge", "reply": "YES", "logprobs": [{"token": 5, "logprob": -0.1}]},
+                "a logprobs token must be a string, not 5",
+            ),
+            (
+                {
+                    "route": "judge",
+                    "reply": "YES",
+                    "logprobs": [
+                        {
+                            "token": "YES",
+                            "logprob": -0.1,
+                            "top_alternatives": [{"token": None, "logprob": -2.3}],
+                        }
+                    ],
+                },
+                "a top_alternatives token must be a string, not None",
+            ),
+            (
+                {"route": "planner", "reply": "x", "expect_digest": 12},
+                "expect_digest must be a string, not 12",
+            ),
+        ],
+        ids=["int-logprobs-token", "null-alternative-token", "int-expect-digest"],
+    )
+    def test_from_file_rejects_a_token_or_digest_that_is_not_a_string(
+        self, tmp_path, record, message
+    ):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({"route": "planner", "default": True, "reply": "p"})
+            + "\n"
+            + json.dumps(record)
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == f"gateway script {path}, line 2: {message}"
+
     def test_calls_are_recorded(self):
         gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])
         request = ChatRequest.user("traceable", role="rank")

@@ -6,10 +6,14 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+from conftest import ADD_0_L_SURFACE, FIXTURES, entities_path
+from test_coq_backend import worked_backend
 from prooforge import proof_search
 from prooforge.coq_backend import SyntheticBackend
-from prooforge.llm_gateway import MockGateway
+from prooforge.corpus import load_entity_corpus
+from prooforge.llm_gateway import InfoRequest, MockGateway
 from prooforge.retrieval import MockEmbeddingProvider, build_index, retrieve
+from prooforge.tokenizer import TokenTable
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,3 +51,32 @@ def test_a_traced_index_retrieves_as_the_original():
             calls += 1
             assert tracer.counts["retrieval.embeds"] == calls
     assert [span[0] for span in tracer.spans] == ["retrieval.embed"] * calls
+
+
+def test_the_search_calls_every_name_the_benchmark_times():
+    # The benchmark's per-layer figures come from the names it swaps in
+    # proof_search; a search that stopped looking them up at call time
+    # would read as zero there. The worked proof goes through each phase.
+    tracing = _tracing()
+    table = TokenTable()
+    ports = proof_search.SearchPorts(
+        backend=worked_backend(),
+        gateway=MockGateway.from_file(str(Path(FIXTURES) / "gateway_prove.jsonl")),
+        index=build_index(MockEmbeddingProvider(seed=0), premises=[("A.a", "alpha")]),
+        corpus=load_entity_corpus(entities_path(), table),
+        table=table,
+    )
+    tracer = tracing.Tracer()
+    with tracing.Patched(proof_search, tracer, InfoRequest):
+        result = proof_search.prove(ADD_0_L_SURFACE, proof_search.SearchParams(), ports)
+    assert result.outcome is proof_search.Outcome.PROVED
+    traced = {span[0] for span in tracer.spans}
+    for attr in (
+        "concept_pairs",
+        "retrieve",
+        "render_planner_prompt",
+        "render_prove_prompt",
+        "render_explanation_prompt",
+        "parse_action_response",
+    ):
+        assert tracing.WRAPPED[attr] in traced, attr
