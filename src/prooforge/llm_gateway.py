@@ -6,11 +6,12 @@ each role's request settings; `ChatRequest.for_role` builds every request.
 
 Two gateways ship. MockGateway replays a script of records routed by the role
 each caller sets on its request; every record names the route it answers,
-which must be a role of the table. It is what every test and fixture run
-uses. HttpGateway talks to a chat-completions endpoint with a retry policy;
-its transport is injectable so the policy is testable without a network. The
-API key is read at call time from an environment variable (by default
-`DEFAULT_API_KEY_ENV`), never from files.
+which must be a role of the table, and may name the search expansion it
+answers. It is what every test and fixture run uses. HttpGateway talks to a
+chat-completions endpoint with a retry policy; its transport is injectable
+so the policy is testable without a network. The API key is read at call
+time from an environment variable (by default `DEFAULT_API_KEY_ENV`), never
+from files.
 
 parse_action_response is total: any text yields InfoRequest, TacticSuggestions,
 or Unparsed, tolerating prose, code fences, and unquoted keys around the
@@ -30,6 +31,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -83,6 +85,10 @@ class ChatRequest:
     caller; MockGateway routes on it. It is not a message role (see
     VALID_ROLES), is never sent to a provider, and is left out of
     `digest()`. A request may have no role; no mock route answers it.
+    `site` is the `(depth, branch)` of the search expansion that makes the
+    call, set on its planner, executor, explain and summarize calls and on
+    no other; MockGateway may key records to it. Like `role`, it is never
+    sent and is left out of `digest()`.
     """
 
     messages: tuple[tuple[str, str], ...]
@@ -90,6 +96,7 @@ class ChatRequest:
     max_tokens: int = 1024
     want_logprobs: bool = False
     role: Optional[str] = None
+    site: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         if not self.messages:
@@ -109,15 +116,16 @@ class ChatRequest:
         return cls(messages=(("user", content),), **kwargs)
 
     @classmethod
-    def for_role(cls, role: str, content: str) -> "ChatRequest":
-        """A one-message request with `role`'s settings from the table."""
+    def for_role(cls, role: str, content: str, site=None) -> "ChatRequest":
+        """A one-message request with `role`'s settings from the table, made
+        at `site`."""
         try:
             settings = ROLE_SETTINGS[role]
         except KeyError:
             _check_role(role, "request role")
             raise
         temperature, max_tokens, want_logprobs = settings
-        return cls((("user", content),), temperature, max_tokens, want_logprobs, role)
+        return cls((("user", content),), temperature, max_tokens, want_logprobs, role, site)
 
     def digest(self) -> str:
         joined = "\x1f".join(f"{role}\x1e{content}" for role, content in self.messages)
@@ -378,13 +386,43 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a number, not {value!r}")
+
+
+def _logprob(value, what: str) -> float:
+    number = _number(value, what)
+    if math.isnan(number) or number > 0:
+        raise ValueError(f"{what} must be <= 0 and not NaN, not {value!r}")
+    return number
+
+
+def _site(at) -> tuple[int, int]:
+    """A `[depth, branch]` pair as a search expansion's site."""
+    if not (
+        isinstance(at, (list, tuple)) and len(at) == 2
+        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in at)
+        and at[0] >= 1
+    ):
+        raise ValueError(f"at must be [depth, branch] with depth >= 1 and branch >= 0, not {at!r}")
+    return tuple(at)
+
+
 @dataclass
 class ScriptRecord:
     """One replay entry.
 
     `route` is the request role the record answers; MockGateway rejects a
     record without one. `default` marks a reusable fallback reply for its
-    route. `expect_digest`, when set, must match the incoming request digest
+    route. `at`, a `[depth, branch]` pair, keys the record to the calls of
+    one search expansion (see `ChatRequest.site`); a default record carries
+    none. `expect_digest`, when set, must match the incoming request digest
     exactly. `yes_no` scripts the judged pair returned by yes_no_logprobs;
     `from_obj` checks it as a `YesNoLogprobs`, so a bad pair fails the load.
     """
@@ -395,12 +433,21 @@ class ScriptRecord:
     expect_digest: Optional[str] = None
     logprobs: Optional[tuple[TokenLogprob, ...]] = None
     yes_no: Optional[tuple[float, float]] = None
+    at: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.at is None:
+            return
+        self.at = _site(self.at)
+        if self.default:
+            raise ValueError("a default record cannot carry at")
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScriptRecord":
         """Read one JSON record; a `reply`, `route`, `expect_digest` or
-        logprob token that is not a string, or a `default` that is not a
-        boolean, raises ValueError."""
+        logprob token that is not a string, a `default` that is not a
+        boolean, a logprob that is not a number <= 0, a `yes_no` that is not
+        two numbers, or a malformed `at` raises ValueError."""
         for key in ("reply", "route", "expect_digest"):
             if key in obj:
                 _string(obj[key], key)
@@ -411,9 +458,12 @@ class ScriptRecord:
             logprobs = tuple(
                 TokenLogprob(
                     token=_string(t["token"], "a logprobs token"),
-                    logprob=float(t["logprob"]),
+                    logprob=_logprob(t["logprob"], "a logprob"),
                     top_alternatives=tuple(
-                        (_string(a["token"], "a top_alternatives token"), float(a["logprob"]))
+                        (
+                            _string(a["token"], "a top_alternatives token"),
+                            _logprob(a["logprob"], "a top_alternatives logprob"),
+                        )
                         for a in t.get("top_alternatives", [])
                     ),
                 )
@@ -421,7 +471,10 @@ class ScriptRecord:
             )
         yes_no = None
         if obj.get("yes_no") is not None:
-            pair = YesNoLogprobs(float(obj["yes_no"][0]), float(obj["yes_no"][1]))
+            given = obj["yes_no"]
+            if not isinstance(given, list) or len(given) != 2:
+                raise ValueError(f"yes_no must be two numbers, not {given!r}")
+            pair = YesNoLogprobs(*(_number(value, "a yes_no value") for value in given))
             yes_no = (pair.log_p_yes, pair.log_p_no)
         return cls(
             reply=obj.get("reply", ""),
@@ -430,6 +483,7 @@ class ScriptRecord:
             expect_digest=obj.get("expect_digest"),
             logprobs=logprobs,
             yes_no=yes_no,
+            at=_site(obj["at"]) if "at" in obj else None,
         )
 
 
@@ -437,16 +491,20 @@ class MockGateway:
     """Deterministic scripted gateway.
 
     Every record names a route, one of `ROLE_SETTINGS`. Each call consumes
-    the next record queued for its request's `role`, falling back to that
-    role's default record; a role with neither, or a request without a role,
-    raises ProviderError. Replay files are JSON lines, one record per line;
-    `#` lines are comments.
+    the next record queued for its request's `role` and `site` (records
+    carrying that `at`), else the next one queued for its role with no
+    `at`, else that role's default record; a role with none of these, or a
+    request without a role, raises ProviderError. Keyed records keep a
+    replay deterministic when the search has two expansions' calls of one
+    role in flight. Replay files are JSON lines, one record per line; `#`
+    lines are comments.
     """
 
     def __init__(self, records: Sequence[ScriptRecord] = ()):
         self.calls: list[ChatRequest] = []
         self._lock = threading.Lock()
         self._routed: dict[str, list[ScriptRecord]] = {}
+        self._keyed: dict[tuple[str, tuple[int, int]], list[ScriptRecord]] = {}
         self._defaults: dict[str, ScriptRecord] = {}
         for record in records:
             self._add(record)
@@ -455,6 +513,8 @@ class MockGateway:
         _check_role(record.route, f"script record {record.reply!r} route")
         if record.default:
             self._defaults[record.route] = record
+        elif record.at is not None:
+            self._keyed.setdefault((record.route, record.at), []).append(record)
         else:
             self._routed.setdefault(record.route, []).append(record)
 
@@ -480,7 +540,9 @@ class MockGateway:
     def _next_record(self, request: ChatRequest) -> ScriptRecord:
         with self._lock:
             self.calls.append(request)
-            queue = self._routed.get(request.role)
+            queue = self._keyed.get((request.role, request.site)) if self._keyed else None
+            if not queue:
+                queue = self._routed.get(request.role)
             if queue:
                 return queue.pop(0)
             fallback = self._defaults.get(request.role)
@@ -520,6 +582,25 @@ class MockGateway:
 # ======================================================================
 # HTTP gateway
 # ======================================================================
+
+def _retry_after(header: Optional[str]) -> float:
+    """The seconds a `Retry-After` header asks for, given as delta-seconds
+    or as an HTTP-date; 0, so that the backoff delay applies, when it is
+    missing, unparseable, negative or not finite."""
+    if header is None:
+        return 0.0
+    try:
+        seconds = float(header)
+    except ValueError:
+        from email.utils import parsedate_to_datetime  # only a rate-limited call needs it
+
+        try:
+            when = parsedate_to_datetime(header)
+            seconds = (when - datetime.now(timezone.utc)).total_seconds()
+        except (TypeError, ValueError, OverflowError):
+            return 0.0
+    return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
+
 
 @dataclass
 class RetryPolicy:
@@ -570,7 +651,7 @@ class HttpGateway:
         except requests.RequestException as exc:
             raise ProviderError(str(exc))
         if reply.status_code == 429:
-            retry_after = float(reply.headers.get("Retry-After", "1"))
+            retry_after = _retry_after(reply.headers.get("Retry-After"))
             raise RateLimited("rate limited", retry_after=retry_after)
         if reply.status_code >= 500:
             raise ProviderError(f"server error {reply.status_code}")
@@ -615,7 +696,8 @@ class HttpGateway:
             except RateLimited as exc:
                 last_error = exc
                 if attempt + 1 < self.retry.attempts:
-                    self._sleep(max(exc.retry_after, self.retry.delay(attempt)))
+                    asked = exc.retry_after if math.isfinite(exc.retry_after) else 0.0
+                    self._sleep(max(asked, self.retry.delay(attempt)))
             except (ProviderTimeout, ProviderError) as exc:
                 last_error = exc
                 if attempt + 1 < self.retry.attempts:

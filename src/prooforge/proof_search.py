@@ -27,16 +27,33 @@ and summaries. So while every gateway call of the proof has waited at least
 `OVERLAP_MIN_CALL_S`, those calls go to two FIFO lanes, one worker thread per
 role, as their children are made, and the search thread goes on: they
 overlap the branch's remaining validations and rounds and the later
-branches. Everything else, prompt rendering included, stays on the search
-thread in its sequential order. The replies are read in branch order when
-the layer is collected, at the barrier or before a proof is returned. A
-role never has two calls in flight, so it sees its calls in sequential
-order. With a fast gateway a hand-off costs more than a call, so the calls
-are queued and sent inline once the expansion's rounds end, in exactly the
-sequential global order; an expansion that raises first drops its queue.
-On lanes, an expansion that loses a later round (a provider failure, or the
-budget running out) has already sent its earlier children's calls; those
-calls are made and their replies are never read.
+branches. The replies are read in branch order when the layer is collected,
+at the barrier or before a proof is returned. Neither role ever has two
+calls in flight, so each sees its calls in sequential order. With a fast
+gateway a hand-off costs more than a call, so the calls are queued and sent
+inline once the expansion's rounds end, in exactly the sequential global
+order; an expansion that raises first drops its queue. On lanes, an
+expansion that loses a later round (a provider failure, or the budget
+running out) has already sent its earlier children's calls; those calls are
+made and their replies are never read.
+
+On lanes, the next branch's first round also runs ahead. When a branch
+starts a retry round, the next expansion of the layer runs its phases
+before the first validation (`render_context`, `plan`, `retrieve` and round
+1's `execute` with its info request) on one prefetch worker thread,
+alongside the retry round, provided the sequential search must reach that
+branch unless this one proves or a run-scoped error ends the proof: this
+branch has not proved, and the budget left covers every validation of its
+rounds to come. Those phases touch neither the backend nor the budget and
+record nothing: the search thread records their info event, and raises what
+they raised, when it resumes the expansion. Everything else (validation,
+the budget, the sessions, the events, the other prompts) stays on the
+search thread in its sequential order. So planner and executor calls of two
+expansions may be in flight at once; every call an expansion makes carries
+its `(depth, branch)` as the request's `site`, which a scripted gateway can
+key its replies to. A branch that proves in a retry round wastes the next
+branch's first round: one planner call and one or two executor calls whose
+replies are never read.
 
 The search returns immediately when an applied tactic empties the goal stack,
 refreshes the focus with ``idtac`` when a tactic closes a subgoal but goals
@@ -67,7 +84,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -221,9 +238,11 @@ class SearchPorts:
     """Everything the search talks to. `backend` and `gateway` are required;
     the rest degrade gracefully when absent (no concepts, no retrieval).
 
-    One proof may call `gateway.complete` from three threads at once (the
-    search thread and the explain and summarize lanes), with at most one
-    call in flight per role, so the gateway must be thread-safe."""
+    One proof may call `gateway.complete` from four threads at once (the
+    search thread, the explain and summarize lanes and the prefetch
+    worker), so the gateway must be thread-safe. The explain and summarize
+    roles have at most one call in flight; the planner and executor, on
+    lanes, up to two, of two expansions."""
 
     backend: object
     gateway: object
@@ -242,19 +261,20 @@ class _Branch:
     session: object
 
 
-def _text(gateway, prompt: str, role: str) -> str:
-    return gateway.complete(ChatRequest.for_role(role, prompt)).text
+def _text(gateway, prompt: str, role: str, site=None) -> str:
+    return gateway.complete(ChatRequest.for_role(role, prompt, site)).text
 
 
 class _ProofGateway:
-    """The gateway as one proof uses it. Every call is timed; `later` uses
-    its role's lane while no call has been fast, or while the lane still
-    holds a call (which keeps the role's order), and otherwise queues the
-    call on `inline` for `send`."""
+    """The gateway as one proof uses it. Every call is timed; `waits` holds
+    while no call has been fast. `later` uses its role's lane while `waits`
+    holds, or while the lane still holds a call (which keeps the role's
+    order), and otherwise queues the call on `inline` for `send`. `ahead`
+    runs a function on the prefetch worker."""
 
     def __init__(self, gateway):
         self._gateway = gateway
-        self._waits = True
+        self.waits = True
         self._lanes: dict[str, ThreadPoolExecutor] = {}
         self._last: dict = {}
 
@@ -264,27 +284,33 @@ class _ProofGateway:
             return self._gateway.complete(request)
         finally:
             if time.perf_counter() - start < OVERLAP_MIN_CALL_S:
-                self._waits = False
+                self.waits = False
 
-    def later(self, prompt: str, role: str, inline: list) -> Callable[[], str]:
+    def _lane(self, name: str) -> ThreadPoolExecutor:
+        lane = self._lanes.get(name)
+        if lane is None:
+            lane = self._lanes[name] = ThreadPoolExecutor(1, f"prooforge-{name}")
+        return lane
+
+    def later(self, prompt: str, role: str, site, inline: list) -> Callable[[], str]:
         """Send a call, or queue it on `inline`; the callable returned gives
         its reply or raises."""
         last = self._last.get(role)
-        if not self._waits and (last is None or last.done()):
+        if not self.waits and (last is None or last.done()):
             reply: list = []
-            inline.append((reply, prompt, role))
+            inline.append((reply, prompt, role, site))
             return lambda: reply[0]
-        lane = self._lanes.get(role)
-        if lane is None:
-            lane = self._lanes[role] = ThreadPoolExecutor(1, f"prooforge-{role}")
-        self._last[role] = lane.submit(_text, self, prompt, role)
+        self._last[role] = self._lane(role).submit(_text, self, prompt, role, site)
         return self._last[role].result
+
+    def ahead(self, fn, *args) -> Future:
+        return self._lane("prefetch").submit(fn, *args)
 
     def send(self, inline: list) -> None:
         """Make the queued calls in order, on this thread; the first failure
         raises and leaves the rest unsent."""
-        for reply, prompt, role in inline:
-            reply.append(_text(self, prompt, role))
+        for reply, prompt, role, site in inline:
+            reply.append(_text(self, prompt, role, site))
 
     def close(self) -> None:
         for lane in self._lanes.values():
@@ -389,7 +415,11 @@ def _lookup_info(corpus, names, concepts):
 class _ProofScope:
     """What every expansion of one proof shares and nothing outlives: the
     ports, search shape, timed gateway (`calls`), budget, the per-proof memos
-    (see the module docstring) and the backend sessions still open."""
+    (see the module docstring) and the backend sessions still open.
+
+    Each memo maps a key to a pure function of it, so the prefetch worker
+    and the search thread filling one at once is benign: both store the
+    same value."""
 
     def __init__(self, params: SearchParams, ports: SearchPorts):
         self.params = params
@@ -425,16 +455,20 @@ class _ProofScope:
 @dataclass(eq=False)
 class _Expansion:
     """One branch's expansion at one depth, one method per phase, driven by
-    `run`. `children` holds (tactic, state, session, explanation, summary)
-    per child in tactic order, replies still to be read; a proving child,
-    always the last, has no summary. `error` is a branch-scoped failure the
-    expansion raised; it then has no children."""
+    `run`. `after` is the next expansion of the layer; `ahead` holds its own
+    first round while that runs on the prefetch worker, as the future and
+    the events it holds back. `children` holds (tactic, state, session,
+    explanation, summary) per child in tactic order, replies still to be
+    read; a proving child, always the last, has no summary. `error` is a
+    branch-scoped failure the expansion raised; it then has no children."""
 
     scope: _ProofScope
     branch: _Branch
     depth: int
     idx: int
     notebook: Notebook
+    after: Optional["_Expansion"] = None
+    ahead: Optional[tuple] = None
     concepts: tuple = ()
     context: object = None
     bodies: dict = field(default_factory=dict)  # the planner and prove prompt bodies of `context`
@@ -449,26 +483,27 @@ class _Expansion:
     proves: bool = False
     held: Optional[SessionDesync] = None
     error: Optional[Exception] = None
+    site: tuple = field(init=False)  # (depth, idx), carried by every call the expansion makes
+
+    def __post_init__(self):
+        self.site = (self.depth, self.idx)
 
     def run(self) -> None:
-        """Gather the context, plan and retrieve; then up to `max_retries + 1`
-        rounds execute, validate, and plan again from the errors; then send
-        the queued calls and raise a held desync. Whatever raises closes the
-        children made so far; a branch-scoped failure is kept as `error`. The
-        branch's session is closed when the run ends."""
+        """Run the first round, or take it from the prefetch worker; then up
+        to `max_retries` more rounds plan again from the errors, execute and
+        validate; then send the queued calls and raise a held desync.
+        Whatever raises closes the children made so far; a branch-scoped
+        failure is kept as `error`. The branch's session is closed when the
+        run ends."""
         scope = self.scope
-        params, ports = scope.params, scope.ports
+        params, record = scope.params, scope.ports.recorder.record
         try:
-            state = self.branch.candidate.state
-            self.render_context(concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens))
-            strategy = self.plan(())
-            self.retrieve()
-            for retry in range(params.max_retries + 1):
-                if retry:
-                    strategy = self.plan(tuple(failed))
-                failed = self.validate(self.execute(strategy))
+            failed = self.validate(self.first_round(record) if self.ahead is None else self.resume())
+            for retry in range(1, params.max_retries + 1):
                 if not failed or self.valid > params.tactics_per_state:
                     break
+                self.prefetch_next(retry)
+                failed = self.validate(self.execute(self.plan(tuple(failed)), record))
             scope.calls.send(self.inline)
             if self.held is not None:
                 raise self.held
@@ -481,6 +516,48 @@ class _Expansion:
             self.error = exc
         finally:
             scope.close(self.branch.session)
+
+    def first_round(self, record) -> list[str]:
+        """The phases before the first validation: render the context, plan,
+        retrieve, and execute round 1, `record` taking its info event. They
+        touch neither the backend nor the budget."""
+        scope = self.scope
+        ports = scope.ports
+        state = self.branch.candidate.state
+        self.render_context(concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens))
+        strategy = self.plan(())
+        self.retrieve()
+        return self.execute(strategy, record)
+
+    def prefetch_next(self, retry: int) -> None:
+        """Before retry round `retry`, start the next expansion's first round
+        on the prefetch worker, once, if the gateway's calls wait and the
+        sequential search must reach that expansion unless this one proves
+        or a run-scoped error ends the proof: this branch has not proved,
+        and the budget left covers every validation of this round and the
+        rounds after it, so it cannot run out before the next branch."""
+        after, scope = self.after, self.scope
+        budget, params = scope.budget, scope.params
+        if (
+            after is None or after.ahead is not None or self.proves or not scope.calls.waits
+            or budget.limit - budget.used < (params.max_retries + 1 - retry) * params.tactics_per_state
+        ):
+            return
+        held: list = []
+        after.ahead = (
+            scope.calls.ahead(after.first_round, lambda kind, **data: held.append((kind, data))),
+            held,
+        )
+
+    def resume(self) -> list[str]:
+        """Wait for the first round run ahead, record the events it held, and
+        return its tactics or raise what it raised."""
+        future, held = self.ahead
+        try:
+            return future.result()
+        finally:
+            for kind, data in held:
+                self.scope.ports.recorder.record(kind, **data)
 
     def render_context(self, concepts) -> None:
         """Render the state context that shows `concepts`; the prompt bodies
@@ -497,7 +574,7 @@ class _Expansion:
             self.context, trace=candidate.trace, summary=candidate.summary,
             notes=self.notebook, errors=errors, memo=self.bodies,
         )
-        return _text(self.scope.calls, prompt, "planner")
+        return _text(self.scope.calls, prompt, "planner", self.site)
 
     def retrieve(self) -> None:
         """Premises and tactic examples ranked for the first goal, embedded
@@ -520,10 +597,10 @@ class _Expansion:
             memo[goal] = found
         self.premises, self.tactic_examples = found
 
-    def execute(self, hint: str) -> list[str]:
+    def execute(self, hint: str, record) -> list[str]:
         """One executor round. The expansion's first info request adds the
-        named concepts to the context and asks again; a later one yields no
-        tactics."""
+        named concepts to the context, goes to `record` as an event, and asks
+        again; a later one yields no tactics."""
         action = self._ask(hint)
         if isinstance(action, InfoRequest) and not self.info_used:
             self.info_used = True
@@ -531,7 +608,7 @@ class _Expansion:
             self.render_context(
                 self.concepts + _lookup_info(ports.corpus, action.names, self.concepts)
             )
-            ports.recorder.record("info", depth=self.depth, branch=self.idx, names=list(action.names))
+            record("info", depth=self.depth, branch=self.idx, names=list(action.names))
             action = self._ask(hint)
         if isinstance(action, TacticSuggestions):
             return [suggestion.tactic for suggestion in action.items]
@@ -544,7 +621,7 @@ class _Expansion:
             premises=self.premises, tactics=self.tactic_examples, notes=self.notebook,
             hint=hint, memo=self.bodies,
         )
-        return parse_action_response(_text(self.scope.calls, bundle.rendered, "executor"))
+        return parse_action_response(_text(self.scope.calls, bundle.rendered, "executor", self.site))
 
     def validate(self, tactics: list[str]) -> list[tuple[str, str]]:
         """Validate the first `tactics_per_state` new canonical tactics,
@@ -588,14 +665,16 @@ class _Expansion:
             self.held = exc
             return
         explanation = scope.calls.later(
-            render_explanation_prompt(state, tactic, after), "explain", self.inline
+            render_explanation_prompt(state, tactic, after), "explain", self.site, self.inline
         )
         summary = None
         if is_goal_complete(after):
             self.proves = True
         else:
             trace = self.branch.candidate.trace + ((tactic, ""),)
-            summary = scope.calls.later(render_summarize_prompt(trace, after), "summarize", self.inline)
+            summary = scope.calls.later(
+                render_summarize_prompt(trace, after), "summarize", self.site, self.inline
+            )
         self.children.append((tactic, after, child, explanation, summary))
 
 
@@ -660,7 +739,8 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
     """Run the full search on one theorem. See the module docstring for the
     layer anatomy. Branch-level port failures prune the branch; a layer lost
     entirely to port failures raises PortFailure with the branch context.
-    No lane thread and no session the search opened outlives the call."""
+    No lane or prefetch thread and no session the search opened outlives
+    the call."""
     recorder = ports.recorder
     recorder.record(
         "start",
@@ -696,14 +776,17 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
         for depth in range(1, params.max_depth + 1):
             collected = _Layer(theorem, depth, recorder)
-            for idx, branch in enumerate(layer):
-                expansion = _Expansion(scope, branch, depth, idx, notebook)
+            expansion = None
+            for idx in reversed(range(len(layer))):
+                expansion = _Expansion(scope, layer[idx], depth, idx, notebook, after=expansion)
+            while expansion is not None:
                 expansion.run()
                 collected.pending.append(expansion)
                 if expansion.proves:
                     proved = collected.collect()
                     if proved is not None:
                         return finish(Outcome.PROVED, depth, proved)
+                expansion = expansion.after
             collected.collect()
 
             if not collected.branches:

@@ -5,6 +5,7 @@ can cross-check loaded data against independently constructed structures.
 """
 
 import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -32,6 +33,15 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 @pytest.fixture
 def fixtures_dir() -> str:
     return FIXTURES
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_outlives_a_test():
+    """Fail any test after which a `prooforge-*` thread (a lane or the
+    prefetch worker of a proof) is still alive."""
+    yield
+    left = sorted(t.name for t in threading.enumerate() if t.name.startswith("prooforge-"))
+    assert not left, f"threads still alive after the test: {left}"
 
 
 def entities_path() -> str:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
 import re
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +96,22 @@ class TestChatRequest:
     def test_for_role_equals_the_request_built_from_the_table(self, role):
         expected = ChatRequest.user("prompt text", role=role, **ROLE_SETTINGS[role]._asdict())
         assert ChatRequest.for_role(role, "prompt text") == expected
+
+    def test_site_is_neither_digested_nor_sent(self):
+        payloads = []
+
+        def transport(url, payload, headers):
+            payloads.append(payload)
+            return _chat_body()
+
+        gateway = HttpGateway("https://api.example", "m", transport=transport)
+        plain = ChatRequest.for_role("executor", "prompt text")
+        placed = ChatRequest.for_role("executor", "prompt text", (2, 1))
+        assert placed.site == (2, 1) and plain.site is None
+        assert placed.digest() == plain.digest()
+        gateway.complete(plain)
+        gateway.complete(placed)
+        assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("role", ["planer", "", None])
     def test_for_role_rejects_an_unknown_role_listing_the_roles(self, role):
@@ -459,6 +478,62 @@ class TestMockGateway:
             gateway.complete(ChatRequest.user("y", role="rank"))
         assert "rank" in str(exc_info.value)
 
+    def test_a_keyed_record_answers_its_site_before_the_route_queue(self):
+        gateway = MockGateway([
+            ScriptRecord(reply="queued", route="executor"),
+            ScriptRecord(reply="at 2 1", route="executor", at=(2, 1)),
+            ScriptRecord(reply="default", route="executor", default=True),
+            ScriptRecord(reply="planner at 2 1", route="planner", at=(2, 1)),
+        ])
+
+        def reply(site, role="executor"):
+            return gateway.complete(ChatRequest.for_role(role, "prompt", site)).text
+
+        assert reply((2, 1)) == "at 2 1"
+        assert reply((2, 0)) == "queued"
+        assert reply((2, 1)) == "default"
+        assert reply(None) == "default"
+        with pytest.raises(ProviderError, match="script exhausted for route 'planner'"):
+            reply((1, 0), "planner")
+        assert reply((2, 1), "planner") == "planner at 2 1"
+
+    def test_from_file_reads_at(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({"route": "executor", "reply": "later", "at": [3, 2]}) + "\n"
+            + json.dumps({"route": "executor", "reply": "first"}) + "\n",
+            encoding="utf-8",
+        )
+        gateway = MockGateway.from_file(str(path))
+        assert gateway.complete(ChatRequest.for_role("executor", "p", (3, 2))).text == "later"
+        assert gateway.complete(ChatRequest.for_role("executor", "p", (3, 2))).text == "first"
+
+    @pytest.mark.parametrize(
+        "at",
+        [[1], [1, 0, 0], [0, 0], [-1, 0], [1, -1], [True, 0], [1, False], [1.0, 0], "1,0", None],
+        ids=["one", "three", "depth-0", "negative-depth", "negative-branch", "bool-depth",
+             "bool-branch", "float-depth", "string", "null"],
+    )
+    def test_from_file_rejects_a_malformed_at(self, tmp_path, at):
+        path = tmp_path / "script.jsonl"
+        path.write_text(json.dumps({"route": "executor", "reply": "x", "at": at}) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == (
+            f"gateway script {path}, line 1: at must be [depth, branch] with depth >= 1 "
+            f"and branch >= 0, not {at!r}"
+        )
+
+    def test_a_default_record_cannot_carry_at(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({"route": "executor", "reply": "x", "default": True, "at": [1, 0]}) + "\n"
+        )
+        with pytest.raises(ValueError, match="line 1: a default record cannot carry at"):
+            MockGateway.from_file(str(path))
+        with pytest.raises(ValueError, match="a default record cannot carry at"):
+            ScriptRecord(reply="x", route="executor", default=True, at=(1, 0))
+
     def test_routes_on_role_not_on_prompt_text(self):
         # Executor markers in a planner prompt (a hint quoting the actions
         # block, say) do not change where the request goes.
@@ -605,6 +680,60 @@ class TestMockGateway:
             MockGateway.from_file(str(path))
         assert str(exc_info.value) == f"gateway script {path}, line 2: {message}"
 
+    @pytest.mark.parametrize(
+        "logprobs, message",
+        [
+            ([{"token": "YES", "logprob": True}], "a logprob must be a number, not True"),
+            ([{"token": "YES", "logprob": 0.5}], "a logprob must be <= 0 and not NaN, not 0.5"),
+            ([{"token": "YES", "logprob": "nan"}], "a logprob must be a number, not 'nan'"),
+            ([{"token": "YES", "logprob": float("nan")}], "a logprob must be <= 0 and not NaN, not nan"),
+            ([{"token": "YES", "logprob": None}], "a logprob must be a number, not None"),
+            (
+                [{"token": "YES", "logprob": -0.1, "top_alternatives": [{"token": "NO", "logprob": False}]}],
+                "a top_alternatives logprob must be a number, not False",
+            ),
+            (
+                [{"token": "YES", "logprob": -0.1, "top_alternatives": [{"token": "NO", "logprob": 2}]}],
+                "a top_alternatives logprob must be <= 0 and not NaN, not 2",
+            ),
+            (
+                [{"token": "YES", "logprob": -0.1, "top_alternatives": [{"token": "NO", "logprob": "-1"}]}],
+                "a top_alternatives logprob must be a number, not '-1'",
+            ),
+        ],
+        ids=["bool", "positive", "string-nan", "nan", "null", "bool-alternative",
+             "positive-alternative", "string-alternative"],
+    )
+    def test_from_file_rejects_a_logprob_that_is_not_a_number_at_most_0(
+        self, tmp_path, logprobs, message
+    ):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({"route": "judge", "reply": "YES", "logprobs": logprobs}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == f"gateway script {path}, line 1: {message}"
+
+    @pytest.mark.parametrize(
+        "yes_no, message",
+        [
+            ([-1, -2, -3], "yes_no must be two numbers, not [-1, -2, -3]"),
+            ([-1], "yes_no must be two numbers, not [-1]"),
+            ("-1,-2", "yes_no must be two numbers, not '-1,-2'"),
+            ([True, -1], "a yes_no value must be a number, not True"),
+            (["-1", -2], "a yes_no value must be a number, not '-1'"),
+        ],
+        ids=["three", "one", "string", "bool", "string-value"],
+    )
+    def test_from_file_rejects_a_yes_no_that_is_not_two_numbers(self, tmp_path, yes_no, message):
+        path = tmp_path / "script.jsonl"
+        path.write_text(json.dumps({"route": "judge", "yes_no": yes_no}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == f"gateway script {path}, line 1: {message}"
+
     def test_calls_are_recorded(self):
         gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])
         request = ChatRequest.user("traceable", role="rank")
@@ -713,6 +842,65 @@ class TestHttpGateway:
             gateway.complete(ChatRequest.user("q"))
         assert len(calls) == 3
         assert slept == [7.5, 7.5]
+
+    @pytest.mark.parametrize(
+        "header",
+        ["Wed, 21 Oct 2015 07:28:00 GMT", "nan", "inf", "-inf", "-5", "soon", None],
+        ids=["past-date", "nan", "inf", "minus-inf", "negative", "prose", "missing"],
+    )
+    def test_an_unusable_retry_after_header_waits_the_backoff(self, monkeypatch, header):
+        import requests
+
+        class Reply:
+            status_code = 429
+            headers = {} if header is None else {"Retry-After": header}
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Reply())
+        slept = []
+        gateway = HttpGateway(
+            "https://api.example", "m",
+            retry=RetryPolicy(attempts=3, backoff=0.01), sleeper=slept.append,
+        )
+        with pytest.raises(ProviderError, match="gave up after 3 attempts"):
+            gateway.complete(ChatRequest.user("q"))
+        assert slept == [0.01, 0.02]
+
+    @pytest.mark.parametrize("as_date", [False, True], ids=["seconds", "date"])
+    def test_a_retry_after_header_in_seconds_or_as_a_date_is_honored(self, monkeypatch, as_date):
+        import requests
+
+        when = datetime.now(timezone.utc) + timedelta(seconds=100)
+        header = format_datetime(when, usegmt=True) if as_date else "100"
+
+        class Reply:
+            status_code = 429
+            headers = {"Retry-After": header}
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Reply())
+        slept = []
+        gateway = HttpGateway(
+            "https://api.example", "m",
+            retry=RetryPolicy(attempts=2, backoff=0.01), sleeper=slept.append,
+        )
+        with pytest.raises(ProviderError, match="gave up after 2 attempts"):
+            gateway.complete(ChatRequest.user("q"))
+        assert len(slept) == 1 and 98 <= slept[0] <= 100
+
+    @pytest.mark.parametrize("retry_after", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_a_non_finite_retry_after_from_a_transport_waits_the_backoff(self, retry_after):
+        def transport(url, payload, headers):
+            raise RateLimited("slow down", retry_after=retry_after)
+
+        slept = []
+        gateway = HttpGateway(
+            "https://api.example", "m",
+            retry=RetryPolicy(attempts=3, backoff=0.01),
+            transport=transport, sleeper=slept.append,
+        )
+        with pytest.raises(ProviderError, match="gave up after 3 attempts"):
+            gateway.complete(ChatRequest.user("q"))
+        assert slept == [0.01, 0.02]
+        assert all(math.isfinite(s) for s in slept)
 
     def test_malformed_response_never_retries(self):
         calls = []

@@ -1,7 +1,8 @@
 """Planner–Executor beam search: the budget arithmetic, scripted end-to-end
 runs against the synthetic backend, candidate selection, the shared notebook,
-the failure modes (retry exhaustion, budget exhaustion, port failures), and
-the explain and summarize calls overlapped on per-role lanes."""
+the failure modes (retry exhaustion, budget exhaustion, port failures), the
+explain and summarize calls overlapped on per-role lanes, and the next
+branch's first round run ahead while a branch retries."""
 
 import dataclasses
 import hashlib
@@ -625,12 +626,13 @@ class StartLog(WaitingGateway):
 def early_child_records(round_two) -> list[ScriptRecord]:
     """A two-layer proof of A -> B -> A in which depth 2, branch 0 validates
     `idtac` and fails `ring` in round 1; `round_two` is its round-2 executor
-    record. Branch 1 then proves with `assumption`."""
+    record. Branch 1 then proves with `assumption`; its record is keyed to
+    it, since on lanes its first round runs alongside branch 0's round 2."""
     return route_defaults() + [
         ScriptRecord(reply=tactics_reply("intros", "intros a b"), route="executor"),
         ScriptRecord(reply=tactics_reply("idtac", "ring"), route="executor"),
         round_two,
-        ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+        ScriptRecord(reply=tactics_reply("assumption"), route="executor", at=(2, 1)),
     ]
 
 
@@ -933,7 +935,7 @@ class TestEarlyChildren:
             ScriptRecord(reply=tactics_reply("intros", "intros a b"), route="executor"),
             ScriptRecord(reply=tactics_reply("idtac", "simpl", "ring"), route="executor"),
             ScriptRecord(reply=tactics_reply("intros"), route="executor"),
-            ScriptRecord(reply=tactics_reply("assumption"), route="executor"),
+            ScriptRecord(reply=tactics_reply("assumption"), route="executor", at=(2, 1)),
         ]
         runs = []
         for delay_s in (0.0, LANE_DELAY_S):
@@ -955,6 +957,220 @@ class TestEarlyChildren:
             assert (calls["explain"], calls["summarize"]) == (4, 3)
             runs.append((result, events))
         assert runs[0] == runs[1]
+
+
+# ----------------------------------------------------------------------
+# The next branch's first round runs ahead while a branch retries
+# ----------------------------------------------------------------------
+
+def site_digests(gateway: WaitingGateway) -> dict[tuple, list[str]]:
+    """Request digests per (role, site), in arrival order."""
+    by_site: dict[tuple, list[str]] = {}
+    for request in gateway.mock.calls:
+        by_site.setdefault((request.role, request.site), []).append(request.digest())
+    return by_site
+
+
+def retrying_records(round_two: str) -> list[ScriptRecord]:
+    """`early_child_records` with `round_two` as the tactic of depth 2,
+    branch 0's round 2, when 4 validations are spent: `assumption` proves
+    there, so branch 1 is never reached; `intros` fails, and branch 1
+    proves (6 validations in all)."""
+    return early_child_records(ScriptRecord(reply=tactics_reply(round_two), route="executor"))
+
+
+class CappedGateway(WaitingGateway):
+    """A WaitingGateway that lets one call in at a time, as
+    `HttpGateway(max_concurrency=1)` does."""
+
+    def __init__(self, records, delay_s: float):
+        super().__init__(records, delay_s)
+        self._cap = threading.Semaphore(1)
+
+    def complete(self, request):
+        with self._cap:
+            return super().complete(request)
+
+
+PREFETCH_THREAD = "prooforge-prefetch_0"
+#: Per theorem, the tactics its keyed scripts draw from (some valid at
+#: each depth, `ring` never), and those the root's first reply draws from.
+KEYED_TACTICS = {
+    "A -> B -> A": ("intros", "intros H", "intros a b", "idtac", "assumption", "ring"),
+    "P /\\ Q": ("split", "idtac", "apply p_holds", "apply q_holds", "assumption", "ring"),
+}
+OPENING_TACTICS = {
+    "A -> B -> A": ("intros", "intros H", "intros a b", "ring"),
+    "P /\\ Q": ("split", "idtac", "ring"),
+}
+INFO_REPLY = json.dumps({"info": ["Nowhere.nothing"]})
+
+
+@st.composite
+def keyed_searches(draw):
+    """A search shape and executor records keyed to every site of up to
+    three layers, on one of two theorems; after the root's first reply,
+    one in four asks for info. Sometimes the executor route has a
+    default."""
+    beam_width = draw(st.integers(1, 3))
+    max_retries = draw(st.integers(0, 2))
+    theorem = draw(st.sampled_from(sorted(KEYED_TACTICS)))
+    tactics = st.lists(st.sampled_from(KEYED_TACTICS[theorem]), min_size=1, max_size=3)
+    replies = st.one_of(*[tactics.map(lambda t: tactics_reply(*t))] * 3, st.just(INFO_REPLY))
+    opening = draw(st.lists(st.sampled_from(OPENING_TACTICS[theorem]), min_size=2, max_size=3))
+    records = route_defaults() + [
+        ScriptRecord(reply=tactics_reply(*opening), route="executor", at=(1, 0))
+    ]
+    for depth in (1, 2, 3):
+        for branch in range(1 if depth == 1 else beam_width):
+            for reply in draw(st.lists(replies, min_size=1, max_size=max_retries + 2)):
+                records.append(ScriptRecord(reply=reply, route="executor", at=(depth, branch)))
+    if draw(st.booleans()):
+        records.append(ScriptRecord(reply=tactics_reply("idtac"), route="executor", default=True))
+    params = SearchParams(max_depth=3, beam_width=beam_width, max_retries=max_retries)
+    return theorem, params, records
+
+
+def run_keyed(theorem, params, records, delay_s):
+    backend = SessionLedger(
+        SyntheticBackend(lemmas={"p_holds": Lemma("P", ()), "q_holds": Lemma("Q", ())})
+    )
+    gateway = WaitingGateway(records, delay_s)
+    ports = SearchPorts(backend=backend, gateway=gateway)
+    before = set(threading.enumerate())
+    try:
+        result = prove(theorem, params, ports)
+    except PortFailure as exc:
+        result = str(exc)
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not [t for t in left if t.name.startswith("prooforge-")]
+    assert len(backend.validations) <= params.budget
+    assert sorted(backend.closed) == sorted(backend.opened)
+    return result, ports.recorder.events, site_digests(gateway)
+
+
+class TestPrefetch:
+    @settings(max_examples=60)
+    @given(keyed_searches())
+    def test_lanes_give_the_inline_result_events_and_calls(self, search):
+        # Per (role, site), the inline calls are the first calls on lanes.
+        # Lanes add only calls whose replies are never read: one skipped
+        # branch's first round (a planner call, and an executor call or two
+        # with an info request), and the explain and summarize calls of an
+        # expansion that lost a later round.
+        inline = run_keyed(*search, 0.0)
+        lanes = run_keyed(*search, LANE_DELAY_S)
+        assert lanes[:2] == inline[:2]
+        inline_calls, lanes_calls = inline[2], lanes[2]
+        assert set(inline_calls) <= set(lanes_calls)
+        extra = {}
+        for key, digests in lanes_calls.items():
+            done = inline_calls.get(key, [])
+            assert digests[: len(done)] == done
+            if len(digests) > len(done):
+                extra[key] = len(digests) - len(done)
+        skipped = {site for (role, site) in extra if role in ("planner", "executor")}
+        assert len(skipped) <= 1
+        assert not skipped or inline[0].outcome is Outcome.PROVED
+        for site in skipped:
+            assert not any(s == site for _role, s in inline_calls)
+            assert extra.get(("planner", site)) == 1
+            assert extra.get(("executor", site)) in (1, 2)
+        events = inline[1]
+        lost = {(e["depth"], e["branch"]) for e in events if e["event"] == "branch-pruned"}
+        if events[-1].get("outcome") == Outcome.BUDGET_EXHAUSTED.value:
+            last = [e for e in events if e["event"] == "tactic"][-1]
+            lost.add((last["depth"], last["branch"]))
+        assert {site for (role, site) in extra if role in ("explain", "summarize")} <= lost
+
+    def test_a_branch_proving_in_a_retry_round_wastes_one_first_round(self):
+        inline = run_branching(retrying_records("assumption"), 0.0, EARLY_CHILD_PARAMS)
+        lanes = run_branching(retrying_records("assumption"), LANE_DELAY_S, EARLY_CHILD_PARAMS)
+        assert [tactic for tactic, _text in lanes[0].trace] == ["intros", "assumption"]
+        assert lanes[:2] == inline[:2]
+        assert PREFETCH_THREAD in lanes[2].threads
+        inline_calls, lanes_calls = site_digests(inline[2]), site_digests(lanes[2])
+        wasted = {key: len(digests) for key, digests in lanes_calls.items() if key[1] == (2, 1)}
+        assert wasted == {("planner", (2, 1)): 1, ("executor", (2, 1)): 1}
+        assert {k: d for k, d in lanes_calls.items() if k[1] != (2, 1)} == inline_calls
+
+    @pytest.mark.parametrize("budget, ahead", [(13, False), (14, True)])
+    def test_no_branch_runs_ahead_unless_the_budget_covers_the_retries(self, budget, ahead):
+        # Branch 0 retries with 4 of the budget spent; its one retry round
+        # may validate up to 10 tactics.
+        params = dataclasses.replace(EARLY_CHILD_PARAMS, budget=budget)
+        inline = run_branching(retrying_records("intros"), 0.0, params)
+        lanes = run_branching(retrying_records("intros"), LANE_DELAY_S, params)
+        assert lanes[0].outcome is Outcome.PROVED
+        assert lanes[0].tactic_evaluations_used == 6
+        assert lanes[:2] == inline[:2]
+        assert site_digests(lanes[2]) == site_digests(inline[2])
+        assert (PREFETCH_THREAD in lanes[2].threads) is ahead
+
+    def test_the_info_event_of_a_first_round_run_ahead_keeps_its_place(self):
+        # Branch 1 asks for info in its first round, which runs while
+        # branch 0 validates its round 2; the event still follows branch
+        # 0's events.
+        records = retrying_records("intros")
+        records[-1:-1] = [ScriptRecord(reply=INFO_REPLY, route="executor", at=(2, 1))]
+        inline = run_branching(records, 0.0, EARLY_CHILD_PARAMS)
+        lanes = run_branching(records, LANE_DELAY_S, EARLY_CHILD_PARAMS)
+        assert PREFETCH_THREAD in lanes[2].threads
+        assert lanes[:2] == inline[:2]
+        sites = [(e["event"], e["depth"], e["branch"]) for e in lanes[1] if e["event"] != "layer"
+                 and "branch" in e]
+        assert sites[-5:] == [
+            ("tactic", 2, 0), ("tactic", 2, 0), ("tactic", 2, 0), ("info", 2, 1), ("tactic", 2, 1),
+        ]
+
+    @pytest.mark.parametrize("error", [ProviderError, RuntimeError])
+    def test_what_a_first_round_run_ahead_raises_is_raised_where_it_resumes(self, error):
+        # Branch 1's executor call fails: a ProviderError prunes branch 1,
+        # anything else ends the proof, on both paths in the same place.
+        class FailsAtBranchOne(WaitingGateway):
+            def complete(self, request):
+                if (request.role, request.site) == ("executor", (2, 1)):
+                    with self._lock:
+                        self.threads.add(threading.current_thread().name)
+                    raise error("injected at depth 2, branch 1")
+                return super().complete(request)
+
+        runs = []
+        for delay_s in (0.0, LANE_DELAY_S):
+            backend = SessionLedger()
+            gateway = FailsAtBranchOne(retrying_records("intros"), delay_s)
+            ports = SearchPorts(backend=backend, gateway=gateway)
+            try:
+                result = prove("A -> B -> A", EARLY_CHILD_PARAMS, ports)
+            except RuntimeError as exc:
+                result = exc.args
+            assert sorted(backend.closed) == sorted(backend.opened)
+            runs.append((result, ports.recorder.events, gateway.threads))
+        (inline, inline_events, _), (lanes, lanes_events, threads) = runs
+        assert PREFETCH_THREAD in threads
+        assert (lanes, lanes_events) == (inline, inline_events)
+        if error is RuntimeError:
+            assert inline == ("injected at depth 2, branch 1",)
+        else:
+            assert inline.outcome is Outcome.FAILURE
+            pruned = [e for e in inline_events if e["event"] == "branch-pruned"]
+            assert [(e["depth"], e["branch"], e["error"]) for e in pruned] == [
+                (2, 1, "injected at depth 2, branch 1")
+            ]
+
+    def test_one_call_in_flight_does_not_deadlock_the_prefetch(self):
+        inline = run_branching(retrying_records("intros"), 0.0, EARLY_CHILD_PARAMS)
+        pool = ThreadPoolExecutor(1)
+        try:
+            lanes = pool.submit(
+                run_branching, retrying_records("intros"), LANE_DELAY_S, EARLY_CHILD_PARAMS,
+                kind=CappedGateway,
+            ).result(timeout=60)
+        finally:
+            pool.shutdown(wait=False)
+        assert lanes[:2] == inline[:2]
+        assert PREFETCH_THREAD in lanes[2].threads
+        assert lanes[2].peak["all"] == 1
 
 
 # ----------------------------------------------------------------------
