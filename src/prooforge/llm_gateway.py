@@ -615,7 +615,8 @@ class HttpGateway:
     """Client for an OpenAI-style chat-completions endpoint.
 
     Timeouts, rate limits, and 5xx responses retry per policy with backoff;
-    malformed payloads fail the call immediately. A semaphore owned by each
+    malformed payloads, and a rate limit that asks for a wait longer than
+    `timeout`, fail the call immediately. A semaphore owned by each
     instance caps the requests that instance has in flight, so share one
     instance to cap a process. Credentials come only from the environment
     variable named at construction.
@@ -695,8 +696,14 @@ class HttpGateway:
                 raise
             except RateLimited as exc:
                 last_error = exc
+                asked = exc.retry_after if math.isfinite(exc.retry_after) else 0.0
+                if asked > self.timeout:
+                    raise ProviderError(
+                        f"rate limited: asked to wait {asked:g} s, longer than the "
+                        f"{self.timeout:g} s timeout",
+                        key=request.digest(),
+                    )
                 if attempt + 1 < self.retry.attempts:
-                    asked = exc.retry_after if math.isfinite(exc.retry_after) else 0.0
                     self._sleep(max(asked, self.retry.delay(attempt)))
             except (ProviderTimeout, ProviderError) as exc:
                 last_error = exc

@@ -18,11 +18,16 @@ computed from its own row so that its bits do not depend on which other
 rows survive, and only they are sorted.
 
 A provider is any object whose ``embed(text)`` returns a 1-D float array of
-finite entries, the same length for every text. Both are checked on every
-embedding the index takes. Two providers ship: a deterministic mock that
-derives a unit vector from a hash of the text (stable across runs and
-machines), and an HTTP provider for real embedding endpoints. Credentials
-come from environment variables only.
+finite entries, the same length for every text. It may also have
+``embed_many(texts)``, returning one such row per text in order, as a 2-D
+array or a sequence of rows; `build_index` then embeds every distinct key
+with one call to it, and embeds key by key otherwise. The same checks (one
+row per key, 1-D, finite, one length) apply to whatever either returns; the
+query goes through ``embed``. Two providers ship, both with ``embed_many``:
+a deterministic mock that derives a unit vector from a hash of the text
+(stable across runs and machines), and an HTTP provider for real embedding
+endpoints that sends the texts of ``embed_many`` in fixed-size batches.
+Credentials come from environment variables only.
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ PREMISE = "premise"
 TACTIC = "tactic"
 
 
-def _matrix(outputs: list) -> np.ndarray:
-    """Provider outputs as the rows of one float matrix, with one
-    finiteness check for them all. ValueError unless every output is 1-D
+def _matrix(outputs) -> np.ndarray:
+    """Provider outputs (a sequence of rows, or a 2-D array, which is not
+    copied) as the rows of one float matrix, with one finiteness check for
+    them all. ValueError unless every output is 1-D
     with finite entries and all have one length; the first bad output, in
     order, names the error, as `_vector` on each would."""
     try:
-        matrix = np.array(outputs, dtype=float)
+        matrix = np.asarray(outputs, dtype=float)
     except ValueError:  # ragged outputs
         matrix = None
     if matrix is None or matrix.ndim != 2 or not np.isfinite(matrix).all():
@@ -79,27 +85,160 @@ def _vector(values) -> np.ndarray:
     return vector
 
 
+def _unit(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`raw` divided by its norm, into `out` if given; a zero vector becomes
+    the all-ones direction, which keeps the mock total."""
+    # The bits of np.linalg.norm on a 1-D float array, without its overhead.
+    norm = math.sqrt(raw.dot(raw))
+    if norm == 0.0:  # astronomically unlikely
+        raw = np.ones(len(raw))
+        norm = math.sqrt(raw.dot(raw))
+    return np.divide(raw, norm, out=out)
+
+
+# numpy's SeedSequence hash constants, and the multiplier of PCG64's
+# 128-bit LCG.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """The PCG64 `{"state", "inc"}` that `np.random.default_rng(seed)`
+    starts from, for each uint64 seed, with the hashing done for all seeds
+    at once.
+
+    This mirrors numpy's seeding, which its compatibility policy keeps
+    fixed: SeedSequence hashes the seed's two uint32 words (the high one 0
+    below 2**32, as SeedSequence pads a one-word seed) into a pool of four,
+    mixes the pool and draws `generate_state(4, uint64)` from it; PCG64's
+    srandom step then turns the first two words into `initstate` and the
+    last two into `initseq`. A test compares it with `default_rng`."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(seeds), np.uint32)
+    low, high = (seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # generate_state's uint64 words are its uint32 words read little-endian.
+    state_hi, state_lo, seq_hi, seq_lo = (
+        (words[j] | words[j + 1] << 32).tolist() for j in range(0, 8, 2)
+    )
+    states = []
+    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in zip(
+        state_hi, state_lo, seq_hi, seq_lo
+    ):
+        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _M128
+        initstate = initstate_hi << 64 | initstate_lo
+        states.append({"state": ((inc + initstate) * _PCG64_MULT + inc) & _M128, "inc": inc})
+    return states
+
+
+#: Texts `MockEmbeddingProvider.embed_many` seeds in one vectorized pass:
+#: enough to amortise the array operations, few enough that the pass's
+#: arrays stay small beside the output.
+_SEED_CHUNK = 1024
+
+
 class MockEmbeddingProvider:
     """Deterministic provider: a unit vector seeded by a hash of the text.
 
     Identical texts embed identically on every run and platform; distinct
-    texts land in effectively random directions.
+    texts land in effectively random directions. A lone surrogate in a text
+    is hashed as its UTF-8 form (``surrogatepass``), as request digests are.
     """
 
     def __init__(self, dim: int = 32, seed: int = 0):
         self.dim = dim
         self.seed = seed
 
+    def _seed_bytes(self, text: str) -> bytes:
+        """The big-endian uint64 seed of `text`'s vector."""
+        data = f"{self.seed}\x1f{text}".encode("utf-8", "surrogatepass")
+        return hashlib.sha256(data).digest()[:8]
+
     def embed(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self.seed}\x1f{text}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        raw = rng.standard_normal(self.dim)
-        # The bits of np.linalg.norm on a 1-D float array, without its overhead.
-        norm = math.sqrt(raw.dot(raw))
-        if norm == 0.0:  # astronomically unlikely; keep the contract total
-            raw = np.ones(self.dim)
-            norm = math.sqrt(raw.dot(raw))
-        return raw / norm
+        rng = np.random.default_rng(int.from_bytes(self._seed_bytes(text), "big"))
+        return _unit(rng.standard_normal(self.dim))
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """`np.stack([self.embed(t) for t in texts])`, bit for bit. Each
+        chunk of texts gets its generator start states from
+        `_pcg64_states`, and every row is drawn from one reused PCG64,
+        without building a generator per text."""
+        out = np.empty((len(texts), self.dim))
+        bit_generator = np.random.PCG64(0)
+        generator = np.random.Generator(bit_generator)
+        raw = np.empty(self.dim)
+        for start in range(0, len(texts), _SEED_CHUNK):
+            chunk = texts[start:start + _SEED_CHUNK]
+            seeds = np.frombuffer(b"".join(map(self._seed_bytes, chunk)), ">u8")
+            rows = out[start:start + len(chunk)]
+            for row, state in zip(rows, _pcg64_states(seeds.astype(np.uint64))):
+                bit_generator.state = {
+                    "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0,
+                }
+                generator.standard_normal(out=raw)
+                _unit(raw, out=row)
+        return out
+
+
+#: Texts per embeddings request: small enough for servers that cap the
+#: inputs of one request, large enough to turn a build's one request per
+#: key into one per 32 keys.
+_HTTP_BATCH = 32
+
+
+def _placed(batch: Sequence[str], body) -> list:
+    """The reply's rows in the batch's order, each placed by its `index`.
+    ProviderError unless the reply holds exactly one row per input, naming
+    the first input without exactly one row, or the batch's first input when
+    every input has one and rows are left over."""
+    try:
+        data = list(body["data"])
+    except (KeyError, TypeError) as exc:
+        raise ProviderError(f"malformed embedding response: {exc!r}", key=batch[0])
+    placed: list[list] = [[] for _text in batch]
+    for item in data:
+        index = item.get("index") if isinstance(item, dict) else None
+        if type(index) is int and 0 <= index < len(batch):
+            placed[index].append(item)
+    for index, items in enumerate(placed):
+        if len(items) != 1:
+            raise ProviderError(
+                f"malformed embedding response: {len(items)} rows for input {index}",
+                key=batch[index],
+            )
+    if len(data) != len(batch):
+        raise ProviderError(
+            f"malformed embedding response: {len(data)} rows for {len(batch)} inputs",
+            key=batch[0],
+        )
+    return [items[0] for items in placed]
 
 
 class HttpEmbeddingProvider:
@@ -133,24 +272,43 @@ class HttpEmbeddingProvider:
         return reply.json()
 
     def embed(self, text: str) -> np.ndarray:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, in order, from requests of `_HTTP_BATCH` texts.
+        A failed request raises ProviderError naming its first text; a
+        reply row that is missing, repeated, not 1-D and finite, or not the
+        length of the first row, one naming the text it belongs to."""
         headers = {}
         key = os.environ.get(self.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        try:
-            body = self._transport(
-                f"{self.base_url}/embeddings",
-                {"model": self.model, "input": [text]},
-                headers,
-            )
-            vector = _vector(body["data"][0]["embedding"])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed embedding response: {exc}", key=text)
-        except Exception as exc:
-            raise ProviderError(f"embedding request failed: {exc}", key=text)
+        rows = []
+        for start in range(0, len(texts), _HTTP_BATCH):
+            batch = list(texts[start:start + _HTTP_BATCH])
+            try:
+                body = self._transport(
+                    f"{self.base_url}/embeddings", {"model": self.model, "input": batch}, headers
+                )
+            except Exception as exc:
+                raise ProviderError(f"embedding request failed: {exc}", key=batch[0])
+            for text, item in zip(batch, _placed(batch, body)):
+                try:
+                    row = _vector(item["embedding"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ProviderError(f"malformed embedding response: {exc}", key=text)
+                if rows and len(row) != len(rows[0]):
+                    raise ProviderError(
+                        f"malformed embedding response: {len(row)} dimensions, "
+                        f"the first row has {len(rows[0])}",
+                        key=text,
+                    )
+                rows.append(row)
+        if not rows:
+            return np.empty((0, self.dim or 0))
         if self.dim is None:
-            self.dim = len(vector)
-        return vector
+            self.dim = len(rows[0])
+        return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -189,19 +347,29 @@ def build_index(
     Premises are (name, statement) pairs keyed by ``name : statement``.
     Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
     it was used on; the payload returned by retrieval is just the tactic.
-    Each distinct key is embedded once; a repeated key's row is a copy of
-    the first one's. The provider's vectors are let go once they are
-    stacked, before each kind's norms and float32 screen are computed.
+    Each distinct key is embedded once, with one ``embed_many`` call when
+    the provider has it and key by key otherwise. A repeated key's row is a
+    copy of the first one's, made by one `take` only when keys repeat;
+    otherwise each kind's rows are a slice of the embedded matrix.
     """
     entries = {
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
         TACTIC: [(f"{tactic} \x1f {goal}", tactic) for tactic, goal in tactics],
     }
     all_keys = [key for keyed in entries.values() for key, _payload in keyed]
-    embedded = {key: provider.embed(key) for key in dict.fromkeys(all_keys)}
-    outputs = [embedded[key] for key in all_keys]
-    stacked = _matrix(outputs) if outputs else np.empty((0, getattr(provider, "dim", None) or 0))
-    del embedded, outputs
+    distinct = list(dict.fromkeys(all_keys))
+    if not distinct:
+        stacked = np.empty((0, getattr(provider, "dim", None) or 0))
+    else:
+        embed_many = getattr(provider, "embed_many", None)
+        stacked = _matrix(
+            embed_many(distinct) if embed_many else [provider.embed(key) for key in distinct]
+        )
+        if len(stacked) != len(distinct):
+            raise ValueError(f"provider returned {len(stacked)} rows for {len(distinct)} keys")
+        if len(distinct) < len(all_keys):
+            position = {key: i for i, key in enumerate(distinct)}
+            stacked = stacked.take([position[key] for key in all_keys], axis=0)
     kinds = {}
     start = 0
     for kind, keyed in entries.items():

@@ -902,6 +902,44 @@ class TestHttpGateway:
         assert slept == [0.01, 0.02]
         assert all(math.isfinite(s) for s in slept)
 
+    @pytest.mark.parametrize(
+        "source, asked",
+        [("header", "1e12"), ("header", "Fri, 31 Dec 9999 23:59:59 GMT"), ("transport", 1e12)],
+        ids=["seconds", "far-date", "injected"],
+    )
+    def test_a_wait_longer_than_the_timeout_fails_the_call(self, monkeypatch, source, asked):
+        # time.sleep(1e12) raises OverflowError, and 1e9 s is 31 years: the
+        # wait is not taken, and the call fails at once as a ProviderError.
+        import requests
+
+        calls = []
+
+        class Reply:
+            status_code = 429
+
+            def __init__(self, header):
+                self.headers = {"Retry-After": header}
+
+        def post(*args, **kwargs):
+            calls.append(1)
+            return Reply("5" if len(calls) == 1 else asked)
+
+        def transport(url, payload, headers):
+            calls.append(1)
+            raise RateLimited("slow down", retry_after=5.0 if len(calls) == 1 else asked)
+
+        monkeypatch.setattr(requests, "post", post)
+        slept = []
+        gateway = HttpGateway(
+            "https://api.example", "m", timeout=60.0,
+            retry=RetryPolicy(attempts=4, backoff=0.01), sleeper=slept.append,
+            transport=transport if source == "transport" else None,
+        )
+        with pytest.raises(ProviderError, match=r"longer than the 60 s timeout"):
+            gateway.complete(ChatRequest.user("q"))
+        assert len(calls) == 2
+        assert slept == [5.0]
+
     def test_malformed_response_never_retries(self):
         calls = []
 

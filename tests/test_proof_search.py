@@ -5,6 +5,7 @@ explain and summarize calls overlapped on per-role lanes, and the next
 branch's first round run ahead while a branch retries."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -1192,25 +1193,29 @@ HOSTILE_REPLIES = (
 
 
 class FaultyGateway(WaitingGateway):
-    """A WaitingGateway whose call number `at`, counted as calls arrive,
-    gets `reply` in place of its scripted one, or raises ProviderError when
-    `reply` is None. The scripted record is used up either way, so later
-    calls get the replies they would have got."""
+    """A WaitingGateway whose call `at` = (role, site, n), the n-th call of
+    that role at that expansion site, gets `reply` in place of its scripted
+    one, or raises ProviderError when `reply` is None. Calls are counted per
+    role and site, so the same call is hit whatever the lanes' timing. The
+    scripted record is used up either way, so later calls get the replies
+    they would have got."""
 
-    def __init__(self, records, delay_s: float, at: int, reply):
+    def __init__(self, records, delay_s: float, at, reply):
         super().__init__(records, delay_s)
         self.at = at
         self.reply = reply
-        self.arrived = 0
+        self.arrived: Counter = Counter()
 
     def complete(self, request):
+        where = (request.role, request.site)
         with self._lock:
-            number, self.arrived = self.arrived, self.arrived + 1
+            number = self.arrived[where]
+            self.arrived[where] += 1
         result = super().complete(request)
-        if number != self.at:
+        if (*where, number) != self.at:
             return result
         if self.reply is None:
-            raise ProviderError(f"injected failure at call {number}", key=request.digest())
+            raise ProviderError(f"injected failure at {self.at}", key=request.digest())
         return CompletionResult(text=self.reply)
 
 
@@ -1252,13 +1257,40 @@ FAULT_SCENARIOS = {
     ),
 }
 
-faults = st.tuples(
-    st.sampled_from(sorted(FAULT_SCENARIOS)),
+
+#: The last backend operation a drawn desync can hit.
+LAST_DESYNC = 30
+
+
+@functools.cache
+def reachable_calls(name: str) -> tuple:
+    """Every call, as (role, site, n), that the scenario makes before any
+    gateway fault: fault-free on lanes, and inline with no backend fault or
+    with each one the property can draw, since a desync changes the path."""
+    records, params = FAULT_SCENARIOS[name]
+    calls = set()
+    runs = [(LANE_DELAY_S, -1)] + [(0.0, at) for at in range(-1, LAST_DESYNC + 1)]
+    for delay_s, desync_at in runs:
+        gateway = FaultyGateway(records(), delay_s, None, None)
+        ports = SearchPorts(backend=DesyncLedger(desync_at), gateway=gateway)
+        try:
+            prove("A -> B -> A", params, ports)
+        except PortFailure:
+            pass
+        calls.update(
+            (role, site, n) for (role, site), count in gateway.arrived.items() for n in range(count)
+        )
+    return tuple(sorted(calls, key=repr))
+
+
+faults = st.sampled_from(sorted(FAULT_SCENARIOS)).flatmap(lambda name: st.tuples(
+    st.just(name),
     st.one_of(st.none(), st.tuples(
-        st.integers(0, 24), st.one_of(st.none(), st.sampled_from(HOSTILE_REPLIES))
+        st.sampled_from(reachable_calls(name)),
+        st.one_of(st.none(), st.sampled_from(HOSTILE_REPLIES)),
     )),
-    st.one_of(st.none(), st.integers(0, 30)),
-)
+    st.one_of(st.none(), st.integers(0, LAST_DESYNC)),
+))
 
 
 def check_fault_domains(delay_s: float, fault) -> None:
@@ -1266,7 +1298,7 @@ def check_fault_domains(delay_s: float, fault) -> None:
     fault, and check what must hold whatever failed."""
     name, gateway_fault, desync_at = fault
     records, params = FAULT_SCENARIOS[name]
-    at, reply = gateway_fault if gateway_fault is not None else (-1, None)
+    at, reply = gateway_fault if gateway_fault is not None else (None, None)
     gateway = FaultyGateway(records(), delay_s, at, reply)
     backend = DesyncLedger(-1 if desync_at is None else desync_at)
     ports = SearchPorts(backend=backend, gateway=gateway)
@@ -1309,21 +1341,28 @@ class TestFaultDomains:
 # ----------------------------------------------------------------------
 
 class CountingTransport:
-    """An embeddings endpoint stand-in: answers with the mock provider's
-    vectors and logs every requested text; `fail` texts raise once each."""
+    """An embeddings endpoint stand-in: answers each text of a list `input`
+    with the mock provider's vector and its `index`, and logs every text and
+    counts the requests; a request holding a `fail` text raises, once per
+    such text."""
 
     def __init__(self, fail=()):
         self.mock = MockEmbeddingProvider()
         self.texts: list[str] = []
+        self.requests = 0
         self.fail = set(fail)
 
     def __call__(self, url, payload, headers):
-        (text,) = payload["input"]
-        self.texts.append(text)
-        if text in self.fail:
-            self.fail.discard(text)
+        texts = payload["input"]
+        self.texts.extend(texts)
+        self.requests += 1
+        if self.fail.intersection(texts):
+            self.fail.difference_update(texts)
             raise ConnectionError("endpoint down")
-        return {"data": [{"embedding": self.mock.embed(text).tolist()}]}
+        return {"data": [
+            {"index": i, "embedding": self.mock.embed(text).tolist()}
+            for i, text in enumerate(texts)
+        ]}
 
 
 def retrieval_ports(records, transport) -> SearchPorts:

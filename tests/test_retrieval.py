@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,23 @@ class BasisProvider:
         return np.asarray(self.table[text], dtype=float)
 
 
+class ManyBasisProvider(BasisProvider):
+    """A BasisProvider that also embeds many texts in one call, as the
+    table's rows, and logs each call's texts."""
+
+    def __init__(self, table: dict):
+        super().__init__(table)
+        self.calls: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.calls.append(list(texts))
+        return [self.table[text] for text in texts]
+
+
+def http_provider(transport) -> HttpEmbeddingProvider:
+    return HttpEmbeddingProvider("http://embed.invalid", "m", transport=transport)
+
+
 # ----------------------------------------------------------------------
 # Providers and their vectors
 # ----------------------------------------------------------------------
@@ -39,23 +57,25 @@ class TestVectors:
     def test_dim_must_match(self):
         # Within one kind and across kinds.
         table = {"P1 : a": (1.0, 0.0), "P2 : b": (1.0, 0.0, 0.0), "intros \x1f g": (0.0, 1.0, 0.0)}
-        with pytest.raises(ValueError, match="mixed dimensions"):
-            build_index(BasisProvider(table), premises=[("P1", "a"), ("P2", "b")])
-        with pytest.raises(ValueError, match="mixed dimensions"):
-            build_index(BasisProvider(table), premises=[("P1", "a")], tactics=[("intros", "g")])
+        for kind in (BasisProvider, ManyBasisProvider):
+            with pytest.raises(ValueError, match="mixed dimensions"):
+                build_index(kind(table), premises=[("P1", "a"), ("P2", "b")])
+            with pytest.raises(ValueError, match="mixed dimensions"):
+                build_index(kind(table), premises=[("P1", "a")], tactics=[("intros", "g")])
 
     def test_entries_must_be_finite(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             table = {"P1 : a": (1.0, bad), "P2 : b": (1.0, 0.0), "query": (bad, 1.0)}
-            with pytest.raises(ValueError, match="finite"):
-                build_index(BasisProvider(table), premises=[("P1", "a")])
+            for kind in (BasisProvider, ManyBasisProvider):
+                with pytest.raises(ValueError, match="finite"):
+                    build_index(kind(table), premises=[("P2", "b"), ("P1", "a")])
             index = build_index(BasisProvider(table), premises=[("P2", "b")])
             with pytest.raises(ProviderError) as exc_info:
                 retrieve(index, "query", 1)
             assert exc_info.value.key == "query"
             provider = HttpEmbeddingProvider(
                 "https://api.example", "m",
-                transport=lambda *a, bad=bad: {"data": [{"embedding": [bad, 1.0]}]},
+                transport=lambda *a, bad=bad: {"data": [{"index": 0, "embedding": [bad, 1.0]}]},
             )
             with pytest.raises(ProviderError, match="finite"):
                 provider.embed("q")
@@ -80,7 +100,7 @@ class TestVectors:
             seen["url"] = url
             seen["payload"] = payload
             seen["headers"] = headers
-            return {"data": [{"embedding": [3.0, 4.0]}]}
+            return {"data": [{"index": 0, "embedding": [3.0, 4.0]}]}
 
         monkeypatch.setenv("RETR_TEST_KEY", "sk-fake")
         provider = HttpEmbeddingProvider(
@@ -95,12 +115,144 @@ class TestVectors:
         assert seen["headers"]["Authorization"] == "Bearer sk-fake"
 
     def test_http_provider_malformed_reply(self):
-        for reply in ({"unexpected": True}, {"data": [{"embedding": [[1.0, 2.0]]}]}):
+        for reply in (
+            {"unexpected": True},
+            {"data": [{"index": 0, "embedding": [[1.0, 2.0]]}]},
+            {"data": [{"embedding": [1.0, 2.0]}]},
+            {"data": [{"index": True, "embedding": [1.0, 2.0]}]},
+            {"data": [{"index": 0}]},
+            {"data": ["row"]},
+        ):
             provider = HttpEmbeddingProvider(
                 "https://api.example", "m", transport=lambda *a, reply=reply: reply
             )
             with pytest.raises(ProviderError):
                 provider.embed("q")
+
+
+# ----------------------------------------------------------------------
+# Embedding many texts at once
+# ----------------------------------------------------------------------
+
+TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "intros \x1f g", "été", "证明", "\ud83d", "a\udc00b", "x" * 300]),
+)
+
+
+class TestMockEmbedMany:
+    @given(
+        st.lists(TEXTS, max_size=9),
+        st.sampled_from([1, 2, 32, 33]),
+        st.sampled_from([0, 1, 2**64 + 12345]),
+        st.integers(1, 4),
+    )
+    def test_equals_the_stacked_single_embeddings_byte_for_byte(self, texts, dim, seed, chunk):
+        # Small chunks put the seeding pass's boundaries between the texts.
+        provider = MockEmbeddingProvider(dim=dim, seed=seed)
+        with mock.patch.object(retrieval, "_SEED_CHUNK", chunk):
+            many = provider.embed_many(texts)
+        single = [provider.embed(text) for text in texts]
+        expected = np.stack(single) if single else np.empty((0, dim))
+        assert many.dtype == expected.dtype and many.shape == expected.shape
+        assert many.tobytes() == expected.tobytes()
+
+    def test_the_start_states_are_default_rngs(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        states = retrieval._pcg64_states(np.array(seeds, dtype=np.uint64))
+        assert states == [np.random.default_rng(s).bit_generator.state["state"] for s in seeds]
+
+    def test_a_zero_draw_falls_back_to_the_ones_direction(self):
+        raw = np.zeros(4)
+        assert retrieval._unit(raw).tolist() == [0.5] * 4
+        out = np.empty(4)
+        retrieval._unit(raw, out=out)
+        assert out.tolist() == [0.5] * 4
+
+
+BATCH = retrieval._HTTP_BATCH
+
+
+class TestHttpEmbedMany:
+    def test_a_build_sends_one_request_per_batch_of_distinct_keys(self):
+        transport = CountingTransport()
+        provider = http_provider(transport)
+        premises = [(f"P{i}", "s") for i in range(2 * BATCH + 5)]
+        tactics = [("intros", "g")] * 3
+        distinct = [f"P{i} : s" for i in range(2 * BATCH + 5)] + ["intros \x1f g"]
+        for build in (1, 2):
+            index = build_index(provider, premises=premises + premises[:4], tactics=tactics)
+            assert transport.requests == build * math.ceil(len(distinct) / BATCH)
+            assert transport.texts == distinct * build
+        mock_rows = MockEmbeddingProvider().embed_many(distinct)
+        assert index.kinds[PREMISE].matrix.tobytes() == np.concatenate(
+            [mock_rows[:-1], mock_rows[:4]]
+        ).tobytes()
+        assert index.kinds[TACTIC].matrix.tobytes() == np.repeat(mock_rows[-1:], 3, 0).tobytes()
+        assert provider.dim == 32
+
+    def test_rows_out_of_index_order_land_in_place(self):
+        transport = CountingTransport()
+        texts = [f"t{i}" for i in range(BATCH + 3)]
+
+        def shuffled(url, payload, headers):
+            body = transport(url, payload, headers)
+            body["data"] = body["data"][1::2] + body["data"][::2][::-1]
+            return body
+
+        rows = http_provider(shuffled).embed_many(texts)
+        assert rows.tobytes() == MockEmbeddingProvider().embed_many(texts).tobytes()
+        assert http_provider(shuffled).embed("t1").tolist() == rows[1].tolist()
+
+    @pytest.mark.parametrize(
+        "fault, named, message",
+        [
+            ("short", 5, "0 rows for input 5"),
+            ("missing-index", 5, "0 rows for input 5"),
+            ("repeated-index", 3, "2 rows for input 3"),
+            ("extra-row", 0, f"{BATCH + 1} rows for {BATCH} inputs"),
+            ("non-finite", 9, "finite"),
+            ("other-length", 9, "31 dimensions, the first row has 32"),
+            ("not-a-list", 0, "malformed"),
+        ],
+    )
+    def test_a_bad_reply_names_the_key(self, fault, named, message):
+        # The fault is in the second request, so the key named is
+        # counted from that request's first text.
+        transport = CountingTransport()
+
+        def faulty(url, payload, headers):
+            body = transport(url, payload, headers)
+            data = body["data"]
+            if transport.requests == 2:
+                if fault == "short":
+                    del data[5]
+                elif fault == "missing-index":
+                    del data[5]["index"]
+                elif fault == "repeated-index":
+                    data[7]["index"] = 3
+                elif fault == "extra-row":
+                    data.append(dict(data[0], index=len(data)))
+                elif fault == "non-finite":
+                    data[9]["embedding"][0] = float("nan")
+                elif fault == "other-length":
+                    data[9]["embedding"].pop()
+                else:
+                    body["data"] = 5
+            return body
+
+        texts = [f"t{i}" for i in range(2 * BATCH + 33)]
+        with pytest.raises(ProviderError, match=message) as exc_info:
+            http_provider(faulty).embed_many(texts)
+        assert exc_info.value.key == texts[BATCH + named]
+
+    def test_a_failed_request_names_its_first_text(self):
+        texts = [f"t{i}" for i in range(2 * BATCH)]
+        transport = CountingTransport(fail={texts[BATCH + 4]})
+        with pytest.raises(ProviderError, match="endpoint down") as exc_info:
+            http_provider(transport).embed_many(texts)
+        assert exc_info.value.key == texts[BATCH]
+        assert transport.requests == 2
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +310,38 @@ class TestBuildIndex:
         assert rows.payloads == ("intros", "intros", "simpl")
         assert np.array_equal(rows.matrix[0], rows.matrix[1])
         assert not np.array_equal(rows.matrix[0], rows.matrix[2])
+
+    def test_one_embed_many_call_embeds_the_distinct_keys(self):
+        table = {"A.a : x": (1.0, 0.0), "B.b : y": (0.0, 1.0), "intros \x1f g": (1.0, 1.0)}
+        provider = ManyBasisProvider(table)
+        index = build_index(
+            provider, premises=[("A.a", "x"), ("B.b", "y"), ("A.a", "x")],
+            tactics=[("intros", "g")],
+        )
+        assert provider.calls == [["A.a : x", "B.b : y", "intros \x1f g"]]
+        assert index.kinds[PREMISE].matrix.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert index.kinds[TACTIC].matrix.tolist() == [[1.0, 1.0]]
+
+        class Short(ManyBasisProvider):
+            def embed_many(self, texts):
+                return super().embed_many(texts)[:-1]
+
+        with pytest.raises(ValueError, match="2 rows for 3 keys"):
+            build_index(Short(table), premises=[("A.a", "x"), ("B.b", "y")],
+                        tactics=[("intros", "g")])
+
+    def test_a_lone_surrogate_key_and_query_embed(self):
+        # A JSON "\ud83d" escape decodes to a lone surrogate, which UTF-8
+        # cannot encode; the mock hashes it as request digests do.
+        provider = MockEmbeddingProvider()
+        index = build_index(
+            provider, premises=[("A.a", "ends in \ud83d"), ("B.b", "beta")],
+            tactics=[("intros", "\ud83d")],
+        )
+        ranked = retrieve(index, "A.a : ends in \ud83d", 1)
+        assert ranked[PREMISE] == [("A.a : ends in \ud83d", pytest.approx(1.0, abs=1e-12))]
+        assert retrieve(index, "intros \x1f \ud83d", 1)[TACTIC][0][1] == pytest.approx(1.0)
+        assert len(retrieve(index, "goal \udc00", 2)[PREMISE]) == 2
 
     def test_tactic_payload_is_the_tactic_text(self):
         index = build_index(
