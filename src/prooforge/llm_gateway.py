@@ -8,10 +8,10 @@ Two gateways ship. MockGateway replays a script of records routed by the role
 each caller sets on its request; every record names the route it answers,
 which must be a role of the table, and may name the search expansion it
 answers. It is what every test and fixture run uses. HttpGateway talks to a
-chat-completions endpoint with a retry policy; its transport is injectable
-so the policy is testable without a network. The API key is read at call
-time from an environment variable (by default `DEFAULT_API_KEY_ENV`), never
-from files.
+chat-completions endpoint through `HttpClient`, the one HTTP client, which
+`retrieval.HttpEmbeddingProvider` shares: one retry policy and one
+concurrency cap per instance. The API key is read at call time from an
+environment variable (by default `DEFAULT_API_KEY_ENV`), never from files.
 
 parse_action_response is total: any text yields InfoRequest, TacticSuggestions,
 or Unparsed, tolerating prose, code fences, and unquoted keys around the
@@ -580,7 +580,7 @@ class MockGateway:
 
 
 # ======================================================================
-# HTTP gateway
+# HTTP clients
 # ======================================================================
 
 def _retry_after(header: Optional[str]) -> float:
@@ -607,19 +607,27 @@ class RetryPolicy:
     attempts: int = 3
     backoff: float = 1.0
 
+    def __post_init__(self):
+        if self.attempts < 1:
+            raise ValueError(f"attempts must be at least 1, not {self.attempts!r}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"backoff must be finite and >= 0, not {self.backoff!r}")
+
     def delay(self, attempt: int) -> float:
         return self.backoff * (2 ** attempt)
 
 
-class HttpGateway:
-    """Client for an OpenAI-style chat-completions endpoint.
+class HttpClient:
+    """Client for an OpenAI-style endpoint; `HttpGateway` and
+    `retrieval.HttpEmbeddingProvider` subclass it.
 
     Timeouts, rate limits, and 5xx responses retry per policy with backoff;
-    malformed payloads, and a rate limit that asks for a wait longer than
-    `timeout`, fail the call immediately. A semaphore owned by each
-    instance caps the requests that instance has in flight, so share one
-    instance to cap a process. Credentials come only from the environment
-    variable named at construction.
+    malformed payloads, any other transport failure, and a rate limit that
+    asks for a wait longer than `timeout`, fail the call immediately. A
+    semaphore owned by each instance caps the requests that instance has in
+    flight, so share one instance to cap a process. Credentials come only
+    from the environment variable named at construction. `transport` and
+    `sleeper` are injectable so the policy is testable without a network.
     """
 
     def __init__(
@@ -670,6 +678,47 @@ class HttpGateway:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def post(self, path: str, payload: dict, key: str) -> dict:
+        """The reply body of `payload` posted to `path`; every ProviderError
+        it raises names `key`."""
+        url = f"{self.base_url}/{path}"
+        headers = self._headers()
+        last_error: Optional[Exception] = None
+        for attempt in range(self.retry.attempts):
+            try:
+                with self._semaphore:
+                    return self._transport(url, payload, headers)
+            except MalformedResponse as exc:
+                exc.key = exc.key or key
+                raise
+            except RateLimited as exc:
+                last_error = exc
+                asked = exc.retry_after if math.isfinite(exc.retry_after) else 0.0
+                if asked > self.timeout:
+                    raise ProviderError(
+                        f"rate limited: asked to wait {asked:g} s, longer than the "
+                        f"{self.timeout:g} s timeout",
+                        key=key,
+                    )
+                if attempt + 1 < self.retry.attempts:
+                    self._sleep(max(asked, self.retry.delay(attempt)))
+            except (ProviderTimeout, ProviderError) as exc:
+                last_error = exc
+                if attempt + 1 < self.retry.attempts:
+                    self._sleep(self.retry.delay(attempt))
+            except Exception as exc:
+                raise ProviderError(f"{path} request failed: {exc}", key=key)
+        raise ProviderError(
+            f"gave up after {self.retry.attempts} attempts: {last_error}", key=key
+        )
+
+
+class HttpGateway(HttpClient):
+    """Client for a chat-completions endpoint, sharing `HttpClient` with
+    `retrieval.HttpEmbeddingProvider`: one retry policy and one concurrency
+    cap per instance. A failure's key is the request digest; a logprob
+    entry with a missing or non-string field is skipped."""
+
     def _payload(self, request: ChatRequest) -> dict:
         payload = {
             "model": self.model,
@@ -685,53 +734,31 @@ class HttpGateway:
         return payload
 
     def complete(self, request: ChatRequest) -> CompletionResult:
-        url = f"{self.base_url}/chat/completions"
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retry.attempts):
-            try:
-                with self._semaphore:
-                    body = self._transport(url, self._payload(request), self._headers())
-                return self._parse_completion(body, request)
-            except MalformedResponse:
-                raise
-            except RateLimited as exc:
-                last_error = exc
-                asked = exc.retry_after if math.isfinite(exc.retry_after) else 0.0
-                if asked > self.timeout:
-                    raise ProviderError(
-                        f"rate limited: asked to wait {asked:g} s, longer than the "
-                        f"{self.timeout:g} s timeout",
-                        key=request.digest(),
-                    )
-                if attempt + 1 < self.retry.attempts:
-                    self._sleep(max(asked, self.retry.delay(attempt)))
-            except (ProviderTimeout, ProviderError) as exc:
-                last_error = exc
-                if attempt + 1 < self.retry.attempts:
-                    self._sleep(self.retry.delay(attempt))
-        raise ProviderError(
-            f"gave up after {self.retry.attempts} attempts: {last_error}",
-            key=request.digest(),
-        )
+        body = self.post("chat/completions", self._payload(request), request.digest())
+        return self._parse_completion(body, request)
 
     @staticmethod
     def _parse_completion(body: dict, request: ChatRequest) -> CompletionResult:
         try:
             choice = body["choices"][0]
-            text = choice["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponse(f"unexpected completion shape: {exc}")
+            text = choice["message"]["content"]
+            text = "" if text is None else _string(text, "completion content")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise MalformedResponse(f"unexpected completion shape: {exc}", key=request.digest())
         logprobs = None
         if request.want_logprobs:
-            content = ((choice.get("logprobs") or {}).get("content")) or []
+            try:
+                content = list(choice["logprobs"]["content"] or ())
+            except (KeyError, TypeError):
+                content = []
             parsed = []
             for tok in content:
                 try:
                     parsed.append(TokenLogprob(
-                        token=tok["token"],
+                        token=_string(tok["token"], "a logprobs token"),
                         logprob=float(tok["logprob"]),
                         top_alternatives=tuple(
-                            (alt["token"], float(alt["logprob"]))
+                            (_string(alt["token"], "a top_logprobs token"), float(alt["logprob"]))
                             for alt in tok.get("top_logprobs", [])
                         ),
                     ))

@@ -26,22 +26,23 @@ row per key, 1-D, finite, one length) apply to whatever either returns; the
 query goes through ``embed``. Two providers ship, both with ``embed_many``:
 a deterministic mock that derives a unit vector from a hash of the text
 (stable across runs and machines), and an HTTP provider for real embedding
-endpoints that sends the texts of ``embed_many`` in fixed-size batches.
-Credentials come from environment variables only.
+endpoints that sends the texts of ``embed_many`` in fixed-size batches
+through the chat gateway's client, `llm_gateway.HttpClient`: one retry
+policy and one concurrency cap per instance, and credentials from
+environment variables only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ProviderError, ZeroVectorError
-from .llm_gateway import DEFAULT_API_KEY_ENV
+from .llm_gateway import HttpClient
 
 PREMISE = "premise"
 TACTIC = "tactic"
@@ -241,35 +242,12 @@ def _placed(batch: Sequence[str], body) -> list:
     return [items[0] for items in placed]
 
 
-class HttpEmbeddingProvider:
-    """Thin client for an embeddings endpoint.
+class HttpEmbeddingProvider(HttpClient):
+    """Client for an embeddings endpoint, sharing the chat gateway's
+    `HttpClient`: its retry policy and a concurrency cap per instance.
+    `dim` is the length of the first row embedded, None before."""
 
-    The API key is read from the named environment variable at call time and
-    never stored in configuration files. `transport` is injectable so the
-    request/response handling is testable without a network.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key_env: str = DEFAULT_API_KEY_ENV,
-        timeout: float = 30.0,
-        transport: Optional[Callable] = None,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self._transport = transport or self._default_transport
-        self.dim: Optional[int] = None
-
-    def _default_transport(self, url: str, payload: dict, headers: dict) -> dict:
-        import requests
-
-        reply = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-        reply.raise_for_status()
-        return reply.json()
+    dim: Optional[int] = None
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -279,19 +257,10 @@ class HttpEmbeddingProvider:
         A failed request raises ProviderError naming its first text; a
         reply row that is missing, repeated, not 1-D and finite, or not the
         length of the first row, one naming the text it belongs to."""
-        headers = {}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
         rows = []
         for start in range(0, len(texts), _HTTP_BATCH):
             batch = list(texts[start:start + _HTTP_BATCH])
-            try:
-                body = self._transport(
-                    f"{self.base_url}/embeddings", {"model": self.model, "input": batch}, headers
-                )
-            except Exception as exc:
-                raise ProviderError(f"embedding request failed: {exc}", key=batch[0])
+            body = self.post("embeddings", {"model": self.model, "input": batch}, batch[0])
             for text, item in zip(batch, _placed(batch, body)):
                 try:
                     row = _vector(item["embedding"])

@@ -1,11 +1,16 @@
 """Gateway layer: requests, action parsing, judged logprobs, mock and HTTP."""
 
+import ast
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -982,3 +987,138 @@ class TestHttpGateway:
         )
         with pytest.raises(UnjudgeableResponse):
             gateway.yes_no_logprobs("judge prompt")
+
+
+class TestHttpReplies:
+    @pytest.mark.parametrize("content", [5, ["a"], {"text": "a"}, True])
+    def test_non_string_content_is_malformed_and_not_retried(self, content):
+        calls = []
+
+        def transport(url, payload, headers):
+            calls.append(1)
+            return {"choices": [{"message": {"content": content}}]}
+
+        gateway = HttpGateway(
+            "https://api.example", "m", transport=transport, sleeper=lambda s: None
+        )
+        request = ChatRequest.for_role("executor", "q")
+        with pytest.raises(MalformedResponse, match="must be a string") as exc_info:
+            gateway.complete(request)
+        assert exc_info.value.key == request.digest()
+        assert len(calls) == 1
+
+    def test_null_content_is_the_empty_reply(self):
+        gateway = HttpGateway("https://api.example", "m", transport=lambda *a: _chat_body(None))
+        assert gateway.complete(ChatRequest.user("q")).text == ""
+
+    def test_judged_entries_with_non_string_tokens_are_skipped(self):
+        good = {
+            "token": "YES",
+            "logprob": -0.2,
+            "top_logprobs": [{"token": "NO", "logprob": -1.7}],
+        }
+        bad = [
+            {"token": 5, "logprob": -0.1},
+            {"token": "NO", "logprob": -0.1, "top_logprobs": [{"token": None, "logprob": -0.3}]},
+        ]
+        gateway = HttpGateway(
+            "https://api.example", "m", transport=lambda *a: _chat_body("NO", bad + [good])
+        )
+        pair = gateway.yes_no_logprobs("judge prompt")
+        assert (pair.log_p_yes, pair.log_p_no) == (-0.2, -1.7)
+        gateway = HttpGateway(
+            "https://api.example", "m", transport=lambda *a: _chat_body("NO", bad)
+        )
+        with pytest.raises(UnjudgeableResponse):
+            gateway.yes_no_logprobs("judge prompt")
+
+    @pytest.mark.parametrize("logprobs", [[1], "YES", 5, {"content": 5}])
+    def test_a_malformed_logprobs_field_is_no_logprobs(self, logprobs):
+        body = {"choices": [{"message": {"content": "YES"}, "logprobs": logprobs}]}
+        gateway = HttpGateway("https://api.example", "m", transport=lambda *a: body)
+        with pytest.raises(UnjudgeableResponse):
+            gateway.yes_no_logprobs("judge prompt")
+
+    def test_any_other_transport_failure_is_not_retried_and_names_the_digest(self):
+        calls = []
+
+        def transport(url, payload, headers):
+            calls.append(1)
+            raise ConnectionError("endpoint down")
+
+        gateway = HttpGateway(
+            "https://api.example", "m", transport=transport, sleeper=lambda s: None
+        )
+        request = ChatRequest.user("q")
+        with pytest.raises(ProviderError, match="endpoint down") as exc_info:
+            gateway.complete(request)
+        assert exc_info.value.key == request.digest()
+        assert len(calls) == 1
+
+    def test_a_malformed_response_names_the_digest(self):
+        def transport(url, payload, headers):
+            raise MalformedResponse("bad request")
+
+        gateway = HttpGateway("https://api.example", "m", transport=transport)
+        request = ChatRequest.user("q")
+        with pytest.raises(MalformedResponse) as exc_info:
+            gateway.complete(request)
+        assert exc_info.value.key == request.digest()
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"attempts": 0}, "attempts"),
+            ({"attempts": -1}, "attempts"),
+            ({"backoff": -1.0}, "backoff"),
+            ({"backoff": float("nan")}, "backoff"),
+            ({"backoff": float("inf")}, "backoff"),
+        ],
+    )
+    def test_a_policy_that_would_break_the_client_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RetryPolicy(**fields)
+
+    def test_one_attempt_and_no_backoff_are_a_policy(self):
+        assert RetryPolicy(attempts=1, backoff=0.0).delay(3) == 0.0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _requests_imports(tree, scope=()):
+    """The dotted scope of every import of `requests` under `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "requests" for name in names):
+            yield ".".join(scope)
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+        yield from _requests_imports(node, inner)
+
+
+class TestOneHttpPath:
+    def test_requests_is_imported_once_in_the_shared_transport(self):
+        found = [
+            (path.name, scope)
+            for path in sorted((SRC / "prooforge").rglob("*.py"))
+            for scope in _requests_imports(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert found == [("llm_gateway.py", "HttpClient._default_transport")]
+
+    def test_importing_the_cli_leaves_requests_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        completed = subprocess.run(
+            [sys.executable, "-c", "import sys, prooforge.cli; print('requests' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from test_proof_search import CountingTransport
 from prooforge import retrieval
-from prooforge.errors import ProviderError, ZeroVectorError
+from prooforge.errors import MalformedResponse, ProviderError, RateLimited, ZeroVectorError
 from prooforge.retrieval import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
@@ -252,6 +252,66 @@ class TestHttpEmbedMany:
         with pytest.raises(ProviderError, match="endpoint down") as exc_info:
             http_provider(transport).embed_many(texts)
         assert exc_info.value.key == texts[BATCH]
+        assert transport.requests == 2
+
+
+class FlakyTransport(CountingTransport):
+    """A CountingTransport whose n-th request, for each n in `faults`,
+    raises `faults[n]` instead of answering."""
+
+    def __init__(self, faults):
+        super().__init__()
+        self.faults = faults
+
+    def __call__(self, url, payload, headers):
+        body = super().__call__(url, payload, headers)
+        if self.requests in self.faults:
+            raise self.faults[self.requests]
+        return body
+
+
+class TestHttpEmbedRetry:
+    """The embeddings requests go through the chat gateway's retry policy."""
+
+    TEXTS = [f"t{i}" for i in range(2 * BATCH + 5)]
+
+    def test_transient_failures_in_a_build_are_retried(self):
+        transport = FlakyTransport({
+            2: RateLimited("slow down", retry_after=2.5),
+            3: ProviderError("server error 503"),
+        })
+        slept = []
+        provider = HttpEmbeddingProvider(
+            "http://embed.invalid", "m", transport=transport, sleeper=slept.append
+        )
+        index = build_index(provider, premises=[(text, "s") for text in self.TEXTS])
+        assert transport.requests == 3 + 2
+        assert slept == [2.5, 2.0]
+        keys = [f"{text} : s" for text in self.TEXTS]
+        assert index.kinds[PREMISE].matrix.tobytes() == (
+            MockEmbeddingProvider().embed_many(keys).tobytes()
+        )
+
+    def test_a_wait_longer_than_the_timeout_fails_the_batch_at_once(self):
+        transport = FlakyTransport({2: RateLimited("slow down", retry_after=1e12)})
+        slept = []
+        provider = HttpEmbeddingProvider(
+            "http://embed.invalid", "m", timeout=60.0, transport=transport, sleeper=slept.append
+        )
+        with pytest.raises(ProviderError, match="longer than the 60 s timeout") as exc_info:
+            provider.embed_many(self.TEXTS)
+        assert exc_info.value.key == self.TEXTS[BATCH]
+        assert transport.requests == 2
+        assert slept == []
+
+    def test_a_malformed_response_is_not_retried(self):
+        transport = FlakyTransport({2: MalformedResponse("request rejected: 400")})
+        provider = HttpEmbeddingProvider(
+            "http://embed.invalid", "m", transport=transport, sleeper=lambda s: None
+        )
+        with pytest.raises(MalformedResponse, match="400") as exc_info:
+            provider.embed_many(self.TEXTS)
+        assert exc_info.value.key == self.TEXTS[BATCH]
         assert transport.requests == 2
 
 
