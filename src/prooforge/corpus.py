@@ -17,13 +17,18 @@ Loading an Inductive record also derives one EntityRecord per constructor
 clause found in its internal text (``Head | Ctor : Type | ...``) unless the
 file lists that constructor explicitly. Derived records are not re-serialized,
 which keeps load -> save -> load a fixpoint.
+
+Loading a proofs file hash-conses its states: equal hypotheses, goals and
+proof states decoded in one ``load_proof_corpus`` call are one object, so
+load time and memory follow the distinct content rather than how often it
+recurs. Nothing is shared across calls.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core_model import (
     EntityKind,
@@ -110,14 +115,6 @@ def encode_hypothesis(hyp: Hypothesis) -> dict:
     }
 
 
-def decode_hypothesis(obj: dict) -> Hypothesis:
-    return Hypothesis(
-        name=obj["name"],
-        surface_type=obj.get("surface_type", ""),
-        internal_type=obj.get("internal_type", ""),
-    )
-
-
 def encode_goal_state(goal: GoalState) -> dict:
     return {
         "hypotheses_surface": [encode_hypothesis(h) for h in goal.hypotheses_surface],
@@ -127,21 +124,8 @@ def encode_goal_state(goal: GoalState) -> dict:
     }
 
 
-def decode_goal_state(obj: dict) -> GoalState:
-    return GoalState(
-        hypotheses_surface=tuple(decode_hypothesis(h) for h in obj.get("hypotheses_surface", [])),
-        hypotheses_internal=tuple(decode_hypothesis(h) for h in obj.get("hypotheses_internal", [])),
-        goal_surface=obj["goal_surface"],
-        goal_internal=obj["goal_internal"],
-    )
-
-
 def encode_proof_state(state: ProofState) -> dict:
     return {"goals": [encode_goal_state(g) for g in state.goals]}
-
-
-def decode_proof_state(obj: dict) -> ProofState:
-    return ProofState(goals=tuple(decode_goal_state(g) for g in obj.get("goals", [])))
 
 
 def encode_tactic_step(step: TacticStep) -> dict:
@@ -155,15 +139,6 @@ def encode_tactic_step(step: TacticStep) -> dict:
     return obj
 
 
-def decode_tactic_step(obj: dict) -> TacticStep:
-    return TacticStep(
-        tactic=obj["tactic"],
-        before=decode_proof_state(obj["before"]),
-        after=decode_proof_state(obj["after"]),
-        explanation=obj.get("explanation", ""),
-    )
-
-
 def encode_proof(proof: InteractiveProof) -> dict:
     return {
         "theorem_name": proof.theorem_name,
@@ -171,14 +146,96 @@ def encode_proof(proof: InteractiveProof) -> dict:
     }
 
 
-def decode_proof(obj: dict) -> tuple[InteractiveProof, dict]:
-    known = {"theorem_name", "steps"}
-    extras = {k: v for k, v in obj.items() if k not in known}
-    proof = InteractiveProof(
-        theorem_name=obj["theorem_name"],
-        steps=tuple(decode_tactic_step(s) for s in obj.get("steps", [])),
-    )
-    return proof, extras
+_PROOF_FIELDS = frozenset(("theorem_name", "steps"))
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """`obj[key]`, or `default` when the key is absent and has one. Raises
+    KeyError for a missing required key and ValueError naming the key when
+    the value is not a `kind`."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise KeyError(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}")
+    return value
+
+
+def _item(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"each {what} must be an object")
+    return value
+
+
+class _ProofDecoder:
+    """Decodes the proof lines of one `load_proof_corpus` call, hash-consed:
+    equal hypotheses, goals and states decode to one object each. Each field
+    is checked to be of its JSON type before it keys a memo. A memoized
+    object is the only one of its value, so goals and states are keyed by
+    the ids of their parts, which the memo keeps alive."""
+
+    def __init__(self):
+        self.hypotheses: dict = {}
+        self.goals: dict = {}
+        self.states: dict = {}
+
+    def hypothesis(self, obj) -> Hypothesis:
+        obj = _item(obj, "hypothesis")
+        key = (obj.get("name", _REQUIRED), obj.get("surface_type", ""), obj.get("internal_type", ""))
+        # Only checked keys are memoized, and no other JSON value equals a
+        # string, so a hit needs no check. An unhashable field misses.
+        try:
+            return self.hypotheses[key]
+        except (KeyError, TypeError):
+            pass
+        key = (
+            _field(obj, "name", str),
+            _field(obj, "surface_type", str, ""),
+            _field(obj, "internal_type", str, ""),
+        )
+        hyp = self.hypotheses[key] = Hypothesis(*key)
+        return hyp
+
+    def goal(self, obj) -> GoalState:
+        obj = _item(obj, "goal")
+        surface = tuple(map(self.hypothesis, _field(obj, "hypotheses_surface", list, [])))
+        internal = tuple(map(self.hypothesis, _field(obj, "hypotheses_internal", list, [])))
+        goal_surface = _field(obj, "goal_surface", str)
+        goal_internal = _field(obj, "goal_internal", str)
+        key = (tuple(map(id, surface)), tuple(map(id, internal)), goal_surface, goal_internal)
+        goal = self.goals.get(key)
+        if goal is None:
+            goal = self.goals[key] = GoalState(surface, internal, goal_surface, goal_internal)
+        return goal
+
+    def state(self, obj) -> ProofState:
+        goals = tuple(map(self.goal, _field(obj, "goals", list, [])))
+        key = tuple(map(id, goals))
+        state = self.states.get(key)
+        if state is None:
+            state = self.states[key] = ProofState(goals)
+        return state
+
+    def proof(self, obj: dict) -> InteractiveProof:
+        steps = []
+        raw_after = after = None
+        for raw in _field(obj, "steps", list, []):
+            raw = _item(raw, "step")
+            raw_before = _field(raw, "before", dict)
+            # A chained file repeats the previous step's `after` as this
+            # step's `before`; equal raw objects decode to the same state.
+            before = after if raw_before == raw_after else self.state(raw_before)
+            raw_after = _field(raw, "after", dict)
+            after = self.state(raw_after)
+            steps.append(TacticStep(
+                tactic=_field(raw, "tactic", str),
+                before=before,
+                after=after,
+                explanation=_field(raw, "explanation", str, ""),
+            ))
+        return InteractiveProof(theorem_name=_field(obj, "theorem_name", str), steps=tuple(steps))
 
 
 # ======================================================================
@@ -287,18 +344,28 @@ def derive_constructors(record: EntityRecord) -> list[EntityRecord]:
     return out
 
 
-def _read_lines(path: str, expected_header: str) -> list[tuple[int, str]]:
+def _read_objects(path: str, expected_header: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, JSON object) for each non-empty line after the
+    header; raise FormatError naming the line for one that holds anything
+    else."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().split("\n")
     if not raw or raw[0].strip() != expected_header:
         raise FormatError(
             f"missing or wrong header, expected {expected_header!r}", line=1
         )
-    out = []
     for lineno, line in enumerate(raw[1:], start=2):
-        if line.strip():
-            out.append((lineno, line))
-    return out
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
+        except RecursionError:
+            raise FormatError("bad JSON: nested too deeply", line=lineno)
+        if not isinstance(obj, dict):
+            raise FormatError("each line must hold one JSON object", line=lineno)
+        yield lineno, obj
 
 
 def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
@@ -314,13 +381,7 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
     """
     parsed: list[tuple[EntityRecord, dict, list]] = []
     names: set[tuple[str, str]] = set()
-    for lineno, line in _read_lines(path, ENTITIES_HEADER):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
-        if not isinstance(obj, dict):
-            raise FormatError("each line must hold one JSON object", line=lineno)
+    for lineno, obj in _read_objects(path, ENTITIES_HEADER):
         try:
             record = EntityRecord(
                 name=obj["name"],
@@ -413,18 +474,21 @@ def save_entity_corpus(corpus: EntityCorpus, table: TokenTable, path: str) -> No
 
 def load_proof_corpus(path: str) -> ProofCorpus:
     """Load a proofs file; every proof must chain correctly and theorem names
-    must be unique."""
+    must be unique. Raises FormatError with the offending line number on any
+    malformed, broken or duplicate proof.
+
+    Equal hypotheses, goals and states decoded in one call are one object,
+    so a step's `before` is the previous step's `after` when the file
+    chains. Nothing is shared across calls: each call decodes afresh.
+    """
+    decoder = _ProofDecoder()
     proofs: list[InteractiveProof] = []
     by_theorem: dict[str, int] = {}
     extras_map: dict[int, dict] = {}
-    for lineno, line in _read_lines(path, PROOFS_HEADER):
+    for lineno, obj in _read_objects(path, PROOFS_HEADER):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
-        try:
-            proof, extras = decode_proof(obj)
-        except (KeyError, TypeError) as exc:
+            proof = decoder.proof(obj)
+        except KeyError as exc:
             raise FormatError(f"missing or bad field: {exc}", line=lineno)
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno)
@@ -439,6 +503,7 @@ def load_proof_corpus(path: str) -> ProofCorpus:
                 f"duplicate theorem {proof.theorem_name!r}", line=lineno
             )
         by_theorem[proof.theorem_name] = len(proofs)
+        extras = {k: v for k, v in obj.items() if k not in _PROOF_FIELDS}
         if extras:
             extras_map[len(proofs)] = extras
         proofs.append(proof)

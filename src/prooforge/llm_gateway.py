@@ -338,7 +338,8 @@ def derive_yes_no_logprobs(
 
     The first non-whitespace content token decides which side was observed;
     the other side comes from that token's top-k alternatives, or the floor
-    when absent. Raises UnjudgeableResponse when neither side is visible.
+    when absent. Raises UnjudgeableResponse when neither side is visible, or
+    when both have log probability -inf.
     """
     first: Optional[TokenLogprob] = None
     for tok in tokens:
@@ -353,27 +354,18 @@ def derive_yes_no_logprobs(
         normalized = _normalize_judge_token(alt_token)
         if normalized and normalized not in alternatives:
             alternatives[normalized] = alt_logprob
-    if observed == "YES":
-        return YesNoLogprobs(
-            log_p_yes=min(first.logprob, 0.0),
-            log_p_no=min(alternatives.get("NO", floor), 0.0),
-        )
-    if observed == "NO":
-        return YesNoLogprobs(
-            log_p_yes=min(alternatives.get("YES", floor), 0.0),
-            log_p_no=min(first.logprob, 0.0),
-        )
-    yes = alternatives.get("YES")
-    no = alternatives.get("NO")
-    if yes is None and no is None:
+    if observed in ("YES", "NO"):
+        alternatives[observed] = first.logprob
+    elif "YES" not in alternatives and "NO" not in alternatives:
         raise UnjudgeableResponse(
             f"first token {first.token!r} is neither YES nor NO and the pair "
             "is absent from top-k alternatives"
         )
-    return YesNoLogprobs(
-        log_p_yes=min(yes if yes is not None else floor, 0.0),
-        log_p_no=min(no if no is not None else floor, 0.0),
-    )
+    yes = min(alternatives.get("YES", floor), 0.0)
+    no = min(alternatives.get("NO", floor), 0.0)
+    if math.isinf(yes) and math.isinf(no):
+        raise UnjudgeableResponse("both YES and NO have log probability -inf")
+    return YesNoLogprobs(log_p_yes=yes, log_p_no=no)
 
 
 # ======================================================================
@@ -401,6 +393,25 @@ def _logprob(value, what: str) -> float:
     if math.isnan(number) or number > 0:
         raise ValueError(f"{what} must be <= 0 and not NaN, not {value!r}")
     return number
+
+
+def _token_logprob(obj, alternatives: str = "top_alternatives") -> TokenLogprob:
+    """One logprobs entry, ``{"token", "logprob", <alternatives>: [...]}``;
+    scripts name the alternatives `top_alternatives`, the chat-completions
+    API `top_logprobs`. A missing field, a token that is not a string or a
+    logprob that is not a number <= 0 raises KeyError, TypeError or
+    ValueError."""
+    return TokenLogprob(
+        token=_string(obj["token"], "a logprobs token"),
+        logprob=_logprob(obj["logprob"], "a logprob"),
+        top_alternatives=tuple(
+            (
+                _string(alt["token"], f"a {alternatives} token"),
+                _logprob(alt["logprob"], f"a {alternatives} logprob"),
+            )
+            for alt in obj.get(alternatives, [])
+        ),
+    )
 
 
 def _site(at) -> tuple[int, int]:
@@ -455,20 +466,7 @@ class ScriptRecord:
             raise ValueError(f"default must be true or false, not {obj['default']!r}")
         logprobs = None
         if obj.get("logprobs"):
-            logprobs = tuple(
-                TokenLogprob(
-                    token=_string(t["token"], "a logprobs token"),
-                    logprob=_logprob(t["logprob"], "a logprob"),
-                    top_alternatives=tuple(
-                        (
-                            _string(a["token"], "a top_alternatives token"),
-                            _logprob(a["logprob"], "a top_alternatives logprob"),
-                        )
-                        for a in t.get("top_alternatives", [])
-                    ),
-                )
-                for t in obj["logprobs"]
-            )
+            logprobs = tuple(map(_token_logprob, obj["logprobs"]))
         yes_no = None
         if obj.get("yes_no") is not None:
             given = obj["yes_no"]
@@ -716,8 +714,9 @@ class HttpClient:
 class HttpGateway(HttpClient):
     """Client for a chat-completions endpoint, sharing `HttpClient` with
     `retrieval.HttpEmbeddingProvider`: one retry policy and one concurrency
-    cap per instance. A failure's key is the request digest; a logprob
-    entry with a missing or non-string field is skipped."""
+    cap per instance. A failure's key is the request digest; a logprobs
+    entry that a script could not hold (a missing field, a token that is not
+    a string, a logprob that is not a number <= 0) is skipped."""
 
     def _payload(self, request: ChatRequest) -> dict:
         payload = {
@@ -754,14 +753,7 @@ class HttpGateway(HttpClient):
             parsed = []
             for tok in content:
                 try:
-                    parsed.append(TokenLogprob(
-                        token=_string(tok["token"], "a logprobs token"),
-                        logprob=float(tok["logprob"]),
-                        top_alternatives=tuple(
-                            (_string(alt["token"], "a top_logprobs token"), float(alt["logprob"]))
-                            for alt in tok.get("top_logprobs", [])
-                        ),
-                    ))
+                    parsed.append(_token_logprob(tok, "top_logprobs"))
                 except (KeyError, TypeError, ValueError):
                     continue
             logprobs = tuple(parsed) if parsed else None

@@ -81,6 +81,20 @@ class TestIngest:
         assert "format error" in err
         assert "line 3" in err
 
+    def test_a_proofs_line_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        broken = tmp_path / "proofs.jsonl"
+        lines = Path(proofs_path()).read_text(encoding="utf-8").splitlines()
+        broken.write_text("\n".join([lines[0], "[1, 2]"] + lines[1:]) + "\n", encoding="utf-8")
+        code = main([
+            "ingest",
+            "--entities", entities_path(),
+            "--proofs", str(broken),
+            "--vocab-out", str(tmp_path / "v.txt"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "format error: line 2: each line must hold one JSON object" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main([
             "ingest",

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     entities_path,
@@ -191,6 +193,42 @@ class TestLoadEntities:
 # Proof loading
 # ----------------------------------------------------------------------
 
+# Structured proof lines: each field is mostly a valid value, otherwise a
+# value of the wrong JSON type or left out; so is each list item. Few
+# distinct texts, so states repeat and steps can chain.
+_LEFT_OUT = object()
+_WRONG = st.sampled_from([None, True, 1, 0.5, [0], {"x": 0}])
+_TEXT = st.sampled_from(["", "n", "nat", "n = n"])
+
+
+def _mostly(valid, otherwise=_WRONG):
+    """`valid` seven times in eight, else `otherwise`."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else otherwise)
+
+
+def _object(**fields):
+    fields = {key: _mostly(valid, _WRONG | st.just(_LEFT_OUT)) for key, valid in fields.items()}
+    return st.fixed_dictionaries(fields).map(
+        lambda obj: {key: value for key, value in obj.items() if value is not _LEFT_OUT}
+    )
+
+
+def _list(item):
+    return st.lists(_mostly(item), max_size=2)
+
+
+_HYPOTHESIS = _object(name=_TEXT, surface_type=_TEXT, internal_type=_TEXT)
+_GOAL = _object(
+    hypotheses_surface=_list(_HYPOTHESIS),
+    hypotheses_internal=_list(_HYPOTHESIS),
+    goal_surface=_TEXT,
+    goal_internal=_TEXT,
+)
+_STATE = _object(goals=_list(_GOAL))
+_STEP = _object(tactic=_TEXT, before=_STATE, after=_STATE, explanation=_TEXT)
+_PROOF_LINE = _mostly(_object(theorem_name=_TEXT, steps=_list(_STEP), note=_WRONG))
+
+
 class TestLoadProofs:
     def test_worked_proof_loads(self):
         # [PAPER] intros n / simpl / reflexivity with its four states.
@@ -230,6 +268,62 @@ class TestLoadProofs:
         with pytest.raises(FormatError) as exc_info:
             load_proof_corpus(str(path))
         assert exc_info.value.line == 3
+
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "each line must hold one JSON object"),
+        ("null", "each line must hold one JSON object"),
+        ('"proof"', "each line must hold one JSON object"),
+        ("5", "each line must hold one JSON object"),
+        ("[" * 100_000 + "]" * 100_000, "bad JSON: nested too deeply"),
+    ], ids=["list", "null", "string", "number", "deep-list"])
+    def test_a_line_that_is_not_an_object_is_named(self, tmp_path, line, message):
+        path = tmp_path / "proofs.jsonl"
+        path.write_text(PROOFS_HEADER + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^line 2: {message}$"):
+            load_proof_corpus(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.update(steps="ab"), "steps must be a list"),
+        (lambda obj: obj["steps"].append([]), "each step must be an object"),
+        (lambda obj: obj["steps"][0].update(before={"goals": "ab"}), "goals must be a list"),
+        (lambda obj: obj["steps"][0].update(after=[]), "after must be an object"),
+        (lambda obj: obj["steps"][0]["before"]["goals"].append(None), "each goal must be an object"),
+        (lambda obj: obj["steps"][1]["before"]["goals"][0].update(hypotheses_surface={}),
+         "hypotheses_surface must be a list"),
+        (lambda obj: obj["steps"][1]["before"]["goals"][0]["hypotheses_internal"].append("n"),
+         "each hypothesis must be an object"),
+        (lambda obj: obj["steps"][1]["before"]["goals"][0]["hypotheses_internal"][0].update(
+            internal_type=["nat"]), "internal_type must be a string"),
+        (lambda obj: obj["steps"][1]["after"]["goals"][0]["hypotheses_surface"][0].update(name=1),
+         "name must be a string"),
+        (lambda obj: obj["steps"][0]["before"]["goals"][0].update(goal_surface=None),
+         "goal_surface must be a string"),
+        (lambda obj: obj["steps"][0]["after"]["goals"][0].update(goal_internal=["x"]),
+         "goal_internal must be a string"),
+        (lambda obj: obj["steps"][2].update(tactic=7), "tactic must be a string"),
+        (lambda obj: obj.update(theorem_name={}), "theorem_name must be a string"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, tmp_path, edit, message):
+        lines = Path(proofs_path()).read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[1])
+        edit(obj)
+        path = tmp_path / "proofs.jsonl"
+        path.write_text(PROOFS_HEADER + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^line 2: {message}$"):
+            load_proof_corpus(str(path))
+
+    @given(line=_PROOF_LINE)
+    def test_any_structured_line_loads_or_is_named(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("proofs") / "proofs.jsonl"
+        path.write_text(PROOFS_HEADER + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+        try:
+            corpus = load_proof_corpus(str(path))
+        except FormatError as exc:
+            assert exc.line == 2
+        else:
+            assert corpus.proofs[0].theorem_name == line["theorem_name"]
+            assert corpus.extras == ({0: {"note": line["note"]}} if "note" in line else {})
 
 
 # ----------------------------------------------------------------------

@@ -423,6 +423,16 @@ class TestDeriveYesNo:
         assert pair.log_p_yes == -0.9
         assert pair.log_p_no == LOGPROB_FLOOR
 
+    @pytest.mark.parametrize("token", ["YES", "NO", "Sure"])
+    def test_two_infinite_sides_are_unjudgeable(self, token):
+        inf = float("-inf")
+        with pytest.raises(UnjudgeableResponse, match="both YES and NO"):
+            derive_yes_no_logprobs([_tok(token, inf, [("YES", inf), ("NO", inf)])])
+
+    def test_one_infinite_side_is_a_pair(self):
+        pair = derive_yes_no_logprobs([_tok("YES", -0.1, [("NO", float("-inf"))])])
+        assert (pair.log_p_yes, pair.log_p_no) == (-0.1, float("-inf"))
+
     def test_empty_reply_unjudgeable(self):
         with pytest.raises(UnjudgeableResponse):
             derive_yes_no_logprobs([])
@@ -1031,6 +1041,22 @@ class TestHttpReplies:
         )
         with pytest.raises(UnjudgeableResponse):
             gateway.yes_no_logprobs("judge prompt")
+
+    @pytest.mark.parametrize(
+        "logprob", [float("nan"), 10 ** 400, float("inf")], ids=["nan", "401-digits", "infinity"]
+    )
+    def test_a_judged_entry_whose_logprob_a_script_could_not_hold_is_skipped(self, logprob):
+        alone = [{"token": "YES", "logprob": logprob}]
+        gateway = HttpGateway("https://api.example", "m", transport=lambda *a: _chat_body("YES", alone))
+        with pytest.raises(UnjudgeableResponse):
+            gateway.yes_no_logprobs("judge prompt")
+        bad_alternative = {"token": "YES", "logprob": -0.2, "top_logprobs": [{"token": "NO", "logprob": logprob}]}
+        good = {"token": "NO", "logprob": -0.4, "top_logprobs": [{"token": "YES", "logprob": -1.1}]}
+        gateway = HttpGateway(
+            "https://api.example", "m", transport=lambda *a: _chat_body("NO", [bad_alternative, good])
+        )
+        pair = gateway.yes_no_logprobs("judge prompt")
+        assert (pair.log_p_yes, pair.log_p_no) == (-1.1, -0.4)
 
     @pytest.mark.parametrize("logprobs", [[1], "YES", 5, {"content": 5}])
     def test_a_malformed_logprobs_field_is_no_logprobs(self, logprobs):

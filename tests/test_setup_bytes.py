@@ -1,8 +1,8 @@
 """Set-up bytes: everything `load_entity_corpus` and `build_index` produce,
 hashed and pinned for the fixture corpus and for a generated wide corpus
 (Inductive constructors, dependency names); each kind's float32 screen has
-its own pin. A malformed line is named and interns nothing, and the index
-rejects three kinds of bad embedding."""
+its own pin, and so has the decoded proof corpus. A malformed line is named
+and interns nothing, and the index rejects three kinds of bad embedding."""
 
 import hashlib
 import json
@@ -38,6 +38,14 @@ SCREENS = {
         "premise": "cf7ef406d66e953c0b81a4af1a0abaa19f8ad7fb3607f6a270f60935aa681f0e",
         "tactic": "0d88b4ae7cb727cb1016b124424563e86cae8c3f5cc62e24693e72763b04af81",
     },
+}
+
+
+#: sha256 of `_proof_parts`, per corpus.
+PROOF_PINS = {
+    "fixtures": "384914854baa3746674a98a619147cb1bc6a79e65e87133810fb7b07eda6319c",
+    "wide-corpus": "b6eff5fecec0a3d522e9cf7dc79c7a850c7d089dfb2e1e1fce0d099772c26544",
+    "deep-small": "b8e3c9027d95b8cdfcf87851a5ef0f7e9c11437b1086c5929377b425f613104d",
 }
 
 
@@ -82,15 +90,33 @@ def _digest(parts: dict) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def wide_corpus(tmp_path_factory) -> Path:
-    out = tmp_path_factory.mktemp("wide-corpus")
+def _proof_parts(directory: Path) -> dict:
+    """sha256 of the `repr` of each field of the loaded proof corpus."""
+    proofs = load_proof_corpus(str(directory / "proofs.jsonl"))
+    return {
+        name: hashlib.sha256(repr(getattr(proofs, name)).encode()).hexdigest()
+        for name in ("proofs", "by_theorem", "extras")
+    }
+
+
+def _generate(tmp_path_factory, workload: str) -> Path:
+    out = tmp_path_factory.mktemp(workload)
     subprocess.run(
-        [sys.executable, str(GEN), "--workload", "wide-corpus", "--scale", "tiny",
+        [sys.executable, str(GEN), "--workload", workload, "--scale", "tiny",
          "--out", str(out)],
         check=True,
     )
     return out
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory) -> Path:
+    return _generate(tmp_path_factory, "wide-corpus")
+
+
+@pytest.fixture(scope="module")
+def deep_small(tmp_path_factory) -> Path:
+    return _generate(tmp_path_factory, "deep-small")
 
 
 def test_fixture_set_up_bytes_are_pinned():
@@ -120,9 +146,50 @@ def test_screen_bytes_are_pinned(corpus, request):
     assert screens == SCREENS[corpus]
 
 
+@pytest.mark.parametrize("corpus", sorted(PROOF_PINS))
+def test_proof_corpus_bytes_are_pinned(corpus, request):
+    if corpus == "fixtures":
+        directory = Path(FIXTURES)
+    else:
+        directory = request.getfixturevalue(corpus.replace("-", "_"))
+    parts = _proof_parts(directory)
+    assert _digest(parts) == PROOF_PINS[corpus], parts
+
+
+def _decoded(corpus) -> dict:
+    """Every Hypothesis, GoalState and ProofState occurrence in a proof
+    corpus, by type name."""
+    states = [state for proof in corpus.proofs for step in proof.steps
+              for state in (step.before, step.after)]
+    goals = [goal for state in states for goal in state.goals]
+    hypotheses = [hyp for goal in goals
+                  for hyp in goal.hypotheses_surface + goal.hypotheses_internal]
+    return {"ProofState": states, "GoalState": goals, "Hypothesis": hypotheses}
+
+
+def test_a_proof_corpus_load_shares_equal_values_within_the_call(deep_small):
+    path = str(deep_small / "proofs.jsonl")
+    first = load_proof_corpus(path)
+    for proof in first.proofs:
+        for previous, step in zip(proof.steps, proof.steps[1:]):
+            assert step.before is previous.after
+    decoded = _decoded(first)
+    hypotheses = decoded["Hypothesis"]
+    triples = {(hyp.name, hyp.surface_type, hyp.internal_type) for hyp in hypotheses}
+    assert len({id(hyp) for hyp in hypotheses}) == len(triples) < len(hypotheses)
+    for kind, values in decoded.items():
+        assert len({id(value) for value in values}) == len(set(values)), kind
+
+    second = load_proof_corpus(path)
+    assert second.proofs == first.proofs
+    for kind, values in _decoded(second).items():
+        assert not {id(value) for value in values} & {id(value) for value in decoded[kind]}, kind
+
+
 @pytest.mark.parametrize("bad", [
     "{not json",
     "[1, 2]",
+    "[" * 100_000 + "]" * 100_000,
     json.dumps({"name": "Bad.x", "kernel_name": "Bad.x", "kind": "Lemma", "origin": "x"}),
     json.dumps({"name": "Bad..x", "kernel_name": "Bad.x", "kind": "Lemma",
                 "origin": "x", "internal": "x"}),
