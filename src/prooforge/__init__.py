@@ -71,6 +71,7 @@ from .llm_gateway import (
     YesNoLogprobs as YesNoLogprobs,
     derive_yes_no_logprobs as derive_yes_no_logprobs,
     parse_action_response as parse_action_response,
+    yes_no_logprobs as yes_no_logprobs,
 )
 from .coq_backend import (
     CompileResult as CompileResult,

@@ -22,7 +22,7 @@ from .errors import (
     ProviderError,
     UnjudgeableResponse,
 )
-from .llm_gateway import ChatRequest, YesNoLogprobs
+from .llm_gateway import ChatRequest, YesNoLogprobs, yes_no_logprobs
 from .prompt_builder import (
     InfoConfiguration,
     PromptBundle,
@@ -155,7 +155,7 @@ def run_configuration(
                 ChatRequest.for_role("probe", render_clarity_probe(bundle, name))
             )
             judge_prompt = render_clarity_judge(name, reply.text, record)
-            logprobs = gateway.yes_no_logprobs(judge_prompt)
+            logprobs = yes_no_logprobs(gateway, judge_prompt)
         except UnjudgeableResponse:
             if unjudgeable_half:
                 half = YesNoLogprobs(log_p_yes=math.log(0.5), log_p_no=math.log(0.5))

@@ -40,6 +40,7 @@ tactic and then cancels exactly the state ids it added.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import threading
 from dataclasses import dataclass, field
@@ -508,7 +509,8 @@ class SubprocessBackend:
     hypotheses or internal forms. A command unanswered after `timeout`
     seconds kills the prover; a dead or garbled prover poisons and closes the
     session and raises SessionDesync, which prunes the branch. Each session
-    writes its commands to `log_dir` when given.
+    writes its commands to `log_dir` when given, which is created if
+    missing. A session that fails to start has its prover closed.
     """
 
     def __init__(
@@ -523,6 +525,8 @@ class SubprocessBackend:
         self.executable = executable
         self.args = tuple(args)
         self.log_dir = log_dir
+        if log_dir:
+            os.makedirs(log_dir, exist_ok=True)
         self.timeout = timeout
         self._ids = itertools.count(1)
         self._procs: dict[int, object] = {}
@@ -542,8 +546,6 @@ class SubprocessBackend:
     def _log(self, session: BackendSession, line: str) -> None:
         if not self.log_dir:
             return
-        import os
-
         path = os.path.join(self.log_dir, f"session-{session.session_id}.log")
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -612,12 +614,15 @@ class SubprocessBackend:
             state=ProofState(()),
         )
         self._procs[session.session_id] = self._spawn()
-        for sentence in tuple(requires) + (f"Theorem goal_ : {theorem_source}.", "Proof."):
-            _sids, error = self._exec_sentence(session, sentence)
-            if error is not None:
-                self.close_session(session)
-                raise SessionDesync(error)
-        session.state = self._query_goals(session)
+        try:
+            for sentence in tuple(requires) + (f"Theorem goal_ : {theorem_source}.", "Proof."):
+                _sids, error = self._exec_sentence(session, sentence)
+                if error is not None:
+                    raise SessionDesync(error)
+            session.state = self._query_goals(session)
+        except BaseException:
+            self.close_session(session)
+            raise
         return session
 
     def clone_session(self, session: BackendSession) -> BackendSession:

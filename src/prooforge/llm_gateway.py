@@ -4,14 +4,17 @@ action-response parsing, and YES/NO log-probability judgment.
 `ROLE_SETTINGS` is the one table of the roles of the library's calls and of
 each role's request settings; `ChatRequest.for_role` builds every request.
 
-Two gateways ship. MockGateway replays a script of records routed by the role
-each caller sets on its request; every record names the route it answers,
-which must be a role of the table, and may name the search expansion it
-answers. It is what every test and fixture run uses. HttpGateway talks to a
-chat-completions endpoint through `HttpClient`, the one HTTP client, which
-`retrieval.HttpEmbeddingProvider` shares: one retry policy and one
-concurrency cap per instance. The API key is read at call time from an
-environment variable (by default `DEFAULT_API_KEY_ENV`), never from files.
+A gateway is any object with `complete(request)`; a judgment is one
+`judge` call through it, which `yes_no_logprobs` reads the same way for a
+scripted reply as for an HTTP one. Two gateways ship. MockGateway replays a
+script of records routed by the role each caller sets on its request; every
+record names the route it answers, which must be a role of the table, and
+may name the search expansion it answers. It is what every test and fixture
+run uses. HttpGateway talks to a chat-completions endpoint through
+`HttpClient`, the one HTTP client, which `retrieval.HttpEmbeddingProvider`
+shares: one retry policy and one concurrency cap per instance. The API key
+is read at call time from an environment variable (by default
+`DEFAULT_API_KEY_ENV`), never from files.
 
 parse_action_response is total: any text yields InfoRequest, TacticSuggestions,
 or Unparsed, tolerating prose, code fences, and unquoted keys around the
@@ -30,7 +33,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -368,6 +371,16 @@ def derive_yes_no_logprobs(
     return YesNoLogprobs(log_p_yes=yes, log_p_no=no)
 
 
+def yes_no_logprobs(gateway, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
+    """Make the `judge` call through `gateway.complete` and read the YES/NO
+    pair off the reply's token logprobs (`derive_yes_no_logprobs`); a reply
+    without any raises UnjudgeableResponse."""
+    result = gateway.complete(ChatRequest.for_role("judge", judge_prompt))
+    if not result.logprobs:
+        raise UnjudgeableResponse("reply carries no token logprobs")
+    return derive_yes_no_logprobs(result.logprobs, floor=floor)
+
+
 # ======================================================================
 # Scripted mock gateway
 # ======================================================================
@@ -434,8 +447,10 @@ class ScriptRecord:
     route. `at`, a `[depth, branch]` pair, keys the record to the calls of
     one search expansion (see `ChatRequest.site`); a default record carries
     none. `expect_digest`, when set, must match the incoming request digest
-    exactly. `yes_no` scripts the judged pair returned by yes_no_logprobs;
-    `from_obj` checks it as a `YesNoLogprobs`, so a bad pair fails the load.
+    exactly. `yes_no`, a `(log_p_yes, log_p_no)` pair checked as a
+    `YesNoLogprobs`, scripts a judged reply: it becomes the one logprobs entry
+    YES with NO as its one alternative, which `yes_no_logprobs` reads as it
+    reads an HTTP reply. A record carries `yes_no` or `logprobs`, not both.
     """
 
     reply: str = ""
@@ -443,15 +458,19 @@ class ScriptRecord:
     default: bool = False
     expect_digest: Optional[str] = None
     logprobs: Optional[tuple[TokenLogprob, ...]] = None
-    yes_no: Optional[tuple[float, float]] = None
+    yes_no: InitVar[Optional[tuple[float, float]]] = None
     at: Optional[tuple[int, int]] = None
 
-    def __post_init__(self):
-        if self.at is None:
-            return
-        self.at = _site(self.at)
-        if self.default:
-            raise ValueError("a default record cannot carry at")
+    def __post_init__(self, yes_no):
+        if yes_no is not None:
+            if self.logprobs is not None:
+                raise ValueError("a record carries yes_no or logprobs, not both")
+            pair = YesNoLogprobs(*yes_no)
+            self.logprobs = (TokenLogprob("YES", pair.log_p_yes, (("NO", pair.log_p_no),)),)
+        if self.at is not None:
+            self.at = _site(self.at)
+            if self.default:
+                raise ValueError("a default record cannot carry at")
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScriptRecord":
@@ -467,13 +486,11 @@ class ScriptRecord:
         logprobs = None
         if obj.get("logprobs"):
             logprobs = tuple(map(_token_logprob, obj["logprobs"]))
-        yes_no = None
-        if obj.get("yes_no") is not None:
-            given = obj["yes_no"]
-            if not isinstance(given, list) or len(given) != 2:
-                raise ValueError(f"yes_no must be two numbers, not {given!r}")
-            pair = YesNoLogprobs(*(_number(value, "a yes_no value") for value in given))
-            yes_no = (pair.log_p_yes, pair.log_p_no)
+        yes_no = obj.get("yes_no")
+        if yes_no is not None:
+            if not isinstance(yes_no, list) or len(yes_no) != 2:
+                raise ValueError(f"yes_no must be two numbers, not {yes_no!r}")
+            yes_no = tuple(_number(value, "a yes_no value") for value in yes_no)
         return cls(
             reply=obj.get("reply", ""),
             route=obj.get("route"),
@@ -535,46 +552,25 @@ class MockGateway:
                     raise ValueError(f"gateway script {path}, line {lineno}: {exc}") from None
         return gateway
 
-    def _next_record(self, request: ChatRequest) -> ScriptRecord:
+    def complete(self, request: ChatRequest) -> CompletionResult:
         with self._lock:
             self.calls.append(request)
             queue = self._keyed.get((request.role, request.site)) if self._keyed else None
             if not queue:
                 queue = self._routed.get(request.role)
-            if queue:
-                return queue.pop(0)
-            fallback = self._defaults.get(request.role)
-        if fallback is None:
+            record = queue.pop(0) if queue else self._defaults.get(request.role)
+        if record is None:
             raise ProviderError(
                 f"script exhausted for route {request.role!r}", key=request.digest()
             )
-        return fallback
-
-    def _check_digest(self, record: ScriptRecord, request: ChatRequest) -> None:
         if record.expect_digest and record.expect_digest != request.digest():
             raise ProviderError(
                 f"prompt digest mismatch: expected {record.expect_digest}, "
                 f"got {request.digest()}",
                 key=request.digest(),
             )
-
-    def complete(self, request: ChatRequest) -> CompletionResult:
-        record = self._next_record(request)
-        self._check_digest(record, request)
         logprobs = record.logprobs if request.want_logprobs else None
         return CompletionResult(text=record.reply, logprobs=logprobs)
-
-    def yes_no_logprobs(self, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
-        request = ChatRequest.for_role("judge", judge_prompt)
-        record = self._next_record(request)
-        self._check_digest(record, request)
-        if record.yes_no is not None:
-            return YesNoLogprobs(log_p_yes=record.yes_no[0], log_p_no=record.yes_no[1])
-        if record.logprobs:
-            return derive_yes_no_logprobs(record.logprobs, floor=floor)
-        raise UnjudgeableResponse(
-            "scripted record for a judge call carries neither yes_no nor logprobs"
-        )
 
 
 # ======================================================================
@@ -758,10 +754,3 @@ class HttpGateway(HttpClient):
                     continue
             logprobs = tuple(parsed) if parsed else None
         return CompletionResult(text=text, logprobs=logprobs)
-
-    def yes_no_logprobs(self, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
-        request = ChatRequest.for_role("judge", judge_prompt)
-        result = self.complete(request)
-        if not result.logprobs:
-            raise UnjudgeableResponse("provider returned no token logprobs")
-        return derive_yes_no_logprobs(result.logprobs, floor=floor)

@@ -45,13 +45,14 @@ alongside the retry round, provided the sequential search must reach that
 branch unless this one proves or a run-scoped error ends the proof: this
 branch has not proved, and the budget left covers every validation of its
 rounds to come. Those phases touch neither the backend nor the budget and
-record nothing: the search thread records their info event, and raises what
-they raised, when it resumes the expansion. Everything else (validation,
-the budget, the sessions, the events, the other prompts) stays on the
-search thread in its sequential order. So planner and executor calls of two
-expansions may be in flight at once; every call an expansion makes carries
-its `(depth, branch)` as the request's `site`, which a scripted gateway can
-key its replies to. A branch that proves in a retry round wastes the next
+record nothing: an expansion keeps its info request, which the search
+thread records when it validates the round or when the expansion raises,
+and the search thread raises what the worker raised when it takes the
+round. Everything else (validation, the budget, the sessions, the events,
+the other prompts) stays on the search thread in its sequential order. So
+planner and executor calls of two expansions may be in flight at once;
+every call an expansion makes carries its `(depth, branch)` as the
+request's `site`, which a scripted gateway can key its replies to. A branch that proves in a retry round wastes the next
 branch's first round: one planner call and one or two executor calls whose
 replies are never read.
 
@@ -455,12 +456,12 @@ class _ProofScope:
 @dataclass(eq=False)
 class _Expansion:
     """One branch's expansion at one depth, one method per phase, driven by
-    `run`. `after` is the next expansion of the layer; `ahead` holds its own
-    first round while that runs on the prefetch worker, as the future and
-    the events it holds back. `children` holds (tactic, state, session,
-    explanation, summary) per child in tactic order, replies still to be
-    read; a proving child, always the last, has no summary. `error` is a
-    branch-scoped failure the expansion raised; it then has no children."""
+    `run`. `after` is the next expansion of the layer; `ahead` is the future
+    of its own first round while that runs on the prefetch worker.
+    `children` holds (tactic, state, session, explanation, summary) per
+    child in tactic order, replies still to be read; a proving child, always
+    the last, has no summary. `error` is a branch-scoped failure the
+    expansion raised; it then has no children."""
 
     scope: _ProofScope
     branch: _Branch
@@ -468,11 +469,12 @@ class _Expansion:
     idx: int
     notebook: Notebook
     after: Optional["_Expansion"] = None
-    ahead: Optional[tuple] = None
+    ahead: Optional[Future] = None
     concepts: tuple = ()
     context: object = None
     bodies: dict = field(default_factory=dict)  # the planner and prove prompt bodies of `context`
     info_used: bool = False
+    info: Optional[list] = None  # the names of the info request, until recorded
     premises: tuple = ()
     tactic_examples: tuple = ()
     seen: set = field(default_factory=set)  # canonical tactics already validated
@@ -495,19 +497,19 @@ class _Expansion:
         Whatever raises closes the children made so far; a branch-scoped
         failure is kept as `error`. The branch's session is closed when the
         run ends."""
-        scope = self.scope
-        params, record = scope.params, scope.ports.recorder.record
+        scope, params = self.scope, self.scope.params
         try:
-            failed = self.validate(self.first_round(record) if self.ahead is None else self.resume())
+            failed = self.validate(self.first_round() if self.ahead is None else self.ahead.result())
             for retry in range(1, params.max_retries + 1):
                 if not failed or self.valid > params.tactics_per_state:
                     break
                 self.prefetch_next(retry)
-                failed = self.validate(self.execute(self.plan(tuple(failed)), record))
+                failed = self.validate(self.execute(self.plan(tuple(failed))))
             scope.calls.send(self.inline)
             if self.held is not None:
                 raise self.held
         except BaseException as exc:
+            self.record_info()
             for child in self.opened:
                 scope.close(child)
             self.children, self.proves = [], False
@@ -517,17 +519,17 @@ class _Expansion:
         finally:
             scope.close(self.branch.session)
 
-    def first_round(self, record) -> list[str]:
+    def first_round(self) -> list[str]:
         """The phases before the first validation: render the context, plan,
-        retrieve, and execute round 1, `record` taking its info event. They
-        touch neither the backend nor the budget."""
+        retrieve, and execute round 1. They touch neither the backend nor the
+        budget, and record nothing."""
         scope = self.scope
         ports = scope.ports
         state = self.branch.candidate.state
         self.render_context(concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens))
         strategy = self.plan(())
         self.retrieve()
-        return self.execute(strategy, record)
+        return self.execute(strategy)
 
     def prefetch_next(self, retry: int) -> None:
         """Before retry round `retry`, start the next expansion's first round
@@ -543,21 +545,15 @@ class _Expansion:
             or budget.limit - budget.used < (params.max_retries + 1 - retry) * params.tactics_per_state
         ):
             return
-        held: list = []
-        after.ahead = (
-            scope.calls.ahead(after.first_round, lambda kind, **data: held.append((kind, data))),
-            held,
-        )
+        after.ahead = scope.calls.ahead(after.first_round)
 
-    def resume(self) -> list[str]:
-        """Wait for the first round run ahead, record the events it held, and
-        return its tactics or raise what it raised."""
-        future, held = self.ahead
-        try:
-            return future.result()
-        finally:
-            for kind, data in held:
-                self.scope.ports.recorder.record(kind, **data)
+    def record_info(self) -> None:
+        """Record the info request `execute` kept, once, on the search thread."""
+        if self.info is not None:
+            self.scope.ports.recorder.record(
+                "info", depth=self.depth, branch=self.idx, names=self.info
+            )
+            self.info = None
 
     def render_context(self, concepts) -> None:
         """Render the state context that shows `concepts`; the prompt bodies
@@ -597,10 +593,10 @@ class _Expansion:
             memo[goal] = found
         self.premises, self.tactic_examples = found
 
-    def execute(self, hint: str, record) -> list[str]:
+    def execute(self, hint: str) -> list[str]:
         """One executor round. The expansion's first info request adds the
-        named concepts to the context, goes to `record` as an event, and asks
-        again; a later one yields no tactics."""
+        named concepts to the context, is kept as `info` for the search
+        thread to record, and asks again; a later one yields no tactics."""
         action = self._ask(hint)
         if isinstance(action, InfoRequest) and not self.info_used:
             self.info_used = True
@@ -608,7 +604,7 @@ class _Expansion:
             self.render_context(
                 self.concepts + _lookup_info(ports.corpus, action.names, self.concepts)
             )
-            record("info", depth=self.depth, branch=self.idx, names=list(action.names))
+            self.info = list(action.names)
             action = self._ask(hint)
         if isinstance(action, TacticSuggestions):
             return [suggestion.tactic for suggestion in action.items]
@@ -626,6 +622,7 @@ class _Expansion:
     def validate(self, tactics: list[str]) -> list[tuple[str, str]]:
         """Validate the first `tactics_per_state` new canonical tactics,
         making each valid one's child; returns the failed ones' errors."""
+        self.record_info()
         scope, state, session = self.scope, self.branch.candidate.state, self.branch.session
         recorder = scope.ports.recorder
         failed = []

@@ -17,19 +17,18 @@ its k-th, is dropped. Only the survivors get exact float64 cosines, each
 computed from its own row so that its bits do not depend on which other
 rows survive, and only they are sorted.
 
-A provider is any object whose ``embed(text)`` returns a 1-D float array of
-finite entries, the same length for every text. It may also have
-``embed_many(texts)``, returning one such row per text in order, as a 2-D
-array or a sequence of rows; `build_index` then embeds every distinct key
-with one call to it, and embeds key by key otherwise. The same checks (one
-row per key, 1-D, finite, one length) apply to whatever either returns; the
-query goes through ``embed``. Two providers ship, both with ``embed_many``:
-a deterministic mock that derives a unit vector from a hash of the text
-(stable across runs and machines), and an HTTP provider for real embedding
-endpoints that sends the texts of ``embed_many`` in fixed-size batches
-through the chat gateway's client, `llm_gateway.HttpClient`: one retry
-policy and one concurrency cap per instance, and credentials from
-environment variables only.
+A provider is any object with two methods: ``embed(text)`` returns a 1-D
+float array of finite entries, the same length for every text, and
+``embed_many(texts)`` one such row per text in order, as a 2-D array or a
+sequence of rows. `build_index` embeds every distinct key with one
+``embed_many`` call and checks its rows (one per key, 1-D, finite, one
+length); a query goes through ``embed``. An entry too large for a float
+counts as not finite. Two providers ship: a deterministic mock that derives
+a unit vector from a hash of the text (stable across runs and machines),
+and an HTTP provider for real embedding endpoints that sends the texts of
+``embed_many`` in fixed-size batches through the chat gateway's client,
+`llm_gateway.HttpClient`: one retry policy and one concurrency cap per
+instance, and credentials from environment variables only.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def _matrix(outputs) -> np.ndarray:
     order, names the error, as `_vector` on each would."""
     try:
         matrix = np.asarray(outputs, dtype=float)
-    except ValueError:  # ragged outputs
+    except (ValueError, OverflowError):  # ragged outputs, or an entry past float range
         matrix = None
     if matrix is None or matrix.ndim != 2 or not np.isfinite(matrix).all():
         dims = {len(_vector(output)) for output in outputs}
@@ -77,8 +76,11 @@ def _screen_slack(dim: int) -> float:
 
 def _vector(values) -> np.ndarray:
     """Provider output as a 1-D float array; ValueError unless every entry
-    is finite."""
-    vector = np.asarray(values, dtype=float)
+    is finite (an integer past float range is not)."""
+    try:
+        vector = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError("embedding entries must be finite") from None
     if vector.ndim != 1:
         raise ValueError(f"embedding must be 1-D, got shape {vector.shape}")
     if not np.isfinite(vector).all():
@@ -316,10 +318,10 @@ def build_index(
     Premises are (name, statement) pairs keyed by ``name : statement``.
     Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
     it was used on; the payload returned by retrieval is just the tactic.
-    Each distinct key is embedded once, with one ``embed_many`` call when
-    the provider has it and key by key otherwise. A repeated key's row is a
-    copy of the first one's, made by one `take` only when keys repeat;
-    otherwise each kind's rows are a slice of the embedded matrix.
+    Each distinct key is embedded once, all with one ``embed_many`` call.
+    A repeated key's row is a copy of the first one's, made by one `take`
+    only when keys repeat; otherwise each kind's rows are a slice of the
+    embedded matrix.
     """
     entries = {
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
@@ -330,10 +332,7 @@ def build_index(
     if not distinct:
         stacked = np.empty((0, getattr(provider, "dim", None) or 0))
     else:
-        embed_many = getattr(provider, "embed_many", None)
-        stacked = _matrix(
-            embed_many(distinct) if embed_many else [provider.embed(key) for key in distinct]
-        )
+        stacked = _matrix(provider.embed_many(distinct))
         if len(stacked) != len(distinct):
             raise ValueError(f"provider returned {len(stacked)} rows for {len(distinct)} keys")
         if len(distinct) < len(all_keys):

@@ -10,6 +10,8 @@ import threading
 import pytest
 from hypothesis import HealthCheck, settings
 
+import prooforge.coq_backend as coq_backend
+
 from prooforge.core_model import (
     EntityKind,
     EntityRecord,
@@ -28,6 +30,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+#: The stdio prover `SubprocessBackend` tests run, and the package directory
+#: it is started with.
+FAKE_PROVER = os.path.join(os.path.dirname(__file__), "fake_prover.py")
+PACKAGE_DIR = os.path.dirname(coq_backend.__file__)
 
 
 @pytest.fixture

@@ -4,15 +4,19 @@ the no-credentials-in-config rule."""
 
 import json
 import os
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, entities_path, proofs_path, backend_spec_path
+from conftest import (
+    FAKE_PROVER, FIXTURES, PACKAGE_DIR, entities_path, proofs_path, backend_spec_path,
+)
 from prooforge import cli
 from prooforge.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from prooforge.coq_backend import SubprocessBackend
 from prooforge.clarity_eval import parse_report_rows
 from prooforge.llm_gateway import HttpGateway
 
@@ -166,6 +170,33 @@ class TestProve:
             assert main(prove_args(out) + flags + [WORKED]) == EXIT_OK
             manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
             assert manifest["params"]["budget"] == budget
+
+    def test_the_subprocess_backend_proves_into_a_fresh_out(self, tmp_path, monkeypatch, capsys):
+        # `--executable` takes no arguments, so a wrapper starts the fake
+        # prover on the fixture backend spec.
+        wrapper = tmp_path / "prover"
+        wrapper.write_text(
+            f'#!/bin/sh\nexec "{sys.executable}" -S "{FAKE_PROVER}" "{PACKAGE_DIR}" '
+            f'"{backend_spec_path()}"\n',
+            encoding="utf-8",
+        )
+        wrapper.chmod(0o755)
+        spawned = []
+        spawn = SubprocessBackend._spawn
+        monkeypatch.setattr(
+            SubprocessBackend, "_spawn", lambda self: spawned.append(spawn(self)) or spawned[-1]
+        )
+        out = tmp_path / "fresh" / "out"
+        code = main([
+            "prove", "--backend", "subprocess", "--executable", str(wrapper),
+            "--gateway", "mock", "--gateway-script", PROVE_SCRIPT,
+            "--entities", entities_path(), "--proofs", proofs_path(),
+            "--out", str(out), WORKED,
+        ])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert "outcome: Proved" in capsys.readouterr().out
+        assert sorted(out.glob("session-*.log"))
+        assert spawned and all(proc.returncode is not None for proc in spawned)
 
     def test_run_log_is_written(self, tmp_path):
         main(prove_args(tmp_path) + [WORKED])

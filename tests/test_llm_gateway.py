@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from prooforge.errors import (
     MalformedResponse,
+    ProoforgeError,
     ProviderError,
     ProviderTimeout,
     RateLimited,
@@ -42,7 +43,9 @@ from prooforge.llm_gateway import (
     parse_action_response,
     parse_int_array,
     parse_string_array,
+    yes_no_logprobs,
 )
+from prooforge.retrieval import HttpEmbeddingProvider
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +576,7 @@ class TestMockGateway:
             ScriptRecord(reply="YES", route="probe", default=True),
             ScriptRecord(route="judge", default=True, yes_no=(-0.1, -2.3)),
         ])
-        pair = gateway.yes_no_logprobs("judge this")
+        pair = yes_no_logprobs(gateway, "judge this")
         assert (pair.log_p_yes, pair.log_p_no) == (-0.1, -2.3)
         assert gateway.calls[-1].role == "judge"
 
@@ -589,13 +592,40 @@ class TestMockGateway:
     def test_scripted_yes_no(self):
         # [TRIVIAL] pass-through of the scripted pair.
         gateway = MockGateway([ScriptRecord(route="judge", yes_no=(-0.1, -2.3))])
-        pair = gateway.yes_no_logprobs("judge this")
+        pair = yes_no_logprobs(gateway, "judge this")
         assert (pair.log_p_yes, pair.log_p_no) == (-0.1, -2.3)
 
     def test_judge_record_without_pair_unjudgeable(self):
         gateway = MockGateway([ScriptRecord(reply="YES", route="judge")])
         with pytest.raises(UnjudgeableResponse):
-            gateway.yes_no_logprobs("judge this")
+            yes_no_logprobs(gateway, "judge this")
+
+    def test_a_yes_no_pair_is_scripted_as_the_logprobs_of_a_judged_reply(self):
+        record = ScriptRecord(route="judge", yes_no=(-0.1, -2.3))
+        assert record.logprobs == (TokenLogprob("YES", -0.1, (("NO", -2.3),)),)
+        assert derive_yes_no_logprobs(record.logprobs) == yes_no_logprobs(
+            MockGateway([record]), "judge this"
+        )
+
+    def test_a_record_carrying_yes_no_and_logprobs_is_rejected_at_load(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        path.write_text(
+            json.dumps({
+                "route": "judge", "yes_no": [-0.1, -2.3],
+                "logprobs": [{"token": "NO", "logprob": -0.1}],
+            })
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            MockGateway.from_file(str(path))
+        assert str(exc_info.value) == (
+            f"gateway script {path}, line 1: a record carries yes_no or logprobs, not both"
+        )
+
+    def test_judging_is_a_function_of_the_gateway_not_a_method(self):
+        assert not hasattr(MockGateway, "yes_no_logprobs")
+        assert not hasattr(HttpGateway, "yes_no_logprobs")
 
     def test_from_file_skips_comments(self, tmp_path):
         path = tmp_path / "script.jsonl"
@@ -986,7 +1016,7 @@ class TestHttpGateway:
             transport=lambda *a: _chat_body("YES", logprobs),
             sleeper=lambda s: None,
         )
-        pair = gateway.yes_no_logprobs("judge prompt")
+        pair = yes_no_logprobs(gateway, "judge prompt")
         assert pair.log_p_yes == -0.2
         assert pair.log_p_no == -1.7
 
@@ -996,7 +1026,7 @@ class TestHttpGateway:
             transport=lambda *a: _chat_body("YES"), sleeper=lambda s: None,
         )
         with pytest.raises(UnjudgeableResponse):
-            gateway.yes_no_logprobs("judge prompt")
+            yes_no_logprobs(gateway, "judge prompt")
 
 
 class TestHttpReplies:
@@ -1034,13 +1064,13 @@ class TestHttpReplies:
         gateway = HttpGateway(
             "https://api.example", "m", transport=lambda *a: _chat_body("NO", bad + [good])
         )
-        pair = gateway.yes_no_logprobs("judge prompt")
+        pair = yes_no_logprobs(gateway, "judge prompt")
         assert (pair.log_p_yes, pair.log_p_no) == (-0.2, -1.7)
         gateway = HttpGateway(
             "https://api.example", "m", transport=lambda *a: _chat_body("NO", bad)
         )
         with pytest.raises(UnjudgeableResponse):
-            gateway.yes_no_logprobs("judge prompt")
+            yes_no_logprobs(gateway, "judge prompt")
 
     @pytest.mark.parametrize(
         "logprob", [float("nan"), 10 ** 400, float("inf")], ids=["nan", "401-digits", "infinity"]
@@ -1049,13 +1079,13 @@ class TestHttpReplies:
         alone = [{"token": "YES", "logprob": logprob}]
         gateway = HttpGateway("https://api.example", "m", transport=lambda *a: _chat_body("YES", alone))
         with pytest.raises(UnjudgeableResponse):
-            gateway.yes_no_logprobs("judge prompt")
+            yes_no_logprobs(gateway, "judge prompt")
         bad_alternative = {"token": "YES", "logprob": -0.2, "top_logprobs": [{"token": "NO", "logprob": logprob}]}
         good = {"token": "NO", "logprob": -0.4, "top_logprobs": [{"token": "YES", "logprob": -1.1}]}
         gateway = HttpGateway(
             "https://api.example", "m", transport=lambda *a: _chat_body("NO", [bad_alternative, good])
         )
-        pair = gateway.yes_no_logprobs("judge prompt")
+        pair = yes_no_logprobs(gateway, "judge prompt")
         assert (pair.log_p_yes, pair.log_p_no) == (-1.1, -0.4)
 
     @pytest.mark.parametrize("logprobs", [[1], "YES", 5, {"content": 5}])
@@ -1063,7 +1093,7 @@ class TestHttpReplies:
         body = {"choices": [{"message": {"content": "YES"}, "logprobs": logprobs}]}
         gateway = HttpGateway("https://api.example", "m", transport=lambda *a: body)
         with pytest.raises(UnjudgeableResponse):
-            gateway.yes_no_logprobs("judge prompt")
+            yes_no_logprobs(gateway, "judge prompt")
 
     def test_any_other_transport_failure_is_not_retried_and_names_the_digest(self):
         calls = []
@@ -1090,6 +1120,183 @@ class TestHttpReplies:
         with pytest.raises(MalformedResponse) as exc_info:
             gateway.complete(request)
         assert exc_info.value.key == request.digest()
+
+
+# Reply bodies drawn along the reply schema: each field holds a value of its
+# type or a junk value, or is missing, so a check on any one field is
+# reached. A generic JSON fuzz rarely gets past the outer fields.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+TOKENS = st.one_of(st.sampled_from(["YES", "NO", " yes", "No.", "maybe", ""]), JUNK)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10 ** 400, -(10 ** 400)]),  # 401 digits, past float range
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=4),
+)
+
+
+def _or_junk(strategy):
+    """`strategy`, or one time in four a junk value."""
+    return st.sampled_from([True, True, True, False]).flatmap(lambda ok: strategy if ok else JUNK)
+
+
+def _object(required: dict, optional: dict = {}):
+    return _or_junk(st.fixed_dictionaries(required, optional=optional))
+
+
+def _list(elements, max_size=3):
+    return _or_junk(st.lists(elements, max_size=max_size))
+
+
+ENTRIES = _list(_object(
+    {"token": TOKENS, "logprob": NUMBERS},
+    {"top_logprobs": _list(_object({"token": TOKENS, "logprob": NUMBERS}))},
+))
+CHAT_BODIES = _object({"choices": _list(_object(
+    {"message": _object({}, {"content": st.one_of(st.text(max_size=3), JUNK)})},
+    {"logprobs": _object({}, {"content": ENTRIES})},
+), max_size=2)})
+
+
+@st.composite
+def embedding_replies(draw):
+    """The texts of one embeddings request and a reply body: a row per
+    text, each at its own index or at a junk one."""
+    texts = [f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+    rows = [
+        draw(_object({"index": _or_junk(st.just(i))}, {"embedding": _list(NUMBERS)}))
+        for i in range(len(texts))
+    ]
+    return texts, draw(_object({"data": _or_junk(st.just(rows))}))
+
+
+class TestReplySchema:
+    @settings(max_examples=500)
+    @given(CHAT_BODIES, embedding_replies())
+    def test_every_reply_body_is_a_result_or_a_prooforge_error(self, chat, embeddings):
+        def gateway(body):
+            return HttpGateway(
+                "https://api.example", "m", transport=lambda *a: body, sleeper=lambda s: None
+            )
+
+        texts, body = embeddings
+        provider = HttpEmbeddingProvider(
+            "https://api.example", "m", transport=lambda *a: body, sleeper=lambda s: None
+        )
+        calls = [
+            lambda: gateway(chat).complete(ChatRequest.for_role("executor", "q")),
+            lambda: gateway(chat).complete(ChatRequest.for_role("judge", "q")),
+            lambda: yes_no_logprobs(gateway(chat), "q"),
+            lambda: provider.embed_many(texts),
+        ]
+        for call in calls:
+            try:
+                call()
+            except ProoforgeError:
+                pass
+
+
+class _Reply:
+    """What `requests.post` returns: a status and a body text."""
+
+    headers = {}
+
+    def __init__(self, status_code: int, text: str):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+# Each HTTP client: its class, its one call, a reply body it accepts and
+# what the call returns for it.
+HTTP_CLIENTS = {
+    "chat": (
+        HttpGateway, lambda client: client.complete(ChatRequest.user("q")).text,
+        _chat_body("hi"), "hi",
+    ),
+    "embeddings": (
+        HttpEmbeddingProvider, lambda client: client.embed_many(["q"]).tolist(),
+        {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}, [[1.0, 0.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HTTP_CLIENTS))
+class TestDefaultTransport:
+    """`HttpClient._default_transport` over a patched `requests.post`."""
+
+    @pytest.fixture
+    def post(self, monkeypatch):
+        """Make every `requests.post` give `outcome` (a reply, or an
+        exception to raise); `posted` counts the posts."""
+        import requests
+
+        def post(url, json, headers, timeout):
+            post.posted += 1
+            if isinstance(post.outcome, Exception):
+                raise post.outcome
+            return post.outcome
+
+        post.posted = 0
+        monkeypatch.setattr(requests, "post", post)
+        return post
+
+    @staticmethod
+    def client(kind):
+        """A `kind` client with the default transport, its one call and the
+        delays it slept."""
+        cls, call, _body, _result = HTTP_CLIENTS[kind]
+        slept = []
+        client = cls(
+            "https://api.example", "m", retry=RetryPolicy(attempts=3, backoff=0.01),
+            sleeper=slept.append,
+        )
+        return client, lambda: call(client), slept
+
+    def test_a_json_reply_is_returned(self, kind, post):
+        _cls, _call, body, result = HTTP_CLIENTS[kind]
+        post.outcome = _Reply(200, json.dumps(body))
+        _client, call, _slept = self.client(kind)
+        assert call() == result
+        assert post.posted == 1
+
+    @pytest.mark.parametrize("status, text", [(200, "<html>"), (404, "not found")])
+    def test_a_non_json_reply_or_a_4xx_is_malformed_and_not_retried(self, kind, post, status, text):
+        post.outcome = _Reply(status, text)
+        _client, call, slept = self.client(kind)
+        with pytest.raises(MalformedResponse):
+            call()
+        assert post.posted == 1
+        assert slept == []
+
+    def test_a_5xx_is_a_provider_error_and_is_retried(self, kind, post):
+        post.outcome = _Reply(503, "unavailable")
+        _client, call, slept = self.client(kind)
+        with pytest.raises(ProviderError, match="gave up after 3 attempts: server error 503"):
+            call()
+        assert post.posted == 3
+        assert slept == [0.01, 0.02]
+
+    @pytest.mark.parametrize(
+        "raised, error", [("Timeout", ProviderTimeout), ("ConnectionError", ProviderError)]
+    )
+    def test_a_transport_exception_is_a_retried_provider_error(self, kind, post, raised, error):
+        import requests
+
+        post.outcome = getattr(requests, raised)("no answer")
+        client, call, _slept = self.client(kind)
+        with pytest.raises(error) as exc_info:
+            client._default_transport("https://api.example/x", {}, {})
+        assert isinstance(exc_info.value, ProviderTimeout) == (error is ProviderTimeout)
+        with pytest.raises(ProviderError, match="gave up after 3 attempts: no answer"):
+            call()
+        assert post.posted == 1 + 3
 
 
 class TestRetryPolicy:

@@ -1124,6 +1124,32 @@ class TestPrefetch:
             ("tactic", 2, 0), ("tactic", 2, 0), ("tactic", 2, 0), ("info", 2, 1), ("tactic", 2, 1),
         ]
 
+    def test_an_info_request_is_recorded_before_a_failure_after_it(self):
+        # Branch 1's first round asks for info, then its second executor
+        # call fails. The search thread records the info event before the
+        # branch's pruning, whether that round ran ahead or inline.
+        class FailsAfterInfo(WaitingGateway):
+            asked = 0
+
+            def complete(self, request):
+                if (request.role, request.site) == ("executor", (2, 1)):
+                    with self._lock:
+                        self.asked += 1
+                        fails = self.asked == 2
+                    if fails:
+                        raise ProviderError("injected after the info request")
+                return super().complete(request)
+
+        records = retrying_records("intros")
+        records[-1:-1] = [ScriptRecord(reply=INFO_REPLY, route="executor", at=(2, 1))]
+        inline = run_branching(records, 0.0, EARLY_CHILD_PARAMS, kind=FailsAfterInfo)
+        lanes = run_branching(records, LANE_DELAY_S, EARLY_CHILD_PARAMS, kind=FailsAfterInfo)
+        assert PREFETCH_THREAD in lanes[2].threads
+        assert lanes[:2] == inline[:2]
+        assert [e["event"] for e in lanes[1] if (e.get("depth"), e.get("branch")) == (2, 1)] == [
+            "info", "branch-pruned",
+        ]
+
     @pytest.mark.parametrize("error", [ProviderError, RuntimeError])
     def test_what_a_first_round_run_ahead_raises_is_raised_where_it_resumes(self, error):
         # Branch 1's executor call fails: a ProviderError prunes branch 1,

@@ -31,10 +31,13 @@ class BasisProvider:
     def embed(self, text: str) -> np.ndarray:
         return np.asarray(self.table[text], dtype=float)
 
+    def embed_many(self, texts):
+        return [self.embed(text) for text in texts]
+
 
 class ManyBasisProvider(BasisProvider):
-    """A BasisProvider that also embeds many texts in one call, as the
-    table's rows, and logs each call's texts."""
+    """A BasisProvider whose `embed_many` returns the table's rows as given
+    and logs each call's texts."""
 
     def __init__(self, table: dict):
         super().__init__(table)
@@ -212,6 +215,7 @@ class TestHttpEmbedMany:
             ("repeated-index", 3, "2 rows for input 3"),
             ("extra-row", 0, f"{BATCH + 1} rows for {BATCH} inputs"),
             ("non-finite", 9, "finite"),
+            ("huge-integer", 9, "finite"),
             ("other-length", 9, "31 dimensions, the first row has 32"),
             ("not-a-list", 0, "malformed"),
         ],
@@ -235,6 +239,8 @@ class TestHttpEmbedMany:
                     data.append(dict(data[0], index=len(data)))
                 elif fault == "non-finite":
                     data[9]["embedding"][0] = float("nan")
+                elif fault == "huge-integer":
+                    data[9]["embedding"][0] = -10 ** 400  # 401 digits, past float range
                 elif fault == "other-length":
                     data[9]["embedding"].pop()
                 else:
@@ -596,6 +602,9 @@ class TestRetrieve:
         class QueueProvider:
             def embed(self, text):
                 return np.asarray(query_vector if text == "query" else queue.pop(0), dtype=float)
+
+            def embed_many(self, texts):
+                return [self.embed(text) for text in texts]
 
         index = build_index(
             QueueProvider(),

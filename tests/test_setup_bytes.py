@@ -242,6 +242,9 @@ class ListProvider:
     def embed(self, text: str):
         return self.table[text]
 
+    def embed_many(self, texts):
+        return [self.table[text] for text in texts]
+
 
 @pytest.mark.parametrize("vectors, message", [
     ({"P1 : a": [1.0, 0.0], "P2 : b": [[1.0, 0.0]]}, r"embedding must be 1-D, got shape \(1, 2\)"),
@@ -249,6 +252,8 @@ class ListProvider:
     ({"P1 : a": [1.0, 0.0], "P2 : b": [1.0, 0.0, 0.0]}, r"provider returned mixed dimensions: \[2, 3\]"),
     ({"P1 : a": [1.0, 0.0], "P2 : b": [float("nan"), 0.0]}, r"embedding entries must be finite"),
     ({"P1 : a": [1.0, 0.0], "P2 : b": [1.0, float("-inf")]}, r"embedding entries must be finite"),
+    # An integer too large for a float (401 digits) is not finite.
+    ({"P1 : a": [1.0, 0.0], "P2 : b": [-10 ** 400, 0.0]}, r"embedding entries must be finite"),
     # The first bad row in premise order names the error.
     ({"P1 : a": [float("inf"), 0.0], "P2 : b": [1.0, 0.0, 0.0]}, r"embedding entries must be finite"),
     ({"P1 : a": [[1.0]], "P2 : b": [float("nan"), 0.0]}, r"embedding must be 1-D, got shape \(1, 1\)"),

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
+from conftest import FAKE_PROVER, PACKAGE_DIR
 from test_acceptance import SCENARIOS
 from test_proof_search import info_corpus, route_defaults, tactics_reply
-import prooforge.coq_backend as coq_backend
 from prooforge.coq_backend import SubprocessBackend, SyntheticBackend
 from prooforge.errors import PortFailure, SessionDesync
 from prooforge.llm_gateway import MockGateway, ScriptRecord
@@ -26,9 +26,6 @@ from prooforge.proof_search import (
     SearchPorts,
     prove,
 )
-
-FAKE_PROVER = os.path.join(os.path.dirname(__file__), "fake_prover.py")
-PACKAGE_DIR = os.path.dirname(coq_backend.__file__)
 
 
 def spec_of(backend: SyntheticBackend) -> dict:
@@ -217,3 +214,12 @@ def test_prover_starts_and_executed_sentences_of_the_worked_proof(fake_backend, 
     # Each start runs `Theorem` and `Proof.`; each clone replays its
     # transcript; 3 validations and 3 applies run one sentence each.
     assert counts["exec"] == 2 * 4 + (0 + 1 + 2) + 3 + 3 == 17
+
+
+def test_a_session_that_fails_to_start_closes_its_prover(fake_backend, tmp_path):
+    backend = fake_backend(SyntheticBackend())
+    backend.log_dir = str(tmp_path / "missing")  # logging the first command fails
+    with pytest.raises(FileNotFoundError):
+        backend.start_session("A -> A")
+    assert backend._procs == {}
+    assert backend.spawned[0].returncode is not None
