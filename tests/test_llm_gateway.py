@@ -1144,7 +1144,7 @@ def _or_junk(strategy):
     return st.sampled_from([True, True, True, False]).flatmap(lambda ok: strategy if ok else JUNK)
 
 
-def _object(required: dict, optional: dict = {}):
+def _object(required: dict, optional=None):
     return _or_junk(st.fixed_dictionaries(required, optional=optional))
 
 
