@@ -19,7 +19,6 @@ from prooforge import (
     SearchParams,
     SearchPorts,
     SyntheticBackend,
-    is_goal_complete,
     prove,
     replay_trace,
 )
@@ -82,7 +81,7 @@ def main() -> None:
 
     assert result.outcome is Outcome.PROVED
     final = replay_trace(build_backend(), THEOREM, (), result.trace)
-    print(f"\nreplayed on a fresh session: complete = {is_goal_complete(final)}")
+    print(f"\nreplayed on a fresh session: complete = {final.is_complete}")
 
 
 if __name__ == "__main__":

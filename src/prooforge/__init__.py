@@ -18,7 +18,6 @@ from .core_model import (
     ProofState as ProofState,
     SearchCandidate as SearchCandidate,
     TacticStep as TacticStep,
-    goals_remaining as goals_remaining,
     state_fingerprint as state_fingerprint,
     validate_proof_chain as validate_proof_chain,
 )
@@ -78,8 +77,6 @@ from .coq_backend import (
     Lemma as Lemma,
     SubprocessBackend as SubprocessBackend,
     SyntheticBackend as SyntheticBackend,
-    is_goal_complete as is_goal_complete,
-    is_subgoal_complete as is_subgoal_complete,
     parse_sexp as parse_sexp,
     replay_trace as replay_trace,
 )

@@ -49,38 +49,16 @@ def clarity_score(logprobs: YesNoLogprobs) -> float:
 
 @dataclass(frozen=True)
 class ClarityProbe:
-    """One judged probe; `score` always equals the softmax of `logprobs`."""
+    """One judged probe; its `score` is the softmax of `logprobs`."""
 
     prompt_config: InfoConfiguration
     concept: int
     generated_definition: str
     logprobs: YesNoLogprobs
-    score: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score {self.score} outside [0, 1]")
-        expected = clarity_score(self.logprobs)
-        if abs(self.score - expected) > 1e-12:
-            raise ValueError(
-                f"score {self.score} does not match its log probabilities ({expected})"
-            )
-
-    @classmethod
-    def build(
-        cls,
-        prompt_config: InfoConfiguration,
-        concept: int,
-        generated_definition: str,
-        logprobs: YesNoLogprobs,
-    ) -> "ClarityProbe":
-        return cls(
-            prompt_config=prompt_config,
-            concept=concept,
-            generated_definition=generated_definition,
-            logprobs=logprobs,
-            score=clarity_score(logprobs),
-        )
+    @property
+    def score(self) -> float:
+        return clarity_score(self.logprobs)
 
 
 @dataclass(frozen=True)
@@ -91,22 +69,20 @@ class ConfigurationReport:
     port failure (with the message in `error`)."""
 
     config: InfoConfiguration
-    probe_count: int
-    mean_score: Optional[float]
     excluded_count: int = 0
     probes: tuple[ClarityProbe, ...] = ()
     incomplete: bool = False
     error: str = ""
 
-    def __post_init__(self):
-        if self.probe_count != len(self.probes):
-            raise ValueError("probe_count must match the retained probes")
-        if (self.mean_score is None) != (self.probe_count == 0):
-            raise ValueError("mean_score is None exactly when no probes were judged")
-        if self.probes:
-            expected = sum(p.score for p in self.probes) / len(self.probes)
-            if abs(self.mean_score - expected) > 1e-9:
-                raise ValueError("mean_score must average the retained probes")
+    @property
+    def probe_count(self) -> int:
+        return len(self.probes)
+
+    @property
+    def mean_score(self) -> Optional[float]:
+        if not self.probes:
+            return None
+        return sum(p.score for p in self.probes) / len(self.probes)
 
 
 def sample_probes(
@@ -159,7 +135,7 @@ def run_configuration(
         except UnjudgeableResponse:
             if unjudgeable_half:
                 half = YesNoLogprobs(log_p_yes=math.log(0.5), log_p_no=math.log(0.5))
-                judged.append(ClarityProbe.build(config, token, "", half))
+                judged.append(ClarityProbe(config, token, "", half))
             else:
                 excluded += 1
             continue
@@ -167,12 +143,9 @@ def run_configuration(
             incomplete = True
             error = str(exc)
             break
-        judged.append(ClarityProbe.build(config, token, reply.text, logprobs))
-    mean = sum(p.score for p in judged) / len(judged) if judged else None
+        judged.append(ClarityProbe(config, token, reply.text, logprobs))
     return ConfigurationReport(
         config=config,
-        probe_count=len(judged),
-        mean_score=mean,
         excluded_count=excluded,
         probes=tuple(judged),
         incomplete=incomplete,

@@ -24,6 +24,7 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import sys
 from typing import Optional, Sequence
 
@@ -176,11 +177,18 @@ def _load_backend_spec(path: str) -> dict:
             ) from None
 
 
-def _build_backend(cfg: dict):
+def _build_backend(cfg: dict, statement: Optional[str] = None):
+    """The configured backend. A subprocess backend writes its session logs
+    to `--out`, or, for the run of `statement`, to that run's own
+    `sessions-<digest>` directory, emptied of any earlier run's logs."""
     if cfg["backend"] == "subprocess":
         if not cfg["executable"]:
             raise ValueError("the subprocess backend requires --executable")
-        return SubprocessBackend(cfg["executable"], log_dir=cfg["out"])
+        log_dir = cfg["out"]
+        if statement is not None:
+            log_dir = os.path.join(log_dir, f"sessions-{_run_digest(statement)}")
+            shutil.rmtree(log_dir, ignore_errors=True)
+        return SubprocessBackend(cfg["executable"], log_dir=log_dir)
     spec = _load_backend_spec(cfg["backend_spec"]) if cfg["backend_spec"] else {}
     return SyntheticBackend(**spec)
 
@@ -280,9 +288,13 @@ def _write_text(path: str, text: str, errors: str = "strict") -> None:
         fh.write(text)
 
 
+def _run_digest(statement: str) -> str:
+    """The digest naming the run log and session logs of `statement`'s run."""
+    return hashlib.sha256(statement.encode("utf-8")).hexdigest()[:12]
+
+
 def _run_log_path(out_dir: str, statement: str) -> str:
-    digest = hashlib.sha256(statement.encode("utf-8")).hexdigest()[:12]
-    return os.path.join(out_dir, f"run-{digest}.json")
+    return os.path.join(out_dir, f"run-{_run_digest(statement)}.json")
 
 
 def _read_theorem_list(path: str) -> list[str]:
@@ -354,7 +366,7 @@ def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None):
     replays from the start for every theorem."""
     recorder = RunRecorder()
     ports = SearchPorts(
-        backend=_build_backend(cfg),
+        backend=_build_backend(cfg, statement),
         gateway=_build_gateway(cfg) if gateway is None else gateway,
         index=index,
         corpus=corpus,

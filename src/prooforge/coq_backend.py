@@ -63,23 +63,19 @@ MAX_REWRITE_PASSES = 50
 
 @dataclass(frozen=True)
 class CompileResult:
-    success: bool
-    error: Optional[str] = None
+    """A check's outcome: the state it reaches, or the non-empty error that
+    fails it; `success` says which."""
+
     state: Optional[ProofState] = None
+    error: Optional[str] = None
 
     def __post_init__(self):
-        if self.success and (self.state is None or self.error is not None):
-            raise ValueError("successful result must carry a state and no error")
-        if not self.success and not self.error:
-            raise ValueError("failed result must carry an error")
+        if not (self.error if self.state is None else self.error is None):
+            raise ValueError("a result carries a state or a non-empty error, not both")
 
-
-def is_goal_complete(state: ProofState) -> bool:
-    return len(state.goals) == 0
-
-
-def is_subgoal_complete(prev: ProofState, next_state: ProofState) -> bool:
-    return 0 < len(next_state.goals) < len(prev.goals)
+    @property
+    def success(self) -> bool:
+        return self.state is not None
 
 
 def truncate_error(error: str, limit: int = ERROR_TEXT_LIMIT) -> str:
@@ -137,7 +133,7 @@ def _split_top(text: str, separator: str) -> Optional[tuple[str, str]]:
 
 
 def _not_found(name: str) -> CompileResult:
-    return CompileResult(False, error=f"The reference {name} was not found in the current environment.")
+    return CompileResult(error=f"The reference {name} was not found in the current environment.")
 
 
 def _balanced(text: str) -> bool:
@@ -203,15 +199,15 @@ class SyntheticBackend:
     def compile_theorem(self, theorem_source: str, requires: Sequence[str] = ()) -> CompileResult:
         source = theorem_source.strip()
         if not source:
-            return CompileResult(False, error="Syntax error: empty statement.")
+            return CompileResult(error="Syntax error: empty statement.")
         if not _balanced(source):
-            return CompileResult(False, error="Syntax error: unbalanced parentheses.")
+            return CompileResult(error="Syntax error: unbalanced parentheses.")
         missing = self._missing_reference(source, requires)
         if missing is not None:
             return _not_found(missing)
         if source in self.auto_solved:
-            return CompileResult(True, state=ProofState(()))
-        return CompileResult(True, state=ProofState((self._goal((), (), source),)))
+            return CompileResult(ProofState(()))
+        return CompileResult(ProofState((self._goal((), (), source),)))
 
     def start_session(self, theorem_source: str, requires: Sequence[str] = ()) -> BackendSession:
         result = self.compile_theorem(theorem_source, requires)
@@ -282,15 +278,15 @@ class SyntheticBackend:
     def _step(self, tactic: str, state: ProofState) -> CompileResult:
         text = canonical_tactic(tactic)
         if not text:
-            return CompileResult(False, error="empty tactic")
+            return CompileResult(error="empty tactic")
         if not state.goals:
-            return CompileResult(False, error="No such goal.")
+            return CompileResult(error="No such goal.")
         focus, rest = state.goals[0], state.goals[1:]
         words = text.split()
         head = words[0]
 
         if head == "idtac" and len(words) == 1:
-            return CompileResult(True, state=state)
+            return CompileResult(state)
 
         if head == "intros":
             names = words[1:]
@@ -300,7 +296,7 @@ class SyntheticBackend:
                     peeled = self._peel(goal, name)
                     if peeled is None:
                         return CompileResult(
-                            False, error=f"No quantified variable to introduce as {name}."
+                            error=f"No quantified variable to introduce as {name}."
                         )
                     goal = peeled
             else:
@@ -309,39 +305,37 @@ class SyntheticBackend:
                     if peeled is None:
                         break
                     goal = peeled
-            return CompileResult(True, state=ProofState((goal,) + rest))
+            return CompileResult(ProofState((goal,) + rest))
 
         if head == "simpl" and len(words) == 1:
             reduced = self._rewrite_fixpoint(focus.goal_surface)
             goal = self._goal(focus.hypotheses_surface, focus.hypotheses_internal, reduced)
-            return CompileResult(True, state=ProofState((goal,) + rest))
+            return CompileResult(ProofState((goal,) + rest))
 
         if head == "reflexivity" and len(words) == 1:
             sides = _split_top(focus.goal_surface, " = ")
             if sides is None:
-                return CompileResult(
-                    False, error="The relation of the goal is not an equality."
-                )
+                return CompileResult(error="The relation of the goal is not an equality.")
             lhs, rhs = sides
             if lhs.strip() != rhs.strip():
                 return CompileResult(
-                    False, error=f'Unable to unify "{rhs.strip()}" with "{lhs.strip()}".'
+                    error=f'Unable to unify "{rhs.strip()}" with "{lhs.strip()}".'
                 )
-            return CompileResult(True, state=ProofState(rest))
+            return CompileResult(ProofState(rest))
 
         if head == "split" and len(words) == 1:
             halves = _split_top(focus.goal_surface, " /\\ ")
             if halves is None:
-                return CompileResult(False, error="The goal is not a conjunction.")
+                return CompileResult(error="The goal is not a conjunction.")
             left = self._goal(focus.hypotheses_surface, focus.hypotheses_internal, halves[0])
             right = self._goal(focus.hypotheses_surface, focus.hypotheses_internal, halves[1])
-            return CompileResult(True, state=ProofState((left, right) + rest))
+            return CompileResult(ProofState((left, right) + rest))
 
         if head == "assumption" and len(words) == 1:
             for hyp in focus.hypotheses_surface:
                 if hyp.surface_type.strip() == focus.goal_surface.strip():
-                    return CompileResult(True, state=ProofState(rest))
-            return CompileResult(False, error="No such assumption.")
+                    return CompileResult(ProofState(rest))
+            return CompileResult(error="No such assumption.")
 
         if head == "apply" and len(words) == 2:
             name = words[1]
@@ -351,16 +345,15 @@ class SyntheticBackend:
                 return _not_found(missing or name)
             if lemma.conclusion.strip() != focus.goal_surface.strip():
                 return CompileResult(
-                    False,
-                    error=f'Unable to unify "{lemma.conclusion}" with "{focus.goal_surface}".',
+                    error=f'Unable to unify "{lemma.conclusion}" with "{focus.goal_surface}".'
                 )
             new_goals = tuple(
                 self._goal(focus.hypotheses_surface, focus.hypotheses_internal, premise)
                 for premise in lemma.premises
             )
-            return CompileResult(True, state=ProofState(new_goals + rest))
+            return CompileResult(ProofState(new_goals + rest))
 
-        return CompileResult(False, error=f"Unknown tactic: {text}.")
+        return CompileResult(error=f"Unknown tactic: {text}.")
 
     # -- the port operations ------------------------------------------------
 
@@ -374,7 +367,7 @@ class SyntheticBackend:
         result = self._step(tactic, state)
         if result.success or len(result.error) <= ERROR_TEXT_LIMIT:
             return result
-        return CompileResult(False, error=truncate_error(result.error))
+        return CompileResult(error=truncate_error(result.error))
 
     def apply_tactic(self, tactic: str, session: BackendSession) -> ProofState:
         """Advance the session; the tactic must have validated on its state.
@@ -387,9 +380,7 @@ class SyntheticBackend:
             raise SessionDesync(
                 f"tactic {tactic!r} failed on session {session.session_id}: {result.error}"
             )
-        canonical = canonical_tactic(tactic)
-        if canonical != "idtac":
-            session.transcript.append(canonical)
+        session.transcript.append(canonical_tactic(tactic))
         session.state = result.state
         return result.state
 
@@ -640,10 +631,10 @@ class SubprocessBackend:
     def compile_tactic(self, tactic: str, state: ProofState, session: BackendSession) -> CompileResult:
         sids, error = self._exec_sentence(session, f"{canonical_tactic(tactic)}.")
         if error is not None:
-            return CompileResult(False, error=truncate_error(error))
+            return CompileResult(error=truncate_error(error))
         after = self._query_goals(session)
         self._cancel(session, sids)
-        return CompileResult(True, state=after)
+        return CompileResult(after)
 
     def apply_tactic(self, tactic: str, session: BackendSession) -> ProofState:
         canonical = canonical_tactic(tactic)

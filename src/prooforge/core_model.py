@@ -173,11 +173,6 @@ class ProofState:
         return not self.goals
 
 
-def goals_remaining(state: ProofState) -> int:
-    """Number of open goals; zero exactly when the state is complete."""
-    return len(state.goals)
-
-
 @dataclass(frozen=True)
 class TacticStep:
     """One proof step: the tactic text and the states around it."""

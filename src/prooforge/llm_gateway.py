@@ -2,7 +2,8 @@
 action-response parsing, and YES/NO log-probability judgment.
 
 `ROLE_SETTINGS` is the one table of the roles of the library's calls and of
-each role's request settings; `ChatRequest.for_role` builds every request.
+each role's request settings; every `ChatRequest` names its role and reads
+its settings from the table.
 
 A gateway is any object with `complete(request)`; a judgment is one
 `judge` call through it, which `yes_no_logprobs` reads the same way for a
@@ -85,20 +86,17 @@ class ChatRequest:
     """One chat-completion call.
 
     `role` names the kind of call, one of `ROLE_SETTINGS`, set by the
-    caller; MockGateway routes on it. It is not a message role (see
-    VALID_ROLES), is never sent to a provider, and is left out of
-    `digest()`. A request may have no role; no mock route answers it.
-    `site` is the `(depth, branch)` of the search expansion that makes the
-    call, set on its planner, executor, explain and summarize calls and on
-    no other; MockGateway may key records to it. Like `role`, it is never
-    sent and is left out of `digest()`.
+    caller; the request's temperature, token limit and `want_logprobs` are
+    that role's settings, and MockGateway routes on it. It is not a message
+    role (see VALID_ROLES), is never sent to a provider, and is left out of
+    `digest()`. `site` is the `(depth, branch)` of the search expansion that
+    makes the call, set on its planner, executor, explain and summarize
+    calls and on no other; MockGateway may key records to it. Like `role`,
+    it is never sent and is left out of `digest()`.
     """
 
     messages: tuple[tuple[str, str], ...]
-    temperature: float = 0.7
-    max_tokens: int = 1024
-    want_logprobs: bool = False
-    role: Optional[str] = None
+    role: str
     site: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
@@ -107,28 +105,24 @@ class ChatRequest:
         for role, _content in self.messages:
             if role not in VALID_ROLES:
                 raise ValueError(f"unknown message role {role!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
-        if self.role is not None:
-            _check_role(self.role, "request role")
-
-    @classmethod
-    def user(cls, content: str, **kwargs) -> "ChatRequest":
-        return cls(messages=(("user", content),), **kwargs)
+        _check_role(self.role, "request role")
 
     @classmethod
     def for_role(cls, role: str, content: str, site=None) -> "ChatRequest":
-        """A one-message request with `role`'s settings from the table, made
-        at `site`."""
-        try:
-            settings = ROLE_SETTINGS[role]
-        except KeyError:
-            _check_role(role, "request role")
-            raise
-        temperature, max_tokens, want_logprobs = settings
-        return cls((("user", content),), temperature, max_tokens, want_logprobs, role, site)
+        """A one-message request of `role`, made at `site`."""
+        return cls((("user", content),), role, site)
+
+    @property
+    def temperature(self) -> float:
+        return ROLE_SETTINGS[self.role].temperature
+
+    @property
+    def max_tokens(self) -> int:
+        return ROLE_SETTINGS[self.role].max_tokens
+
+    @property
+    def want_logprobs(self) -> bool:
+        return ROLE_SETTINGS[self.role].want_logprobs
 
     def digest(self) -> str:
         joined = "\x1f".join(f"{role}\x1e{content}" for role, content in self.messages)
@@ -508,11 +502,10 @@ class MockGateway:
     Every record names a route, one of `ROLE_SETTINGS`. Each call consumes
     the next record queued for its request's `role` and `site` (records
     carrying that `at`), else the next one queued for its role with no
-    `at`, else that role's default record; a role with none of these, or a
-    request without a role, raises ProviderError. Keyed records keep a
-    replay deterministic when the search has two expansions' calls of one
-    role in flight. Replay files are JSON lines, one record per line; `#`
-    lines are comments.
+    `at`, else that role's default record; a role with none of these
+    raises ProviderError. Keyed records keep a replay deterministic when
+    the search has two expansions' calls of one role in flight. Replay files
+    are JSON lines, one record per line; `#` lines are comments.
     """
 
     def __init__(self, records: Sequence[ScriptRecord] = ()):
@@ -596,7 +589,7 @@ def _retry_after(header: Optional[str]) -> float:
     return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetryPolicy:
     attempts: int = 3
     backoff: float = 1.0

@@ -57,9 +57,8 @@ branch's first round: one planner call and one or two executor calls whose
 replies are never read.
 
 The search returns immediately when an applied tactic empties the goal stack,
-refreshes the focus with ``idtac`` when a tactic closes a subgoal but goals
-remain, reports Failure when a layer expands to nothing, and reports
-BudgetExhausted the moment a validation would exceed the budget.
+reports Failure when a layer expands to nothing, and reports BudgetExhausted
+the moment a validation would exceed the budget.
 
 A `ProviderError` or `SessionDesync` is branch-scoped: it prunes its branch,
 whether the expansion raised it or a reply read at the barrier did, and the
@@ -89,19 +88,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .core_model import (
-    Notebook,
-    ProofState,
-    SearchCandidate,
-    goals_remaining,
-    state_fingerprint,
-)
-from .coq_backend import (
-    canonical_tactic,
-    is_goal_complete,
-    is_subgoal_complete,
-    truncate_error,
-)
+from .core_model import Notebook, ProofState, SearchCandidate, state_fingerprint
+from .coq_backend import canonical_tactic, truncate_error
 from .corpus import EntityCorpus, extract_concepts
 from .errors import PortFailure, ProviderError, SessionDesync, ZeroVectorError
 from .llm_gateway import (
@@ -339,7 +327,7 @@ def _shortest_proof_order(candidates: Sequence[SearchCandidate]):
     return sorted(
         candidates,
         key=lambda c: (
-            goals_remaining(c.state),
+            len(c.state.goals),
             len(c.trace),
             state_fingerprint(c.state),
         ),
@@ -645,10 +633,9 @@ class _Expansion:
         return failed
 
     def make_child(self, tactic: str) -> None:
-        """Clone the branch session, apply a validated tactic (then ``idtac``
-        if it closed a subgoal), and send the child's explain call and, unless
-        it proves the theorem, its summarize call. After a proving child or a
-        held desync, make none."""
+        """Clone the branch session, apply a validated tactic, and send the
+        child's explain call and, unless it proves the theorem, its summarize
+        call. After a proving child or a held desync, make none."""
         if self.proves or self.held is not None:
             return
         scope, state = self.scope, self.branch.candidate.state
@@ -656,8 +643,6 @@ class _Expansion:
             child = scope.clone(self.branch.session)
             self.opened.append(child)
             after = scope.backend.apply_tactic(tactic, child)
-            if is_subgoal_complete(state, after):
-                after = scope.backend.apply_tactic("idtac", child)
         except SessionDesync as exc:
             self.held = exc
             return
@@ -665,7 +650,7 @@ class _Expansion:
             render_explanation_prompt(state, tactic, after), "explain", self.site, self.inline
         )
         summary = None
-        if is_goal_complete(after):
+        if after.is_complete:
             self.proves = True
         else:
             trace = self.branch.candidate.trace + ((tactic, ""),)
@@ -768,7 +753,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
 
     try:
         initial_state = root_session.state
-        if is_goal_complete(initial_state):
+        if initial_state.is_complete:
             return finish(Outcome.PROVED, 0)
         layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
         for depth in range(1, params.max_depth + 1):

@@ -216,6 +216,16 @@ class MockEmbeddingProvider:
 _HTTP_BATCH = 32
 
 
+def _json_numbers(embedding):
+    """A reply's embedding, unchanged; ValueError at its first string or
+    boolean entry, which `_vector` would read as a number."""
+    if isinstance(embedding, list):
+        for entry in embedding:
+            if isinstance(entry, (str, bool)):
+                raise ValueError(f"embedding entry {entry!r} is not a number")
+    return embedding
+
+
 def _placed(batch: Sequence[str], body) -> list:
     """The reply's rows in the batch's order, each placed by its `index`.
     ProviderError unless the reply holds exactly one row per input, naming
@@ -257,15 +267,16 @@ class HttpEmbeddingProvider(HttpClient):
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, in order, from requests of `_HTTP_BATCH` texts.
         A failed request raises ProviderError naming its first text; a
-        reply row that is missing, repeated, not 1-D and finite, or not the
-        length of the first row, one naming the text it belongs to."""
+        reply row that is missing, repeated, holds a string or a boolean,
+        is not 1-D and finite, or is not the length of the first row, one
+        naming the text it belongs to."""
         rows = []
         for start in range(0, len(texts), _HTTP_BATCH):
             batch = list(texts[start:start + _HTTP_BATCH])
             body = self.post("embeddings", {"model": self.model, "input": batch}, batch[0])
             for text, item in zip(batch, _placed(batch, body)):
                 try:
-                    row = _vector(item["embedding"])
+                    row = _vector(_json_numbers(item["embedding"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ProviderError(f"malformed embedding response: {exc}", key=text)
                 if rows and len(row) != len(rows[0]):

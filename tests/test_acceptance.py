@@ -45,7 +45,6 @@ from prooforge.cli import EXIT_OK, main
 from prooforge.coq_backend import (
     Lemma,
     SyntheticBackend,
-    is_goal_complete,
     replay_trace,
 )
 from prooforge.core_model import validate_proof_chain
@@ -509,7 +508,7 @@ class TestSearchConformance:
             final = replay_trace(
                 scenario.backend(), scenario.theorem, (), result.trace
             )
-            assert is_goal_complete(final)
+            assert final.is_complete
         assert time.monotonic() - start < 120.0
 
 

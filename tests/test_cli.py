@@ -172,15 +172,7 @@ class TestProve:
             assert manifest["params"]["budget"] == budget
 
     def test_the_subprocess_backend_proves_into_a_fresh_out(self, tmp_path, monkeypatch, capsys):
-        # `--executable` takes no arguments, so a wrapper starts the fake
-        # prover on the fixture backend spec.
-        wrapper = tmp_path / "prover"
-        wrapper.write_text(
-            f'#!/bin/sh\nexec "{sys.executable}" -S "{FAKE_PROVER}" "{PACKAGE_DIR}" '
-            f'"{backend_spec_path()}"\n',
-            encoding="utf-8",
-        )
-        wrapper.chmod(0o755)
+        wrapper = fake_prover_wrapper(tmp_path)
         spawned = []
         spawn = SubprocessBackend._spawn
         monkeypatch.setattr(
@@ -195,8 +187,20 @@ class TestProve:
         ])
         assert code == EXIT_OK, capsys.readouterr().err
         assert "outcome: Proved" in capsys.readouterr().out
-        assert sorted(out.glob("session-*.log"))
+        assert sorted(out.glob("sessions-*/session-*.log"))
         assert spawned and all(proc.returncode is not None for proc in spawned)
+
+    def test_a_second_run_replaces_the_first_runs_session_logs(self, tmp_path, capsys):
+        wrapper = fake_prover_wrapper(tmp_path)
+        out = tmp_path / "out"
+        for _run in range(2):
+            code = main([
+                "prove", *subprocess_ports_args(wrapper), "--gateway-script", PROVE_SCRIPT,
+                "--entities", entities_path(), "--proofs", proofs_path(),
+                "--out", str(out), WORKED,
+            ])
+            assert code == EXIT_OK, capsys.readouterr().err
+        assert session_logs(out) == {WORKED: 4}
 
     def test_run_log_is_written(self, tmp_path):
         main(prove_args(tmp_path) + [WORKED])
@@ -355,6 +359,48 @@ class TestConfigFiles:
 
 
 # ----------------------------------------------------------------------
+# Session logs of the subprocess backend
+# ----------------------------------------------------------------------
+
+def fake_prover_wrapper(tmp_path) -> str:
+    """`--executable` takes no arguments, so a wrapper starts the fake
+    prover on the fixture backend spec."""
+    wrapper = tmp_path / "prover"
+    wrapper.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -S "{FAKE_PROVER}" "{PACKAGE_DIR}" '
+        f'"{backend_spec_path()}"\n',
+        encoding="utf-8",
+    )
+    wrapper.chmod(0o755)
+    return str(wrapper)
+
+
+def subprocess_ports_args(wrapper: str) -> list[str]:
+    return ["--backend", "subprocess", "--executable", wrapper, "--gateway", "mock"]
+
+
+def session_logs(out) -> dict[str, int]:
+    """Per `sessions-<digest>` directory under `out`, named by the theorem of
+    its `run-<digest>.json`, the number of session logs in it. Every log
+    must open exactly one theorem, that run's."""
+    counts = {}
+    for directory in sorted(out.glob("sessions-*")):
+        digest = directory.name[len("sessions-"):]
+        run_log = json.loads((out / f"run-{digest}.json").read_text(encoding="utf-8"))
+        theorem = run_log["theorem"]
+        command = '(Add () "Theorem goal_ : %s.")' % theorem.replace("\\", "\\\\")
+        logs = sorted(directory.glob("session-*.log"))
+        for log in logs:
+            opened = [
+                line for line in log.read_text(encoding="utf-8").splitlines()
+                if '"Theorem goal_ : ' in line
+            ]
+            assert opened == [command], log
+        counts[theorem] = len(logs)
+    return counts
+
+
+# ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
 
@@ -382,6 +428,19 @@ class TestBench:
         assert summary["runs"] == 2
         assert summary["proved"] == 1
         assert summary["success_rate"] == 0.5
+
+    def test_each_theorem_writes_its_own_session_logs(self, tmp_path, capsys):
+        wrapper = fake_prover_wrapper(tmp_path)
+        out = tmp_path / "runs"
+        code = main([
+            "bench", *subprocess_ports_args(wrapper), "--gateway-script", PROVE_SCRIPT,
+            "--entities", entities_path(), "--proofs", proofs_path(),
+            "--theorems", THEOREMS, "--jobs", "2", "--out", str(out),
+        ])
+        assert code == EXIT_OK, capsys.readouterr().err
+        counts = session_logs(out)
+        assert set(counts) == {WORKED, "P /\\ Q"}
+        assert all(counts.values())
 
     def test_report_tallies_the_runs_as_bench_does(self, tmp_path, capsys):
         # A port error counts as a run and nowhere else.

@@ -24,8 +24,6 @@ from prooforge.coq_backend import (
     SubprocessBackend,
     SyntheticBackend,
     canonical_tactic,
-    is_goal_complete,
-    is_subgoal_complete,
     parse_sexp,
     replay_trace,
     truncate_error,
@@ -52,31 +50,12 @@ def worked_backend() -> SyntheticBackend:
 
 class TestCompileResult:
     def test_success_requires_state_and_no_error(self):
-        with pytest.raises(ValueError):
-            CompileResult(True)
-        with pytest.raises(ValueError):
-            CompileResult(True, state=ProofState(()), error="oops")
-        with pytest.raises(ValueError):
-            CompileResult(False)
-
-    def test_goal_complete(self):
-        # [TRIVIAL] empty state -> complete.
-        assert is_goal_complete(ProofState(()))
-        assert not is_goal_complete(sigma_0())
-
-    def test_subgoal_complete_counting(self):
-        # [TRIVIAL] 2 goals -> 1 goal: subgoal-complete, not goal-complete.
-        two = ProofState((GoalState((), (), "P", "P"), GoalState((), (), "Q", "Q")))
-        one = ProofState((GoalState((), (), "Q", "Q"),))
-        assert is_subgoal_complete(two, one)
-        assert not is_goal_complete(one)
-
-    def test_same_count_is_neither(self):
-        # [TRIVIAL] 1 goal -> 1 different goal: both predicates false.
-        before = ProofState((GoalState((), (), "P", "P"),))
-        after = ProofState((GoalState((), (), "P'", "P'"),))
-        assert not is_subgoal_complete(before, after)
-        assert not is_goal_complete(after)
+        # A result holds a state or a non-empty error; success is the former.
+        for state, error in ((None, None), (None, ""), (ProofState(()), "oops")):
+            with pytest.raises(ValueError):
+                CompileResult(state, error)
+        assert CompileResult(ProofState(())).success
+        assert not CompileResult(error="oops").success
 
     def test_truncate_error(self):
         assert truncate_error("short") == "short"
@@ -171,7 +150,7 @@ class TestTacticRules:
         self.backend.apply_tactic("simpl", self.session)
         assert self.session.state == sigma_2()
         final = self.backend.apply_tactic("reflexivity", self.session)
-        assert is_goal_complete(final)
+        assert final.is_complete
         assert self.session.transcript == ["intros n", "simpl", "reflexivity"]
 
     def test_unknown_tactic_message(self):
@@ -206,7 +185,7 @@ class TestMoreTactics:
         session = backend.start_session("A -> B -> A")
         backend.apply_tactic("intros", session)
         final = backend.apply_tactic("assumption", session)
-        assert is_goal_complete(final)
+        assert final.is_complete
 
     def test_assumption_fails_without_match(self):
         backend = SyntheticBackend()
@@ -253,13 +232,14 @@ class TestMoreTactics:
         assert "Unable to unify" in result.error
 
     def test_idtac_succeeds_without_changing_state(self):
-        # [PAPER] the refresh tactic: same goals, no transcript entry.
+        # Same goals; the transcript holds it as it holds every applied
+        # tactic, as a subprocess session's does.
         backend = SyntheticBackend()
         session = backend.start_session("P -> P")
         before = session.state
         after = backend.apply_tactic("idtac", session)
         assert after == before
-        assert session.transcript == []
+        assert session.transcript == ["idtac"]
 
     def test_tactic_on_completed_state_fails(self):
         backend = SyntheticBackend(auto_solved=["True"])
@@ -393,7 +373,7 @@ class TestSessions:
         backend = worked_backend()
         trace = [(s.tactic, s.explanation) for s in worked_proof().steps]
         final = replay_trace(backend, ADD_0_L_SURFACE, (), trace)
-        assert is_goal_complete(final)
+        assert final.is_complete
         with pytest.raises(SessionDesync):
             replay_trace(backend, ADD_0_L_SURFACE, (), [("reflexivity", "")])
 

@@ -17,7 +17,6 @@ from prooforge.core_model import (
     Notebook,
     ProofState,
     TacticStep,
-    goals_remaining,
     state_fingerprint,
     validate_proof_chain,
 )
@@ -120,16 +119,6 @@ class TestStates:
         assert ProofState(()).is_complete
         assert not sigma_0().is_complete
 
-
-class TestGoalsRemaining:
-    def test_empty_state(self):
-        # [TRIVIAL] completed-proof case.
-        assert goals_remaining(ProofState(())) == 0
-
-    def test_singleton(self):
-        # [TRIVIAL]
-        assert goals_remaining(sigma_0()) == 1
-
     def test_two_subgoals_after_induction(self):
         # [PAPER] the state after `induction n` on `even (n + n)`:
         # subgoal 1 has no hypotheses, subgoal 2 carries n and IHn.
@@ -144,7 +133,8 @@ class TestGoalsRemaining:
                 ),
             )
         )
-        assert goals_remaining(state) == 2
+        assert len(state.goals) == 2
+        assert not state.is_complete
 
 
 # ----------------------------------------------------------------------

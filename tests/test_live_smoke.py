@@ -19,7 +19,7 @@ import pytest
 
 from conftest import ADD_0_L_SURFACE
 from test_coq_backend import worked_backend
-from prooforge.coq_backend import is_goal_complete, replay_trace
+from prooforge.coq_backend import replay_trace
 from prooforge.llm_gateway import HttpGateway
 from prooforge.proof_search import Outcome, SearchParams, SearchPorts, prove
 
@@ -44,4 +44,4 @@ def test_one_theorem_against_the_live_endpoint():
     assert 0 <= result.depth_reached <= params.max_depth
     if result.outcome is Outcome.PROVED:
         final = replay_trace(worked_backend(), ADD_0_L_SURFACE, (), result.trace)
-        assert is_goal_complete(final)
+        assert final.is_complete

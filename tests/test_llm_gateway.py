@@ -1,6 +1,7 @@
 """Gateway layer: requests, action parsing, judged logprobs, mock and HTTP."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -56,27 +57,27 @@ class TestChatRequest:
     def test_zero_messages_rejected(self):
         # [TRIVIAL] precondition violation surfaces as a usage error.
         with pytest.raises(ValueError):
-            ChatRequest(messages=())
+            ChatRequest(messages=(), role="planner")
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
-            ChatRequest(messages=(("narrator", "hello"),))
+            ChatRequest(messages=(("narrator", "hello"),), role="planner")
 
     def test_digest_is_stable_and_content_sensitive(self):
-        a = ChatRequest.user("prompt text", temperature=0.7)
-        b = ChatRequest.user("prompt text", temperature=0.7)
-        c = ChatRequest.user("different", temperature=0.7)
+        a = ChatRequest.for_role("executor", "prompt text")
+        b = ChatRequest.for_role("executor", "prompt text")
+        c = ChatRequest.for_role("executor", "different")
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
-        tagged = ChatRequest.user("prompt text", temperature=0.7, role="planner")
+        tagged = ChatRequest.for_role("planner", "prompt text")
         assert tagged.digest() == a.digest()
 
     def test_digest_takes_a_lone_surrogate(self):
         # A JSON reply may carry "\\ud83d" alone, and a later prompt quotes
         # it; the digest is still defined, and other text hashes as UTF-8.
-        lone = ChatRequest.user("reply \ud83d quoted")
-        assert lone.digest() != ChatRequest.user("reply quoted").digest()
-        plain = ChatRequest.user("caf\u00e9 \U0001f600")
+        lone = ChatRequest.for_role("executor", "reply \ud83d quoted")
+        assert lone.digest() != ChatRequest.for_role("executor", "reply quoted").digest()
+        plain = ChatRequest.for_role("executor", "caf\u00e9 \U0001f600")
         joined = "user\x1ecaf\u00e9 \U0001f600".encode("utf-8")
         assert plain.digest() == hashlib.sha256(joined).hexdigest()
 
@@ -84,11 +85,13 @@ class TestChatRequest:
         # A mistyped role fails where it is written, not as an exhausted
         # script later on.
         with pytest.raises(ValueError, match="'planer' is not a role"):
-            ChatRequest.user("prompt text", role="planer")
+            ChatRequest(messages=(("user", "prompt text"),), role="planer")
         with pytest.raises(ValueError, match="'planer' is not a role"):
             ChatRequest.for_role("planer", "prompt text")
 
     def test_for_role_takes_the_settings_from_the_table(self):
+        # A request holds its role, not the settings the table gives it.
+        assert [f.name for f in dataclasses.fields(ChatRequest)] == ["messages", "role", "site"]
         assert set(ROLE_SETTINGS) == {
             "planner", "executor", "explain", "summarize", "notebook", "rank", "probe", "judge",
         }
@@ -102,7 +105,7 @@ class TestChatRequest:
 
     @pytest.mark.parametrize("role", list(ROLE_SETTINGS))
     def test_for_role_equals_the_request_built_from_the_table(self, role):
-        expected = ChatRequest.user("prompt text", role=role, **ROLE_SETTINGS[role]._asdict())
+        expected = ChatRequest(messages=(("user", "prompt text"),), role=role)
         assert ChatRequest.for_role(role, "prompt text") == expected
 
     def test_site_is_neither_digested_nor_sent(self):
@@ -475,25 +478,25 @@ class TestMockGateway:
             ScriptRecord(reply="only", route="planner"),
             ScriptRecord(reply="rank", route="rank"),
         ])
-        gateway.complete(ChatRequest.user("a", role="planner"))
+        gateway.complete(ChatRequest.for_role("planner", "a"))
         with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.user("b", role="planner"))
-        assert gateway.complete(ChatRequest.user("c", role="rank")).text == "rank"
+            gateway.complete(ChatRequest.for_role("planner", "b"))
+        assert gateway.complete(ChatRequest.for_role("rank", "c")).text == "rank"
 
     def test_routed_records_consume_per_route(self):
         gateway = MockGateway([
             ScriptRecord(reply="plan", route="planner"),
             ScriptRecord(reply="fallback", route="planner", default=True),
         ])
-        assert gateway.complete(ChatRequest.user("x", role="planner")).text == "plan"
-        assert gateway.complete(ChatRequest.user("y", role="planner")).text == "fallback"
-        assert gateway.complete(ChatRequest.user("z", role="planner")).text == "fallback"
+        assert gateway.complete(ChatRequest.for_role("planner", "x")).text == "plan"
+        assert gateway.complete(ChatRequest.for_role("planner", "y")).text == "fallback"
+        assert gateway.complete(ChatRequest.for_role("planner", "z")).text == "fallback"
 
     def test_routed_without_default_exhausts(self):
         gateway = MockGateway([ScriptRecord(reply="one", route="rank")])
-        gateway.complete(ChatRequest.user("x", role="rank"))
+        gateway.complete(ChatRequest.for_role("rank", "x"))
         with pytest.raises(ProviderError) as exc_info:
-            gateway.complete(ChatRequest.user("y", role="rank"))
+            gateway.complete(ChatRequest.for_role("rank", "y"))
         assert "rank" in str(exc_info.value)
 
     def test_a_keyed_record_answers_its_site_before_the_route_queue(self):
@@ -560,16 +563,13 @@ class TestMockGateway:
             ScriptRecord(reply="plan", route="planner"),
         ])
         text = "Lay out a strategy.\n=== Available Actions ===\n"
-        assert gateway.complete(ChatRequest.user(text, role="planner")).text == "plan"
-        assert gateway.complete(ChatRequest.user(text, role="executor")).text == "tactics"
+        assert gateway.complete(ChatRequest.for_role("planner", text)).text == "plan"
+        assert gateway.complete(ChatRequest.for_role("executor", text)).text == "tactics"
 
     def test_request_without_role_raises(self):
-        gateway = MockGateway([
-            ScriptRecord(reply="plan", route="planner"),
-            ScriptRecord(reply="fallback", route="planner", default=True),
-        ])
-        with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.user("x"))
+        # No request reaches a gateway without a role: building one fails.
+        with pytest.raises(ValueError, match="request role None is not a role"):
+            ChatRequest(messages=(("user", "x"),), role=None)
 
     def test_judge_calls_route_as_judge(self):
         gateway = MockGateway([
@@ -581,12 +581,12 @@ class TestMockGateway:
         assert gateway.calls[-1].role == "judge"
 
     def test_expect_digest_guards_prompts(self):
-        request = ChatRequest.user("the exact prompt", role="planner")
+        request = ChatRequest.for_role("planner", "the exact prompt")
         record = ScriptRecord(reply="ok", route="planner", expect_digest=request.digest())
         assert MockGateway([record]).complete(request).text == "ok"
         with pytest.raises(ProviderError):
             MockGateway([record]).complete(
-                ChatRequest.user("a different prompt", role="planner")
+                ChatRequest.for_role("planner", "a different prompt")
             )
 
     def test_scripted_yes_no(self):
@@ -638,8 +638,8 @@ class TestMockGateway:
             encoding="utf-8",
         )
         gateway = MockGateway.from_file(str(path))
-        assert gateway.complete(ChatRequest.user("a", role="planner")).text == "hello"
-        assert gateway.complete(ChatRequest.user("b", role="planner")).text == "world"
+        assert gateway.complete(ChatRequest.for_role("planner", "a")).text == "hello"
+        assert gateway.complete(ChatRequest.for_role("planner", "b")).text == "world"
 
     def test_from_file_checks_a_yes_no_pair_at_load(self, tmp_path):
         path = tmp_path / "script.jsonl"
@@ -781,7 +781,7 @@ class TestMockGateway:
 
     def test_calls_are_recorded(self):
         gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])
-        request = ChatRequest.user("traceable", role="rank")
+        request = ChatRequest.for_role("rank", "traceable")
         gateway.complete(request)
         assert gateway.calls == [request]
 
@@ -811,7 +811,7 @@ class TestHttpGateway:
             transport=transport, sleeper=lambda s: None,
         )
         result = gateway.complete(
-            ChatRequest.user("hello", temperature=0.7, role="executor")
+            ChatRequest.for_role("executor", "hello")
         )
         assert result.text == "reply text"
         assert seen["url"] == "https://api.example/v1/chat/completions"
@@ -836,7 +836,7 @@ class TestHttpGateway:
             retry=RetryPolicy(attempts=3, backoff=0.01),
             transport=transport, sleeper=slept.append,
         )
-        assert gateway.complete(ChatRequest.user("q")).text == "finally"
+        assert gateway.complete(ChatRequest.for_role("executor", "q")).text == "finally"
         assert len(attempts) == 3
         assert len(slept) == 2
 
@@ -850,7 +850,7 @@ class TestHttpGateway:
             transport=transport, sleeper=lambda s: None,
         )
         with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
 
     def test_rate_limit_honors_retry_after(self):
         calls = []
@@ -867,7 +867,7 @@ class TestHttpGateway:
             retry=RetryPolicy(attempts=3, backoff=0.01),
             transport=transport, sleeper=slept.append,
         )
-        assert gateway.complete(ChatRequest.user("q")).text == "ok"
+        assert gateway.complete(ChatRequest.for_role("executor", "q")).text == "ok"
         assert slept[0] == 7.5
 
     def test_no_sleep_after_last_rate_limited_attempt(self):
@@ -884,7 +884,7 @@ class TestHttpGateway:
             transport=transport, sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 3 attempts"):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
         assert len(calls) == 3
         assert slept == [7.5, 7.5]
 
@@ -907,7 +907,7 @@ class TestHttpGateway:
             retry=RetryPolicy(attempts=3, backoff=0.01), sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 3 attempts"):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
         assert slept == [0.01, 0.02]
 
     @pytest.mark.parametrize("as_date", [False, True], ids=["seconds", "date"])
@@ -928,7 +928,7 @@ class TestHttpGateway:
             retry=RetryPolicy(attempts=2, backoff=0.01), sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 2 attempts"):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
         assert len(slept) == 1 and 98 <= slept[0] <= 100
 
     @pytest.mark.parametrize("retry_after", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -943,7 +943,7 @@ class TestHttpGateway:
             transport=transport, sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 3 attempts"):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
         assert slept == [0.01, 0.02]
         assert all(math.isfinite(s) for s in slept)
 
@@ -981,7 +981,7 @@ class TestHttpGateway:
             transport=transport if source == "transport" else None,
         )
         with pytest.raises(ProviderError, match=r"longer than the 60 s timeout"):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
         assert len(calls) == 2
         assert slept == [5.0]
 
@@ -996,7 +996,7 @@ class TestHttpGateway:
             "https://api.example", "m", transport=transport, sleeper=lambda s: None
         )
         with pytest.raises(MalformedResponse):
-            gateway.complete(ChatRequest.user("q"))
+            gateway.complete(ChatRequest.for_role("executor", "q"))
         assert len(calls) == 1
 
     def test_yes_no_via_logprobs(self):
@@ -1049,7 +1049,7 @@ class TestHttpReplies:
 
     def test_null_content_is_the_empty_reply(self):
         gateway = HttpGateway("https://api.example", "m", transport=lambda *a: _chat_body(None))
-        assert gateway.complete(ChatRequest.user("q")).text == ""
+        assert gateway.complete(ChatRequest.for_role("executor", "q")).text == ""
 
     def test_judged_entries_with_non_string_tokens_are_skipped(self):
         good = {
@@ -1105,7 +1105,7 @@ class TestHttpReplies:
         gateway = HttpGateway(
             "https://api.example", "m", transport=transport, sleeper=lambda s: None
         )
-        request = ChatRequest.user("q")
+        request = ChatRequest.for_role("executor", "q")
         with pytest.raises(ProviderError, match="endpoint down") as exc_info:
             gateway.complete(request)
         assert exc_info.value.key == request.digest()
@@ -1116,7 +1116,7 @@ class TestHttpReplies:
             raise MalformedResponse("bad request")
 
         gateway = HttpGateway("https://api.example", "m", transport=transport)
-        request = ChatRequest.user("q")
+        request = ChatRequest.for_role("executor", "q")
         with pytest.raises(MalformedResponse) as exc_info:
             gateway.complete(request)
         assert exc_info.value.key == request.digest()
@@ -1217,7 +1217,7 @@ class _Reply:
 # what the call returns for it.
 HTTP_CLIENTS = {
     "chat": (
-        HttpGateway, lambda client: client.complete(ChatRequest.user("q")).text,
+        HttpGateway, lambda client: client.complete(ChatRequest.for_role("executor", "q")).text,
         _chat_body("hi"), "hi",
     ),
     "embeddings": (

@@ -28,7 +28,6 @@ from test_coq_backend import worked_backend
 from prooforge.coq_backend import (
     Lemma,
     SyntheticBackend,
-    is_goal_complete,
     replay_trace,
 )
 from prooforge.core_model import GoalState, Notebook, ProofState, SearchCandidate
@@ -79,6 +78,19 @@ def calls_for(gateway: MockGateway, route: str) -> list[str]:
         for request in gateway.calls
         if request.role == route
     ]
+
+
+def count_calls(backend, names) -> Counter:
+    """Count the calls of each named method of `backend` from now on,
+    including the calls the backend makes to itself."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _name=name, _method=getattr(backend, name), **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        setattr(backend, name, counted)
+    return counts
 
 
 def event_kinds(ports: SearchPorts) -> list[str]:
@@ -195,7 +207,7 @@ class TestScriptedRuns:
         gateway, ports = self.proved_ports()
         result = prove(ADD_0_L_SURFACE, SearchParams(max_depth=3), ports)
         final = replay_trace(worked_backend(), ADD_0_L_SURFACE, (), result.trace)
-        assert is_goal_complete(final)
+        assert final.is_complete
 
     def test_deterministic_replay(self):
         outcomes = []
@@ -451,9 +463,7 @@ class TestSelectionInRuns:
         assert "split" in depth_two_planner
         assert "conj_intro" not in depth_two_planner
 
-    def test_subgoal_completion_refreshes_and_run_continues(self):
-        # Closing subgoal 1 of 2 triggers the idtac refresh; the remaining
-        # goal is then closed and the trace carries no idtac entry.
+    def split_ports(self):
         backend = SyntheticBackend(
             lemmas={"p_holds": Lemma("P", ()), "q_holds": Lemma("Q", ())}
         )
@@ -462,12 +472,40 @@ class TestSelectionInRuns:
             ScriptRecord(reply=tactics_reply("apply p_holds"), route="executor"),
             ScriptRecord(reply=tactics_reply("apply q_holds"), route="executor"),
         ]
-        ports = SearchPorts(backend=backend, gateway=MockGateway(records))
+        return SearchPorts(backend=backend, gateway=MockGateway(records))
+
+    def test_closing_one_subgoal_leaves_the_next_in_focus(self):
+        # Closing subgoal 1 of 2 leaves Q in focus for the next layer, which
+        # closes it; the trace holds exactly the tactics the model gave.
+        ports = self.split_ports()
         result = prove("P /\\ Q", SearchParams(max_depth=3, max_retries=0), ports)
         assert result.outcome is Outcome.PROVED
         assert [t for t, _e in result.trace] == ["split", "apply p_holds", "apply q_holds"]
-        final = replay_trace(backend, "P /\\ Q", (), result.trace)
-        assert is_goal_complete(final)
+        final = replay_trace(ports.backend, "P /\\ Q", (), result.trace)
+        assert final.is_complete
+
+    @pytest.mark.parametrize(
+        "scenario, counts",
+        [
+            # Three validations and three children, the last of which proves.
+            ("split", {"compile_tactic": 3, "clone_session": 3, "apply_tactic": 3, "_step": 6}),
+            # Four validations; the fourth tactic gets no child after a proving one.
+            ("worked", {"compile_tactic": 4, "clone_session": 3, "apply_tactic": 3, "_step": 7}),
+        ],
+        ids=["split", "worked"],
+    )
+    def test_a_child_is_one_clone_and_one_apply(self, scenario, counts):
+        # A child runs its tactic once more, and nothing else, on a clone:
+        # the backend's rule runs are the validations plus the children.
+        if scenario == "split":
+            ports, theorem = self.split_ports(), "P /\\ Q"
+        else:
+            ports, theorem = TestScriptedRuns().proved_ports()[1], ADD_0_L_SURFACE
+        seen = count_calls(ports.backend, counts)
+        assert prove(theorem, SearchParams(max_depth=3), ports).outcome is Outcome.PROVED
+        assert seen == counts
+        assert seen["apply_tactic"] == seen["clone_session"]
+        assert seen["_step"] == seen["compile_tactic"] + seen["clone_session"]
 
 
 class TestPortFailureHandling:

@@ -217,6 +217,8 @@ class TestHttpEmbedMany:
             ("non-finite", 9, "finite"),
             ("huge-integer", 9, "finite"),
             ("other-length", 9, "31 dimensions, the first row has 32"),
+            ("string-entries", 9, "entry '1.5' is not a number"),
+            ("boolean-entry", 9, "entry True is not a number"),
             ("not-a-list", 0, "malformed"),
         ],
     )
@@ -243,6 +245,10 @@ class TestHttpEmbedMany:
                     data[9]["embedding"][0] = -10 ** 400  # 401 digits, past float range
                 elif fault == "other-length":
                     data[9]["embedding"].pop()
+                elif fault == "string-entries":
+                    data[9]["embedding"][:3] = ["1.5", True, " -2 "]
+                elif fault == "boolean-entry":
+                    data[9]["embedding"][1] = True
                 else:
                     body["data"] = 5
             return body
