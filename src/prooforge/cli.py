@@ -177,17 +177,16 @@ def _load_backend_spec(path: str) -> dict:
             ) from None
 
 
-def _build_backend(cfg: dict, statement: Optional[str] = None):
+def _build_backend(cfg: dict, run: str):
     """The configured backend. A subprocess backend writes its session logs
-    to `--out`, or, for the run of `statement`, to that run's own
-    `sessions-<digest>` directory, emptied of any earlier run's logs."""
+    to the run's own `sessions-<run>` directory under `--out`, emptied of
+    any earlier run's logs: `run` is the `_run_digest` of a proved
+    statement, or the subcommand for `clarity` and `dump-prompt`."""
     if cfg["backend"] == "subprocess":
         if not cfg["executable"]:
             raise ValueError("the subprocess backend requires --executable")
-        log_dir = cfg["out"]
-        if statement is not None:
-            log_dir = os.path.join(log_dir, f"sessions-{_run_digest(statement)}")
-            shutil.rmtree(log_dir, ignore_errors=True)
+        log_dir = os.path.join(cfg["out"], f"sessions-{run}")
+        shutil.rmtree(log_dir, ignore_errors=True)
         return SubprocessBackend(cfg["executable"], log_dir=log_dir)
     spec = _load_backend_spec(cfg["backend_spec"]) if cfg["backend_spec"] else {}
     return SyntheticBackend(**spec)
@@ -366,7 +365,7 @@ def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None):
     replays from the start for every theorem."""
     recorder = RunRecorder()
     ports = SearchPorts(
-        backend=_build_backend(cfg, statement),
+        backend=_build_backend(cfg, _run_digest(statement)),
         gateway=_build_gateway(cfg) if gateway is None else gateway,
         index=index,
         corpus=corpus,
@@ -503,7 +502,7 @@ def cmd_clarity(args: argparse.Namespace) -> int:
     if not statements:
         raise ValueError("clarity requires --theorem or --theorems")
     table, corpus, proofs = _load_corpora(cfg)
-    backend = _build_backend(cfg)
+    backend = _build_backend(cfg, "clarity")
     states = []
     for statement in statements:
         state = _initial_state(backend, _resolve_theorem(statement, proofs), cfg)
@@ -625,7 +624,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_dump_prompt(args: argparse.Namespace) -> int:
     cfg = _merged(args)
     table, corpus, proofs = _load_corpora(cfg)
-    backend = _build_backend(cfg)
+    backend = _build_backend(cfg, "dump-prompt")
     state = _initial_state(backend, _resolve_theorem(args.theorem, proofs), cfg)
     context = render_state_context(
         state,

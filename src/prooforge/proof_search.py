@@ -243,6 +243,10 @@ class SearchPorts:
     retrieve_k: int = 5
     recorder: RunRecorder = field(default_factory=RunRecorder)
 
+    def __post_init__(self):
+        if self.retrieve_k < 0:
+            raise ValueError("retrieve_k must be non-negative")
+
 
 @dataclass
 class _Branch:

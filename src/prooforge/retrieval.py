@@ -1,21 +1,29 @@
 """Embedding-backed nearest-neighbor retrieval of premises and tactics.
 
-The index holds one matrix per kind ("premise" or "tactic"): one row per
-item in insertion order, with the row norms, each row's payload (what gets
-spliced into prompts), each row's rank in key-text order (the key text is
-what got embedded) and a "screen": the rows divided by their norms and
-rounded to float32. A query is embedded once and scored against both kinds;
-each kind's results come in descending similarity, ties broken by ascending
-key text and then by insertion order, so they are reproducible across
-platforms. A row with zero norm scores -1 against every query.
+The index stacks the items of both kinds ("premise", then "tactic") as the
+rows of one matrix, each kind's in insertion order, and keeps one array
+each, over every row, of the row norms, the zero-row flags, each row's rank
+in its kind's key-text order (the key text is what got embedded) and a
+"screen": the rows divided by their norms and rounded to float32. Each
+kind's `KindRows` holds its payloads (what gets spliced into prompts) and
+row slices of those arrays. A query is embedded once and scored against
+both kinds; each kind's results come in descending similarity, ties broken
+by ascending key text and then by insertion order, so they are
+reproducible across platforms. A row with zero norm scores -1 against
+every query.
 
-Retrieval is exact in two stages. The float32 screen scores every row
-against the unit query, and every row within `_screen_slack` of the k-th
-best screened score survives: a bound on the float32 error that follows
-from the dimension alone, so no row of the exact top k, nor one tied with
-its k-th, is dropped. Only the survivors get exact float64 cosines, each
-computed from its own row so that its bits do not depend on which other
-rows survive, and only they are sorted.
+Retrieval is exact in two stages, each one pass over both kinds. One
+float32 product of the screen with the unit query scores every row. For a
+kind of n rows and 0 < k < n, the maxima of its screened scores over k
+consecutive blocks of its rows are the scores of k distinct rows, so their
+minimum is at most the k-th best screened score: a floor found without
+copying or partially sorting the scores. Every row within `_screen_slack`
+of that floor survives, a bound on the float32 error that follows from the
+dimension alone, so no row of the exact top k, nor one tied with its k-th,
+is dropped; a kind with k >= n keeps every row. The survivors of both
+kinds then get exact float64 cosines in one pass, each computed from its
+own row so that its bits do not depend on which other rows survive, and
+only they are sorted. k == 0 scores nothing.
 
 A provider is any object with two methods: ``embed(text)`` returns a 1-D
 float array of finite entries, the same length for every text, and
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -293,11 +301,17 @@ class HttpEmbeddingProvider(HttpClient):
         return np.array(rows)
 
 
+#: Entries whose squares `build_index` holds at once while it takes row
+#: norms: a block of rows, not the whole matrix, so the temporary stays
+#: small beside the rows themselves.
+_NORM_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class KindRows:
-    """Every item of one kind: row i of `matrix` embeds the key of
-    `payloads[i]`, `norms[i]` is that row's norm (1.0 for a zero row, which
-    `zero[i]` flags), `key_rank[i]` its position in key-text order and
+    """Rows of the index: row i of `matrix` embeds the key of `payloads[i]`,
+    `norms[i]` is that row's norm (1.0 for a zero row, which `zero[i]`
+    flags), `key_rank[i]` its position in its kind's key-text order and
     `screen[i]` the row divided by its norm, rounded to float32 (all zeros
     for a zero row, which `retrieve` screens as -1)."""
 
@@ -311,12 +325,18 @@ class KindRows:
 
 @dataclass
 class RetrievalIndex:
-    """Exact two-stage cosine index: one `KindRows` per kind, queries
+    """Exact two-stage cosine index. `rows` holds the rows of every kind,
+    stacked in kind order; `spans[kind]` is the (start, stop) of a kind's
+    rows there, and `kinds[kind]` their `KindRows`, whose arrays are views
+    of `rows`'. `any_zero` says whether any row is zero. Queries are
     embedded through `provider`."""
 
     provider: object
     kinds: dict[str, KindRows]
     dim: int
+    rows: KindRows
+    spans: dict[str, tuple[int, int]]
+    any_zero: bool
 
 
 def build_index(
@@ -331,8 +351,9 @@ def build_index(
     it was used on; the payload returned by retrieval is just the tactic.
     Each distinct key is embedded once, all with one ``embed_many`` call.
     A repeated key's row is a copy of the first one's, made by one `take`
-    only when keys repeat; otherwise each kind's rows are a slice of the
-    embedded matrix.
+    only when keys repeat; otherwise the rows are the embedded matrix. The
+    norms, zero flags, key ranks and screen are each one array over the
+    rows of both kinds, each row's computed once.
     """
     entries = {
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
@@ -349,24 +370,38 @@ def build_index(
         if len(distinct) < len(all_keys):
             position = {key: i for i, key in enumerate(distinct)}
             stacked = stacked.take([position[key] for key in all_keys], axis=0)
-    kinds = {}
+    norms = np.empty(len(stacked))
+    step = max(1, _NORM_BLOCK // max(1, stacked.shape[1]))
+    for start in range(0, len(stacked), step):
+        norms[start:start + step] = np.linalg.norm(stacked[start:start + step], axis=1)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    # Column-major: the one matrix-vector product per query runs about a
+    # third faster on it than on a row-major screen.
+    screen = np.empty(stacked.shape, np.float32, order="F")
+    np.divide(stacked, norms[:, None], out=screen, casting="same_kind")
+    key_rank = np.empty(len(all_keys), dtype=np.intp)
+    spans = {}
     start = 0
     for kind, keyed in entries.items():
         keys = [key for key, _payload in keyed]
-        matrix = stacked[start:start + len(keys)]
-        start += len(keys)
-        key_rank = np.empty(len(keys), dtype=np.intp)
-        key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-        norms = np.linalg.norm(matrix, axis=1)
-        zero = norms == 0.0
-        norms[zero] = 1.0
-        screen = np.divide(
-            matrix, norms[:, None], out=np.empty(matrix.shape, np.float32), casting="same_kind"
-        )
-        kinds[kind] = KindRows(
-            tuple(payload for _key, payload in keyed), matrix, norms, zero, key_rank, screen
-        )
-    return RetrievalIndex(provider=provider, kinds=kinds, dim=stacked.shape[1])
+        stop = start + len(keys)
+        key_rank[start:stop][sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        spans[kind] = (start, stop)
+        start = stop
+    payloads = tuple(payload for keyed in entries.values() for _key, payload in keyed)
+    rows = KindRows(payloads, stacked, norms, zero, key_rank, screen)
+    return RetrievalIndex(
+        provider=provider,
+        kinds={
+            kind: KindRows(*(getattr(rows, f.name)[start:stop] for f in fields(KindRows)))
+            for kind, (start, stop) in spans.items()
+        },
+        dim=stacked.shape[1],
+        rows=rows,
+        spans=spans,
+        any_zero=bool(zero.any()),
+    )
 
 
 def _cosines(rows: KindRows, top: np.ndarray, q: np.ndarray, qnorm: float) -> np.ndarray:
@@ -382,18 +417,22 @@ def _cosines(rows: KindRows, top: np.ndarray, q: np.ndarray, qnorm: float) -> np
 def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[str, float]]]:
     """Top-k payloads of every kind by cosine similarity to the query.
 
-    The query is embedded once and scored against the rows of both kinds;
-    each kind's list is in descending similarity, ties broken by ascending
-    key text, then insertion order. For 0 < k < the row count, the float32
-    screen keeps the rows within `_screen_slack` of the k-th best screened
-    score, and only those get exact scores and are sorted; k == 0 and
-    k >= the row count score and sort every row. A row's exact score is the
-    same float whichever other rows are scored with it.
+    The query is embedded once and scored against the rows of both kinds
+    in one pass; each kind's list is in descending similarity, ties broken
+    by ascending key text, then insertion order. One float32 product
+    screens every row. For a kind of n rows and 0 < k < n, the maxima of
+    its screened scores over k consecutive blocks of its rows belong to k
+    distinct rows, so their minimum is at most the k-th best screened
+    score; the rows within `_screen_slack` of that floor survive. A kind
+    with k >= n keeps every row. The survivors of every kind are scored
+    exactly in one pass and each kind's are sorted; a row's exact score is
+    the same float whichever other rows are scored with it. k == 0 scores
+    nothing and returns an empty list per kind.
 
     A query that embeds to the zero vector raises ZeroVectorError. Provider
-    failures, and a query vector whose length is not that of a non-empty
-    kind's rows, propagate as ProviderError with the query as the failing
-    key.
+    failures, and a query vector whose length is not that of the index's
+    rows (when it has any), propagate as ProviderError with the query as
+    the failing key; all three checks run for k == 0 as well.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -406,29 +445,35 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
     qnorm = math.sqrt(q.dot(q))  # the bits of np.linalg.norm, without its overhead
     if qnorm == 0.0:
         raise ZeroVectorError(f"query embeds to the zero vector: {query!r}")
-    unit = (q / qnorm).astype(np.float32)
+    rows = index.rows
+    if rows.payloads and len(q) != index.dim:
+        raise ProviderError(
+            f"query embeds to {len(q)} dimensions, the index holds {index.dim}", key=query
+        )
+    if k == 0 or not rows.payloads:
+        return {kind: [] for kind in index.spans}
+    screened = rows.screen @ (q / qnorm).astype(np.float32)
+    if index.any_zero:
+        screened[rows.zero] = -1.0
     slack = _screen_slack(len(q))
-    ranked = {}
-    for kind, rows in index.kinds.items():
-        n = len(rows.payloads)
-        if not n:
-            ranked[kind] = []
-            continue
-        if len(q) != rows.matrix.shape[1]:
-            raise ProviderError(
-                f"query embeds to {len(q)} dimensions, the index holds {rows.matrix.shape[1]}",
-                key=query,
-            )
-        if 0 < k < n:
-            screened = rows.screen @ unit
-            screened[rows.zero] = -1.0
-            top = (screened >= np.partition(screened, n - k)[n - k] - slack).nonzero()[0]
+    kept = []
+    for start, stop in index.spans.values():
+        n = stop - start
+        if k < n:
+            scores = screened[start:stop]
+            floor = min(np.maximum.reduceat(scores, [i * n // k for i in range(k)]).tolist())
+            kept.append((scores >= floor - slack).nonzero()[0] + start)
         else:
-            top = np.arange(n)
-        sims = _cosines(rows, top, q, qnorm)
-        best = np.lexsort((rows.key_rank.take(top), -sims))[:k]
+            kept.append(np.arange(start, stop))
+    sims = _cosines(rows, np.concatenate(kept), q, qnorm)
+    ranked = {}
+    cut = 0
+    for kind, top in zip(index.spans, kept):
+        kind_sims = sims[cut:cut + len(top)]
+        cut += len(top)
+        best = np.lexsort((rows.key_rank.take(top), -kind_sims))[:k]
         ranked[kind] = [
             (rows.payloads[i], sim)
-            for i, sim in zip(top.take(best).tolist(), sims.take(best).tolist())
+            for i, sim in zip(top.take(best).tolist(), kind_sims.take(best).tolist())
         ]
     return ranked

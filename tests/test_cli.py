@@ -156,6 +156,14 @@ class TestProve:
         assert code == EXIT_DOMAIN
         assert "outcome: BudgetExhausted" in out
 
+    def test_a_negative_retrieve_k_is_a_usage_error(self, tmp_path, capsys):
+        # The search ports reject it before any proof starts, so no run log
+        # is written and the message is theirs, not retrieve's.
+        code = main(prove_args(tmp_path) + ["--retrieve-k", "-1", WORKED])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: retrieve_k must be non-negative\n"
+        assert not list(tmp_path.glob("run-*.json"))
+
     def test_budget_follows_the_search_shape(self, tmp_path):
         # With no budget set, the budget is compute_budget of the shape;
         # an explicit --budget still wins.
@@ -398,6 +406,31 @@ def session_logs(out) -> dict[str, int]:
             assert opened == [command], log
         counts[theorem] = len(logs)
     return counts
+
+
+@pytest.mark.parametrize("command", ["clarity", "dump-prompt"])
+def test_each_run_of_clarity_and_dump_prompt_replaces_its_session_logs(command, tmp_path, capsys):
+    wrapper = fake_prover_wrapper(tmp_path)
+    out = tmp_path / "out"
+    backend = ["--backend", "subprocess", "--executable", wrapper]
+    argv = {
+        "clarity": [
+            "clarity", *backend, "--gateway", "mock", "--gateway-script", CLARITY_SCRIPT,
+            "--theorem", WORKED, "--configs", "Complete",
+        ],
+        "dump-prompt": ["dump-prompt", *backend, WORKED],
+    }[command] + ["--entities", entities_path(), "--out", str(out)]
+    for _run in range(2):
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+    logs = sorted(out.rglob("session-*.log"))
+    assert [log.relative_to(out).as_posix() for log in logs] == [
+        f"sessions-{command}/session-1.log"
+    ]
+    opened = [
+        line for line in logs[0].read_text(encoding="utf-8").splitlines()
+        if '"Theorem goal_ : ' in line
+    ]
+    assert opened == ['(Add () "Theorem goal_ : %s.")' % WORKED]
 
 
 # ----------------------------------------------------------------------
@@ -800,8 +833,8 @@ def counting_backends(monkeypatch):
     backends = []
     build = cli._build_backend
 
-    def counting_build(cfg):
-        backends.append(CountingBackend(build(cfg)))
+    def counting_build(cfg, run):
+        backends.append(CountingBackend(build(cfg, run)))
         return backends[-1]
 
     monkeypatch.setattr(cli, "_build_backend", counting_build)

@@ -1437,6 +1437,11 @@ def retrieval_ports(records, transport) -> SearchPorts:
 
 
 class TestRetrievalMemo:
+    def test_a_negative_retrieve_k_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="retrieve_k must be non-negative"):
+            SearchPorts(backend=SyntheticBackend(), gateway=MockGateway(), retrieve_k=-1)
+        assert SearchPorts(backend=SyntheticBackend(), gateway=MockGateway(), retrieve_k=0)
+
     def test_a_repeated_goal_costs_no_request_and_a_new_proof_asks_again(self):
         # `idtac` twice keeps the goal A -> B -> A for three expansions.
         transport = CountingTransport()

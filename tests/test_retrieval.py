@@ -756,3 +756,132 @@ class TestScreen:
         screen = index.kinds[PREMISE].screen
         assert screen.dtype == np.float32
         assert screen.tolist() == [[np.float32(0.6), np.float32(0.8)], [0.0, 0.0]]
+
+
+# ----------------------------------------------------------------------
+# One pass over both kinds
+# ----------------------------------------------------------------------
+
+@st.composite
+def two_kind_rows(draw):
+    """Premise and tactic rows of one dimension plus a query: either kind
+    may be empty; each may hold zero rows, a row copied from the other
+    kind, and rows planted within the screen's slack of the query."""
+    dim = draw(st.sampled_from([1, 2, 3, 32, 100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = rng.standard_normal(dim)
+    kinds = []
+    for _kind in (PREMISE, TACTIC):
+        rows = list(rng.standard_normal((draw(st.integers(0, 10)), dim)))
+        rows += [np.zeros(dim)] * draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(0, 4))):
+            spread = draw(st.sampled_from([0.0, 2.0**-30, 2.0**-20]))
+            rows.append(query * (1 + spread * rng.standard_normal()))
+        kinds.append([rows[i] for i in rng.permutation(len(rows))])
+    premises, tactics = kinds
+    for _ in range(draw(st.integers(0, 2))):
+        if premises and tactics:
+            tactics[draw(st.integers(0, len(tactics) - 1))] = premises[
+                draw(st.integers(0, len(premises) - 1))
+            ].copy()
+    return premises, tactics, query
+
+
+def _brute_force(kind, keys, query):
+    """Each row of `kind` scored on its own by the exact per-row formula,
+    as `TestScreen` scores them, sorted by (-score, key text, insertion
+    order)."""
+    q = np.asarray(query, dtype=float)
+    qnorm = float(np.linalg.norm(q))
+    scores = [
+        -1.0 if kind.zero[i] else float((kind.matrix[i] * q).sum() / (kind.norms[i] * qnorm))
+        for i in range(len(keys))
+    ]
+    order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i], i))
+    return [(kind.payloads[i], scores[i]) for i in order]
+
+
+class TestFusedPass:
+    @given(two_kind_rows(), st.data())
+    def test_each_kind_equals_its_own_brute_force_ranking(self, drawn, data):
+        premises, tactics, query = drawn
+        rng = np.random.default_rng(len(premises) * 100 + len(tactics))
+        names = [f"p{rng.integers(0, 5)}#{i}" for i in range(len(premises))]
+        moves = [f"t{rng.integers(0, 3)}" for _ in tactics]
+        premise_keys = [f"{name} : s" for name in names]
+        tactic_keys = [f"{move} \x1f g#{i}" for i, move in enumerate(moves)]
+        table = dict(zip(premise_keys + tactic_keys, premises + tactics))
+        table["query"] = query
+        index = build_index(
+            BasisProvider(table),
+            premises=[(name, "s") for name in names],
+            tactics=[(move, f"g#{i}") for i, move in enumerate(moves)],
+        )
+        k = data.draw(st.integers(0, max(len(premises), len(tactics)) + 1), label="k")
+        ranked = retrieve(index, "query", k)
+        assert ranked == {
+            PREMISE: _brute_force(index.kinds[PREMISE], premise_keys, query)[:k],
+            TACTIC: _brute_force(index.kinds[TACTIC], tactic_keys, query)[:k],
+        }
+        assert index.kinds[TACTIC].payloads == tuple(moves)
+
+    def test_every_kind_array_is_a_view_of_one_index_array(self):
+        index = build_index(
+            MockEmbeddingProvider(),
+            premises=[("A.a", "x"), ("B.b", "y"), ("A.a", "x")],
+            tactics=[("intros", "g"), ("simpl", "g")],
+        )
+        assert index.spans == {PREMISE: (0, 3), TACTIC: (3, 5)}
+        for name in ("matrix", "norms", "zero", "key_rank", "screen"):
+            stacked = getattr(index.rows, name)
+            for kind, (start, stop) in index.spans.items():
+                rows = getattr(index.kinds[kind], name)
+                assert np.shares_memory(rows, stacked), (kind, name)
+                assert np.array_equal(rows, stacked[start:stop])
+        assert index.rows.payloads == sum((index.kinds[kind].payloads for kind in index.spans), ())
+
+    def test_norms_taken_in_blocks_equal_one_norm_pass(self):
+        premises = [(f"L.l{i}", "s") for i in range(9)]
+        tactics = [(f"t{i}", "g") for i in range(4)]
+        whole = build_index(MockEmbeddingProvider(dim=3), premises, tactics)
+        with mock.patch.object(retrieval, "_NORM_BLOCK", 7):  # two rows a block
+            blocked = build_index(MockEmbeddingProvider(dim=3), premises, tactics)
+        expected = np.linalg.norm(whole.rows.matrix, axis=1)
+        assert blocked.rows.norms.tobytes() == whole.rows.norms.tobytes() == expected.tobytes()
+        assert not whole.any_zero
+
+    def test_one_screen_product_per_query_and_none_for_k_zero(self):
+        table = {"A.a : x": [1.0, 0.0], "B.b : y": [0.0, 1.0], "Z.z : w": [0.0, 0.0],
+                 "intros \x1f g": [1.0, 1.0], "q": [1.0, 0.5],
+                 "zero": [0.0, 0.0], "long": [1.0, 0.0, 0.0]}
+        index = build_index(
+            BasisProvider(table), premises=[("A.a", "x"), ("B.b", "y"), ("Z.z", "w")],
+            tactics=[("intros", "g")],
+        )
+        assert index.any_zero
+        products = []
+
+        class CountingScreen(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+
+        counted = dataclasses.replace(
+            index, rows=dataclasses.replace(index.rows, screen=index.rows.screen.view(CountingScreen))
+        )
+        with mock.patch.object(np, "partition", side_effect=AssertionError("partition")):
+            assert retrieve(counted, "q", 1) == {
+                PREMISE: [("A.a : x", pytest.approx(2 / math.sqrt(5)))],
+                TACTIC: [("intros", pytest.approx(3 / math.sqrt(10)))],
+            }
+            assert products == [1]
+            with mock.patch.object(retrieval, "_cosines", side_effect=AssertionError("scored")):
+                assert retrieve(counted, "q", 0) == {PREMISE: [], TACTIC: []}
+        assert products == [1]
+        # k == 0 still embeds and checks the query.
+        with pytest.raises(ZeroVectorError):
+            retrieve(index, "zero", 0)
+        for query in ("long", "missing"):
+            with pytest.raises(ProviderError) as exc_info:
+                retrieve(index, query, 0)
+            assert exc_info.value.key == query
