@@ -20,7 +20,11 @@ minimum is at most the k-th best screened score: a floor found without
 copying or partially sorting the scores. Every row within `_screen_slack`
 of that floor survives, a bound on the float32 error that follows from the
 dimension alone, so no row of the exact top k, nor one tied with its k-th,
-is dropped; a kind with k >= n keeps every row. The survivors of both
+is dropped; a kind with k >= n keeps every row. When more than
+`_SURVIVORS_PER_K` * k rows survive (the floor can fall far when the scores
+rise along the rows), a partial sort of the survivors' scores alone gives
+the kind's k-th best screened score, since the k best all survive, and the
+rows within the slack of it survive instead. The survivors of both
 kinds then get exact float64 cosines in one pass, each computed from its
 own row so that its bits do not depend on which other rows survive, and
 only they are sorted. k == 0 scores nothing.
@@ -301,6 +305,14 @@ class HttpEmbeddingProvider(HttpClient):
         return np.array(rows)
 
 
+#: Survivors of the block-maximum floor per result, past which `retrieve`
+#: takes a kind's floor again from the k-th best survivor. Screened scores
+#: in no relation to the row order leave about k * ln(k + 1) survivors; when
+#: they rise along the rows, as a library's related lemmas may, the weakest
+#: block's maximum can admit most of the kind.
+_SURVIVORS_PER_K = 8
+
+
 #: Entries whose squares `build_index` holds at once while it takes row
 #: norms: a block of rows, not the whole matrix, so the temporary stays
 #: small beside the rows themselves.
@@ -423,11 +435,14 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
     screens every row. For a kind of n rows and 0 < k < n, the maxima of
     its screened scores over k consecutive blocks of its rows belong to k
     distinct rows, so their minimum is at most the k-th best screened
-    score; the rows within `_screen_slack` of that floor survive. A kind
-    with k >= n keeps every row. The survivors of every kind are scored
-    exactly in one pass and each kind's are sorted; a row's exact score is
-    the same float whichever other rows are scored with it. k == 0 scores
-    nothing and returns an empty list per kind.
+    score; the rows within `_screen_slack` of that floor survive. Past
+    `_SURVIVORS_PER_K` * k survivors, the floor becomes the k-th best
+    survivor's screened score, which is the kind's k-th best, and the rows
+    within the slack of it survive. A kind with k >= n keeps every row. The
+    survivors of every kind are scored exactly in one pass and each kind's
+    are sorted; a row's exact score is the same float whichever other rows
+    are scored with it. k == 0 scores nothing and returns an empty list per
+    kind.
 
     A query that embeds to the zero vector raises ZeroVectorError. Provider
     failures, and a query vector whose length is not that of the index's
@@ -462,7 +477,11 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
         if k < n:
             scores = screened[start:stop]
             floor = min(np.maximum.reduceat(scores, [i * n // k for i in range(k)]).tolist())
-            kept.append((scores >= floor - slack).nonzero()[0] + start)
+            top = (scores >= floor - slack).nonzero()[0]
+            if len(top) > _SURVIVORS_PER_K * k:  # the scores follow the row order
+                near = scores.take(top)
+                top = top[near >= np.partition(near, len(top) - k)[len(top) - k] - slack]
+            kept.append(top + start)
         else:
             kept.append(np.arange(start, stop))
     sims = _cosines(rows, np.concatenate(kept), q, qnorm)

@@ -801,9 +801,30 @@ def _brute_force(kind, keys, query):
     return [(kind.payloads[i], scores[i]) for i in order]
 
 
+def _rising_premises(order):
+    """An index of premises L.l0, L.l1, ... in two dimensions, stacked in
+    `order`, whose cosine to the query (1, 0) rises with the number from 0
+    to 1, each more than the screen's slack above the last."""
+    angles = np.linspace(math.pi / 2, 0.0, len(order))
+    table = {f"L.l{i} : s": [math.cos(a), math.sin(a)] for i, a in enumerate(angles)}
+    table["q"] = [1.0, 0.0]
+    return build_index(BasisProvider(table), premises=[(f"L.l{i}", "s") for i in order])
+
+
 class TestFusedPass:
     @given(two_kind_rows(), st.data())
     def test_each_kind_equals_its_own_brute_force_ranking(self, drawn, data):
+        self.check_each_kind_against_brute_force(drawn, data)
+
+    @given(two_kind_rows(), st.data())
+    def test_a_floor_retaken_from_the_survivors_keeps_the_ranking(self, drawn, data):
+        # No survivors allowed per k: every kind with 0 < k < n takes its
+        # floor again from the k-th best survivor.
+        with mock.patch.object(retrieval, "_SURVIVORS_PER_K", 0):
+            self.check_each_kind_against_brute_force(drawn, data)
+
+    @staticmethod
+    def check_each_kind_against_brute_force(drawn, data):
         premises, tactics, query = drawn
         rng = np.random.default_rng(len(premises) * 100 + len(tactics))
         names = [f"p{rng.integers(0, 5)}#{i}" for i in range(len(premises))]
@@ -824,6 +845,31 @@ class TestFusedPass:
             TACTIC: _brute_force(index.kinds[TACTIC], tactic_keys, query)[:k],
         }
         assert index.kinds[TACTIC].payloads == tuple(moves)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_survivors_stay_few_whatever_the_row_order(self, shuffled):
+        # Rising along the rows, the weakest of five blocks' maxima is the
+        # first block's, below 320 of the 400 rows: the floor is retaken
+        # from the survivors, and only the top five are scored exactly. In
+        # a shuffled order the block floor alone keeps few rows.
+        order = np.random.default_rng(7).permutation(400) if shuffled else range(400)
+        index = _rising_premises(order)
+        scored = []
+
+        def cosines(rows, top, q, qnorm):
+            scored.append(len(top))
+            return exact(rows, top, q, qnorm)
+
+        exact = retrieval._cosines
+        partition = mock.Mock(wraps=np.partition)
+        with mock.patch.object(retrieval, "_cosines", cosines), \
+                mock.patch.object(np, "partition", partition):
+            ranked = retrieve(index, "q", 5)
+        assert [p for p, _s in ranked[PREMISE]] == [f"L.l{i} : s" for i in range(399, 394, -1)]
+        if shuffled:
+            assert not partition.called and 5 <= scored[0] <= retrieval._SURVIVORS_PER_K * 5
+        else:
+            assert partition.called and scored == [5]
 
     def test_every_kind_array_is_a_view_of_one_index_array(self):
         index = build_index(
