@@ -177,19 +177,25 @@ def _load_backend_spec(path: str) -> dict:
             ) from None
 
 
-def _build_backend(cfg: dict, run: str):
-    """The configured backend. A subprocess backend writes its session logs
-    to the run's own `sessions-<run>` directory under `--out`, emptied of
-    any earlier run's logs: `run` is the `_run_digest` of a proved
-    statement, or the subcommand for `clarity` and `dump-prompt`."""
+def _synthetic_spec(cfg: dict) -> dict:
+    """SyntheticBackend arguments: the parsed `--backend-spec`, or none."""
+    return _load_backend_spec(cfg["backend_spec"]) if cfg["backend_spec"] else {}
+
+
+def _build_backend(cfg: dict, run: str, spec: Optional[dict] = None):
+    """A fresh configured backend. A subprocess backend writes its session
+    logs to the run's own `sessions-<run>` directory under `--out`, emptied
+    of any earlier run's logs: `run` is the `_run_digest` of a proved
+    statement, or the subcommand for `clarity` and `dump-prompt`. A
+    synthetic backend is built from `spec`, the `_synthetic_spec` a caller
+    parsed once for many runs, or else from a fresh parse."""
     if cfg["backend"] == "subprocess":
         if not cfg["executable"]:
             raise ValueError("the subprocess backend requires --executable")
         log_dir = os.path.join(cfg["out"], f"sessions-{run}")
         shutil.rmtree(log_dir, ignore_errors=True)
         return SubprocessBackend(cfg["executable"], log_dir=log_dir)
-    spec = _load_backend_spec(cfg["backend_spec"]) if cfg["backend_spec"] else {}
-    return SyntheticBackend(**spec)
+    return SyntheticBackend(**(_synthetic_spec(cfg) if spec is None else spec))
 
 
 def _build_gateway(cfg: dict):
@@ -359,13 +365,14 @@ def _log_head(statement: str, cfg: dict) -> dict:
     return {"theorem": statement, "info_config": cfg["info_config"], "seed": cfg["seed"]}
 
 
-def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None):
-    """Prove one statement on a fresh backend. `gateway` is shared across
-    runs when given; otherwise each run builds its own, so a mock script
-    replays from the start for every theorem."""
+def _run_single(statement: str, cfg: dict, table, corpus, index, gateway=None, spec=None):
+    """Prove one statement on a fresh backend, built from `spec` as
+    `_build_backend` does. `gateway` is shared across runs when given;
+    otherwise each run builds its own, so a mock script replays from the
+    start for every theorem."""
     recorder = RunRecorder()
     ports = SearchPorts(
-        backend=_build_backend(cfg, _run_digest(statement)),
+        backend=_build_backend(cfg, _run_digest(statement), spec),
         gateway=_build_gateway(cfg) if gateway is None else gateway,
         index=index,
         corpus=corpus,
@@ -441,6 +448,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # One HttpGateway for every run, so its concurrency cap holds across
     # --jobs workers; a MockGateway stays per run.
     shared_gateway = None if cfg["gateway"] == "mock" else _build_gateway(cfg)
+    # The spec is parsed once; each theorem still gets a fresh backend.
+    spec = None if cfg["backend"] == "subprocess" else _synthetic_spec(cfg)
 
     def run_one(raw: str):
         """One theorem; its run log is written as soon as it finishes, so an
@@ -449,7 +458,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         result, error = None, None
         try:
             result, log = _run_single(
-                statement, cfg, table, corpus, index, gateway=shared_gateway
+                statement, cfg, table, corpus, index, gateway=shared_gateway, spec=spec
             )
         except ProoforgeError as exc:
             log = {**_log_head(statement, cfg), "outcome": "PortError", "error": str(exc)}

@@ -78,7 +78,7 @@ def _check_dotted_path(value: str, what: str) -> None:
         raise ValueError(f"{what} has an empty dot-separated segment: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     """One extracted global entity.
 

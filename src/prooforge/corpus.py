@@ -18,10 +18,15 @@ clause found in its internal text (``Head | Ctor : Type | ...``) unless the
 file lists that constructor explicitly. Derived records are not re-serialized,
 which keeps load -> save -> load a fixpoint.
 
-Loading a proofs file hash-conses its states: equal hypotheses, goals and
-proof states decoded in one ``load_proof_corpus`` call are one object, so
-load time and memory follow the distinct content rather than how often it
-recurs. Nothing is shared across calls.
+Both loaders stream their file line by line, so a load holds the line being
+decoded, not the whole file. Loading a proofs file hash-conses its states:
+equal hypotheses, goals and proof states decoded in one
+``load_proof_corpus`` call are one object, so load time and memory follow
+the distinct content rather than how often it recurs. Loading an entities
+file shares equal texts the same way: within one ``load_entity_corpus``
+call, a kernel name equal to its record's name is that name, and equal
+``source_file``, ``intuition`` and ``*_zh`` texts are one object. Nothing is
+shared across calls.
 """
 
 from __future__ import annotations
@@ -320,23 +325,24 @@ _CONSTRUCTOR = EntityKind.parse("Constructor")
 
 
 def derive_constructors(record: EntityRecord) -> list[EntityRecord]:
-    """Constructor records implied by an Inductive record's internal text."""
+    """Constructor records implied by an Inductive record's internal text.
+    A constructor's kernel name equal to its name is that name, and its
+    origin and internal texts are one string."""
     if record.kind.variant != "Inductive":
         return []
     out = []
     for ctor_name, ctor_type in _constructor_clauses(record.internal):
-        if record.name and ctor_name.startswith(record.name + "."):
-            suffix = ctor_name[len(record.name):]
-            kernel = record.kernel_name + suffix
-        else:
-            kernel = ctor_name
+        kernel = ctor_name
+        if record.name and ctor_name.startswith(record.name + ".") and record.kernel_name != record.name:
+            kernel = record.kernel_name + ctor_name[len(record.name):]
+        text = f"{ctor_name} : {ctor_type}"
         try:
             out.append(EntityRecord(
                 name=ctor_name,
                 kernel_name=kernel,
                 kind=_CONSTRUCTOR,
-                origin=f"{ctor_name} : {ctor_type}",
-                internal=f"{ctor_name} : {ctor_type}",
+                origin=text,
+                internal=text,
                 source_file=record.source_file,
             ))
         except ValueError:
@@ -347,25 +353,30 @@ def derive_constructors(record: EntityRecord) -> list[EntityRecord]:
 def _read_objects(path: str, expected_header: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, JSON object) for each non-empty line after the
     header; raise FormatError naming the line for one that holds anything
-    else."""
+    else.
+
+    The file is streamed line by line, so only the line being decoded is
+    held as text. A line ends at a line feed, a carriage return and line
+    feed, or a lone carriage return (universal newlines), and is decoded
+    without its line end.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    if not raw or raw[0].strip() != expected_header:
-        raise FormatError(
-            f"missing or wrong header, expected {expected_header!r}", line=1
-        )
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
-        except RecursionError:
-            raise FormatError("bad JSON: nested too deeply", line=lineno)
-        if not isinstance(obj, dict):
-            raise FormatError("each line must hold one JSON object", line=lineno)
-        yield lineno, obj
+        if fh.readline().strip() != expected_header:
+            raise FormatError(
+                f"missing or wrong header, expected {expected_header!r}", line=1
+            )
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
+            except RecursionError:
+                raise FormatError("bad JSON: nested too deeply", line=lineno)
+            if not isinstance(obj, dict):
+                raise FormatError("each line must hold one JSON object", line=lineno)
+            yield lineno, obj
 
 
 def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
@@ -378,23 +389,37 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
     nothing. A record's dependency names resolve only once every entity is
     interned; until then the record is the loader's own, and its
     `dependencies` are filled in place before the corpus is returned.
+
+    Equal texts are shared within the call, through a dict dropped on
+    return: a `kernel_name` equal to `name` is the `name` object, and each
+    repeated `source_file`, `intuition` and `*_zh` string is one object.
+    Nothing is shared across calls.
     """
     parsed: list[tuple[EntityRecord, dict, list]] = []
     names: set[tuple[str, str]] = set()
+    texts: dict[str, str] = {}
+
+    def shared(value):
+        """A string as the first object of its text this call has read; any
+        other value as it is."""
+        return texts.setdefault(value, value) if type(value) is str else value
+
     for lineno, obj in _read_objects(path, ENTITIES_HEADER):
         try:
+            name = obj["name"]
+            kernel_name = obj["kernel_name"]
             record = EntityRecord(
-                name=obj["name"],
-                kernel_name=obj["kernel_name"],
+                name=name,
+                kernel_name=name if kernel_name == name else kernel_name,
                 kind=EntityKind.parse(obj["kind"]),
                 origin=obj["origin"],
                 internal=obj["internal"],
-                intuition=obj.get("intuition", ""),
-                source_file=obj.get("source_file", ""),
+                intuition=shared(obj.get("intuition", "")),
+                source_file=shared(obj.get("source_file", "")),
                 dependencies=(),
-                origin_zh=obj.get("origin_zh", ""),
-                internal_zh=obj.get("internal_zh", ""),
-                intuition_zh=obj.get("intuition_zh", ""),
+                origin_zh=shared(obj.get("origin_zh", "")),
+                internal_zh=shared(obj.get("internal_zh", "")),
+                intuition_zh=shared(obj.get("intuition_zh", "")),
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"missing or bad field: {exc}", line=lineno)

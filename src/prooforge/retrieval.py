@@ -32,9 +32,10 @@ only they are sorted. k == 0 scores nothing.
 A provider is any object with two methods: ``embed(text)`` returns a 1-D
 float array of finite entries, the same length for every text, and
 ``embed_many(texts)`` one such row per text in order, as a 2-D array or a
-sequence of rows. `build_index` embeds every distinct key with one
-``embed_many`` call and checks its rows (one per key, 1-D, finite, one
-length); a query goes through ``embed``. An entry too large for a float
+sequence of rows. `build_index` embeds each distinct key once, with one
+``embed_many`` call per chunk of `_EMBED_CHUNK` keys, and checks each
+chunk's rows (one per key, 1-D, finite, one length for every chunk); a
+query goes through ``embed``. An entry too large for a float
 counts as not finite. Two providers ship: a deterministic mock that derives
 a unit vector from a hash of the text (stable across runs and machines),
 and an HTTP provider for real embedding endpoints that sends the texts of
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -59,18 +61,24 @@ PREMISE = "premise"
 TACTIC = "tactic"
 
 
-def _matrix(outputs) -> np.ndarray:
+def _matrix(outputs, dim: Optional[int] = None) -> np.ndarray:
     """Provider outputs (a sequence of rows, or a 2-D array, which is not
     copied) as the rows of one float matrix, with one finiteness check for
-    them all. ValueError unless every output is 1-D
-    with finite entries and all have one length; the first bad output, in
-    order, names the error, as `_vector` on each would."""
+    them all. ValueError unless every output is 1-D with finite entries and
+    all have one length, `dim` when given (an earlier chunk's); the first
+    bad output, in order, names the error, as `_vector` on each would, and
+    a mixed-dimension error lists `dim` among the lengths."""
     try:
         matrix = np.asarray(outputs, dtype=float)
     except (ValueError, OverflowError):  # ragged outputs, or an entry past float range
         matrix = None
-    if matrix is None or matrix.ndim != 2 or not np.isfinite(matrix).all():
+    if (
+        matrix is None or matrix.ndim != 2 or not np.isfinite(matrix).all()
+        or dim not in (None, matrix.shape[1])
+    ):
         dims = {len(_vector(output)) for output in outputs}
+        if dim is not None:
+            dims.add(dim)
         raise ValueError(f"provider returned mixed dimensions: {sorted(dims)}")
     return matrix
 
@@ -319,13 +327,21 @@ _SURVIVORS_PER_K = 8
 _NORM_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+#: Distinct keys `build_index` embeds per ``embed_many`` call: a multiple of
+#: `_HTTP_BATCH`, so the HTTP provider sends the requests one call over
+#: every key would, and few enough that a chunk's rows stay small beside
+#: the index's.
+_EMBED_CHUNK = 32 * _HTTP_BATCH
+
+
+@dataclass(frozen=True, eq=False)
 class KindRows:
     """Rows of the index: row i of `matrix` embeds the key of `payloads[i]`,
     `norms[i]` is that row's norm (1.0 for a zero row, which `zero[i]`
     flags), `key_rank[i]` its position in its kind's key-text order and
     `screen[i]` the row divided by its norm, rounded to float32 (all zeros
-    for a zero row, which `retrieve` screens as -1)."""
+    for a zero row, which `retrieve` screens as -1). Two are equal only
+    when they are one object."""
 
     payloads: tuple[str, ...]
     matrix: np.ndarray
@@ -335,20 +351,38 @@ class KindRows:
     screen: np.ndarray
 
 
+#: The per-kind views of each stacked `KindRows`, with the spans they were
+#: cut by; an entry lives as long as its rows.
+_VIEWS: "weakref.WeakKeyDictionary[KindRows, tuple]" = weakref.WeakKeyDictionary()
+
+
 @dataclass
 class RetrievalIndex:
     """Exact two-stage cosine index. `rows` holds the rows of every kind,
-    stacked in kind order; `spans[kind]` is the (start, stop) of a kind's
-    rows there, and `kinds[kind]` their `KindRows`, whose arrays are views
-    of `rows`'. `any_zero` says whether any row is zero. Queries are
-    embedded through `provider`."""
+    stacked in kind order, and `spans[kind]` is the (start, stop) of a
+    kind's rows there. `any_zero` says whether any row is zero; it is
+    stored, not derived, to spare each query a pass over the zero flags
+    when none is. Queries are embedded through `provider`."""
 
     provider: object
-    kinds: dict[str, KindRows]
     dim: int
     rows: KindRows
     spans: dict[str, tuple[int, int]]
     any_zero: bool
+
+    @property
+    def kinds(self) -> dict[str, KindRows]:
+        """Each kind's `KindRows`, whose arrays are views of `rows`', cut
+        on first access and shared by every index over the same `rows` and
+        `spans`, as `dataclasses.replace` makes."""
+        spans, views = _VIEWS.get(self.rows, (None, None))
+        if spans is not self.spans:
+            views = {
+                kind: KindRows(*(getattr(self.rows, f.name)[start:stop] for f in fields(KindRows)))
+                for kind, (start, stop) in self.spans.items()
+            }
+            _VIEWS[self.rows] = (self.spans, views)
+        return views
 
 
 def build_index(
@@ -361,27 +395,40 @@ def build_index(
     Premises are (name, statement) pairs keyed by ``name : statement``.
     Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
     it was used on; the payload returned by retrieval is just the tactic.
-    Each distinct key is embedded once, all with one ``embed_many`` call.
-    A repeated key's row is a copy of the first one's, made by one `take`
-    only when keys repeat; otherwise the rows are the embedded matrix. The
-    norms, zero flags, key ranks and screen are each one array over the
-    rows of both kinds, each row's computed once.
+    Each distinct key is embedded once, in order of first use, with one
+    ``embed_many`` call per `_EMBED_CHUNK` of them. Each chunk's rows are
+    checked (one per key, 1-D, finite, the first chunk's length) and
+    written straight into the rows of every item with their keys, so the
+    distinct rows are never held beside a copy of all of them; the first
+    faulty chunk names the error. The norms, zero flags, key ranks and
+    screen are each one array over the rows of both kinds, each row's
+    computed once.
     """
     entries = {
         PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
         TACTIC: [(f"{tactic} \x1f {goal}", tactic) for tactic, goal in tactics],
     }
     all_keys = [key for keyed in entries.values() for key, _payload in keyed]
-    distinct = list(dict.fromkeys(all_keys))
-    if not distinct:
-        stacked = np.empty((0, getattr(provider, "dim", None) or 0))
-    else:
-        stacked = _matrix(provider.embed_many(distinct))
-        if len(stacked) != len(distinct):
-            raise ValueError(f"provider returned {len(stacked)} rows for {len(distinct)} keys")
-        if len(distinct) < len(all_keys):
-            position = {key: i for i, key in enumerate(distinct)}
-            stacked = stacked.take([position[key] for key in all_keys], axis=0)
+    # The distinct keys in order of first use, and each item's among them.
+    position: dict[str, int] = {}
+    inverse = np.fromiter(
+        (position.setdefault(key, len(position)) for key in all_keys), np.intp, len(all_keys)
+    )
+    distinct = list(position)
+    # The items sorted by their distinct key, so a chunk's are one slice.
+    order = inverse.argsort(kind="stable")
+    grouped = inverse.take(order)
+    stacked = np.empty((0, getattr(provider, "dim", None) or 0))
+    for start in range(0, len(distinct), _EMBED_CHUNK):
+        keys = distinct[start:start + _EMBED_CHUNK]
+        chunk = _matrix(provider.embed_many(keys), stacked.shape[1] if start else None)
+        if len(chunk) != len(keys):
+            raise ValueError(f"provider returned {len(chunk)} rows for {len(keys)} keys")
+        if not start:
+            stacked = np.empty((len(all_keys), chunk.shape[1]))
+        lo, hi = grouped.searchsorted([start, start + len(keys)])
+        stacked[order[lo:hi]] = chunk.take(grouped[lo:hi] - start, axis=0)
+    del position, inverse, order, grouped, distinct
     norms = np.empty(len(stacked))
     step = max(1, _NORM_BLOCK // max(1, stacked.shape[1]))
     for start in range(0, len(stacked), step):
@@ -402,15 +449,10 @@ def build_index(
         spans[kind] = (start, stop)
         start = stop
     payloads = tuple(payload for keyed in entries.values() for _key, payload in keyed)
-    rows = KindRows(payloads, stacked, norms, zero, key_rank, screen)
     return RetrievalIndex(
         provider=provider,
-        kinds={
-            kind: KindRows(*(getattr(rows, f.name)[start:stop] for f in fields(KindRows)))
-            for kind, (start, stop) in spans.items()
-        },
         dim=stacked.shape[1],
-        rows=rows,
+        rows=KindRows(payloads, stacked, norms, zero, key_rank, screen),
         spans=spans,
         any_zero=bool(zero.any()),
     )

@@ -111,7 +111,7 @@ class TokenClass:
 _GLOBAL_CLASS = TokenClass(TokenClass.GLOBAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisambiguatedName:
     """Canonical path plus kernel path; the identity of a global entity."""
 

@@ -2,6 +2,7 @@
 manifest determinism, report aggregation with the clarity correlation, and
 the no-credentials-in-config rule."""
 
+import hashlib
 import json
 import os
 import sys
@@ -474,6 +475,45 @@ class TestBench:
         counts = session_logs(out)
         assert set(counts) == {WORKED, "P /\\ Q"}
         assert all(counts.values())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_the_backend_spec_is_parsed_once_per_bench(self, tmp_path, monkeypatch, capsys, jobs):
+        # Every theorem gets a fresh backend from one parse of the spec, and
+        # the files are those of a bench that parsed it once per theorem:
+        # the digests below were taken from such a run. The fixture paths
+        # are relative, so the manifest names no directory of this checkout.
+        load = cli._load_backend_spec
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_backend_spec", counting_load)
+        monkeypatch.chdir(FIXTURES)
+        theorems = tmp_path / "theorems.txt"
+        theorems.write_text(f"{WORKED}\nP /\\ Q\nA -> A\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main([
+            "bench", "--backend", "synthetic", "--backend-spec", "backend_spec.json",
+            "--gateway", "mock", "--gateway-script", "gateway_prove.jsonl",
+            "--entities", "entities.jsonl", "--proofs", "proofs.jsonl",
+            "--theorems", str(theorems), "--jobs", jobs, "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert calls == ["backend_spec.json"]
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            for path in out.iterdir()
+        }
+        assert digests == {
+            "manifest.json": "ffb13db39464f67d",
+            "run-27923b57b355.json": "1944e6567fa77fb4",
+            "run-2f758eb7f9b9.json": "c6bae6d5cb44774d",
+            "run-a892815b190e.json": "858896a24221546f",
+            "summary.json": "2f7d786cef38e179",
+        }
 
     def test_report_tallies_the_runs_as_bench_does(self, tmp_path, capsys):
         # A port error counts as a run and nowhere else.

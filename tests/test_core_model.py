@@ -1,5 +1,7 @@
 """Core data model: kinds, records, states, chaining, fingerprints."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,6 +84,21 @@ class TestEntityRecord:
     def test_duplicate_dependencies_rejected(self):
         with pytest.raises(ValueError):
             make_entity("A.b", dependencies=(3, 3))
+
+    def test_a_record_holds_its_fields_in_slots(self):
+        # No per-record dict; repr, equality and hash are the dataclass's.
+        record = make_entity("A.b", dependencies=(3,))
+        assert not hasattr(record, "__dict__")
+        assert repr(record) == (
+            "EntityRecord(name='A.b', kernel_name='A.b', kind=EntityKind(variant='Definition', "
+            "label=''), origin='origin text', internal='internal text', intuition='', "
+            "source_file='', dependencies=(3,), origin_zh='', internal_zh='', intuition_zh='')"
+        )
+        assert record == make_entity("A.b", dependencies=(3,)) != make_entity("A.c")
+        fields = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+        assert hash(record) == hash(fields)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.name = "A.c"
 
 
 # ----------------------------------------------------------------------

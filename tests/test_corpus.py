@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -19,6 +19,7 @@ from prooforge.corpus import (
     ENTITIES_HEADER,
     PROOFS_HEADER,
     EntityCorpus,
+    _read_objects,
     derive_constructors,
     extract_concepts,
     generate_require,
@@ -187,6 +188,140 @@ class TestLoadEntities:
         assert len(set(corpus.tokens)) == len(corpus.tokens)
         for tid, record in zip(corpus.tokens, corpus.records):
             assert corpus.record_for(tid) == record
+
+    def test_equal_texts_are_one_object_within_a_load_and_none_across_loads(self, tmp_path):
+        # Every text here is longer than one character: the interpreter
+        # shares the empty and one-character strings on its own.
+        def line(i, kernel=None):
+            return json.dumps({
+                "name": f"Mod.lemma{i}",
+                "kernel_name": kernel or f"Mod.lemma{i}",
+                "kind": "Lemma",
+                "origin": f"Lemma lemma{i} : True",
+                "internal": f"Coq.Init.Logic.True {i}",
+                "intuition": "Holds trivially.",
+                "source_file": "Mod/File.v",
+                "origin_zh": "引理 平凡",
+                "internal_zh": "内部 平凡",
+                "intuition_zh": "显然 成立",
+            }, ensure_ascii=False)
+
+        path = _write_entities(tmp_path, line(0), line(1), line(2, kernel="Mod.K.lemma2"))
+        shared = ("intuition", "source_file", "origin_zh", "internal_zh", "intuition_zh")
+        texts = ("name", "kernel_name", "origin", "internal") + shared
+        first, second = (load_entity_corpus(path, TokenTable()).records for _ in range(2))
+        for records in (first, second):
+            assert [r.kernel_name is r.name for r in records] == [True, True, False]
+            for key in shared:
+                assert len({id(getattr(r, key)) for r in records}) == 1, key
+        assert first == second
+        for a, b in zip(first, second):
+            for key in texts:
+                assert getattr(a, key) is not getattr(b, key), key
+
+    def test_a_text_field_that_is_not_a_string_is_kept_as_read(self, tmp_path):
+        # Sharing applies to strings only; other values pass through as
+        # they did, unhashable ones included.
+        obj = json.loads(TRUE_RECORD_LINE)
+        path = _write_entities(
+            tmp_path,
+            json.dumps({**obj, "intuition": ["a", "b"]}),
+            json.dumps({**obj, "name": "M.one", "kernel_name": "M.one", "intuition": 1}),
+            json.dumps({**obj, "name": "M.two", "kernel_name": "M.two", "intuition": True}),
+        )
+        records = load_entity_corpus(path, TokenTable()).records
+        assert [r.intuition for r in records if r.name != "Coq.Init.Logic.True.I"] == [
+            ["a", "b"], 1, True,
+        ]
+        assert type(records[-1].intuition) is bool
+
+
+# ----------------------------------------------------------------------
+# Streamed reading
+# ----------------------------------------------------------------------
+
+def _read_objects_whole(path: str, expected_header: str):
+    """The reader before streaming, kept as the reference: the whole file
+    is read, then split at line ends."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read().split("\n")
+    if not raw or raw[0].strip() != expected_header:
+        raise FormatError(f"missing or wrong header, expected {expected_header!r}", line=1)
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"bad JSON: {exc.msg}", line=lineno)
+        except RecursionError:
+            raise FormatError("bad JSON: nested too deeply", line=lineno)
+        if not isinstance(obj, dict):
+            raise FormatError("each line must hold one JSON object", line=lineno)
+        yield lineno, obj
+
+
+def _read_all(reader, path: str):
+    """What `reader` yields, then the message and line of the FormatError
+    it raised, or None."""
+    items = []
+    try:
+        for item in reader(path, ENTITIES_HEADER):
+            items.append(item)
+    except FormatError as exc:
+        return items, (str(exc), exc.line)
+    return items, None
+
+
+_DEEP = "[" * 5000 + "]" * 5000
+_LINE = st.one_of(
+    st.dictionaries(
+        st.text(max_size=4),
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.lists(st.integers(), max_size=2),
+        max_size=3,
+    ).map(json.dumps),
+    st.sampled_from([
+        "", " ", "\t", " \t\x0c ", "\x85", "[1, 2]", "null", '"proof"', "5",
+        '{"a": ', '{"a" 1}', '{"a": "open', "{'a': 1}", '{"a": 1} x', "nul",
+        _DEEP, '{"a": ' + _DEEP + "}",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=10),
+)
+_HEADERS = st.sampled_from([
+    ENTITIES_HEADER, f" {ENTITIES_HEADER}\t", PROOFS_HEADER, "", "#prooforge-corpus v2 entities",
+])
+
+
+class TestStreamedReading:
+    @given(
+        header=_HEADERS,
+        lines=st.lists(_LINE, max_size=6),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
+        final=st.booleans(),
+    )
+    @example(header=ENTITIES_HEADER, lines=['{"a": 1}', " ", '{"b": [2]}'],
+             ends=["\r", "\r\n", "\r"] + ["\n"] * 4, final=False)
+    @example(header=ENTITIES_HEADER, lines=["", '{"a": "x', _DEEP],
+             ends=["\n"] * 7, final=True)
+    @example(header="", lines=[], ends=["\n"] * 7, final=False)
+    def test_the_stream_is_the_whole_file_split(self, tmp_path_factory, header, lines, ends, final):
+        pieces = [header] + lines
+        text = "".join(p + e for p, e in zip(pieces, ends))
+        if not final:
+            text = text[:len(text) - len(ends[len(pieces) - 1])]
+        path = tmp_path_factory.mktemp("stream") / "entities.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _read_all(_read_objects_whole, str(path))
+        assert _read_all(_read_objects, str(path)) == expected
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_a_line_end_is_not_part_of_a_bad_line(self, tmp_path, end):
+        # An unterminated string is named as such whatever ends its line:
+        # the line end is not read as a control character inside it.
+        path = tmp_path / "entities.jsonl"
+        path.write_bytes(f'{ENTITIES_HEADER}{end}{{"a": "open{end}'.encode("utf-8"))
+        with pytest.raises(FormatError, match="^line 2: bad JSON: Unterminated string"):
+            list(_read_objects(str(path), ENTITIES_HEADER))
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +528,23 @@ class TestDeriveConstructors:
             "Coq.Init.Datatypes.S",
         ]
         assert all(c.kind == EntityKind("Constructor") for c in ctors)
+
+    @pytest.mark.parametrize("kernel, expected", [
+        ("M.t", ["M.t.mk", "M.u"]),
+        ("M.Impl.t", ["M.Impl.t.mk", "M.u"]),
+    ])
+    def test_a_constructor_shares_its_equal_texts(self, kernel, expected):
+        # Kernel names follow the parent's kernel path; one equal to the
+        # constructor's name is that name, and origin and internal are one.
+        record = make_entity(
+            "M.t", kernel=kernel, kind="Inductive",
+            internal="t : Set | M.t.mk : nat -> M.t | M.u : M.t",
+        )
+        ctors = derive_constructors(record)
+        assert [c.kernel_name for c in ctors] == expected
+        assert [c.kernel_name is c.name for c in ctors] == [kernel == "M.t", True]
+        assert all(c.origin is c.internal for c in ctors)
+        assert ctors[0].origin == "M.t.mk : nat -> M.t"
 
     def test_non_inductive_yields_nothing(self):
         assert derive_constructors(make_entity("M.f", kind="Definition")) == []

@@ -931,3 +931,98 @@ class TestFusedPass:
             with pytest.raises(ProviderError) as exc_info:
                 retrieve(index, query, 0)
             assert exc_info.value.key == query
+
+
+# ----------------------------------------------------------------------
+# Index rows embedded in chunks
+# ----------------------------------------------------------------------
+
+CHUNK = retrieval._EMBED_CHUNK
+
+
+class SizeLogProvider(MockEmbeddingProvider):
+    """The mock provider, logging how many texts each `embed_many` call gets."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[int] = []
+
+    def embed_many(self, texts):
+        self.calls.append(len(texts))
+        return super().embed_many(texts)
+
+
+class TwoLengthProvider:
+    """Rows of length 2 for the keys of the first chunk of premises
+    ``L.l0 .. L.l{CHUNK - 1}``, of length `second` for every other key."""
+
+    def __init__(self, second: int):
+        self.second = second
+
+    def embed_many(self, texts):
+        first = {f"L.l{i} : s" for i in range(CHUNK)}
+        return [[1.0] * (2 if text in first else self.second) for text in texts]
+
+
+class TestChunkedBuild:
+    # Premises spanning two chunks; keys repeat within and across chunks,
+    # and the last premise's first use is in the second chunk.
+    PREMISES = [(f"L.l{i}", "s") for i in range(CHUNK + 40)]
+    PREMISES += [PREMISES[3], PREMISES[-1], PREMISES[CHUNK]]
+    TACTICS = [("intros", "g"), ("simpl", "g"), ("intros", "g")]
+
+    def test_keys_spanning_two_chunks_give_the_index_of_one_call(self):
+        provider = SizeLogProvider()
+        chunked = build_index(provider, self.PREMISES, self.TACTICS)
+        assert provider.calls == [CHUNK, 42]
+        with mock.patch.object(retrieval, "_EMBED_CHUNK", 2 * CHUNK):
+            provider = SizeLogProvider()
+            whole = build_index(provider, self.PREMISES, self.TACTICS)
+        assert provider.calls == [CHUNK + 42]
+        assert chunked.rows.payloads == whole.rows.payloads
+        for name in ("matrix", "norms", "zero", "key_rank", "screen"):
+            assert getattr(chunked.rows, name).tobytes() == getattr(whole.rows, name).tobytes()
+        keys = [f"{n} : {s}" for n, s in self.PREMISES] + [f"{t} \x1f {g}" for t, g in self.TACTICS]
+        assert chunked.rows.matrix.tobytes() == MockEmbeddingProvider().embed_many(keys).tobytes()
+        assert chunked.spans == whole.spans == {
+            PREMISE: (0, CHUNK + 43), TACTIC: (CHUNK + 43, CHUNK + 46),
+        }
+
+    def test_an_http_build_in_chunks_sends_the_requests_of_one_call(self):
+        # A chunk is a whole number of requests, so the requests are those
+        # of one `embed_many` call over every key.
+        assert CHUNK % BATCH == 0
+        transport = CountingTransport()
+        premises = [(f"P{i}", "s") for i in range(CHUNK + BATCH + 5)]
+        build_index(http_provider(transport), premises)
+        assert transport.requests == math.ceil(len(premises) / BATCH)
+        assert transport.texts == [f"P{i} : s" for i in range(len(premises))]
+
+    @pytest.mark.parametrize("second, dims", [(3, r"\[2, 3\]"), (1, r"\[1, 2\]")])
+    def test_a_second_chunk_of_another_length_is_a_mixed_dimension_error(self, second, dims):
+        message = f"^provider returned mixed dimensions: {dims}$"
+        with pytest.raises(ValueError, match=message) as across:
+            build_index(TwoLengthProvider(second), self.PREMISES, self.TACTICS)
+        with mock.patch.object(retrieval, "_EMBED_CHUNK", 2 * CHUNK):
+            with pytest.raises(ValueError, match=message) as within:
+                build_index(TwoLengthProvider(second), self.PREMISES, self.TACTICS)
+        assert str(across.value) == str(within.value)
+
+    def test_a_short_second_chunk_is_named(self):
+        class Short(MockEmbeddingProvider):
+            def embed_many(self, texts):
+                rows = super().embed_many(texts)
+                return rows[:-1] if len(texts) < CHUNK else rows
+
+        with pytest.raises(ValueError, match="^provider returned 41 rows for 42 keys$"):
+            build_index(Short(), self.PREMISES, self.TACTICS)
+
+    def test_the_kind_views_are_derived_from_the_stacked_rows(self):
+        index = build_index(MockEmbeddingProvider(), [("A.a", "x")], [("intros", "g")])
+        assert "kinds" not in {f.name for f in dataclasses.fields(index)}
+        assert index.kinds is index.kinds
+        assert dataclasses.replace(index, provider=None).kinds is index.kinds
+        rows = dataclasses.replace(index.rows)
+        other = dataclasses.replace(index, rows=rows)
+        assert other.kinds is not index.kinds
+        assert other.kinds[TACTIC].payloads == index.kinds[TACTIC].payloads == ("intros",)

@@ -129,7 +129,9 @@ def test_a_faulty_prover_costs_one_branch(kind, fake_backend, tmp_path):
     expected, expected_events = run(
         FAULT_THEOREM, FAULT_PARAMS, _fault_records(), SyntheticBackend(), tmp_path
     )
-    backend = fake_backend(SyntheticBackend(), fault=fault, timeout=0.5)
+    # Every command waits up to the timeout, so it must cover an ordinary
+    # prover start or clone replay on a loaded host; `hang` waits it out once.
+    backend = fake_backend(SyntheticBackend(), fault=fault, timeout=5.0)
     start = time.monotonic()
     result, events = run(FAULT_THEOREM, FAULT_PARAMS, _fault_records(), backend, tmp_path)
     assert time.monotonic() - start < 30.0

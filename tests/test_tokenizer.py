@@ -95,6 +95,13 @@ class TestInternEntity:
         with pytest.raises(ValueError):
             DisambiguatedName.parse("no.separator.here")
 
+    def test_a_disambiguated_name_holds_its_paths_in_slots(self):
+        name = DisambiguatedName("M.f", "M.Impl.f")
+        assert not hasattr(name, "__dict__")
+        assert repr(name) == "DisambiguatedName(canonical_path='M.f', kernel_path='M.Impl.f')"
+        assert name == DisambiguatedName.parse("M.f<ker>M.Impl.f")
+        assert hash(name) == hash(("M.f", "M.Impl.f"))
+
     def test_local_ids_keyed_by_type_text(self):
         table = TokenTable()
         nat_a = table.intern_local("nat")
