@@ -36,7 +36,6 @@ from .corpus import (
     EntityCorpus as EntityCorpus,
     ProofCorpus as ProofCorpus,
     extract_concepts as extract_concepts,
-    generate_require as generate_require,
     load_entity_corpus as load_entity_corpus,
     load_proof_corpus as load_proof_corpus,
     save_entity_corpus as save_entity_corpus,

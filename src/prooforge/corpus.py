@@ -45,7 +45,7 @@ from .core_model import (
     TacticStep,
     validate_proof_chain,
 )
-from .errors import FormatError, UnknownTokenError
+from .errors import FormatError
 from .tokenizer import (
     EMPTY_CONTEXT,
     KERNEL_SEPARATOR,
@@ -604,17 +604,3 @@ def extract_concepts(
         current = expanded
     return frozenset(current)
 
-
-def generate_require(corpus: EntityCorpus, tokens: Iterable[int]) -> list[str]:
-    """Deduplicated, lexicographically sorted Require Import lines covering
-    the modules of the given tokens. Raises UnknownTokenError for a token
-    without a backing record."""
-    prefixes: set[str] = set()
-    for token in tokens:
-        record = corpus.record_for(token)
-        if record is None:
-            raise UnknownTokenError(f"token {token} has no corpus record")
-        prefix = record.name.rsplit(".", 1)[0] if "." in record.name else ""
-        if prefix:
-            prefixes.add(prefix)
-    return [f"Require Import {prefix}." for prefix in sorted(prefixes)]

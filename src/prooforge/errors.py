@@ -24,10 +24,6 @@ class FormatError(ProoforgeError):
         super().__init__(message)
 
 
-class UnknownTokenError(ProoforgeError):
-    """A token id has no backing record in the corpus."""
-
-
 class ZeroVectorError(ProoforgeError):
     """An embedding with zero norm cannot participate in cosine similarity."""
 

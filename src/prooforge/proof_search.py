@@ -1,60 +1,35 @@
 """Planner–Executor beam search over proof states.
 
-One search layer expands every kept candidate. An `_Expansion` runs one
-branch through its phases: `render_context` renders the proof-state and
-concept blocks both prompts share; `plan` asks the planner for a strategy;
-`retrieve` ranks related premises and tactic examples from one embedding of
-the first goal. Then up to `max_retries + 1` rounds run: `execute` asks for
-up to `tactics_per_state` tactics (resolving at most one request for more
-concepts per expansion through the corpus name index, which renders the
-context anew); `validate` checks each against the live session (the only
-operation that consumes budget); a failed round's errors go back to `plan`.
-As each tactic validates, `make_child` clones the branch session, applies
-the tactic and sends the child's explain call and, unless it proves the
-theorem, its summarize call; after a proving child none is made, but the
-rounds run on. The prompt bodies before the failed tactics and the hint are
-rendered once per context and kept on the expansion. What every expansion
-of a proof shares is kept in its `_ProofScope`, for that proof only: the
-ports, gateway and budget, the open sessions, the global tokens of each
-goal or hypothesis text, the glob-def chunk of each concept, and the ranked
-premises and tactic examples of each first-goal text (a goal that embeds to
-zero gets none; a provider failure is not kept). Explanations feed the
-shared notebook at the layer barrier; the beam is cut back to `beam_width`
-by model-based ranking (with a deterministic shortest-proof fallback).
+One search layer expands every kept candidate. Each expansion is a step
+program (`_expansion_program`) that yields each thing it needs and is sent
+the result: it renders the proof-state and concept blocks both prompts
+share, asks the planner for a strategy, and ranks related premises and
+tactic examples from one embedding of the first goal. Then up to
+`max_retries + 1` rounds run: the executor is asked for up to
+`tactics_per_state` tactics (at most one request for more concepts per
+expansion is resolved through the corpus name index, which renders the
+context anew); the new canonical tactics among them are validated (the only
+operation that consumes budget); each valid one makes a child, whose
+explain call and, unless it proves the theorem, summarize call are sent; a
+failed round's errors go back to the planner. After a proving child none is
+made, but the rounds run on. The prompt bodies before the failed tactics
+and the hint are rendered once per context. What every expansion of a proof
+reads is kept in its `_ProofScope`, for that proof only: the ports, the
+search shape, the global tokens of each goal or hypothesis text, the
+glob-def chunk of each concept, and the ranked premises and tactic examples
+of each first-goal text (a goal that embeds to zero gets none; a provider
+failure is not kept). Explanations feed the shared notebook at the layer
+barrier; the beam is cut back to `beam_width` by model-based ranking (with
+a deterministic shortest-proof fallback).
 
-Only the notebook merge, the ranking and a proved trace read explanations
-and summaries. So while every gateway call of the proof has waited at least
-`OVERLAP_MIN_CALL_S`, those calls go to two FIFO lanes, one worker thread per
-role, as their children are made, and the search thread goes on: they
-overlap the branch's remaining validations and rounds and the later
-branches. The replies are read in branch order when the layer is collected,
-at the barrier or before a proof is returned. Neither role ever has two
-calls in flight, so each sees its calls in sequential order. With a fast
-gateway a hand-off costs more than a call, so the calls are queued and sent
-inline once the expansion's rounds end, in exactly the sequential global
-order; an expansion that raises first drops its queue. On lanes, an
-expansion that loses a later round (a provider failure, or the budget
-running out) has already sent its earlier children's calls; those calls are
-made and their replies are never read.
-
-On lanes, the next branch's first round also runs ahead. When a branch
-starts a retry round, the next expansion of the layer runs its phases
-before the first validation (`render_context`, `plan`, `retrieve` and round
-1's `execute` with its info request) on one prefetch worker thread,
-alongside the retry round, provided the sequential search must reach that
-branch unless this one proves or a run-scoped error ends the proof: this
-branch has not proved, and the budget left covers every validation of its
-rounds to come. Those phases touch neither the backend nor the budget and
-record nothing: an expansion keeps its info request, which the search
-thread records when it validates the round or when the expansion raises,
-and the search thread raises what the worker raised when it takes the
-round. Everything else (validation, the budget, the sessions, the events,
-the other prompts) stays on the search thread in its sequential order. So
-planner and executor calls of two expansions may be in flight at once;
-every call an expansion makes carries its `(depth, branch)` as the
-request's `site`, which a scripted gateway can key its replies to. A branch that proves in a retry round wastes the next
-branch's first round: one planner call and one or two executor calls whose
-replies are never read.
+A program does no I/O: one driver per proof (`_Driver`) makes every
+gateway call, spends the budget, holds the sessions and records the events,
+in branch order. Only the notebook merge, the ranking and a proved trace
+read explanations and summaries, so the layer reads those replies in branch
+order when it is collected, at the barrier or before a proof is returned;
+how the driver sends them, and when it runs a program ahead, is told in
+its docstring. Every call an expansion makes carries its `(depth, branch)`
+as the request's `site`, which a scripted gateway can key its replies to.
 
 The search returns immediately when an applied tactic empties the goal stack,
 reports Failure when a layer expands to nothing, and reports BudgetExhausted
@@ -84,9 +59,9 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from .core_model import Notebook, ProofState, SearchCandidate, state_fingerprint
 from .coq_backend import canonical_tactic, truncate_error
@@ -227,11 +202,13 @@ class SearchPorts:
     """Everything the search talks to. `backend` and `gateway` are required;
     the rest degrade gracefully when absent (no concepts, no retrieval).
 
-    One proof may call `gateway.complete` from four threads at once (the
-    search thread, the explain and summarize lanes and the prefetch
-    worker), so the gateway must be thread-safe. The explain and summarize
-    roles have at most one call in flight; the planner and executor, on
-    lanes, up to two, of two expansions."""
+    The backend is called from the search thread only. While the
+    gateway's calls wait, one proof calls `gateway.complete` from four
+    threads (the search thread, the `prooforge-explain_0` and
+    `prooforge-summarize_0` lanes and the `prooforge-prefetch_0` worker),
+    so the gateway must be thread-safe. Each role has at most one call in
+    flight, except that the planner and executor calls of two expansions
+    may overlap."""
 
     backend: object
     gateway: object
@@ -256,58 +233,6 @@ class _Branch:
 
 def _text(gateway, prompt: str, role: str, site=None) -> str:
     return gateway.complete(ChatRequest.for_role(role, prompt, site)).text
-
-
-class _ProofGateway:
-    """The gateway as one proof uses it. Every call is timed; `waits` holds
-    while no call has been fast. `later` uses its role's lane while `waits`
-    holds, or while the lane still holds a call (which keeps the role's
-    order), and otherwise queues the call on `inline` for `send`. `ahead`
-    runs a function on the prefetch worker."""
-
-    def __init__(self, gateway):
-        self._gateway = gateway
-        self.waits = True
-        self._lanes: dict[str, ThreadPoolExecutor] = {}
-        self._last: dict = {}
-
-    def complete(self, request: ChatRequest):
-        start = time.perf_counter()
-        try:
-            return self._gateway.complete(request)
-        finally:
-            if time.perf_counter() - start < OVERLAP_MIN_CALL_S:
-                self.waits = False
-
-    def _lane(self, name: str) -> ThreadPoolExecutor:
-        lane = self._lanes.get(name)
-        if lane is None:
-            lane = self._lanes[name] = ThreadPoolExecutor(1, f"prooforge-{name}")
-        return lane
-
-    def later(self, prompt: str, role: str, site, inline: list) -> Callable[[], str]:
-        """Send a call, or queue it on `inline`; the callable returned gives
-        its reply or raises."""
-        last = self._last.get(role)
-        if not self.waits and (last is None or last.done()):
-            reply: list = []
-            inline.append((reply, prompt, role, site))
-            return lambda: reply[0]
-        self._last[role] = self._lane(role).submit(_text, self, prompt, role, site)
-        return self._last[role].result
-
-    def ahead(self, fn, *args) -> Future:
-        return self._lane("prefetch").submit(fn, *args)
-
-    def send(self, inline: list) -> None:
-        """Make the queued calls in order, on this thread; the first failure
-        raises and leaves the rest unsent."""
-        for reply, prompt, role, site in inline:
-            reply.append(_text(self, prompt, role, site))
-
-    def close(self) -> None:
-        for lane in self._lanes.values():
-            lane.shutdown()
 
 
 def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Notebook:
@@ -405,34 +330,193 @@ def _lookup_info(corpus, names, concepts):
     return tuple(pairs)
 
 
+@dataclass
 class _ProofScope:
-    """What every expansion of one proof shares and nothing outlives: the
-    ports, search shape, timed gateway (`calls`), budget, the per-proof memos
-    (see the module docstring) and the backend sessions still open.
+    """What every expansion program of one proof reads and nothing outlives:
+    the search shape, the ports and the per-proof memos (see the module
+    docstring). Each memo maps a key to a pure function of it, so the
+    prefetch worker and the search thread filling one at once is benign:
+    both store the same value."""
 
-    Each memo maps a key to a pure function of it, so the prefetch worker
-    and the search thread filling one at once is benign: both store the
-    same value."""
+    params: SearchParams
+    ports: SearchPorts
+    tokens: dict = field(default_factory=dict)
+    chunks: dict = field(default_factory=dict)
+    retrieved: dict = field(default_factory=dict)
+
+
+def _retrieved(scope: _ProofScope, state: ProofState) -> tuple:
+    """Premises and tactic examples ranked for the first goal, embedded and
+    ranked only the first time the proof sees its text. A goal that embeds
+    to zero gets none; a provider failure is not kept, so the next
+    expansion asks again."""
+    ports, memo = scope.ports, scope.retrieved
+    if ports.index is None or not state.goals:
+        return (), ()
+    goal = state.goals[0].goal_internal
+    found = memo.get(goal)
+    if found is None:
+        try:
+            ranked = retrieve(ports.index, goal, k=ports.retrieve_k)
+        except ZeroVectorError:
+            found = (), ()
+        else:
+            found = tuple(tuple(p for p, _sim in ranked[kind]) for kind in (PREMISE, TACTIC))
+        memo[goal] = found
+    return found
+
+
+def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook: Notebook):
+    """One branch's expansion at one depth, as a step program. It yields
+    each request as a (kind, payload) pair and is sent its result:
+
+    - ("planner" | "executor", prompt): the reply text;
+    - ("info", names): an info request's names, to record; None;
+    - ("validate", canonical tactic): the backend's CompileResult;
+    - ("child", tactic): the state a clone of the branch reaches by the
+      validated tactic, or None when none could be made;
+    - ("explain" | "summarize", prompt): a call about that child whose
+      reply only the layer reads; None.
+
+    Each round plans (from the last round's errors), retrieves in round 1,
+    executes, and validates the new canonical tactics among the first
+    `tactics_per_state` suggestions. The expansion's first info request adds
+    the named concepts to the context and asks again; a later one yields no
+    tactics. After a proving child or a child that could not be made, none
+    is made, but the rounds run on."""
+    params, ports = scope.params, scope.ports
+    state, trace, summary = candidate.state, candidate.trace, candidate.summary
+    concepts = concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens)
+    context = render_state_context(state, concepts, ports.config, memo=scope.chunks)
+    bodies: dict = {}  # the planner and prove prompt bodies of `context`
+    premises = tactic_examples = errors = ()
+    seen: set = set()  # canonical tactics already validated
+    info_used = closed = False
+    valid = 0
+
+    def ask():
+        bundle = render_prove_prompt(
+            context, trace=trace, summary=summary, premises=premises,
+            tactics=tactic_examples, notes=notebook, hint=hint, memo=bodies,
+        )
+        return "executor", bundle.rendered
+
+    for round_ in range(params.max_retries + 1):
+        hint = yield "planner", render_planner_prompt(
+            context, trace=trace, summary=summary, notes=notebook, errors=errors, memo=bodies
+        )
+        if not round_:
+            premises, tactic_examples = _retrieved(scope, state)
+        action = parse_action_response((yield ask()))
+        if isinstance(action, InfoRequest) and not info_used:
+            info_used = True
+            concepts += _lookup_info(ports.corpus, action.names, concepts)
+            context = render_state_context(state, concepts, ports.config, memo=scope.chunks)
+            bodies = {}
+            yield "info", list(action.names)
+            action = parse_action_response((yield ask()))
+        tactics = [s.tactic for s in action.items] if isinstance(action, TacticSuggestions) else []
+        failed = []
+        for tactic in tactics[: params.tactics_per_state]:
+            canonical = canonical_tactic(tactic)
+            if not canonical or canonical in seen:
+                continue
+            seen.add(canonical)
+            result = yield "validate", canonical
+            if not result.success:
+                failed.append((canonical, truncate_error(result.error)))
+                continue
+            valid += 1
+            after = None if closed else (yield "child", canonical)
+            if after is None:
+                closed = True
+                continue
+            yield "explain", render_explanation_prompt(state, canonical, after)
+            closed = after.is_complete
+            if not closed:
+                yield "summarize", render_summarize_prompt(trace + ((canonical, ""),), after)
+        if not failed or valid > params.tactics_per_state:
+            return
+        errors = tuple(failed)
+
+
+@dataclass(eq=False)
+class _Expansion:
+    """One branch's expansion as the driver runs it. `children` holds
+    (tactic, state, session, replies) per child in tactic order; `replies`
+    maps "explain" and, unless the child proves, "summarize" to a callable
+    that gives the reply or raises. `held` is a child's desync, raised once
+    the rounds end; `error` is a branch-scoped failure the expansion raised,
+    which leaves it no children."""
+
+    branch: _Branch
+    depth: int
+    idx: int
+    program: Generator
+    children: list = field(default_factory=list)
+    held: Optional[SessionDesync] = None
+    error: Optional[Exception] = None
+
+    @property
+    def site(self) -> tuple:
+        return self.depth, self.idx
+
+    @property
+    def proves(self) -> bool:
+        return bool(self.children) and self.children[-1][1].is_complete
+
+
+class _Driver:
+    """All the I/O of one proof: the gateway calls, the budget, the backend
+    sessions still open and the run-log events, on the search thread in
+    branch order. Every call is timed, and `waits` holds while none has
+    been faster than `OVERLAP_MIN_CALL_S`. A child's explain and summarize
+    calls then go to one lane per role as they are asked for, and stay
+    there while the lane holds a call, which keeps the role's order;
+    otherwise they are queued and sent once the program ends, and a program
+    that raises first drops its queue. While `waits` holds, a branch that
+    starts a retry round may also have the next program stepped ahead
+    (`_prefetch`). On lanes, an expansion that loses a later round has
+    already sent its earlier children's calls, and one that proves in a
+    retry round wastes the next one's first round; those replies are never
+    read."""
 
     def __init__(self, params: SearchParams, ports: SearchPorts):
-        self.params = params
-        self.ports = ports
+        self.scope = _ProofScope(params, ports)
         self.backend = ports.backend
-        self.calls = _ProofGateway(ports.gateway)
+        self.recorder = ports.recorder
+        self.gateway = ports.gateway
         self.budget = BudgetCounter(params.budget)
-        self.tokens: dict = {}
-        self.chunks: dict = {}
-        self.retrieved: dict = {}
+        self.waits = True
         self._open: dict = {}
+        self._workers: dict[str, ThreadPoolExecutor] = {}
+        self._last: dict = {}  # per role, the last call sent on its lane
+        self._queue: list = []  # the running program's calls to send once it ends
+        self._ahead = None  # (expansion, future, held info names) run ahead
+
+    def complete(self, request: ChatRequest):
+        start = time.perf_counter()
+        try:
+            return self.gateway.complete(request)
+        finally:
+            if time.perf_counter() - start < OVERLAP_MIN_CALL_S:
+                self.waits = False
+
+    def _worker(self, name: str) -> ThreadPoolExecutor:
+        worker = self._workers.get(name)
+        if worker is None:
+            worker = self._workers[name] = ThreadPoolExecutor(1, f"prooforge-{name}")
+        return worker
+
+    def close(self) -> None:
+        for worker in self._workers.values():
+            worker.shutdown()
 
     def opened(self, session):
         self._open[id(session)] = session
         return session
 
-    def clone(self, session):
-        return self.opened(self.backend.clone_session(session))
-
-    def close(self, session) -> None:
+    def close_session(self, session) -> None:
         if self._open.pop(id(session), None) is not None:
             self.backend.close_session(session)
 
@@ -444,224 +528,128 @@ class _ProofScope:
                 del self._open[key]
                 self.backend.close_session(session)
 
-
-@dataclass(eq=False)
-class _Expansion:
-    """One branch's expansion at one depth, one method per phase, driven by
-    `run`. `after` is the next expansion of the layer; `ahead` is the future
-    of its own first round while that runs on the prefetch worker.
-    `children` holds (tactic, state, session, explanation, summary) per
-    child in tactic order, replies still to be read; a proving child, always
-    the last, has no summary. `error` is a branch-scoped failure the
-    expansion raised; it then has no children."""
-
-    scope: _ProofScope
-    branch: _Branch
-    depth: int
-    idx: int
-    notebook: Notebook
-    after: Optional["_Expansion"] = None
-    ahead: Optional[Future] = None
-    concepts: tuple = ()
-    context: object = None
-    bodies: dict = field(default_factory=dict)  # the planner and prove prompt bodies of `context`
-    info_used: bool = False
-    info: Optional[list] = None  # the names of the info request, until recorded
-    premises: tuple = ()
-    tactic_examples: tuple = ()
-    seen: set = field(default_factory=set)  # canonical tactics already validated
-    valid: int = 0
-    inline: list = field(default_factory=list)  # calls to send once the rounds end
-    opened: list = field(default_factory=list)  # child sessions, closed if the expansion raises
-    children: list = field(default_factory=list)
-    proves: bool = False
-    held: Optional[SessionDesync] = None
-    error: Optional[Exception] = None
-    site: tuple = field(init=False)  # (depth, idx), carried by every call the expansion makes
-
-    def __post_init__(self):
-        self.site = (self.depth, self.idx)
-
-    def run(self) -> None:
-        """Run the first round, or take it from the prefetch worker; then up
-        to `max_retries` more rounds plan again from the errors, execute and
-        validate; then send the queued calls and raise a held desync.
+    def run(self, expansion: _Expansion, after: Optional[_Expansion]) -> None:
+        """Run a program to its end, from where the prefetch worker left it
+        if it ran ahead; then send the queued calls and raise a held desync.
         Whatever raises closes the children made so far; a branch-scoped
         failure is kept as `error`. The branch's session is closed when the
         run ends."""
-        scope, params = self.scope, self.scope.params
+        def info(names):
+            self.recorder.record("info", depth=expansion.depth, branch=expansion.idx, names=names)
+
         try:
-            failed = self.validate(self.first_round() if self.ahead is None else self.ahead.result())
-            for retry in range(1, params.max_retries + 1):
-                if not failed or self.valid > params.tactics_per_state:
-                    break
-                self.prefetch_next(retry)
-                failed = self.validate(self.execute(self.plan(tuple(failed))))
-            scope.calls.send(self.inline)
-            if self.held is not None:
-                raise self.held
+            request, rounds = None, 0
+            if self._ahead is not None and self._ahead[0] is expansion:
+                _expansion, future, held = self._ahead
+                self._ahead = None
+                try:
+                    request, rounds = future.result(), 1
+                finally:
+                    for names in held:
+                        info(names)
+            self._serve(expansion, request, info, rounds, after)
+            for reply, prompt, role in self._queue:
+                reply.append(_text(self, prompt, role, expansion.site))
+            if expansion.held is not None:
+                raise expansion.held
         except BaseException as exc:
-            self.record_info()
-            for child in self.opened:
-                scope.close(child)
-            self.children, self.proves = [], False
+            for _tactic, _state, session, _replies in expansion.children:
+                self.close_session(session)
+            expansion.children = []
             if not isinstance(exc, (ProviderError, SessionDesync)):
                 raise
-            self.error = exc
+            expansion.error = exc
         finally:
-            scope.close(self.branch.session)
+            self._queue = []
+            self.close_session(expansion.branch.session)
 
-    def first_round(self) -> list[str]:
-        """The phases before the first validation: render the context, plan,
-        retrieve, and execute round 1. They touch neither the backend nor the
-        budget, and record nothing."""
-        scope = self.scope
-        ports = scope.ports
-        state = self.branch.candidate.state
-        self.render_context(concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens))
-        strategy = self.plan(())
-        self.retrieve()
-        return self.execute(strategy)
+    def _serve(self, expansion, request, info, rounds=0, after=None, ahead=False):
+        """Answer a program's requests, `request` first if one is pending,
+        until it ends. Every round opens with its planner call, so `rounds`
+        counts the rounds begun. On the prefetch worker (`ahead`), stop at
+        the first validation and return that request."""
+        send, site, reply = expansion.program.send, expansion.site, None
+        while True:
+            if request is None:
+                try:
+                    request = send(reply)
+                except StopIteration:
+                    return None
+            kind, payload = request
+            if kind == "validate":
+                if ahead:
+                    return request
+                reply = self._validate(expansion, payload)
+            elif kind == "child":
+                reply = self._child(expansion, payload)
+            elif kind == "explain" or kind == "summarize":
+                reply = self._later(expansion, kind, payload)
+            elif kind == "info":
+                reply = info(payload)
+            else:
+                if kind == "planner":
+                    if rounds:
+                        self._prefetch(expansion, after, rounds)
+                    rounds += 1
+                reply = _text(self, payload, kind, site)
+            request = None
 
-    def prefetch_next(self, retry: int) -> None:
-        """Before retry round `retry`, start the next expansion's first round
-        on the prefetch worker, once, if the gateway's calls wait and the
+    def _validate(self, expansion: _Expansion, tactic: str):
+        self.budget.spend()
+        branch = expansion.branch
+        result = self.backend.compile_tactic(tactic, branch.candidate.state, branch.session)
+        self.recorder.record(
+            "tactic", depth=expansion.depth, branch=expansion.idx, tactic=tactic,
+            ok=result.success, error=result.error,
+        )
+        return result
+
+    def _child(self, expansion: _Expansion, tactic: str):
+        """Clone the branch session and apply a validated tactic; a desync
+        is held and closes the clone."""
+        child = None
+        try:
+            child = self.opened(self.backend.clone_session(expansion.branch.session))
+            after = self.backend.apply_tactic(tactic, child)
+        except SessionDesync as exc:
+            expansion.held = exc
+            if child is not None:
+                self.close_session(child)
+            return None
+        expansion.children.append((tactic, after, child, {}))
+        return after
+
+    def _later(self, expansion: _Expansion, role: str, prompt: str) -> None:
+        """Send the last child's explain or summarize call on its lane, or
+        queue it; the layer reads the reply."""
+        last = self._last.get(role)
+        if not self.waits and (last is None or last.done()):
+            reply: list = []
+            self._queue.append((reply, prompt, role))
+            read = lambda: reply[0]  # noqa: E731
+        else:
+            last = self._last[role] = self._worker(role).submit(
+                _text, self, prompt, role, expansion.site
+            )
+            read = last.result
+        expansion.children[-1][3][role] = read
+
+    def _prefetch(self, expansion: _Expansion, after: Optional[_Expansion], retry: int) -> None:
+        """Before retry round `retry`, step the next program on the prefetch
+        worker up to its first validation, once, if the calls wait and the
         sequential search must reach that expansion unless this one proves
         or a run-scoped error ends the proof: this branch has not proved,
         and the budget left covers every validation of this round and the
         rounds after it, so it cannot run out before the next branch."""
-        after, scope = self.after, self.scope
-        budget, params = scope.budget, scope.params
+        budget, params = self.budget, self.scope.params
         if (
-            after is None or after.ahead is not None or self.proves or not scope.calls.waits
+            after is None or self._ahead is not None or expansion.proves or not self.waits
             or budget.limit - budget.used < (params.max_retries + 1 - retry) * params.tactics_per_state
         ):
             return
-        after.ahead = scope.calls.ahead(after.first_round)
-
-    def record_info(self) -> None:
-        """Record the info request `execute` kept, once, on the search thread."""
-        if self.info is not None:
-            self.scope.ports.recorder.record(
-                "info", depth=self.depth, branch=self.idx, names=self.info
-            )
-            self.info = None
-
-    def render_context(self, concepts) -> None:
-        """Render the state context that shows `concepts`; the prompt bodies
-        of the old context go with it."""
-        self.concepts = concepts
-        self.context = render_state_context(
-            self.branch.candidate.state, concepts, self.scope.ports.config, memo=self.scope.chunks
-        )
-        self.bodies = {}
-
-    def plan(self, errors) -> str:
-        candidate = self.branch.candidate
-        prompt = render_planner_prompt(
-            self.context, trace=candidate.trace, summary=candidate.summary,
-            notes=self.notebook, errors=errors, memo=self.bodies,
-        )
-        return _text(self.scope.calls, prompt, "planner", self.site)
-
-    def retrieve(self) -> None:
-        """Premises and tactic examples ranked for the first goal, embedded
-        and ranked only the first time the proof sees its text. A goal that
-        embeds to zero gets none; a provider failure is not kept, so the
-        next expansion asks again."""
-        ports, memo = self.scope.ports, self.scope.retrieved
-        goals = self.branch.candidate.state.goals
-        if ports.index is None or not goals:
-            return
-        goal = goals[0].goal_internal
-        found = memo.get(goal)
-        if found is None:
-            try:
-                ranked = retrieve(ports.index, goal, k=ports.retrieve_k)
-            except ZeroVectorError:
-                found = (), ()
-            else:
-                found = tuple(tuple(p for p, _sim in ranked[kind]) for kind in (PREMISE, TACTIC))
-            memo[goal] = found
-        self.premises, self.tactic_examples = found
-
-    def execute(self, hint: str) -> list[str]:
-        """One executor round. The expansion's first info request adds the
-        named concepts to the context, is kept as `info` for the search
-        thread to record, and asks again; a later one yields no tactics."""
-        action = self._ask(hint)
-        if isinstance(action, InfoRequest) and not self.info_used:
-            self.info_used = True
-            ports = self.scope.ports
-            self.render_context(
-                self.concepts + _lookup_info(ports.corpus, action.names, self.concepts)
-            )
-            self.info = list(action.names)
-            action = self._ask(hint)
-        if isinstance(action, TacticSuggestions):
-            return [suggestion.tactic for suggestion in action.items]
-        return []
-
-    def _ask(self, hint: str):
-        candidate = self.branch.candidate
-        bundle = render_prove_prompt(
-            self.context, trace=candidate.trace, summary=candidate.summary,
-            premises=self.premises, tactics=self.tactic_examples, notes=self.notebook,
-            hint=hint, memo=self.bodies,
-        )
-        return parse_action_response(_text(self.scope.calls, bundle.rendered, "executor", self.site))
-
-    def validate(self, tactics: list[str]) -> list[tuple[str, str]]:
-        """Validate the first `tactics_per_state` new canonical tactics,
-        making each valid one's child; returns the failed ones' errors."""
-        self.record_info()
-        scope, state, session = self.scope, self.branch.candidate.state, self.branch.session
-        recorder = scope.ports.recorder
-        failed = []
-        for tactic in tactics[: scope.params.tactics_per_state]:
-            canonical = canonical_tactic(tactic)
-            if not canonical or canonical in self.seen:
-                continue
-            self.seen.add(canonical)
-            scope.budget.spend()
-            result = scope.backend.compile_tactic(canonical, state, session)
-            recorder.record(
-                "tactic", depth=self.depth, branch=self.idx, tactic=canonical,
-                ok=result.success, error=result.error,
-            )
-            if result.success:
-                self.valid += 1
-                self.make_child(canonical)
-            else:
-                failed.append((canonical, truncate_error(result.error)))
-        return failed
-
-    def make_child(self, tactic: str) -> None:
-        """Clone the branch session, apply a validated tactic, and send the
-        child's explain call and, unless it proves the theorem, its summarize
-        call. After a proving child or a held desync, make none."""
-        if self.proves or self.held is not None:
-            return
-        scope, state = self.scope, self.branch.candidate.state
-        try:
-            child = scope.clone(self.branch.session)
-            self.opened.append(child)
-            after = scope.backend.apply_tactic(tactic, child)
-        except SessionDesync as exc:
-            self.held = exc
-            return
-        explanation = scope.calls.later(
-            render_explanation_prompt(state, tactic, after), "explain", self.site, self.inline
-        )
-        summary = None
-        if after.is_complete:
-            self.proves = True
-        else:
-            trace = self.branch.candidate.trace + ((tactic, ""),)
-            summary = scope.calls.later(
-                render_summarize_prompt(trace, after), "summarize", self.site, self.inline
-            )
-        self.children.append((tactic, after, child, explanation, summary))
+        held: list = []
+        future = self._worker("prefetch").submit(self._serve, after, None, held.append, ahead=True)
+        self._ahead = after, future, held
 
 
 @dataclass
@@ -687,12 +675,12 @@ class _Layer:
             try:
                 if expansion.error is not None:
                     raise expansion.error
-                for tactic, after, session, explanation, summary in expansion.children:
-                    text = explanation()
+                for tactic, after, session, replies in expansion.children:
+                    text = replies["explain"]()
                     trace = expansion.branch.candidate.trace + ((tactic, text),)
-                    if summary is None:
+                    if after.is_complete:
                         return trace
-                    candidate = SearchCandidate(state=after, trace=trace, summary=summary())
+                    candidate = SearchCandidate(state=after, trace=trace, summary=replies["summarize"]())
                     branches.append(_Branch(candidate, session))
                     if text.strip():
                         insights.append(text.strip())
@@ -710,15 +698,12 @@ class _Layer:
 
 
 def _dedupe_branches(branches: list[_Branch]) -> list[_Branch]:
-    """Within a layer, keep one branch per state fingerprint — the one with
-    the shorter trace (earlier arrival wins ties)."""
-    best: dict[str, _Branch] = {}
+    """Within a layer, keep the first branch per state fingerprint. Every
+    branch of a layer has a trace of the same length."""
+    first: dict[str, _Branch] = {}
     for branch in branches:
-        fp = state_fingerprint(branch.candidate.state)
-        kept = best.get(fp)
-        if kept is None or len(branch.candidate.trace) < len(kept.candidate.trace):
-            best[fp] = branch
-    return list(best.values())
+        first.setdefault(state_fingerprint(branch.candidate.state), branch)
+    return list(first.values())
 
 
 def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult:
@@ -735,8 +720,8 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         beam_width=params.beam_width,
         budget=params.budget,
     )
-    scope = _ProofScope(params, ports)
-    budget, calls = scope.budget, scope.calls
+    driver = _Driver(params, ports)
+    budget = driver.budget
 
     def finish(outcome: Outcome, depth: int, trace=()) -> ProofResult:
         recorder.record(
@@ -751,7 +736,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
             f"theorem does not compile: {truncate_error(str(exc))}",
             context=f"theorem {theorem!r}",
         ) from exc
-    scope.opened(root_session)
+    driver.opened(root_session)
     notebook = Notebook()
     depth = 0
 
@@ -762,17 +747,17 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         layer = [_Branch(SearchCandidate(state=initial_state), root_session)]
         for depth in range(1, params.max_depth + 1):
             collected = _Layer(theorem, depth, recorder)
-            expansion = None
-            for idx in reversed(range(len(layer))):
-                expansion = _Expansion(scope, layer[idx], depth, idx, notebook, after=expansion)
-            while expansion is not None:
-                expansion.run()
+            expansions = [
+                _Expansion(branch, depth, idx, _expansion_program(driver.scope, branch.candidate, notebook))
+                for idx, branch in enumerate(layer)
+            ]
+            for expansion, after in zip(expansions, expansions[1:] + [None]):
+                driver.run(expansion, after)
                 collected.pending.append(expansion)
                 if expansion.proves:
                     proved = collected.collect()
                     if proved is not None:
                         return finish(Outcome.PROVED, depth, proved)
-                expansion = expansion.after
             collected.collect()
 
             if not collected.branches:
@@ -781,10 +766,10 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                 return finish(Outcome.FAILURE, depth)
 
             next_branches = _dedupe_branches(collected.branches)
-            scope.close_all_but(next_branches)
+            driver.close_all_but(next_branches)
             if collected.insights:
                 notebook = update_notebook(
-                    initial_state, collected.insights, notebook, calls
+                    initial_state, collected.insights, notebook, driver
                 )
                 recorder.record("notebook", depth=depth, size=len(notebook.items))
             if len(next_branches) > params.beam_width:
@@ -793,11 +778,11 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                     [branch.candidate for branch in next_branches],
                     params.beam_width,
                     params.selection_mode,
-                    calls,
+                    driver,
                 )
                 by_identity = {id(branch.candidate): branch for branch in next_branches}
                 next_branches = [by_identity[id(candidate)] for candidate in kept]
-                scope.close_all_but(next_branches)
+                driver.close_all_but(next_branches)
             recorder.record(
                 "layer", depth=depth, width=len(next_branches), evaluations=budget.used
             )
@@ -806,6 +791,6 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
         collected.collect()
         return finish(Outcome.BUDGET_EXHAUSTED, depth)
     finally:
-        calls.close()
-        scope.close_all_but(())
+        driver.close()
+        driver.close_all_but(())
     return finish(Outcome.FAILURE, depth)

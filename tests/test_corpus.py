@@ -22,13 +22,12 @@ from prooforge.corpus import (
     _read_objects,
     derive_constructors,
     extract_concepts,
-    generate_require,
     load_entity_corpus,
     load_proof_corpus,
     save_entity_corpus,
     save_proof_corpus,
 )
-from prooforge.errors import FormatError, UnknownTokenError
+from prooforge.errors import FormatError
 from prooforge.tokenizer import TokenTable
 
 TRUE_RECORD_LINE = json.dumps(
@@ -620,43 +619,3 @@ class TestExtractConcepts:
         table, corpus, _ = _three_record_setup()
         with pytest.raises(ValueError):
             extract_concepts(corpus, table, ProofState(()), depth=-1)
-
-
-# ----------------------------------------------------------------------
-# Require generation
-# ----------------------------------------------------------------------
-
-class TestGenerateRequire:
-    def test_single_token(self):
-        # [DERIVED] prefix-stripping oracle on the worked-proof name.
-        table, corpus, tokens = _three_record_setup()
-        add_tid = tokens[2]
-        assert generate_require(corpus, [add_tid]) == ["Require Import Coq.Init.Nat."]
-
-    def test_empty_tokens(self):
-        # [TRIVIAL]
-        _table, corpus, _ = _three_record_setup()
-        assert generate_require(corpus, []) == []
-
-    def test_same_module_deduplicates(self):
-        # [TRIVIAL] two tokens from one module produce one statement.
-        table = TokenTable()
-        records = [make_entity("Mod.first"), make_entity("Mod.second")]
-        tokens = [table.intern_entity(r) for r in records]
-        corpus = EntityCorpus(records=tuple(records), tokens=tuple(tokens))
-        assert generate_require(corpus, tokens) == ["Require Import Mod."]
-
-    def test_unknown_token_raises(self):
-        _table, corpus, _ = _three_record_setup()
-        with pytest.raises(UnknownTokenError):
-            generate_require(corpus, [999])
-
-    def test_sorted_output(self):
-        table = TokenTable()
-        records = [make_entity("Zeta.x"), make_entity("Alpha.y")]
-        tokens = [table.intern_entity(r) for r in records]
-        corpus = EntityCorpus(records=tuple(records), tokens=tuple(tokens))
-        assert generate_require(corpus, tokens) == [
-            "Require Import Alpha.",
-            "Require Import Zeta.",
-        ]

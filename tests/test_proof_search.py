@@ -23,9 +23,11 @@ from conftest import (
     ADD_0_L_SURFACE,
     make_entity,
     sigma_0,
+    sigma_1,
 )
 from test_coq_backend import worked_backend
 from prooforge.coq_backend import (
+    CompileResult,
     Lemma,
     SyntheticBackend,
     replay_trace,
@@ -45,6 +47,8 @@ from prooforge.proof_search import (
     SearchParams,
     SearchPorts,
     SelectionMode,
+    _expansion_program,
+    _ProofScope,
     compute_budget,
     prove,
     select_best,
@@ -313,6 +317,45 @@ class TestScriptedRuns:
         assert "- intros\n" in first_prompt
 
 
+class TestExpansionProgram:
+    def test_an_expansion_is_stepped_by_hand_with_no_io(self):
+        # The worked proof's first expansion as a step program, with no
+        # thread, backend or gateway: each request is answered here. Round 1
+        # fails `reflexivity` and validates `intros n`, whose child is
+        # explained and summarized; round 2 plans from the error and its
+        # executor repeats `intros n`, which fails nothing, so it ends.
+        scope = _ProofScope(SearchParams(), SearchPorts(backend=None, gateway=None))
+        program = _expansion_program(scope, SearchCandidate(state=sigma_0()), Notebook())
+        replies = {
+            "planner": lambda _prompt: "Introduce n.",
+            "executor": lambda _prompt: tactics_reply("reflexivity", "intros n"),
+            "validate": lambda tactic: (
+                CompileResult(state=sigma_1()) if tactic == "intros n"
+                else CompileResult(error="Unable to unify.")
+            ),
+            "child": lambda _tactic: sigma_1(),
+            "explain": lambda _prompt: None,
+            "summarize": lambda _prompt: None,
+        }
+        requests, reply = [], None
+        while True:
+            try:
+                kind, payload = program.send(reply)
+            except StopIteration:
+                break
+            requests.append((kind, payload))
+            reply = replies[kind](payload)
+        assert [kind for kind, _payload in requests] == [
+            "planner", "executor", "validate", "validate", "child", "explain", "summarize",
+            "planner", "executor",
+        ]
+        assert [payload for kind, payload in requests if kind == "validate"] == [
+            "reflexivity", "intros n",
+        ]
+        assert "Unable to unify." not in requests[0][1]
+        assert "Unable to unify." in requests[7][1]
+
+
 class TestRetriesAndFailure:
     def test_retry_loop_reflects_errors_and_stops_at_the_cap(self):
         # Four rounds: the opening round plus max_retries reconsiderations,
@@ -349,6 +392,20 @@ class TestRetriesAndFailure:
         ports = SearchPorts(backend=SyntheticBackend(), gateway=gateway)
         result = prove("A -> B -> A", SearchParams(max_retries=1), ports)
         assert result.outcome is Outcome.FAILURE
+        assert result.tactic_evaluations_used == 1
+
+    def test_only_the_first_tactics_per_state_suggestions_are_validated(self):
+        # The new canonical tactics among the first two suggestions are
+        # validated: the repeated `intros` costs nothing, and the third
+        # suggestion is never reached.
+        records = route_defaults() + [
+            ScriptRecord(reply=tactics_reply("intros", "intros", "idtac"), route="executor"),
+        ]
+        ports = SearchPorts(backend=SyntheticBackend(), gateway=MockGateway(records))
+        params = SearchParams(max_depth=1, max_retries=0, tactics_per_state=2)
+        result = prove("A -> B -> A", params, ports)
+        tactics = [e["tactic"] for e in ports.recorder.events if e["event"] == "tactic"]
+        assert tactics == ["intros"]
         assert result.tactic_evaluations_used == 1
 
 
