@@ -24,6 +24,8 @@ from conftest import (
     make_entity,
     sigma_0,
     sigma_1,
+    sigma_2,
+    sigma_3,
 )
 from test_coq_backend import worked_backend
 from prooforge.coq_backend import (
@@ -47,6 +49,8 @@ from prooforge.proof_search import (
     SearchParams,
     SearchPorts,
     SelectionMode,
+    _Branch,
+    _dedupe_branches,
     _expansion_program,
     _ProofScope,
     compute_budget,
@@ -317,6 +321,28 @@ class TestScriptedRuns:
         assert "- intros\n" in first_prompt
 
 
+def step_by_hand(program, replies) -> list[tuple]:
+    """Run an expansion program to its end, answering each request with
+    `replies[kind](payload)`; the (kind, payload) requests in order."""
+    requests, reply = [], None
+    while True:
+        try:
+            kind, payload = program.send(reply)
+        except StopIteration:
+            return requests
+        requests.append((kind, payload))
+        reply = replies[kind](payload)
+
+
+def worked_program(params=SearchParams()):
+    scope = _ProofScope(params, SearchPorts(backend=None, gateway=None))
+    return _expansion_program(scope, SearchCandidate(state=sigma_0()), Notebook())
+
+
+def no_reply(_payload):
+    return None
+
+
 class TestExpansionProgram:
     def test_an_expansion_is_stepped_by_hand_with_no_io(self):
         # The worked proof's first expansion as a step program, with no
@@ -324,9 +350,7 @@ class TestExpansionProgram:
         # fails `reflexivity` and validates `intros n`, whose child is
         # explained and summarized; round 2 plans from the error and its
         # executor repeats `intros n`, which fails nothing, so it ends.
-        scope = _ProofScope(SearchParams(), SearchPorts(backend=None, gateway=None))
-        program = _expansion_program(scope, SearchCandidate(state=sigma_0()), Notebook())
-        replies = {
+        requests = step_by_hand(worked_program(), {
             "planner": lambda _prompt: "Introduce n.",
             "executor": lambda _prompt: tactics_reply("reflexivity", "intros n"),
             "validate": lambda tactic: (
@@ -334,17 +358,9 @@ class TestExpansionProgram:
                 else CompileResult(error="Unable to unify.")
             ),
             "child": lambda _tactic: sigma_1(),
-            "explain": lambda _prompt: None,
-            "summarize": lambda _prompt: None,
-        }
-        requests, reply = [], None
-        while True:
-            try:
-                kind, payload = program.send(reply)
-            except StopIteration:
-                break
-            requests.append((kind, payload))
-            reply = replies[kind](payload)
+            "explain": no_reply,
+            "summarize": no_reply,
+        })
         assert [kind for kind, _payload in requests] == [
             "planner", "executor", "validate", "validate", "child", "explain", "summarize",
             "planner", "executor",
@@ -354,6 +370,97 @@ class TestExpansionProgram:
         ]
         assert "Unable to unify." not in requests[0][1]
         assert "Unable to unify." in requests[7][1]
+
+    def test_a_proving_child_is_explained_not_summarized_and_no_child_follows(self):
+        # A child with no goals closes the expansion's children: it is
+        # explained but not summarized, and the next validated tactic asks
+        # for no child. Nothing failed, so the program ends after round 1.
+        requests = step_by_hand(worked_program(), {
+            "planner": lambda _prompt: "Close it.",
+            "executor": lambda _prompt: tactics_reply("trivial", "auto"),
+            "validate": lambda _tactic: CompileResult(state=sigma_3()),
+            "child": lambda _tactic: sigma_3(),
+            "explain": no_reply,
+        })
+        assert [kind for kind, _payload in requests] == [
+            "planner", "executor", "validate", "child", "explain", "validate",
+        ]
+        assert [payload for kind, payload in requests if kind in ("validate", "child")] == [
+            "trivial", "trivial", "auto",
+        ]
+
+    def test_a_child_that_cannot_be_made_closes_the_children_but_not_the_rounds(self):
+        # The first child desyncs (None): it is not explained, and the
+        # later valid tactic asks for no child. The failed tactic still
+        # opens a second round, which plans from its error.
+        requests = step_by_hand(worked_program(SearchParams(max_retries=1)), {
+            "planner": lambda _prompt: "Try both.",
+            "executor": lambda _prompt: tactics_reply("intros n", "simpl", "reflexivity"),
+            "validate": lambda tactic: (
+                CompileResult(error="No progress.") if tactic == "reflexivity"
+                else CompileResult(state=sigma_1())
+            ),
+            "child": no_reply,
+        })
+        assert [payload for kind, payload in requests if kind in ("validate", "child")] == [
+            "intros n", "intros n", "simpl", "reflexivity",
+        ]
+        assert [kind for kind, _payload in requests] == [
+            "planner", "executor", "validate", "child", "validate", "validate",
+            "planner", "executor",
+        ]
+        assert "No progress." in requests[6][1]
+
+    def test_the_first_info_request_asks_again_and_a_later_one_yields_no_tactics(self):
+        # The expansion's first info request is yielded for the driver to
+        # record, and the executor is asked again; its tactic fails, so a
+        # second round runs, whose info request is neither yielded nor asked
+        # about again: the round has no tactics, and the program ends.
+        executor = iter([
+            json.dumps({"info": ["Nat.add"]}),
+            tactics_reply("reflexivity"),
+            json.dumps({"info": ["Nat.mul"]}),
+        ])
+        requests = step_by_hand(worked_program(SearchParams(max_retries=3)), {
+            "planner": lambda _prompt: "Look it up.",
+            "executor": lambda _prompt: next(executor),
+            "info": no_reply,
+            "validate": lambda _tactic: CompileResult(error="Failed."),
+        })
+        assert [kind for kind, _payload in requests] == [
+            "planner", "executor", "info", "executor", "validate", "planner", "executor",
+        ]
+        assert requests[2][1] == ["Nat.add"]
+
+    def test_rounds_stop_at_the_retry_cap_and_validate_each_tactic_once(self):
+        # Every validation fails, so each round opens another up to
+        # max_retries + 1 rounds; a tactic met again in a later round, or
+        # empty once canonical, is not validated again.
+        rounds = iter([
+            tactics_reply("reflexivity", "apply H1."),
+            tactics_reply("reflexivity", "  ", "apply H2"),
+            tactics_reply("apply H1", "apply H3"),
+        ])
+        requests = step_by_hand(worked_program(SearchParams(max_retries=2)), {
+            "planner": lambda _prompt: "Keep trying.",
+            "executor": lambda _prompt: next(rounds),
+            "validate": lambda _tactic: CompileResult(error="Failed."),
+        })
+        assert [kind for kind, _payload in requests].count("planner") == 3
+        assert [payload for kind, payload in requests if kind == "validate"] == [
+            "reflexivity", "apply H1", "apply H2", "apply H3",
+        ]
+
+
+class TestDedupeBranches:
+    def test_the_first_branch_per_state_fingerprint_is_kept_in_order(self):
+        branches = [
+            _Branch(SearchCandidate(state=sigma_1(), trace=(("intros n", ""),)), session="a"),
+            _Branch(SearchCandidate(state=sigma_2(), trace=(("simpl", ""),)), session="b"),
+            _Branch(SearchCandidate(state=sigma_1(), trace=(("intro n", ""),)), session="c"),
+        ]
+        kept = _dedupe_branches(branches)
+        assert [branch.session for branch in kept] == ["a", "b"]
 
 
 class TestRetriesAndFailure:
