@@ -8,7 +8,6 @@ scores how clearly a model understands each concept it is shown.
 
 from .core_model import (
     ANONYMOUS_NAME as ANONYMOUS_NAME,
-    EMPTY_STATE_FINGERPRINT as EMPTY_STATE_FINGERPRINT,
     EntityKind as EntityKind,
     EntityRecord as EntityRecord,
     GoalState as GoalState,
@@ -23,7 +22,6 @@ from .core_model import (
 )
 from .tokenizer import (
     DisambiguatedName as DisambiguatedName,
-    ResolutionContext as ResolutionContext,
     TokenClass as TokenClass,
     TokenTable as TokenTable,
     coverage_report as coverage_report,
@@ -39,7 +37,6 @@ from .corpus import (
     load_entity_corpus as load_entity_corpus,
     load_proof_corpus as load_proof_corpus,
     save_entity_corpus as save_entity_corpus,
-    save_proof_corpus as save_proof_corpus,
 )
 from .retrieval import (
     HttpEmbeddingProvider as HttpEmbeddingProvider,

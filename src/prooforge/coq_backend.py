@@ -78,8 +78,8 @@ class CompileResult:
         return self.state is not None
 
 
-def truncate_error(error: str, limit: int = ERROR_TEXT_LIMIT) -> str:
-    return error if len(error) <= limit else error[:limit]
+def truncate_error(error: str) -> str:
+    return error[:ERROR_TEXT_LIMIT]
 
 
 def canonical_tactic(tactic: str) -> str:

@@ -149,18 +149,6 @@ class GoalState:
         if not self.goal_surface or not self.goal_internal:
             raise ValueError("goal texts must be non-empty")
 
-    @classmethod
-    def from_pairs(
-        cls,
-        hypotheses: "list[tuple[str, str, str]] | tuple[tuple[str, str, str], ...]",
-        goal_surface: str,
-        goal_internal: str,
-    ) -> "GoalState":
-        """Build from (name, surface_type, internal_type) triples."""
-        surface = tuple(Hypothesis(n, surface_type=s) for n, s, _ in hypotheses)
-        internal = tuple(Hypothesis(n, internal_type=i) for n, _, i in hypotheses)
-        return cls(surface, internal, goal_surface, goal_internal)
-
 
 @dataclass(frozen=True)
 class ProofState:
@@ -248,10 +236,6 @@ def state_fingerprint(state: ProofState) -> str:
             parts.append(_normalize_ws(hyp.internal_type))
     encoded = "\x1f".join(parts).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
-
-
-#: Fingerprint of the completed (zero-goal) state; a fixed point of the digest.
-EMPTY_STATE_FINGERPRINT = state_fingerprint(ProofState(()))
 
 
 @dataclass(frozen=True)

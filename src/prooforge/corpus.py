@@ -1,4 +1,4 @@
-"""Corpus loading, serialization formats, concept extraction, and Requires.
+"""Corpus loading, serialization formats, and concept extraction.
 
 Interchange files are line-delimited JSON with a mandatory first line naming
 the format version and payload kind::
@@ -47,7 +47,6 @@ from .core_model import (
 )
 from .errors import FormatError
 from .tokenizer import (
-    EMPTY_CONTEXT,
     KERNEL_SEPARATOR,
     TokenClass,
     TokenTable,
@@ -103,7 +102,7 @@ def _resolve_dependency(table: TokenTable, name) -> Optional[int]:
         return name if entry is not None and entry[1].kind == TokenClass.GLOBAL else None
     if KERNEL_SEPARATOR in name:
         return table.id_for_rendered(name)
-    return resolve_name(table, name, EMPTY_CONTEXT)
+    return resolve_name(table, name)
 
 
 _ENTITY_FIELDS = frozenset((
@@ -535,18 +534,8 @@ def load_proof_corpus(path: str) -> ProofCorpus:
     return ProofCorpus(proofs=tuple(proofs), by_theorem=by_theorem, extras=extras_map)
 
 
-def save_proof_corpus(corpus: ProofCorpus, path: str) -> None:
-    lines = [PROOFS_HEADER]
-    for index, proof in enumerate(corpus.proofs):
-        obj = encode_proof(proof)
-        obj.update(corpus.extras.get(index, {}))
-        lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ======================================================================
-# Concept extraction and Require generation
+# Concept extraction
 # ======================================================================
 
 def _global_tokens(table: TokenTable, text: str, memo: dict) -> tuple[int, ...]:

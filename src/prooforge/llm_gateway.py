@@ -48,7 +48,7 @@ from .errors import (
 
 logger = logging.getLogger("prooforge.llm_gateway")
 
-#: Default floor applied when YES or NO is missing from the top-k alternatives.
+#: The log probability of YES or NO when the top-k alternatives lack it.
 LOGPROB_FLOOR = -20.0
 
 #: The environment variable a client reads its API key from by default.
@@ -328,15 +328,13 @@ def _normalize_judge_token(token: str) -> str:
     return token.strip().strip(".,:;!\"'`()[]").upper()
 
 
-def derive_yes_no_logprobs(
-    tokens: Sequence[TokenLogprob], floor: float = LOGPROB_FLOOR
-) -> YesNoLogprobs:
+def derive_yes_no_logprobs(tokens: Sequence[TokenLogprob]) -> YesNoLogprobs:
     """Read the YES/NO pair off the first content token of a judged reply.
 
     The first non-whitespace content token decides which side was observed;
-    the other side comes from that token's top-k alternatives, or the floor
-    when absent. Raises UnjudgeableResponse when neither side is visible, or
-    when both have log probability -inf.
+    the other side comes from that token's top-k alternatives, or is
+    `LOGPROB_FLOOR` when absent. Raises UnjudgeableResponse when neither
+    side is visible, or when both have log probability -inf.
     """
     first: Optional[TokenLogprob] = None
     for tok in tokens:
@@ -358,21 +356,21 @@ def derive_yes_no_logprobs(
             f"first token {first.token!r} is neither YES nor NO and the pair "
             "is absent from top-k alternatives"
         )
-    yes = min(alternatives.get("YES", floor), 0.0)
-    no = min(alternatives.get("NO", floor), 0.0)
+    yes = min(alternatives.get("YES", LOGPROB_FLOOR), 0.0)
+    no = min(alternatives.get("NO", LOGPROB_FLOOR), 0.0)
     if math.isinf(yes) and math.isinf(no):
         raise UnjudgeableResponse("both YES and NO have log probability -inf")
     return YesNoLogprobs(log_p_yes=yes, log_p_no=no)
 
 
-def yes_no_logprobs(gateway, judge_prompt: str, floor: float = LOGPROB_FLOOR) -> YesNoLogprobs:
+def yes_no_logprobs(gateway, judge_prompt: str) -> YesNoLogprobs:
     """Make the `judge` call through `gateway.complete` and read the YES/NO
     pair off the reply's token logprobs (`derive_yes_no_logprobs`); a reply
     without any raises UnjudgeableResponse."""
     result = gateway.complete(ChatRequest.for_role("judge", judge_prompt))
     if not result.logprobs:
         raise UnjudgeableResponse("reply carries no token logprobs")
-    return derive_yes_no_logprobs(result.logprobs, floor=floor)
+    return derive_yes_no_logprobs(result.logprobs)
 
 
 # ======================================================================

@@ -38,7 +38,8 @@ All renderers are pure functions of their inputs. Three take an optional
 memo that keeps text they have rendered: `render_state_context` each
 concept's glob-def chunk, `render_prove_prompt` the text before the hint,
 and `render_planner_prompt` the text before the failed tactics. The search
-keeps the first per proof and the other two on the expansion object, per context.
+keeps the first per proof and the other two in `_expansion_program`, per
+context.
 """
 
 from __future__ import annotations

@@ -8,14 +8,14 @@ re-interning never renumbers.
 
 Lexemes inside a term text fall into three classes:
 
-* GlobalIdentifier: a dotted path that resolves to an interned entity.
-* LocalVariable: any identifier that does not resolve; the class carries the
-  variable's type text when the caller supplies it, else the empty string.
-  Local-variable ids are allocated per type text, not per occurrence, so two
-  variables of type ``nat`` share a class.
+* GlobalIdentifier: a dotted path that resolves to an interned entity, by
+  its canonical path first and then by its kernel path. When entities share
+  a path, the one interned first owns it.
 * Reserved: keywords, structural markers, the anonymous-binder marker, the
   goal-completion marker, de Bruijn relocation marker, hint database names,
-  and built-in tactic names, all drawn from a versioned static list.
+  and built-in tactic names, all drawn from a static list.
+* LocalVariable: every other lexeme. Locals share one class and have no
+  token id.
 
 Resolution and tokenization never mutate the table, so they are safe to run
 concurrently with each other; interning is the only mutating operation.
@@ -24,9 +24,9 @@ concurrently with each other; interning is the only mutating operation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import Counter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .core_model import ANONYMOUS_NAME, EntityRecord
 from .errors import FormatError
@@ -35,9 +35,6 @@ TokenId = int
 
 #: Separator between the canonical path and the kernel path in rendered names.
 KERNEL_SEPARATOR = "<ker>"
-
-#: Version of the reserved-token list shipped below.
-RESERVED_LIST_VERSION = 1
 
 _KEYWORDS = (
     "forall", "fun", "fix", "cofix", "let", "in", "match", "with", "end",
@@ -57,7 +54,7 @@ _BUILTIN_TACTICS = (
     "unfold", "ring", "lia", "omega", "trivial", "constructor",
 )
 
-#: The versioned static reserved list, in a fixed order.
+#: The static reserved list, in a fixed order.
 RESERVED_TOKENS: tuple[str, ...] = (
     _KEYWORDS + _STRUCTURAL + _SPECIAL + _HINT_DATABASES + _BUILTIN_TACTICS
 )
@@ -69,15 +66,16 @@ _MULTI_OPS = tuple(sorted((op for op in _STRUCTURAL if len(op) > 1), key=len, re
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 _PATH_RE = re.compile(rf"{_IDENT}(?:\.{_IDENT})*")
+# A token id as `save_vocabulary` writes it: ASCII decimal, no leading zero.
+_TOKEN_ID_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
 class TokenClass:
     """Classification of one lexeme.
 
-    kind is "global", "local", or "reserved". For local classes, detail is the
-    variable's type text (possibly empty); for reserved tokens it is the
-    reserved label itself; for globals it is empty.
+    kind is "global", "local", or "reserved". For reserved tokens detail is
+    the reserved label itself; for globals and locals it is empty.
     """
 
     kind: str
@@ -90,8 +88,8 @@ class TokenClass:
     def __post_init__(self):
         if self.kind not in (self.GLOBAL, self.LOCAL, self.RESERVED):
             raise ValueError(f"unknown token class kind {self.kind!r}")
-        if self.kind == self.GLOBAL and self.detail:
-            raise ValueError("global token class carries no detail")
+        if self.kind != self.RESERVED and self.detail:
+            raise ValueError(f"{self.kind} token class carries no detail")
         if self.kind == self.RESERVED and not self.detail:
             raise ValueError("reserved token class requires its label")
 
@@ -100,15 +98,12 @@ class TokenClass:
         return _GLOBAL_CLASS
 
     @classmethod
-    def local(cls, type_text: str = "") -> "TokenClass":
-        return cls(cls.LOCAL, " ".join(type_text.split()))
-
-    @classmethod
     def reserved(cls, label: str) -> "TokenClass":
         return cls(cls.RESERVED, label)
 
 
 _GLOBAL_CLASS = TokenClass(TokenClass.GLOBAL)
+_LOCAL_CLASS = TokenClass(TokenClass.LOCAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,27 +128,6 @@ class DisambiguatedName:
         return cls(canonical, kernel)
 
 
-@dataclass(frozen=True)
-class ResolutionContext:
-    """Name-resolution inputs for one term.
-
-    aliases maps a short or alternative name to the kernel path it denotes.
-    open_modules lists path prefixes to try in order when a bare name fails.
-    section_bindings are names shadowed by section-local declarations; they
-    never resolve globally. local_types maps local variable names to their
-    type texts for LocalVariable classification.
-    """
-
-    current_module: str = ""
-    open_modules: tuple[str, ...] = ()
-    aliases: Mapping[str, str] = field(default_factory=dict)
-    section_bindings: frozenset[str] = frozenset()
-    local_types: Mapping[str, str] = field(default_factory=dict)
-
-
-EMPTY_CONTEXT = ResolutionContext()
-
-
 class TokenTable:
     """Append-only bidirectional mapping between names and token ids.
 
@@ -170,12 +144,10 @@ class TokenTable:
         self._by_canonical: dict[str, TokenId] = {}
         self._by_kernel: dict[str, TokenId] = {}
         self._reserved_ids: dict[str, TokenId] = {}
-        self._local_ids: dict[str, TokenId] = {}
         # The key -> id map of each token class kind.
         self._ids = {
             TokenClass.GLOBAL: self.entries,
             TokenClass.RESERVED: self._reserved_ids,
-            TokenClass.LOCAL: self._local_ids,
         }
         for label in reserved:
             self.intern_reserved(label)
@@ -184,8 +156,8 @@ class TokenTable:
         return len(self.reverse)
 
     def _write(self, key, cls: TokenClass, tid: TokenId) -> TokenId:
-        """Record a new token: `key` is the DisambiguatedName of a global,
-        the label of a reserved token or the type text of a local class."""
+        """Record a new token: `key` is the DisambiguatedName of a global or
+        the label of a reserved token."""
         self._ids[cls.kind][key] = tid
         if cls.kind == TokenClass.GLOBAL:
             self.reverse[tid] = (key.rendered(), cls)
@@ -207,10 +179,6 @@ class TokenTable:
     def intern_reserved(self, label: str) -> TokenId:
         return self._intern(label, TokenClass.reserved(label))
 
-    def intern_local(self, type_text: str = "") -> TokenId:
-        cls = TokenClass.local(type_text)
-        return self._intern(cls.detail, cls)
-
     def intern_entity(self, entity: EntityRecord) -> TokenId:
         """Intern an entity, returning its stable TokenId.
 
@@ -228,42 +196,19 @@ class TokenTable:
     def reserved_id(self, label: str) -> Optional[TokenId]:
         return self._reserved_ids.get(label)
 
-    def local_id(self, type_text: str = "") -> Optional[TokenId]:
-        return self._local_ids.get(TokenClass.local(type_text).detail)
-
     def class_counts(self) -> Counter:
         return Counter(cls.kind for _, cls in self.reverse.values())
 
 
-def resolve_name(table: TokenTable, name: str, context: ResolutionContext) -> Optional[TokenId]:
-    """Resolve a possibly-short name to a TokenId, or None when unknown.
+def resolve_name(table: TokenTable, name: str) -> Optional[TokenId]:
+    """Resolve a name to a TokenId, or None when unknown.
 
-    Section-local shadowing wins over any global candidate. Otherwise the
-    alias table is consulted first (it maps names to kernel paths), then the
-    name is tried verbatim against canonical and kernel paths, then prefixed
-    with the current module and each open module in order. None is a value
-    meaning "not a global here", not a failure.
+    The name is tried against canonical paths, then against kernel paths;
+    on each, the entity interned first owns a path that several share. None
+    is a value meaning "not a global here", not a failure.
     """
-    if name in context.section_bindings:
-        return None
-    kernel = context.aliases.get(name)
-    if kernel is not None:
-        return table._by_kernel.get(kernel)
-    direct = table._by_canonical.get(name)
-    if direct is not None:
-        return direct
-    direct = table._by_kernel.get(name)
-    if direct is not None:
-        return direct
-    prefixes = []
-    if context.current_module:
-        prefixes.append(context.current_module)
-    prefixes.extend(context.open_modules)
-    for prefix in prefixes:
-        hit = table._by_canonical.get(f"{prefix}.{name}")
-        if hit is not None:
-            return hit
-    return None
+    tid = table._by_canonical.get(name)
+    return tid if tid is not None else table._by_kernel.get(name)
 
 
 def _scan_lexemes(text: str) -> list[str]:
@@ -292,43 +237,29 @@ def _scan_lexemes(text: str) -> list[str]:
 
 
 def tokenize_term(
-    table: TokenTable,
-    internal_text: str,
-    context: ResolutionContext = EMPTY_CONTEXT,
+    table: TokenTable, internal_text: str
 ) -> list[tuple[str, TokenClass, Optional[TokenId]]]:
     """Tokenize an internal term text into (lexeme, class, id-or-None) triples.
 
     Total on arbitrary text: reserved lexemes take their pre-interned ids,
     resolvable identifiers become GlobalIdentifier tokens, and everything
-    else falls back to a LocalVariable class whose id is the class id when
-    the table has one interned and None otherwise. The table is never
-    mutated here.
+    else, unknown punctuation included, is a LocalVariable with no id. The
+    table is never mutated here.
     """
     out: list[tuple[str, TokenClass, Optional[TokenId]]] = []
     for lexeme in _scan_lexemes(internal_text):
         if lexeme in _RESERVED_SET or lexeme in table._reserved_ids:
             out.append((lexeme, TokenClass.reserved(lexeme), table.reserved_id(lexeme)))
             continue
-        if _PATH_RE.fullmatch(lexeme):
-            tid = resolve_name(table, lexeme, context)
-            if tid is not None:
-                out.append((lexeme, TokenClass.global_id(), tid))
-                continue
-            type_text = context.local_types.get(lexeme, "")
-            cls = TokenClass.local(type_text)
-            out.append((lexeme, cls, table.local_id(type_text)))
-            continue
-        # Unknown punctuation: classify as an untyped local per the coverage
-        # fallback so tokenization is total.
-        out.append((lexeme, TokenClass.local(""), table.local_id("")))
+        tid = resolve_name(table, lexeme) if _PATH_RE.fullmatch(lexeme) else None
+        if tid is not None:
+            out.append((lexeme, _GLOBAL_CLASS, tid))
+        else:
+            out.append((lexeme, _LOCAL_CLASS, None))
     return out
 
 
-def coverage_report(
-    table: TokenTable,
-    corpus_terms: Iterable[str],
-    context: ResolutionContext = EMPTY_CONTEXT,
-) -> tuple[float, Counter]:
+def coverage_report(table: TokenTable, corpus_terms: Iterable[str]) -> tuple[float, Counter]:
     """Fraction of identifier lexemes that resolve, plus the unresolved multiset.
 
     Only identifier-shaped, non-reserved lexemes count toward the fraction.
@@ -338,7 +269,7 @@ def coverage_report(
     resolved = 0
     unresolved: Counter = Counter()
     for term in corpus_terms:
-        for lexeme, cls, _tid in tokenize_term(table, term, context):
+        for lexeme, cls, _tid in tokenize_term(table, term):
             if cls.kind == TokenClass.RESERVED or not _PATH_RE.fullmatch(lexeme):
                 continue
             total += 1
@@ -353,7 +284,7 @@ def coverage_report(
 def save_vocabulary(table: TokenTable, path: str) -> None:
     """Write the table as tab-separated ``id<TAB>key<TAB>class`` lines, sorted
     by id. Global keys are rendered disambiguated names; reserved keys are the
-    labels; local keys are the class type texts."""
+    labels."""
     lines = []
     for tid in sorted(table.reverse):
         key, cls = table.reverse[tid]
@@ -364,8 +295,9 @@ def save_vocabulary(table: TokenTable, path: str) -> None:
 
 def load_vocabulary(path: str) -> TokenTable:
     """Reload a vocabulary file into a table equal to the one that wrote it.
-    A repeated id or a repeated key of one class is a FormatError naming
-    its line, since `save_vocabulary` never writes either."""
+    An id other than `save_vocabulary`'s plain decimal digits, a repeated id
+    or a repeated key of one class is a FormatError naming its line, since
+    `save_vocabulary` writes none of them."""
     table = TokenTable(reserved=())
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -376,10 +308,9 @@ def load_vocabulary(path: str) -> TokenTable:
             if len(parts) != 3:
                 raise FormatError("expected id<TAB>key<TAB>class", line=lineno)
             tid_text, text, kind = parts
-            try:
-                tid = int(tid_text)
-            except ValueError:
+            if not _TOKEN_ID_RE.fullmatch(tid_text):
                 raise FormatError(f"bad token id {tid_text!r}", line=lineno)
+            tid = int(tid_text)
             if tid in table.reverse:
                 raise FormatError(f"duplicate token id {tid}", line=lineno)
             try:
@@ -387,9 +318,6 @@ def load_vocabulary(path: str) -> TokenTable:
                     key, cls = DisambiguatedName.parse(text), TokenClass.global_id()
                 elif kind == TokenClass.RESERVED:
                     key, cls = text, TokenClass.reserved(text)
-                elif kind == TokenClass.LOCAL:
-                    cls = TokenClass.local(text)
-                    key = cls.detail
                 else:
                     raise ValueError(f"unknown token class {kind!r}")
             except ValueError as exc:

@@ -82,11 +82,17 @@ def sigma_0() -> ProofState:
     )
 
 
+# The hypothesis `n : nat` of sigma_1 and sigma_2, in each view.
+_N_SURFACE = (Hypothesis("n", surface_type="nat"),)
+_N_INTERNAL = (Hypothesis("n", internal_type="Coq.Init.Datatypes.nat"),)
+
+
 def sigma_1() -> ProofState:
     return ProofState(
         (
-            GoalState.from_pairs(
-                [("n", "nat", "Coq.Init.Datatypes.nat")],
+            GoalState(
+                _N_SURFACE,
+                _N_INTERNAL,
                 "0 + n = n",
                 "Coq.Init.Logic.eq.eq Coq.Init.Datatypes.nat "
                 "( Coq.Init.Nat.add Coq.Init.Datatypes.O n ) n",
@@ -98,8 +104,9 @@ def sigma_1() -> ProofState:
 def sigma_2() -> ProofState:
     return ProofState(
         (
-            GoalState.from_pairs(
-                [("n", "nat", "Coq.Init.Datatypes.nat")],
+            GoalState(
+                _N_SURFACE,
+                _N_INTERNAL,
                 "n = n",
                 "Coq.Init.Logic.eq.eq Coq.Init.Datatypes.nat n n",
             ),

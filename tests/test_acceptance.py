@@ -52,7 +52,6 @@ from prooforge.corpus import (
     load_entity_corpus,
     load_proof_corpus,
     save_entity_corpus,
-    save_proof_corpus,
 )
 from prooforge.errors import PortFailure
 from prooforge.llm_gateway import MockGateway, ScriptRecord, YesNoLogprobs
@@ -551,18 +550,6 @@ class TestCorpusCriterion:
         assert corpus_b.records == corpus_a.records
         assert corpus_b.tokens == corpus_a.tokens
         assert corpus_b.derived == corpus_a.derived
-
-    def test_proof_corpus_round_trip_is_a_fixpoint(self, tmp_path):
-        proofs_a = load_proof_corpus(proofs_path())
-        first = str(tmp_path / "proofs-1.jsonl")
-        save_proof_corpus(proofs_a, first)
-
-        proofs_b = load_proof_corpus(first)
-        second = str(tmp_path / "proofs-2.jsonl")
-        save_proof_corpus(proofs_b, second)
-
-        assert Path(first).read_bytes() == Path(second).read_bytes()
-        assert proofs_b.proofs == proofs_a.proofs
 
     def test_worked_proof_has_zero_chain_violations(self):
         proofs = load_proof_corpus(proofs_path())

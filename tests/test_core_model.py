@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_entity, sigma_0, sigma_1, sigma_2, sigma_3, worked_proof
 from prooforge.core_model import (
     ANONYMOUS_NAME,
-    EMPTY_STATE_FINGERPRINT,
     EntityKind,
     EntityRecord,
     GoalState,
@@ -220,10 +219,6 @@ class TestFingerprint:
         a = ProofState((GoalState((), (), "0 + n = n", "eq nat ( add O n ) n"),))
         b = ProofState((GoalState((), (), "O + n = n", "eq nat ( add O n ) n"),))
         assert state_fingerprint(a) == state_fingerprint(b)
-
-    def test_empty_state_constant(self):
-        # [TRIVIAL] the documented fixed point.
-        assert state_fingerprint(ProofState(())) == EMPTY_STATE_FINGERPRINT
 
     def test_hypothesis_order_is_significant(self):
         hyp_a = Hypothesis("a", "nat")

@@ -21,11 +21,11 @@ from prooforge.corpus import (
     EntityCorpus,
     _read_objects,
     derive_constructors,
+    encode_proof,
     extract_concepts,
     load_entity_corpus,
     load_proof_corpus,
     save_entity_corpus,
-    save_proof_corpus,
 )
 from prooforge.errors import FormatError
 from prooforge.tokenizer import TokenTable
@@ -145,10 +145,8 @@ class TestLoadEntities:
         assert len(table) == before
 
     def test_an_integer_dependency_resolves_only_to_an_entity(self, tmp_path):
-        # Token 0 is reserved, `local` a local class and 10**6 unallocated:
-        # none of them names an entity.
+        # Token 0 is reserved and 10**6 unallocated: neither names an entity.
         table = TokenTable()
-        local = table.intern_local("nat")
         true_tid = len(table)  # the next id, which `True` gets
         uses = json.dumps(
             {
@@ -157,7 +155,7 @@ class TestLoadEntities:
                 "kind": "Definition",
                 "origin": "o",
                 "internal": "i",
-                "dependencies": [0, local, 10**6, true_tid],
+                "dependencies": [0, 10**6, true_tid],
             }
         )
         corpus = load_entity_corpus(_write_entities(tmp_path, TRUE_RECORD_LINE, uses), table)
@@ -477,15 +475,23 @@ class TestRoundTrips:
         assert Path(first).read_bytes() == Path(second).read_bytes()
         assert [r.name for r in reloaded.records] == [r.name for r in corpus.records]
 
-    def test_proofs_save_load_fixpoint(self, tmp_path):
+    def test_encoded_proofs_load_back_as_a_fixpoint(self, tmp_path):
+        # A proofs file as the benchmark generator writes one: `encode_proof`
+        # lines under PROOFS_HEADER.
+        def write(corpus, path):
+            lines = [PROOFS_HEADER]
+            for proof in corpus.proofs:
+                lines.append(json.dumps(encode_proof(proof), sort_keys=True, ensure_ascii=False))
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return path
+
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         corpus = load_proof_corpus(proofs_path())
-        first = str(tmp_path / "first.jsonl")
-        save_proof_corpus(corpus, first)
-        reloaded = load_proof_corpus(first)
-        second = str(tmp_path / "second.jsonl")
-        save_proof_corpus(reloaded, second)
-        assert Path(first).read_bytes() == Path(second).read_bytes()
+        reloaded = load_proof_corpus(str(write(corpus, first)))
+        write(reloaded, second)
+        assert first.read_bytes() == second.read_bytes()
         assert reloaded.proofs == corpus.proofs
+        assert reloaded.by_theorem == corpus.by_theorem
 
     def test_record_save_load_identity(self, tmp_path):
         record = make_entity(

@@ -5,7 +5,7 @@ rendered skeleton byte for byte."""
 import pytest
 
 from conftest import entities_path, sigma_1, sigma_2, worked_proof
-from prooforge.core_model import GoalState, Notebook, ProofState
+from prooforge.core_model import GoalState, Hypothesis, Notebook, ProofState
 from prooforge.corpus import load_entity_corpus
 from prooforge.prompt_builder import (
     CONFIG_MATRIX,
@@ -63,8 +63,9 @@ def fixfun_record():
 def fixfun_state() -> ProofState:
     return ProofState(
         (
-            GoalState.from_pairs(
-                [("f", "A -> B", "A -> B")],
+            GoalState(
+                (Hypothesis("f", surface_type="A -> B"),),
+                (Hypothesis("f", internal_type="A -> B"),),
                 "TLC.LibFix.FixFun F = f",
                 "Coq.Init.Logic.eq.eq ( A -> B ) ( TLC.LibFix.FixFun A B IB F ) f",
             ),
@@ -240,7 +241,14 @@ class TestOnePassFill:
     def test_hypothesis_naming_the_goal_placeholder(self):
         hypothesis = "forall {goal}, goal = goal"
         state = ProofState(
-            (GoalState.from_pairs([("H", hypothesis, hypothesis)], "P x", "P x"),)
+            (
+                GoalState(
+                    (Hypothesis("H", surface_type=hypothesis),),
+                    (Hypothesis("H", internal_type=hypothesis),),
+                    "P x",
+                    "P x",
+                ),
+            )
         )
         context = render_state_context(state)
         for text in (render_prove_prompt(context).rendered, render_planner_prompt(context)):

@@ -12,7 +12,6 @@ from prooforge.tokenizer import (
     DisambiguatedName,
     KERNEL_SEPARATOR,
     RESERVED_TOKENS,
-    ResolutionContext,
     TokenClass,
     TokenTable,
     coverage_report,
@@ -102,60 +101,45 @@ class TestInternEntity:
         assert name == DisambiguatedName.parse("M.f<ker>M.Impl.f")
         assert hash(name) == hash(("M.f", "M.Impl.f"))
 
-    def test_local_ids_keyed_by_type_text(self):
-        table = TokenTable()
-        nat_a = table.intern_local("nat")
-        nat_b = table.intern_local("  nat ")
-        assert nat_a == nat_b
-        assert table.intern_local("bool") != nat_a
-        assert table.intern_local("") != nat_a
-
 
 # ----------------------------------------------------------------------
 # Name resolution
 # ----------------------------------------------------------------------
 
 class TestResolveName:
-    def test_alias_and_full_path_agree(self):
-        # [PAPER] Nat.add and Coq.Init.Nat.add both denote the same entity.
-        table = TokenTable()
-        tid = table.intern_entity(make_entity("Coq.Init.Nat.add", kind="Fixpoint"))
-        context = ResolutionContext(
-            aliases={"Nat.add": "Coq.Init.Nat.add"},
-        )
-        assert resolve_name(table, "Nat.add", context) == tid
-        assert resolve_name(table, "Coq.Init.Nat.add", context) == tid
-
     def test_unknown_name_is_not_found(self):
         # [TRIVIAL] absent key -> None, a value rather than a failure.
-        assert resolve_name(TokenTable(), "Foo.bar", ResolutionContext()) is None
+        assert resolve_name(TokenTable(), "Foo.bar") is None
 
-    def test_section_shadowing_wins_over_global(self):
-        # [DERIVED] oracle = direct lookup on a two-entry table: the global
-        # `x` exists, but inside the section the short name is shadowed.
+    def test_full_canonical_path_resolves(self):
         table = TokenTable()
-        tid = table.intern_entity(make_entity("Top.x"))
-        inside = ResolutionContext(
-            current_module="Top", section_bindings=frozenset({"x"})
-        )
-        outside = ResolutionContext(current_module="Top")
-        assert resolve_name(table, "x", outside) == tid
-        assert resolve_name(table, "x", inside) is None
-
-    def test_open_module_prefixes_tried_in_order(self):
-        table = TokenTable()
-        first = table.intern_entity(make_entity("A.item"))
-        table.intern_entity(make_entity("B.item"))
-        context = ResolutionContext(open_modules=("A", "B"))
-        assert resolve_name(table, "item", context) == first
+        tid = table.intern_entity(make_entity("Coq.Init.Nat.add", kind="Fixpoint"))
+        assert resolve_name(table, "Coq.Init.Nat.add") == tid
 
     def test_kernel_path_resolves_directly(self):
         table = TokenTable()
         tid = table.intern_entity(quotrem_record())
-        assert (
-            resolve_name(table, "Coq.ZArith.BinIntDef.Z.quotrem", ResolutionContext())
-            == tid
-        )
+        assert resolve_name(table, "Coq.ZArith.BinIntDef.Z.quotrem") == tid
+
+    @pytest.mark.parametrize("kernel_first", [True, False])
+    def test_a_canonical_match_beats_a_kernel_match(self, kernel_first):
+        # `B.f`'s kernel path is `A.f`'s canonical path: `A.f` names the
+        # entity whose canonical path it is, whichever was interned first.
+        table = TokenTable()
+        records = [make_entity("B.f", kernel="A.f"), make_entity("A.f", kernel="A.Impl.f")]
+        if not kernel_first:
+            records.reverse()
+        ids = {record.name: table.intern_entity(record) for record in records}
+        assert resolve_name(table, "A.f") == ids["A.f"]
+        assert resolve_name(table, "B.f") == ids["B.f"]
+
+    def test_a_shared_canonical_path_resolves_to_the_first_interned(self):
+        table = TokenTable()
+        first = table.intern_entity(make_entity("M.f", kernel="M.Impl2.f"))
+        second = table.intern_entity(make_entity("M.f", kernel="M.Impl1.f"))
+        assert resolve_name(table, "M.f") == first
+        assert table.id_for_rendered("M.f<ker>M.Impl1.f") == second
+        assert resolve_name(table, "M.Impl1.f") == second
 
 
 # ----------------------------------------------------------------------
@@ -192,13 +176,15 @@ class TestTokenizeTerm:
         assert cls.kind == TokenClass.LOCAL
         assert tid is None
 
-    def test_local_type_classification(self):
-        table = TokenTable()
-        local_tid = table.intern_local("nat")
-        context = ResolutionContext(local_types={"n": "nat"})
-        ((_, cls, tid),) = tokenize_term(table, "n", context)
-        assert cls == TokenClass.local("nat")
-        assert tid == local_tid
+    def test_every_local_shares_one_class_without_an_id(self):
+        # Unknown identifiers and unknown punctuation alike.
+        tokens = tokenize_term(TokenTable(), "n m $")
+        assert [lexeme for lexeme, _, _ in tokens] == ["n", "m", "$"]
+        assert {(cls, tid) for _, cls, tid in tokens} == {(TokenClass(TokenClass.LOCAL), None)}
+
+    def test_a_local_class_carries_no_detail(self):
+        with pytest.raises(ValueError, match="carries no detail"):
+            TokenClass(TokenClass.LOCAL, "nat")
 
     def test_table_never_mutated(self):
         table = TokenTable()
@@ -259,7 +245,9 @@ def _tables_equal(a: TokenTable, b: TokenTable) -> bool:
         a.entries == b.entries
         and a.reverse == b.reverse
         and a._reserved_ids == b._reserved_ids
-        and a._local_ids == b._local_ids
+        and a._by_canonical == b._by_canonical
+        and a._by_kernel == b._by_kernel
+        and a.next_id == b.next_id
     )
 
 
@@ -268,8 +256,8 @@ class TestVocabularyIO:
         table = TokenTable()
         table.intern_entity(quotrem_record())
         table.intern_entity(make_entity("Coq.Init.Nat.add", kind="Fixpoint"))
-        table.intern_local("nat")
-        table.intern_local("")
+        table.intern_entity(make_entity("M.f", kernel="M.Impl.f"))
+        table.intern_entity(make_entity("M.f", kernel="M.Impl2.f"))
         path = str(tmp_path / "vocab.tsv")
         save_vocabulary(table, path)
         loaded = load_vocabulary(path)
@@ -277,6 +265,9 @@ class TestVocabularyIO:
         assert loaded.id_for_rendered(QUOTREM_RENDERED) == table.id_for_rendered(
             QUOTREM_RENDERED
         )
+        second = str(tmp_path / "again.tsv")
+        save_vocabulary(loaded, second)
+        assert Path(second).read_bytes() == Path(path).read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         table = TokenTable()
@@ -294,6 +285,20 @@ class TestVocabularyIO:
             load_vocabulary(str(path))
         assert exc_info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "tid", ["1_0", "-3", "+3", " 3", "3 ", "03", "\u0663", "", "3.0"],
+        ids=["underscore", "negative", "plus", "leading-space", "trailing-space",
+             "leading-zero", "arabic-indic-digit", "empty", "decimal-point"],
+    )
+    def test_an_id_other_than_plain_digits_is_rejected(self, tmp_path, tid):
+        # int() accepts all but the last two; such a file would save back
+        # with other bytes, or with a negative id.
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"0\tforall\treserved\n{tid}\tM.x<ker>M.x\tglobal\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="bad token id") as exc_info:
+            load_vocabulary(str(path))
+        assert exc_info.value.line == 2
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("0\tforall\treserved\n0\texists\treserved\n", encoding="utf-8")
@@ -306,10 +311,8 @@ class TestVocabularyIO:
         [
             ("A<ker>A\tglobal", "A<ker>A\tglobal"),
             ("forall\treserved", "forall\treserved"),
-            ("nat\tlocal", "nat\tlocal"),
-            ("nat list\tlocal", "nat  list\tlocal"),
         ],
-        ids=["global", "reserved", "local", "local-spacing"],
+        ids=["global", "reserved"],
     )
     def test_repeated_key_rejected(self, tmp_path, first, repeat):
         # save_vocabulary writes each key once; a second id for the same
@@ -322,10 +325,18 @@ class TestVocabularyIO:
 
     def test_a_key_may_repeat_across_classes(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("0\tnat\treserved\n1\tnat\tlocal\n", encoding="utf-8")
+        path.write_text("0\tnat\treserved\n1\tnat<ker>nat\tglobal\n", encoding="utf-8")
         table = load_vocabulary(str(path))
-        assert (table.reserved_id("nat"), table.local_id("nat")) == (0, 1)
+        assert (table.reserved_id("nat"), table.id_for_rendered("nat<ker>nat")) == (0, 1)
         assert table.next_id == 2
+
+    def test_a_local_line_is_an_unknown_class(self, tmp_path):
+        # Locals have no id, so `save_vocabulary` never writes one.
+        path = tmp_path / "vocab.tsv"
+        path.write_text("0\tnat\treserved\n1\tnat\tlocal\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="unknown token class") as exc_info:
+            load_vocabulary(str(path))
+        assert exc_info.value.line == 2
 
 
 # ----------------------------------------------------------------------
