@@ -335,7 +335,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     step_count = sum(len(p.steps) for p in proofs.proofs)
     print(f"entities: {len(corpus.records)} records ({len(corpus.derived)} derived)")
     print(f"proofs: {len(proofs.proofs)} proofs, {step_count} steps")
-    print(f"vocabulary: {len(table.reverse)} tokens -> {args.vocab_out}")
+    print(f"vocabulary: {len(table)} tokens -> {args.vocab_out}")
     print(f"coverage: {fraction:.4f}")
     if unresolved:
         top = ", ".join(name for name, _count in unresolved.most_common(5))
@@ -354,7 +354,7 @@ def cmd_vocab(args: argparse.Namespace) -> int:
     else:
         raise ValueError("vocab requires --entities with --vocab-out, or --vocab")
     counts = table.class_counts()
-    print(f"vocabulary: {len(table.reverse)} tokens")
+    print(f"vocabulary: {len(table)} tokens")
     for kind in ("reserved", "global", "local"):
         print(f"  {kind}: {counts.get(kind, 0)}")
     return EXIT_OK

@@ -27,6 +27,13 @@ file shares equal texts the same way: within one ``load_entity_corpus``
 call, a kernel name equal to its record's name is that name, and equal
 ``source_file``, ``intuition`` and ``*_zh`` texts are one object. Nothing is
 shared across calls.
+
+A loaded entity's name is stored in its record and, as its disambiguated
+name, once in the token table. An EntityCorpus keeps no map from token id
+to record: a load into a fresh table gets consecutive ids, so a record's
+position is its token minus the first record's, and only records whose ids
+break that run (from a table filled by a vocabulary file) are kept in a
+map.
 """
 
 from __future__ import annotations
@@ -250,7 +257,12 @@ class _ProofDecoder:
 class EntityCorpus:
     """Loaded entity records plus lookup maps.
 
-    `tokens[i]` is the token id of `records[i]`; `by_token` inverts that.
+    `tokens[i]` is the token id of `records[i]`. `record_for` inverts that
+    without a map entry per record: a record whose token is the first
+    record's plus its position is found by arithmetic, and only the others
+    are kept in `_displaced` (token -> position). A fresh table interns a
+    load in order, so then `_displaced` is empty; a table filled from a
+    vocabulary file may give ids out of order or with gaps.
     `by_name` maps each record's name, kernel name and last name segment to
     the first record index, in corpus order, that carries it.
     `derived` marks records synthesized from Inductive constructor clauses
@@ -259,14 +271,17 @@ class EntityCorpus:
 
     records: tuple[EntityRecord, ...] = ()
     tokens: tuple[int, ...] = ()
-    by_token: dict = None
     by_name: dict = field(init=False, repr=False)
     derived: frozenset = frozenset()
     extras: dict = None
+    _first: int = field(init=False, repr=False)
+    _displaced: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.by_token is None:
-            self.by_token = {tid: i for i, tid in enumerate(self.tokens)}
+        self._first = self.tokens[0] if self.tokens else 0
+        self._displaced = {
+            tid: i for i, tid in enumerate(self.tokens) if tid != self._first + i
+        }
         self.by_name = {}
         for i, record in enumerate(self.records):
             for key in (record.name, record.kernel_name, record.name.rsplit(".", 1)[-1]):
@@ -278,8 +293,12 @@ class EntityCorpus:
         return len(self.records)
 
     def record_for(self, token: int) -> Optional[EntityRecord]:
-        index = self.by_token.get(token)
-        return self.records[index] if index is not None else None
+        index = token - self._first
+        if not (0 <= index < len(self.tokens) and self.tokens[index] == token):
+            index = self._displaced.get(token)
+            if index is None:
+                return None
+        return self.records[index]
 
 
 @dataclass

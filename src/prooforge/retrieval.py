@@ -6,9 +6,12 @@ each, over every row, of the row norms, the zero-row flags, each row's rank
 in its kind's key-text order (the key text is what got embedded) and a
 "screen": the rows divided by their norms and rounded to float32. Each
 kind's `KindRows` holds its payloads (what gets spliced into prompts) and
-row slices of those arrays. A query is embedded once and scored against
-both kinds; each kind's results come in descending similarity, ties broken
-by ascending key text and then by insertion order, so they are
+row slices of those arrays. The keys are freed once embedded. A payload is
+built when read: the index keeps each premise's name and statement texts,
+the ones the corpus records already hold, and renders ``name : statement``
+only for the premises a query returns. A query is embedded once and scored
+against both kinds; each kind's results come in descending similarity,
+ties broken by ascending key text and then by insertion order, so they are
 reproducible across platforms. A row with zero norm scores -1 against
 every query.
 
@@ -334,6 +337,33 @@ _NORM_BLOCK = 1 << 16
 _EMBED_CHUNK = 32 * _HTTP_BATCH
 
 
+class _Payloads(Sequence):
+    """What retrieval returns for each row, built when read: a premise's
+    ``name : statement`` from the name and statement texts it was given,
+    then each tactic example's tactic. Only those texts are held, and no
+    rendered payload is kept. A slice is a tuple; two are equal when they
+    hold equal items, and so is one with a tuple of them."""
+
+    def __init__(self, names: tuple, statements: tuple, tactics: tuple):
+        self._names = names
+        self._statements = statements
+        self._tactics = tactics
+
+    def __len__(self) -> int:
+        return len(self._names) + len(self._tactics)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        if i < len(self._names):
+            return f"{self._names[i]} : {self._statements[i]}"
+        return self._tactics[i - len(self._names)]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, _Payloads)) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True, eq=False)
 class KindRows:
     """Rows of the index: row i of `matrix` embeds the key of `payloads[i]`,
@@ -343,7 +373,7 @@ class KindRows:
     for a zero row, which `retrieve` screens as -1). Two are equal only
     when they are one object."""
 
-    payloads: tuple[str, ...]
+    payloads: Sequence[str]
     matrix: np.ndarray
     norms: np.ndarray
     zero: np.ndarray
@@ -392,7 +422,9 @@ def build_index(
 ) -> RetrievalIndex:
     """Embed premises and tactics into a fresh index.
 
-    Premises are (name, statement) pairs keyed by ``name : statement``.
+    Premises are (name, statement) pairs keyed by ``name : statement``,
+    which is also what retrieval returns for one; the index keeps the two
+    texts and builds that payload only for a premise `retrieve` returns.
     Tactics are (tactic, goal_text) pairs keyed by the tactic plus the goal
     it was used on; the payload returned by retrieval is just the tactic.
     Each distinct key is embedded once, in order of first use, with one
@@ -400,15 +432,20 @@ def build_index(
     checked (one per key, 1-D, finite, the first chunk's length) and
     written straight into the rows of every item with their keys, so the
     distinct rows are never held beside a copy of all of them; the first
-    faulty chunk names the error. The norms, zero flags, key ranks and
-    screen are each one array over the rows of both kinds, each row's
-    computed once.
+    faulty chunk names the error. The keys are freed once embedded and
+    ranked. The norms, zero flags, key ranks and screen are each one array
+    over the rows of both kinds, each row's computed once.
     """
-    entries = {
-        PREMISE: [(f"{name} : {statement}",) * 2 for name, statement in premises],
-        TACTIC: [(f"{tactic} \x1f {goal}", tactic) for tactic, goal in tactics],
+    payloads = _Payloads(
+        tuple(name for name, _statement in premises),
+        tuple(statement for _name, statement in premises),
+        tuple(tactic for tactic, _goal in tactics),
+    )
+    keyed = {
+        PREMISE: [f"{name} : {statement}" for name, statement in premises],
+        TACTIC: [f"{tactic} \x1f {goal}" for tactic, goal in tactics],
     }
-    all_keys = [key for keyed in entries.values() for key, _payload in keyed]
+    all_keys = [key for keys in keyed.values() for key in keys]
     # The distinct keys in order of first use, and each item's among them.
     position: dict[str, int] = {}
     inverse = np.fromiter(
@@ -428,9 +465,18 @@ def build_index(
             stacked = np.empty((len(all_keys), chunk.shape[1]))
         lo, hi = grouped.searchsorted([start, start + len(keys)])
         stacked[order[lo:hi]] = chunk.take(grouped[lo:hi] - start, axis=0)
-    # Freed before the norms and the screen are allocated: 12 MB of
-    # resident memory at 100k entities.
-    del position, inverse, order, grouped, distinct
+    key_rank = np.empty(len(all_keys), dtype=np.intp)
+    spans = {}
+    start = 0
+    for kind, keys in keyed.items():
+        stop = start + len(keys)
+        key_rank[start:stop][sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        spans[kind] = (start, stop)
+        start = stop
+    # Freed before the norms and the screen are allocated: the keys (2 MB
+    # at 10k entities) and the maps over them (12 MB of resident memory at
+    # 100k).
+    del keyed, all_keys, keys, position, inverse, order, grouped, distinct
     norms = np.empty(len(stacked))
     step = max(1, _NORM_BLOCK // max(1, stacked.shape[1]))
     for start in range(0, len(stacked), step):
@@ -441,16 +487,6 @@ def build_index(
     # third faster on it than on a row-major screen.
     screen = np.empty(stacked.shape, np.float32, order="F")
     np.divide(stacked, norms[:, None], out=screen, casting="same_kind")
-    key_rank = np.empty(len(all_keys), dtype=np.intp)
-    spans = {}
-    start = 0
-    for kind, keyed in entries.items():
-        keys = [key for key, _payload in keyed]
-        stop = start + len(keys)
-        key_rank[start:stop][sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-        spans[kind] = (start, stop)
-        start = stop
-    payloads = tuple(payload for keyed in entries.values() for _key, payload in keyed)
     return RetrievalIndex(
         provider=provider,
         dim=stacked.shape[1],

@@ -19,6 +19,14 @@ Lexemes inside a term text fall into three classes:
 
 Resolution and tokenization never mutate the table, so they are safe to run
 concurrently with each other; interning is the only mutating operation.
+
+A table stores each token's key once: the DisambiguatedName of a global,
+or the label of a reserved token. The rendered ``canonical<ker>kernel``
+text and the TokenClass of an id are built when `TokenTable.reverse` is
+read, not stored. The bare-path maps that `resolve_name` reads hold ids
+only, keyed by the strings the names already hold, and a kernel path equal
+to its own canonical path gets no entry, since the canonical lookup that
+runs first always finds that path.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from collections import Counter
-from typing import Iterable, Optional
+from collections.abc import Mapping
+from typing import Iterable, Optional, Union
 
 from .core_model import ANONYMOUS_NAME, EntityRecord
 from .errors import FormatError
@@ -128,18 +137,46 @@ class DisambiguatedName:
         return cls(canonical, kernel)
 
 
+class _RenderedKeys(Mapping):
+    """Read-only view of a table's stored keys, id -> (name-or-label,
+    TokenClass): a global's disambiguated name is rendered, and its class
+    built, on each read."""
+
+    def __init__(self, keys: dict):
+        self._keys = keys
+
+    def __getitem__(self, tid):
+        key = self._keys[tid]
+        if type(key) is DisambiguatedName:
+            return key.rendered(), _GLOBAL_CLASS
+        return key, TokenClass.reserved(key)
+
+    def __contains__(self, tid) -> bool:
+        return tid in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class TokenTable:
     """Append-only bidirectional mapping between names and token ids.
 
-    entries maps DisambiguatedName -> TokenId for global identifiers; reverse
-    maps every allocated id back to its (name-or-label, TokenClass). Reserved
-    tokens are interned at construction so tokenization stays read-only.
-    Every write goes through `_write`, whether it interns or loads a file.
+    Each id's key is stored once, in `_keys`: the DisambiguatedName of a
+    global identifier or the label of a reserved token. entries maps
+    DisambiguatedName -> TokenId for globals; reverse is a read-only view
+    mapping every allocated id back to its (name-or-label, TokenClass),
+    rendered when read. Reserved tokens are interned at construction so
+    tokenization stays read-only. Every write goes through `_write`,
+    whether it interns or loads a file.
     """
 
     def __init__(self, reserved: Iterable[str] = RESERVED_TOKENS):
         self.entries: dict[DisambiguatedName, TokenId] = {}
-        self.reverse: dict[TokenId, tuple[str, TokenClass]] = {}
+        self._keys: dict[TokenId, Union[DisambiguatedName, str]] = {}
+        self.reverse: Mapping[TokenId, tuple[str, TokenClass]] = _RenderedKeys(self._keys)
         self.next_id: TokenId = 0
         self._by_canonical: dict[str, TokenId] = {}
         self._by_kernel: dict[str, TokenId] = {}
@@ -153,20 +190,19 @@ class TokenTable:
             self.intern_reserved(label)
 
     def __len__(self) -> int:
-        return len(self.reverse)
+        return len(self._keys)
 
     def _write(self, key, cls: TokenClass, tid: TokenId) -> TokenId:
         """Record a new token: `key` is the DisambiguatedName of a global or
         the label of a reserved token."""
         self._ids[cls.kind][key] = tid
+        self._keys[tid] = key
         if cls.kind == TokenClass.GLOBAL:
-            self.reverse[tid] = (key.rendered(), cls)
             # First interning wins for bare-path lookup; later entities sharing
             # a path remain reachable through their full disambiguated name.
             self._by_canonical.setdefault(key.canonical_path, tid)
-            self._by_kernel.setdefault(key.kernel_path, tid)
-        else:
-            self.reverse[tid] = (key, cls)
+            if key.kernel_path != key.canonical_path:
+                self._by_kernel.setdefault(key.kernel_path, tid)
         self.next_id = max(self.next_id, tid + 1)
         return tid
 
@@ -197,7 +233,8 @@ class TokenTable:
         return self._reserved_ids.get(label)
 
     def class_counts(self) -> Counter:
-        return Counter(cls.kind for _, cls in self.reverse.values())
+        """Tokens per class kind, counted from the stored keys."""
+        return Counter({kind: len(ids) for kind, ids in self._ids.items() if ids})
 
 
 def resolve_name(table: TokenTable, name: str) -> Optional[TokenId]:

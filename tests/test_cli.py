@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,37 @@ class TestIngest:
         inspected = capsys.readouterr().out
         assert built == inspected
         assert "reserved:" in built
+
+
+    def test_a_vocabulary_with_a_huge_id_proves_and_prompts_as_without_one(
+        self, tmp_path, capsys
+    ):
+        # `Coq.Init.Nat.add` moves to id 10**12, out of the corpus's order:
+        # the table and corpus hold one entry for it, not a slot per id, and
+        # the run and its prompt are those of a fresh table.
+        vocab = tmp_path / "vocab.tsv"
+        assert main(["vocab", "--entities", entities_path(), "--vocab-out", str(vocab)]) == EXIT_OK
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        add = next(line for line in lines if "\tCoq.Init.Nat.add<ker>" in line)
+        lines.remove(add)
+        lines.append("1000000000000" + add[add.index("\t"):])
+        vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dump = ["dump-prompt", "--backend", "synthetic", "--backend-spec", backend_spec_path(),
+                "--entities", entities_path(), "--info-config", "Complete", WORKED]
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--vocab", str(vocab)]):
+            tracemalloc.start()
+            try:
+                assert main(prove_args(tmp_path / f"run{len(extra)}") + extra + [WORKED]) == EXIT_OK
+                assert main(dump[:-1] + extra + [WORKED]) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 << 20
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "- Coq.Init.Nat.add (Fixpoint)" in outputs[1]
 
 
 # ----------------------------------------------------------------------

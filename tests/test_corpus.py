@@ -28,7 +28,15 @@ from prooforge.corpus import (
     save_entity_corpus,
 )
 from prooforge.errors import FormatError
-from prooforge.tokenizer import TokenTable
+from prooforge.proof_search import _lookup_info
+from prooforge.tokenizer import (
+    DisambiguatedName,
+    TokenClass,
+    TokenTable,
+    load_vocabulary,
+    resolve_name,
+    save_vocabulary,
+)
 
 TRUE_RECORD_LINE = json.dumps(
     {
@@ -145,7 +153,8 @@ class TestLoadEntities:
         assert len(table) == before
 
     def test_an_integer_dependency_resolves_only_to_an_entity(self, tmp_path):
-        # Token 0 is reserved and 10**6 unallocated: neither names an entity.
+        # Token 0 is reserved; 10**6, 10**12 and 10**30 are unallocated and
+        # -1 is no id: none names an entity.
         table = TokenTable()
         true_tid = len(table)  # the next id, which `True` gets
         uses = json.dumps(
@@ -155,7 +164,7 @@ class TestLoadEntities:
                 "kind": "Definition",
                 "origin": "o",
                 "internal": "i",
-                "dependencies": [0, 10**6, true_tid],
+                "dependencies": [0, 10**6, -1, 10**12, 10**30, true_tid],
             }
         )
         corpus = load_entity_corpus(_write_entities(tmp_path, TRUE_RECORD_LINE, uses), table)
@@ -231,6 +240,149 @@ class TestLoadEntities:
             ["a", "b"], 1, True,
         ]
         assert type(records[-1].intuition) is bool
+
+
+# ----------------------------------------------------------------------
+# Lookups against a reference built from plain dicts
+# ----------------------------------------------------------------------
+
+# Few segments, so canonical paths repeat, a kernel path is often another
+# record's canonical path, last segments repeat, and a derived constructor
+# may collide with an explicit record.
+_SEG = st.sampled_from(["a", "b", "c"])
+_DOTTED = st.lists(_SEG, min_size=1, max_size=3).map(".".join)
+
+
+@st.composite
+def _entity_lines(draw):
+    names = draw(st.lists(_DOTTED, min_size=1, max_size=8))
+    lines, seen = [], set()
+    for name in names:
+        kernel = draw(st.sampled_from([name, f"K.{name}"] + names))
+        if (name, kernel) in seen:
+            continue
+        seen.add((name, kernel))
+        obj = {"name": name, "kernel_name": kernel, "kind": "Definition",
+               "origin": "o", "internal": "i"}
+        if draw(st.booleans()):
+            ctor = draw(st.sampled_from([f"{name}.{draw(_SEG)}", draw(_DOTTED)]))
+            obj.update(kind="Inductive", internal=f"{name} : Type | {ctor} : {name}")
+        lines.append(json.dumps(obj))
+    return lines
+
+
+class _Reference:
+    """The table and corpus lookups built the way they were before a table
+    stored only keys: a dict per direction, rendered names kept, every
+    bare path mapped, and a dict from each token to its record's
+    position. `writes` are the (key, class, id) writes in table order."""
+
+    def __init__(self, writes, corpus):
+        self.entries, self.reverse = {}, {}
+        self.by_canonical, self.by_kernel = {}, {}
+        for key, cls, tid in writes:
+            if cls.kind == TokenClass.GLOBAL:
+                self.entries[key] = tid
+                self.reverse[tid] = (key.rendered(), cls)
+                self.by_canonical.setdefault(key.canonical_path, tid)
+                self.by_kernel.setdefault(key.kernel_path, tid)
+            else:
+                self.reverse[tid] = (key, cls)
+        self.records, self.tokens = corpus.records, corpus.tokens
+        self.by_token = {tid: i for i, tid in enumerate(corpus.tokens)}
+        self.by_name = {}
+        for i, record in enumerate(corpus.records):
+            for key in (record.name, record.kernel_name, record.name.rsplit(".", 1)[-1]):
+                self.by_name.setdefault(key, i)
+
+    def record_for(self, token):
+        index = self.by_token.get(token)
+        return self.records[index] if index is not None else None
+
+    def resolve_name(self, name):
+        tid = self.by_canonical.get(name)
+        return tid if tid is not None else self.by_kernel.get(name)
+
+    def lookup_info(self, names, concepts):
+        have = {token for token, _record in concepts}
+        pairs = []
+        for name in names:
+            i = self.by_name.get(name)
+            if i is not None and self.tokens[i] not in have:
+                have.add(self.tokens[i])
+                pairs.append((self.tokens[i], self.records[i]))
+        return tuple(pairs)
+
+    def vocabulary(self) -> bytes:
+        return "".join(
+            f"{tid}\t{key}\t{cls.kind}\n" for tid, (key, cls) in sorted(self.reverse.items())
+        ).encode("utf-8")
+
+
+def _corpus_writes(table_before: set, corpus):
+    """The global writes a load made: each record not already interned."""
+    return [
+        (DisambiguatedName(r.name, r.kernel_name), TokenClass.global_id(), tid)
+        for r, tid in zip(corpus.records, corpus.tokens) if tid not in table_before
+    ]
+
+
+def _assert_matches(table, corpus, ref, directory):
+    known = set(ref.reverse) | set(corpus.tokens)
+    probes = known | {-1, max(known) + 1, 10**12 + 7}
+    for token in probes:
+        assert corpus.record_for(token) == ref.record_for(token), token
+    assert corpus.by_name == ref.by_name
+    names = sorted(ref.by_name) + ["nope"]
+    for concepts in ((), tuple((t, None) for t in corpus.tokens[::2])):
+        assert _lookup_info(corpus, names, concepts) == ref.lookup_info(names, concepts)
+    paths = {p for key in ref.entries for p in (key.canonical_path, key.kernel_path)}
+    for path in sorted(paths) + ["nope"]:
+        assert resolve_name(table, path) == ref.resolve_name(path), path
+    for key in ref.entries:
+        assert table.id_for_rendered(key.rendered()) == ref.entries[key]
+    assert table.id_for_rendered("nope<ker>nope") is None
+    assert sorted(table.reverse.items()) == sorted(ref.reverse.items())
+    out = directory / "vocab.tsv"
+    save_vocabulary(table, str(out))
+    assert out.read_bytes() == ref.vocabulary()
+
+
+class TestLookupsMatchTheReference:
+    @given(lines=_entity_lines(), data=st.data())
+    def test_fresh_and_vocabulary_filled_tables(self, tmp_path_factory, lines, data):
+        directory = tmp_path_factory.mktemp("lookups")
+        path = directory / "entities.jsonl"
+        path.write_text("\n".join([ENTITIES_HEADER, *lines]) + "\n", encoding="utf-8")
+
+        table = TokenTable()
+        reserved = [(label, TokenClass.reserved(label), tid)
+                    for label, tid in table._reserved_ids.items()]
+        corpus = load_entity_corpus(str(path), table)
+        # A fresh table numbers the load in order: no record needs an entry.
+        assert not corpus._displaced
+        _assert_matches(table, corpus, _Reference(reserved + _corpus_writes(set(), corpus), corpus),
+                        directory)
+
+        # A vocabulary holding some of the entities, in another order, with
+        # gaps and a huge id; the load interns the rest after them.
+        names = sorted({(r.name, r.kernel_name) for r in corpus.records})
+        held = data.draw(st.permutations(names))[:data.draw(st.integers(0, len(names)))]
+        ids = data.draw(st.lists(st.integers(0, 60) | st.just(10**12),
+                                 min_size=len(held) + 1, max_size=len(held) + 1, unique=True))
+        writes = [("nat", TokenClass.reserved("nat"), ids[0])] + [
+            (DisambiguatedName(*name), TokenClass.global_id(), tid)
+            for name, tid in zip(held, ids[1:])
+        ]
+        vocab = directory / "held.tsv"
+        vocab.write_text("".join(
+            f"{tid}\t{key.rendered() if cls.kind == TokenClass.GLOBAL else key}\t{cls.kind}\n"
+            for key, cls, tid in writes
+        ), encoding="utf-8")
+        table = load_vocabulary(str(vocab))
+        corpus = load_entity_corpus(str(path), table)
+        writes += _corpus_writes(set(ids), corpus)
+        _assert_matches(table, corpus, _Reference(writes, corpus), directory)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tokenizer: interning, resolution, term scanning, coverage, vocabulary IO."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,27 @@ class TestVocabularyIO:
         save_vocabulary(table, first)
         save_vocabulary(table, second)
         assert Path(first).read_bytes() == Path(second).read_bytes()
+
+    def test_a_huge_id_loads_without_a_slot_per_id_and_saves_back(self, tmp_path):
+        # A table keys its tokens by id, so an id of 10**12 costs one entry;
+        # new ids follow the largest.
+        path = tmp_path / "vocab.tsv"
+        text = "0\tforall\treserved\n7\tM.x<ker>M.x\tglobal\n1000000000000\tM.f<ker>M.Impl.f\tglobal\n"
+        path.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_vocabulary(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert resolve_name(table, "M.Impl.f") == 10**12
+        assert table.reverse[10**12] == ("M.f<ker>M.Impl.f", TokenClass.global_id())
+        assert table.next_id == 10**12 + 1
+        assert table.intern_entity(make_entity("M.y")) == 10**12 + 1
+        out = tmp_path / "again.tsv"
+        save_vocabulary(load_vocabulary(str(path)), str(out))
+        assert out.read_bytes() == path.read_bytes()
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = tmp_path / "vocab.tsv"
