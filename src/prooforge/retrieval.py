@@ -4,9 +4,10 @@ The index stacks the items of both kinds ("premise", then "tactic") as the
 rows of one matrix, each kind's in insertion order, and keeps one array
 each, over every row, of the row norms, the zero-row flags, each row's rank
 in its kind's key-text order (the key text is what got embedded) and a
-"screen": the rows divided by their norms and rounded to float32. Each
-kind's `KindRows` holds its payloads (what gets spliced into prompts) and
-row slices of those arrays. The keys are freed once embedded. A payload is
+"screen": the rows divided by their norms and rounded to float32. One
+`KindRows` holds those arrays and the payloads (what gets spliced into
+prompts), and the index's `spans` give each kind's rows among them. The
+keys are freed once embedded. A payload is
 built when read: the index keeps each premise's name and statement texts,
 the ones the corpus records already hold, and renders ``name : statement``
 only for the premises a query returns. A query is embedded once and scored
@@ -51,8 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -341,8 +341,7 @@ class _Payloads(Sequence):
     """What retrieval returns for each row, built when read: a premise's
     ``name : statement`` from the name and statement texts it was given,
     then each tactic example's tactic. Only those texts are held, and no
-    rendered payload is kept. A slice is a tuple; two are equal when they
-    hold equal items, and so is one with a tuple of them."""
+    rendered payload is kept. A slice is a tuple of payloads."""
 
     def __init__(self, names: tuple, statements: tuple, tactics: tuple):
         self._names = names
@@ -359,9 +358,6 @@ class _Payloads(Sequence):
         if i < len(self._names):
             return f"{self._names[i]} : {self._statements[i]}"
         return self._tactics[i - len(self._names)]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (tuple, _Payloads)) and tuple(self) == tuple(other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,11 +377,6 @@ class KindRows:
     screen: np.ndarray
 
 
-#: The per-kind views of each stacked `KindRows`, with the spans they were
-#: cut by: a cache reached only through its rows, whose entry dies with them.
-_VIEWS: "weakref.WeakKeyDictionary[KindRows, tuple]" = weakref.WeakKeyDictionary()
-
-
 @dataclass
 class RetrievalIndex:
     """Exact two-stage cosine index. `rows` holds the rows of every kind,
@@ -399,20 +390,6 @@ class RetrievalIndex:
     rows: KindRows
     spans: dict[str, tuple[int, int]]
     any_zero: bool
-
-    @property
-    def kinds(self) -> dict[str, KindRows]:
-        """Each kind's `KindRows`, whose arrays are views of `rows`', cut
-        on first access and shared by every index over the same `rows` and
-        `spans`, as `dataclasses.replace` makes."""
-        spans, views = _VIEWS.get(self.rows, (None, None))
-        if spans is not self.spans:
-            views = {
-                kind: KindRows(*(getattr(self.rows, f.name)[start:stop] for f in fields(KindRows)))
-                for kind, (start, stop) in self.spans.items()
-            }
-            _VIEWS[self.rows] = (self.spans, views)
-        return views
 
 
 def build_index(

@@ -4,6 +4,7 @@ The states built here mirror the shipped fixture corpora exactly, so tests
 can cross-check loaded data against independently constructed structures.
 """
 
+import dataclasses
 import os
 import threading
 
@@ -21,6 +22,7 @@ from prooforge.core_model import (
     ProofState,
     TacticStep,
 )
+from prooforge.retrieval import KindRows
 
 settings.register_profile(
     "suite",
@@ -61,6 +63,17 @@ def proofs_path() -> str:
 
 def backend_spec_path() -> str:
     return os.path.join(FIXTURES, "backend_spec.json")
+
+
+def kind_rows(index) -> dict:
+    """Each kind's `KindRows` of a retrieval index: its stacked `rows` cut
+    by its `spans`, the arrays as views and the payloads as tuples."""
+    return {
+        kind: KindRows(*(
+            getattr(index.rows, field.name)[start:stop] for field in dataclasses.fields(KindRows)
+        ))
+        for kind, (start, stop) in index.spans.items()
+    }
 
 
 # ----------------------------------------------------------------------

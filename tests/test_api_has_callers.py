@@ -19,12 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prooforge"
 
-#: Public names that only tests read, each with why it stays.
-TEST_ONLY = {
-    "retrieval.kinds": "tests/test_setup_bytes.py pins the index's rows per kind through it",
-}
-
-
 def _shipped_files():
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     files.extend(sorted((ROOT / "perfbench").glob("*.py")))
@@ -89,10 +83,5 @@ def _unnamed():
 
 
 def test_every_public_name_has_a_caller():
-    unnamed = [name for name in _unnamed() if name not in TEST_ONLY]
+    unnamed = _unnamed()
     assert not unnamed, "named nowhere in src/, perfbench/ or demos/: " + ", ".join(unnamed)
-
-
-def test_every_test_only_name_is_still_test_only():
-    # A name that gained a caller leaves the list.
-    assert set(TEST_ONLY) <= set(_unnamed())

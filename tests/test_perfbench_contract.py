@@ -43,7 +43,7 @@ def test_a_traced_index_retrieves_as_the_original():
     )
     tracer = tracing.Tracer()
     traced = dataclasses.replace(index, provider=tracing.TracedProvider(index.provider, tracer))
-    assert traced.kinds is index.kinds
+    assert traced.rows is index.rows
     calls = 0
     for query in ("statement 3", "goal 1", "L.lemma7 : statement 0"):
         for k in (0, 1, 5, 12, 40, 41):

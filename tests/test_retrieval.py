@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import kind_rows
 from test_proof_search import CountingTransport
 from prooforge import retrieval
 from prooforge.errors import MalformedResponse, ProviderError, RateLimited, ZeroVectorError
@@ -188,10 +189,10 @@ class TestHttpEmbedMany:
             assert transport.requests == build * math.ceil(len(distinct) / BATCH)
             assert transport.texts == distinct * build
         mock_rows = MockEmbeddingProvider().embed_many(distinct)
-        assert index.kinds[PREMISE].matrix.tobytes() == np.concatenate(
+        assert kind_rows(index)[PREMISE].matrix.tobytes() == np.concatenate(
             [mock_rows[:-1], mock_rows[:4]]
         ).tobytes()
-        assert index.kinds[TACTIC].matrix.tobytes() == np.repeat(mock_rows[-1:], 3, 0).tobytes()
+        assert kind_rows(index)[TACTIC].matrix.tobytes() == np.repeat(mock_rows[-1:], 3, 0).tobytes()
         assert provider.dim == 32
 
     def test_rows_out_of_index_order_land_in_place(self):
@@ -300,7 +301,7 @@ class TestHttpEmbedRetry:
         assert transport.requests == 3 + 2
         assert slept == [2.5, 2.0]
         keys = [f"{text} : s" for text in self.TEXTS]
-        assert index.kinds[PREMISE].matrix.tobytes() == (
+        assert kind_rows(index)[PREMISE].matrix.tobytes() == (
             MockEmbeddingProvider().embed_many(keys).tobytes()
         )
 
@@ -335,7 +336,7 @@ class TestBuildIndex:
     def test_empty_inputs(self):
         # [TRIVIAL]
         index = build_index(MockEmbeddingProvider())
-        assert all(not rows.payloads for rows in index.kinds.values())
+        assert all(not rows.payloads for rows in kind_rows(index).values())
         assert retrieve(index, "anything", 5) == {PREMISE: [], TACTIC: []}
 
     def test_three_premises(self):
@@ -345,11 +346,11 @@ class TestBuildIndex:
             provider,
             premises=[("A.a", "P a"), ("B.b", "Q b"), ("C.c", "R c")],
         )
-        rows = index.kinds[PREMISE]
+        rows = kind_rows(index)[PREMISE]
         assert rows.payloads == ("A.a : P a", "B.b : Q b", "C.c : R c")
         assert rows.matrix.shape == (3, 24)
         assert index.dim == 24
-        assert index.kinds[TACTIC].payloads == ()
+        assert kind_rows(index)[TACTIC].payloads == ()
 
     def test_duplicate_texts_share_vectors(self):
         # [TRIVIAL] provider determinism.
@@ -357,12 +358,12 @@ class TestBuildIndex:
             MockEmbeddingProvider(),
             premises=[("A.a", "same"), ("A.a2", "same")],
         )
-        matrix = index.kinds[PREMISE].matrix
+        matrix = kind_rows(index)[PREMISE].matrix
         assert not np.array_equal(matrix[0], matrix[1])  # keys differ
         dup = build_index(
             MockEmbeddingProvider(), tactics=[("intros", "g"), ("intros", "g")]
         )
-        matrix = dup.kinds[TACTIC].matrix
+        matrix = kind_rows(dup)[TACTIC].matrix
         assert np.array_equal(matrix[0], matrix[1])
 
     def test_a_repeated_key_costs_one_request_per_build(self):
@@ -374,11 +375,11 @@ class TestBuildIndex:
         for build in (1, 2):
             index = build_index(provider, premises=premises, tactics=tactics)
             assert transport.texts == distinct * build
-        rows = index.kinds[PREMISE]
+        rows = kind_rows(index)[PREMISE]
         assert rows.payloads == ("A.a : alpha", "B.b : beta", "A.a : alpha")
         assert np.array_equal(rows.matrix[0], rows.matrix[2])
         assert list(rows.key_rank) == [0, 2, 1]
-        rows = index.kinds[TACTIC]
+        rows = kind_rows(index)[TACTIC]
         assert rows.payloads == ("intros", "intros", "simpl")
         assert np.array_equal(rows.matrix[0], rows.matrix[1])
         assert not np.array_equal(rows.matrix[0], rows.matrix[2])
@@ -391,8 +392,8 @@ class TestBuildIndex:
             tactics=[("intros", "g")],
         )
         assert provider.calls == [["A.a : x", "B.b : y", "intros \x1f g"]]
-        assert index.kinds[PREMISE].matrix.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
-        assert index.kinds[TACTIC].matrix.tolist() == [[1.0, 1.0]]
+        assert kind_rows(index)[PREMISE].matrix.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert kind_rows(index)[TACTIC].matrix.tolist() == [[1.0, 1.0]]
 
         class Short(ManyBasisProvider):
             def embed_many(self, texts):
@@ -419,8 +420,8 @@ class TestBuildIndex:
         index = build_index(
             MockEmbeddingProvider(), tactics=[("simpl", "0 + n = n")]
         )
-        assert index.kinds[TACTIC].payloads == ("simpl",)
-        assert index.kinds[PREMISE].payloads == ()
+        assert kind_rows(index)[TACTIC].payloads == ("simpl",)
+        assert kind_rows(index)[PREMISE].payloads == ()
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +537,7 @@ class TestRetrieve:
                 return provider.embed(text)
 
         wrapped = dataclasses.replace(index, provider=Recording())
-        assert wrapped.kinds is index.kinds
+        assert wrapped.rows is index.rows
         assert retrieve(wrapped, "alpha", 5) == retrieve(index, "alpha", 5)
         assert seen == ["alpha"]
 
@@ -557,7 +558,7 @@ class TestRetrieve:
         vectors = {f"{name} : {text}": vec for name, text, vec in rows}
         vectors["q"] = [1, 0]
         index = build_index(BasisProvider(vectors), premises=[(n, t) for n, t, _v in rows])
-        kind = index.kinds[PREMISE]
+        kind = kind_rows(index)[PREMISE]
         q = np.array([1.0, 0.0])
         sims = np.where(kind.zero, -1.0, (kind.matrix @ q) / kind.norms)
         full = [(kind.payloads[i], float(sims[i])) for i in np.lexsort((kind.key_rank, -sims))]
@@ -686,7 +687,7 @@ class TestScreen:
         # must never drop a row that belongs in the top k.
         rows, query = drawn
         index = _screened_index(rows, query)
-        kind = index.kinds[PREMISE]
+        kind = kind_rows(index)[PREMISE]
         q = np.asarray(query, dtype=float)
         qnorm = float(np.linalg.norm(q))
         scores = []
@@ -713,7 +714,7 @@ class TestScreen:
         # the slack of the exact one.
         rows, query = drawn
         index = _screened_index(rows, query)
-        kind = index.kinds[PREMISE]
+        kind = kind_rows(index)[PREMISE]
         q = np.asarray(query, dtype=float)
         qnorm = float(np.linalg.norm(q))
         exact = retrieval._cosines(kind, np.arange(len(rows)), q, qnorm)
@@ -724,7 +725,7 @@ class TestScreen:
     @given(screened_rows(), st.data())
     def test_a_row_scores_the_same_in_any_subset(self, drawn, data):
         rows, query = drawn
-        kind = _screened_index(rows, query).kinds[PREMISE]
+        kind = kind_rows(_screened_index(rows, query))[PREMISE]
         q = np.asarray(query, dtype=float)
         qnorm = float(np.linalg.norm(q))
         every = retrieval._cosines(kind, np.arange(len(rows)), q, qnorm)
@@ -753,7 +754,7 @@ class TestScreen:
             BasisProvider({"a : t": [3.0, 4.0], "z : t": [0.0, 0.0]}),
             premises=[("a", "t"), ("z", "t")],
         )
-        screen = index.kinds[PREMISE].screen
+        screen = kind_rows(index)[PREMISE].screen
         assert screen.dtype == np.float32
         assert screen.tolist() == [[np.float32(0.6), np.float32(0.8)], [0.0, 0.0]]
 
@@ -841,10 +842,10 @@ class TestFusedPass:
         k = data.draw(st.integers(0, max(len(premises), len(tactics)) + 1), label="k")
         ranked = retrieve(index, "query", k)
         assert ranked == {
-            PREMISE: _brute_force(index.kinds[PREMISE], premise_keys, query)[:k],
-            TACTIC: _brute_force(index.kinds[TACTIC], tactic_keys, query)[:k],
+            PREMISE: _brute_force(kind_rows(index)[PREMISE], premise_keys, query)[:k],
+            TACTIC: _brute_force(kind_rows(index)[TACTIC], tactic_keys, query)[:k],
         }
-        assert index.kinds[TACTIC].payloads == tuple(moves)
+        assert kind_rows(index)[TACTIC].payloads == tuple(moves)
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_survivors_stay_few_whatever_the_row_order(self, shuffled):
@@ -871,7 +872,7 @@ class TestFusedPass:
         else:
             assert partition.called and scored == [5]
 
-    def test_every_kind_array_is_a_view_of_one_index_array(self):
+    def test_the_spans_cut_the_stacked_rows_by_kind(self):
         index = build_index(
             MockEmbeddingProvider(),
             premises=[("A.a", "x"), ("B.b", "y"), ("A.a", "x")],
@@ -879,12 +880,8 @@ class TestFusedPass:
         )
         assert index.spans == {PREMISE: (0, 3), TACTIC: (3, 5)}
         for name in ("matrix", "norms", "zero", "key_rank", "screen"):
-            stacked = getattr(index.rows, name)
-            for kind, (start, stop) in index.spans.items():
-                rows = getattr(index.kinds[kind], name)
-                assert np.shares_memory(rows, stacked), (kind, name)
-                assert np.array_equal(rows, stacked[start:stop])
-        assert index.rows.payloads == sum((index.kinds[kind].payloads for kind in index.spans), ())
+            assert len(getattr(index.rows, name)) == 5, name
+        assert index.rows.payloads[:] == ("A.a : x", "B.b : y", "A.a : x", "intros", "simpl")
 
     def test_norms_taken_in_blocks_equal_one_norm_pass(self):
         premises = [(f"L.l{i}", "s") for i in range(9)]
@@ -979,7 +976,7 @@ class TestChunkedBuild:
             provider = SizeLogProvider()
             whole = build_index(provider, self.PREMISES, self.TACTICS)
         assert provider.calls == [CHUNK + 42]
-        assert chunked.rows.payloads == whole.rows.payloads
+        assert chunked.rows.payloads[:] == whole.rows.payloads[:]
         for name in ("matrix", "norms", "zero", "key_rank", "screen"):
             assert getattr(chunked.rows, name).tobytes() == getattr(whole.rows, name).tobytes()
         keys = [f"{n} : {s}" for n, s in self.PREMISES] + [f"{t} \x1f {g}" for t, g in self.TACTICS]
@@ -1017,12 +1014,15 @@ class TestChunkedBuild:
         with pytest.raises(ValueError, match="^provider returned 41 rows for 42 keys$"):
             build_index(Short(), self.PREMISES, self.TACTICS)
 
-    def test_the_kind_views_are_derived_from_the_stacked_rows(self):
+    def test_payloads_are_built_when_read(self):
+        # The index keeps the premise texts it was given; a payload is made
+        # on each read, and a slice is a tuple of them.
         index = build_index(MockEmbeddingProvider(), [("A.a", "x")], [("intros", "g")])
-        assert "kinds" not in {f.name for f in dataclasses.fields(index)}
-        assert index.kinds is index.kinds
-        assert dataclasses.replace(index, provider=None).kinds is index.kinds
-        rows = dataclasses.replace(index.rows)
-        other = dataclasses.replace(index, rows=rows)
-        assert other.kinds is not index.kinds
-        assert other.kinds[TACTIC].payloads == index.kinds[TACTIC].payloads == ("intros",)
+        payloads = index.rows.payloads
+        assert len(payloads) == 2
+        assert payloads[0] == payloads[-2] == "A.a : x"
+        assert payloads[1] == payloads[-1] == "intros"
+        assert payloads[0:2] == tuple(payloads) == ("A.a : x", "intros")
+        assert payloads[1:] == ("intros",) and payloads[5:] == ()
+        with pytest.raises(IndexError):
+            payloads[2]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, kind_rows
 from prooforge.corpus import ENTITIES_HEADER, load_entity_corpus, load_proof_corpus
 from prooforge.errors import FormatError
 from prooforge.retrieval import MockEmbeddingProvider, build_index
@@ -79,7 +79,7 @@ def _setup_parts(table, corpus, index) -> dict:
         "table.reverse": repr(sorted(table.reverse.items())).encode(),
         "index.dim": repr(index.dim).encode(),
     }
-    for kind, rows in sorted(index.kinds.items()):
+    for kind, rows in sorted(kind_rows(index).items()):
         parts[f"{kind}.payloads"] = repr(rows.payloads).encode()
         for name in ("matrix", "norms", "zero", "key_rank"):
             parts[f"{kind}.{name}"] = _array_bytes(getattr(rows, name))
@@ -137,11 +137,11 @@ def test_generated_set_up_bytes_are_pinned(wide_corpus):
 def test_screen_bytes_are_pinned(corpus, request):
     directory = Path(FIXTURES) if corpus == "fixtures" else request.getfixturevalue("wide_corpus")
     _table, _corpus, index = _set_up(directory)
-    for rows in index.kinds.values():
+    for rows in kind_rows(index).values():
         assert np.array_equal(rows.screen, (rows.matrix / rows.norms[:, None]).astype(np.float32))
     screens = {
         kind: hashlib.sha256(_array_bytes(rows.screen)).hexdigest()
-        for kind, rows in sorted(index.kinds.items())
+        for kind, rows in sorted(kind_rows(index).items())
     }
     assert screens == SCREENS[corpus]
 
