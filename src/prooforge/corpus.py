@@ -28,12 +28,10 @@ call, a kernel name equal to its record's name is that name, and equal
 ``source_file``, ``intuition`` and ``*_zh`` texts are one object. Nothing is
 shared across calls.
 
-A loaded entity's name is stored in its record and, as its disambiguated
-name, once in the token table. An EntityCorpus keeps no map from token id
-to record: a load into a fresh table gets consecutive ids, so a record's
-position is its token minus the first record's, and only records whose ids
-break that run (from a table filled by a vocabulary file) are kept in a
-map.
+An entity's name is stored in its record and once, as its disambiguated
+name, in the token table; an EntityCorpus finds a record from its token id
+by arithmetic over the load's consecutive ids, not by a map entry per
+record.
 """
 
 from __future__ import annotations
@@ -294,11 +292,10 @@ class EntityCorpus:
 
     def record_for(self, token: int) -> Optional[EntityRecord]:
         index = token - self._first
-        if not (0 <= index < len(self.tokens) and self.tokens[index] == token):
-            index = self._displaced.get(token)
-            if index is None:
-                return None
-        return self.records[index]
+        if 0 <= index < len(self.tokens) and self.tokens[index] == token:
+            return self.records[index]
+        index = self._displaced.get(token)
+        return self.records[index] if index is not None else None
 
 
 @dataclass

@@ -23,10 +23,8 @@ concurrently with each other; interning is the only mutating operation.
 A table stores each token's key once: the DisambiguatedName of a global,
 or the label of a reserved token. The rendered ``canonical<ker>kernel``
 text and the TokenClass of an id are built when `TokenTable.reverse` is
-read, not stored. The bare-path maps that `resolve_name` reads hold ids
-only, keyed by the strings the names already hold, and a kernel path equal
-to its own canonical path gets no entry, since the canonical lookup that
-runs first always finds that path.
+read. A kernel path equal to its own canonical path gets no entry in the
+kernel-path map, since the canonical lookup that runs first finds it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import re
 from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Mapping
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .core_model import ANONYMOUS_NAME, EntityRecord
 from .errors import FormatError
@@ -175,7 +173,7 @@ class TokenTable:
 
     def __init__(self, reserved: Iterable[str] = RESERVED_TOKENS):
         self.entries: dict[DisambiguatedName, TokenId] = {}
-        self._keys: dict[TokenId, Union[DisambiguatedName, str]] = {}
+        self._keys: dict[TokenId, DisambiguatedName | str] = {}
         self.reverse: Mapping[TokenId, tuple[str, TokenClass]] = _RenderedKeys(self._keys)
         self.next_id: TokenId = 0
         self._by_canonical: dict[str, TokenId] = {}
