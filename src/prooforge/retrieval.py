@@ -353,11 +353,15 @@ class _Payloads(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        i = range(len(self))[i]
-        if i < len(self._names):
-            return f"{self._names[i]} : {self._statements[i]}"
-        return self._tactics[i - len(self._names)]
+            return tuple(self.take(range(len(self))[i]))
+        return self.take((range(len(self))[i],))[0]
+
+    def take(self, rows) -> list[str]:
+        """The payloads of `rows`, non-negative row numbers, in order: one
+        call for a query's results, not one per row."""
+        names, statements, tactics = self._names, self._statements, self._tactics
+        n = len(names)
+        return [f"{names[i]} : {statements[i]}" if i < n else tactics[i - n] for i in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +373,7 @@ class KindRows:
     for a zero row, which `retrieve` screens as -1). Two are equal only
     when they are one object."""
 
-    payloads: Sequence[str]
+    payloads: _Payloads
     matrix: np.ndarray
     norms: np.ndarray
     zero: np.ndarray
@@ -548,8 +552,6 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> dict[str, list[tuple[
         kind_sims = sims[cut:cut + len(top)]
         cut += len(top)
         best = np.lexsort((rows.key_rank.take(top), -kind_sims))[:k]
-        ranked[kind] = [
-            (rows.payloads[i], sim)
-            for i, sim in zip(top.take(best).tolist(), kind_sims.take(best).tolist())
-        ]
+        payloads = rows.payloads.take(top.take(best).tolist())
+        ranked[kind] = list(zip(payloads, kind_sims.take(best).tolist()))
     return ranked
