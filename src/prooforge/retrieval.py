@@ -7,14 +7,13 @@ in its kind's key-text order (the key text is what got embedded) and a
 "screen": the rows divided by their norms and rounded to float32. One
 `KindRows` holds those arrays and the payloads (what gets spliced into
 prompts), and the index's `spans` give each kind's rows among them. The
-keys are freed once embedded. A payload is
-built when read: the index keeps each premise's name and statement texts,
-the ones the corpus records already hold, and renders ``name : statement``
-only for the premises a query returns. A query is embedded once and scored
-against both kinds; each kind's results come in descending similarity,
-ties broken by ascending key text and then by insertion order, so they are
-reproducible across platforms. A row with zero norm scores -1 against
-every query.
+keys are freed once embedded. A payload is built when read: the index
+keeps each premise's name and statement texts, the ones the corpus records
+already hold, and renders ``name : statement`` only for the premises a
+query returns. A query is embedded once and scored against both kinds;
+each kind's results come in descending similarity, ties broken by
+ascending key text and then by insertion order, so they are reproducible
+across platforms. A row with zero norm scores -1 against every query.
 
 Retrieval is exact in two stages, each one pass over both kinds. One
 float32 product of the screen with the unit query scores every row. For a
