@@ -319,11 +319,11 @@ class _Reference:
         ).encode("utf-8")
 
 
-def _corpus_writes(table_before: set, corpus):
+def _corpus_writes(ids_before: set, corpus):
     """The global writes a load made: each record not already interned."""
     return [
         (DisambiguatedName(r.name, r.kernel_name), TokenClass.global_id(), tid)
-        for r, tid in zip(corpus.records, corpus.tokens) if tid not in table_before
+        for r, tid in zip(corpus.records, corpus.tokens) if tid not in ids_before
     ]
 
 
