@@ -255,12 +255,13 @@ class _ProofDecoder:
 class EntityCorpus:
     """Loaded entity records plus lookup maps.
 
-    `tokens[i]` is the token id of `records[i]`. `record_for` inverts that
-    without a map entry per record: a record whose token is the first
-    record's plus its position is found by arithmetic, and only the others
-    are kept in `_displaced` (token -> position). A fresh table interns a
-    load in order, so then `_displaced` is empty; a table filled from a
-    vocabulary file may give ids out of order or with gaps.
+    `tokens[i]` is the token id of `records[i]`, one distinct id per record
+    as a load interns each record once. `record_for` inverts that without
+    a map entry per record: a record whose token is the first record's plus
+    its position is found by arithmetic, and only the others are kept in
+    `_displaced` (token -> position). A fresh table interns a load in
+    order, so then `_displaced` is empty; a table filled from a vocabulary
+    file may give ids out of order or with gaps.
     `by_name` maps each record's name, kernel name and last name segment to
     the first record index, in corpus order, that carries it.
     `derived` marks records synthesized from Inductive constructor clauses
