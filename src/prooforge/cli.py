@@ -99,6 +99,9 @@ _DEFAULTS = {
 }
 
 
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
+
+
 def _scan_forbidden(obj, path="") -> Optional[str]:
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -118,7 +121,8 @@ def _scan_forbidden(obj, path="") -> Optional[str]:
 
 def load_run_config(path: str) -> dict:
     """Read a JSON config file; reject any key that looks like a stored
-    credential — secrets belong in environment variables."""
+    credential — secrets belong in environment variables — any unknown key,
+    and any value not of its key's type (ValueError naming the key)."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -134,6 +138,18 @@ def load_run_config(path: str) -> dict:
         raise ValueError(
             f"config file {path} has unknown keys: {', '.join(sorted(unknown))}"
         )
+    for key, value in obj.items():
+        # Each value has its default's type: an integer is no bool or float.
+        if key == "budget":
+            ok, what = value is None or type(value) is int, "an integer or null"
+        elif key == "require":
+            ok = type(value) is list and all(type(module) is str for module in value)
+            what = "a list of strings"
+        else:
+            kind = type(_DEFAULTS[key])
+            ok, what = type(value) is kind, _TYPE_NAMES[kind]
+        if not ok:
+            raise ValueError(f"config file {path}: {key} must be {what}")
     return obj
 
 

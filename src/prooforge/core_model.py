@@ -74,7 +74,9 @@ _KNOWN_KIND_VALUES = {variant: EntityKind(variant) for variant in KNOWN_KINDS}
 def _check_dotted_path(value: str, what: str) -> None:
     if not value:
         raise ValueError(f"{what} must be non-empty")
-    if "" in value.split("."):
+    # A segment is empty exactly where a dot starts or ends the path or
+    # follows another dot.
+    if value[0] == "." or value[-1] == "." or ".." in value:
         raise ValueError(f"{what} has an empty dot-separated segment: {value!r}")
 
 
@@ -105,12 +107,13 @@ class EntityRecord:
 
     def __post_init__(self):
         _check_dotted_path(self.name, "entity name")
-        _check_dotted_path(self.kernel_name, "entity kernel_name")
+        if self.kernel_name != self.name:
+            _check_dotted_path(self.kernel_name, "entity kernel_name")
         if not self.origin:
             raise ValueError(f"entity {self.name}: origin must be non-empty")
         if not self.internal:
             raise ValueError(f"entity {self.name}: internal must be non-empty")
-        if len(set(self.dependencies)) != len(self.dependencies):
+        if self.dependencies and len(set(self.dependencies)) != len(self.dependencies):
             raise ValueError(f"entity {self.name}: duplicate dependencies")
 
 

@@ -36,7 +36,10 @@ record.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -110,10 +113,12 @@ def _resolve_dependency(table: TokenTable, name) -> Optional[int]:
     return resolve_name(table, name)
 
 
-_ENTITY_FIELDS = frozenset((
-    "name", "kernel_name", "kind", "origin", "internal", "intuition",
-    "source_file", "dependencies", "origin_zh", "internal_zh", "intuition_zh",
-))
+# An entity line's text fields: required, then optional and shared.
+_REQUIRED_TEXTS = ("name", "kernel_name", "kind", "origin", "internal")
+_SHARED_TEXTS = ("intuition", "source_file", "origin_zh", "internal_zh", "intuition_zh")
+_ENTITY_FIELDS = frozenset((*_REQUIRED_TEXTS, *_SHARED_TEXTS, "dependencies"))
+_required_texts = operator.itemgetter(*_REQUIRED_TEXTS)
+_BAD_DEPENDENCIES = "dependencies must be a list of names and token ids"
 
 
 def encode_hypothesis(hyp: Hypothesis) -> dict:
@@ -281,10 +286,15 @@ class EntityCorpus:
         self._displaced = {
             tid: i for i, tid in enumerate(self.tokens) if tid != self._first + i
         }
-        self.by_name = {}
+        self.by_name = by_name = {}
         for i, record in enumerate(self.records):
-            for key in (record.name, record.kernel_name, record.name.rsplit(".", 1)[-1]):
-                self.by_name.setdefault(key, i)
+            name, kernel = record.name, record.kernel_name
+            short = name[name.rfind(".") + 1:]
+            by_name.setdefault(name, i)
+            if kernel != name:
+                by_name.setdefault(kernel, i)
+            if short != name and short != kernel:
+                by_name.setdefault(short, i)
         if self.extras is None:
             self.extras = {}
 
@@ -395,10 +405,34 @@ def _read_objects(path: str, expected_header: str) -> Iterator[tuple[int, dict]]
             yield lineno, obj
 
 
+def _collector_paused(load):
+    """`load` run with the cyclic garbage collector paused, for the whole
+    process; the caller's setting is put back when it returns or raises.
+
+    A load calls no user code and builds only acyclic objects, so the
+    collector would find nothing to free, and its passes over the growing
+    heap of records and decoded JSON are pure cost: reference counting
+    frees everything a load drops."""
+
+    @functools.wraps(load)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
     """Load an entities file, interning every record (and derived
     constructors) into `table`. Raises FormatError with the offending line
-    number on any malformed or duplicate record.
+    number on any malformed or duplicate record; a text field that is not a
+    string is named.
 
     Each record is built and validated once. Every line is read and checked
     before anything is interned, so a file that fails to load interns
@@ -410,43 +444,52 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
     return: a `kernel_name` equal to `name` is the `name` object, and each
     repeated `source_file`, `intuition` and `*_zh` string is one object.
     Nothing is shared across calls.
+
+    The cyclic garbage collector is paused for the load, in the whole
+    process, and the caller's setting is put back on return or error. That
+    is safe because a load calls no user code and builds no reference
+    cycle; other threads keep running, and their cycles wait for the
+    collector until the load ends.
     """
-    parsed: list[tuple[EntityRecord, dict, list]] = []
+    parsed: list[tuple[EntityRecord, Optional[dict], list]] = []
     names: set[tuple[str, str]] = set()
     texts: dict[str, str] = {}
 
-    def shared(value):
-        """A string as the first object of its text this call has read; any
-        other value as it is."""
-        return texts.setdefault(value, value) if type(value) is str else value
-
     for lineno, obj in _read_objects(path, ENTITIES_HEADER):
         try:
-            name = obj["name"]
-            kernel_name = obj["kernel_name"]
+            name, kernel_name, kind, origin, internal = _required_texts(obj)
+        except KeyError as exc:
+            raise FormatError(f"missing field: {exc}", line=lineno)
+        if not (type(name) is type(kernel_name) is type(kind) is type(origin) is type(internal) is str):
+            bad = next(key for key in _REQUIRED_TEXTS if type(obj[key]) is not str)
+            raise FormatError(f"{bad} must be a string", line=lineno)
+        shared = {}
+        for key in _SHARED_TEXTS:
+            if key in obj:
+                value = obj[key]
+                if type(value) is not str:
+                    raise FormatError(f"{key} must be a string", line=lineno)
+                shared[key] = texts.setdefault(value, value)
+        try:
             record = EntityRecord(
-                name=name,
-                kernel_name=name if kernel_name == name else kernel_name,
-                kind=EntityKind.parse(obj["kind"]),
-                origin=obj["origin"],
-                internal=obj["internal"],
-                intuition=shared(obj.get("intuition", "")),
-                source_file=shared(obj.get("source_file", "")),
-                dependencies=(),
-                origin_zh=shared(obj.get("origin_zh", "")),
-                internal_zh=shared(obj.get("internal_zh", "")),
-                intuition_zh=shared(obj.get("intuition_zh", "")),
+                name,
+                name if kernel_name == name else kernel_name,
+                EntityKind.parse(kind),
+                origin,
+                internal,
+                **shared,
             )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise FormatError(f"missing or bad field: {exc}", line=lineno)
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno)
-        extras = {k: v for k, v in obj.items() if k not in _ENTITY_FIELDS}
+        extras = None
+        if not obj.keys() <= _ENTITY_FIELDS:
+            extras = {k: v for k, v in obj.items() if k not in _ENTITY_FIELDS}
         raw_deps = obj.get("dependencies", [])
-        if not isinstance(raw_deps, list) or not all(
-            isinstance(name, (str, int)) and not isinstance(name, bool) for name in raw_deps
-        ):
-            raise FormatError("dependencies must be a list of names and token ids", line=lineno)
+        if type(raw_deps) is not list:
+            raise FormatError(_BAD_DEPENDENCIES, line=lineno)
+        for dep in raw_deps:
+            if type(dep) is not str and type(dep) is not int:
+                raise FormatError(_BAD_DEPENDENCIES, line=lineno)
         key = (record.name, record.kernel_name)
         if key in names:
             raise FormatError(
@@ -461,7 +504,7 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
     derived: set[int] = set()
     extras_map: dict[int, dict] = {}
 
-    def add(record: EntityRecord, extras: dict) -> None:
+    def add(record: EntityRecord, extras: Optional[dict]) -> None:
         if extras:
             extras_map[len(records)] = extras
         tokens.append(table.intern_entity(record))
@@ -476,7 +519,7 @@ def load_entity_corpus(path: str, table: TokenTable) -> EntityCorpus:
             if key not in names:
                 names.add(key)
                 derived.add(len(records))
-                add(ctor, {})
+                add(ctor, None)
 
     # With every entity interned, resolve dependency names.
     for record, _extras, raw_deps in parsed:
@@ -513,6 +556,7 @@ def save_entity_corpus(corpus: EntityCorpus, table: TokenTable, path: str) -> No
         fh.write("\n".join(lines) + "\n")
 
 
+@_collector_paused
 def load_proof_corpus(path: str) -> ProofCorpus:
     """Load a proofs file; every proof must chain correctly and theorem names
     must be unique. Raises FormatError with the offending line number on any
@@ -521,6 +565,11 @@ def load_proof_corpus(path: str) -> ProofCorpus:
     Equal hypotheses, goals and states decoded in one call are one object,
     so a step's `before` is the previous step's `after` when the file
     chains. Nothing is shared across calls: each call decodes afresh.
+
+    As in `load_entity_corpus`, the cyclic garbage collector is paused for
+    the load, in the whole process, and the caller's setting is put back on
+    return or error: the decoder calls no user code, and its memos, keyed
+    by values and by the ids of parts they keep alive, form no cycle.
     """
     decoder = _ProofDecoder()
     proofs: list[InteractiveProof] = []

@@ -191,9 +191,15 @@ class TokenTable:
         return len(self._keys)
 
     def _write(self, key, cls: TokenClass, tid: TokenId) -> TokenId:
-        """Record a new token: `key` is the DisambiguatedName of a global or
-        the label of a reserved token."""
-        self._ids[cls.kind][key] = tid
+        """Record token `tid` for `key` and return it; a `key` that already
+        has an id in its class keeps it, and that id is returned. `key` is
+        the DisambiguatedName of a global or the label of a reserved token,
+        and is hashed once. Interning offers `next_id`, which no key has
+        yet; `load_vocabulary` offers the id it reads, after checking that
+        neither it nor the key is taken."""
+        existing = self._ids[cls.kind].setdefault(key, tid)
+        if existing != tid:
+            return existing
         self._keys[tid] = key
         if cls.kind == TokenClass.GLOBAL:
             # First interning wins for bare-path lookup; later entities sharing
@@ -204,14 +210,8 @@ class TokenTable:
         self.next_id = max(self.next_id, tid + 1)
         return tid
 
-    def _intern(self, key, cls: TokenClass) -> TokenId:
-        existing = self._ids[cls.kind].get(key)
-        if existing is not None:
-            return existing
-        return self._write(key, cls, self.next_id)
-
     def intern_reserved(self, label: str) -> TokenId:
-        return self._intern(label, TokenClass.reserved(label))
+        return self._write(label, TokenClass.reserved(label), self.next_id)
 
     def intern_entity(self, entity: EntityRecord) -> TokenId:
         """Intern an entity, returning its stable TokenId.
@@ -219,7 +219,7 @@ class TokenTable:
         Idempotent per DisambiguatedName; existing ids are never renumbered.
         """
         name = DisambiguatedName(entity.name, entity.kernel_name)
-        return self._intern(name, TokenClass.global_id())
+        return self._write(name, _GLOBAL_CLASS, self.next_id)
 
     def id_for_rendered(self, rendered: str) -> Optional[TokenId]:
         try:

@@ -391,6 +391,37 @@ class TestConfigFiles:
         assert code == EXIT_USAGE
         assert "secret" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("max_depth", "5", "an integer"),
+        ("max_depth", 5.0, "an integer"),
+        ("beam_width", 2.5, "an integer"),
+        ("beam_width", True, "an integer"),
+        ("retrieve_k", None, "an integer"),
+        ("seed", "0", "an integer"),
+        ("budget", "100", "an integer or null"),
+        ("budget", False, "an integer or null"),
+        ("require", "Coq.Arith", "a list of strings"),
+        ("require", ["Coq.Arith", 1], "a list of strings"),
+        ("require", None, "a list of strings"),
+        ("out", 5, "a string"),
+        ("gateway_script", None, "a string"),
+        ("unjudgeable_half", 1, "true or false"),
+    ])
+    def test_a_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, key, value, what):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        code = main(prove_args(tmp_path / "out") + ["--config", str(config), WORKED])
+        assert code == EXIT_USAGE
+        assert f"{key} must be {what}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_values_of_their_keys_types_are_accepted(self, tmp_path):
+        config = tmp_path / "run.json"
+        obj = {"budget": None, "require": ["Coq.Arith"], "unjudgeable_half": True,
+               "max_depth": 4, "selection": "ModelBased"}
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert cli.load_run_config(str(config)) == obj
+
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"frobnicate": 1}), encoding="utf-8")

@@ -18,6 +18,7 @@ from prooforge.core_model import (
     Notebook,
     ProofState,
     TacticStep,
+    _check_dotted_path,
     state_fingerprint,
     validate_proof_chain,
 )
@@ -79,6 +80,23 @@ class TestEntityRecord:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             make_entity("")
+
+    @given(st.text(alphabet=".ab", max_size=8))
+    def test_a_dotted_path_is_checked_as_its_split_segments(self, value):
+        # The reference: a path is accepted when it is non-empty and no
+        # segment between its dots is empty.
+        expected = bool(value) and "" not in value.split(".")
+        try:
+            _check_dotted_path(value, "path")
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected
+
+    def test_a_bad_kernel_name_is_named(self):
+        with pytest.raises(ValueError, match="entity kernel_name has an empty"):
+            make_entity("A.b", kernel="A.b.")
 
     def test_duplicate_dependencies_rejected(self):
         with pytest.raises(ValueError):

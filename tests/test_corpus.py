@@ -1,5 +1,6 @@
 """Corpus IO: entity/proof files, constructor derivation, concepts, requires."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -225,21 +226,24 @@ class TestLoadEntities:
             for key in texts:
                 assert getattr(a, key) is not getattr(b, key), key
 
-    def test_a_text_field_that_is_not_a_string_is_kept_as_read(self, tmp_path):
-        # Sharing applies to strings only; other values pass through as
-        # they did, unhashable ones included.
+    @pytest.mark.parametrize("value", [5, ["x"], None], ids=["int", "list", "null"])
+    @pytest.mark.parametrize("key", [
+        "name", "kernel_name", "kind", "origin", "internal",
+        "intuition", "source_file", "origin_zh", "internal_zh", "intuition_zh",
+    ])
+    def test_a_text_field_that_is_not_a_string_is_named(self, tmp_path, key, value):
+        bad = json.dumps({**json.loads(TRUE_RECORD_LINE), "name": "M.x", key: value})
+        table = TokenTable()
+        before = len(table)
+        with pytest.raises(FormatError, match=f"^line 3: {key} must be a string$"):
+            load_entity_corpus(_write_entities(tmp_path, TRUE_RECORD_LINE, bad), table)
+        assert len(table) == before
+
+    def test_a_missing_text_field_is_named(self, tmp_path):
         obj = json.loads(TRUE_RECORD_LINE)
-        path = _write_entities(
-            tmp_path,
-            json.dumps({**obj, "intuition": ["a", "b"]}),
-            json.dumps({**obj, "name": "M.one", "kernel_name": "M.one", "intuition": 1}),
-            json.dumps({**obj, "name": "M.two", "kernel_name": "M.two", "intuition": True}),
-        )
-        records = load_entity_corpus(path, TokenTable()).records
-        assert [r.intuition for r in records if r.name != "Coq.Init.Logic.True.I"] == [
-            ["a", "b"], 1, True,
-        ]
-        assert type(records[-1].intuition) is bool
+        del obj["origin"]
+        with pytest.raises(FormatError, match="^line 2: missing field: 'origin'$"):
+            load_entity_corpus(_write_entities(tmp_path, json.dumps(obj)), TokenTable())
 
 
 # ----------------------------------------------------------------------
@@ -608,6 +612,73 @@ class TestLoadProofs:
         else:
             assert corpus.proofs[0].theorem_name == line["theorem_name"]
             assert corpus.extras == ({0: {"note": line["note"]}} if "note" in line else {})
+
+
+# ----------------------------------------------------------------------
+# The cyclic collector is paused for a load
+# ----------------------------------------------------------------------
+
+_LOADS = {
+    "entities": lambda path: load_entity_corpus(path, TokenTable()),
+    "proofs": load_proof_corpus,
+}
+_HEADERS = {"entities": ENTITIES_HEADER, "proofs": PROOFS_HEADER}
+_FIXTURES = {"entities": entities_path, "proofs": proofs_path}
+# A function each loader calls while it loads the fixture.
+_CALLED_IN_LOAD = {"entities": "derive_constructors", "proofs": "validate_proof_chain"}
+
+
+@pytest.fixture
+def collector_restored():
+    yield
+    gc.enable()
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestCollectorPause:
+    @pytest.mark.parametrize("kind", sorted(_LOADS))
+    def test_a_load_pauses_the_collector_and_enables_it_again(self, monkeypatch, kind):
+        import prooforge.corpus as corpus_module
+
+        inner = getattr(corpus_module, _CALLED_IN_LOAD[kind])
+        seen = []
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return inner(*args)
+
+        monkeypatch.setattr(corpus_module, _CALLED_IN_LOAD[kind], spy)
+        _LOADS[kind](_FIXTURES[kind]())
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("kind", sorted(_LOADS))
+    def test_a_format_error_enables_the_collector_again(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(_HEADERS[kind] + "\n{not json\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            _LOADS[kind](str(path))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["loads", "raises"])
+    @pytest.mark.parametrize("kind", sorted(_LOADS))
+    def test_a_caller_who_disabled_the_collector_keeps_it_disabled(self, tmp_path, kind, fails):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(_HEADERS[kind] + ("\n[]\n" if fails else "\n"), encoding="utf-8")
+        gc.disable()
+        try:
+            _LOADS[kind](str(path))
+        except FormatError:
+            assert fails
+        assert not gc.isenabled()
+
+    def test_a_load_leaves_no_cycle_for_the_collector(self):
+        # What makes the pause safe: a load builds nothing the collector
+        # could free.
+        gc.collect()
+        loaded = [_LOADS[kind](_FIXTURES[kind]()) for kind in sorted(_LOADS)]
+        assert gc.collect() == 0
+        assert all(loaded)
 
 
 # ----------------------------------------------------------------------
