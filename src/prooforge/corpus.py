@@ -26,7 +26,8 @@ the distinct content rather than how often it recurs. Loading an entities
 file shares equal texts the same way: within one ``load_entity_corpus``
 call, a kernel name equal to its record's name is that name, and equal
 ``source_file``, ``intuition`` and ``*_zh`` texts are one object. Nothing is
-shared across calls.
+shared across calls. Both loaders run with the cyclic garbage collector
+paused, since a load builds no reference cycle for it to free.
 
 An entity's name is stored in its record and once, as its disambiguated
 name, in the token table; an EntityCorpus finds a record from its token id
@@ -408,11 +409,8 @@ def _read_objects(path: str, expected_header: str) -> Iterator[tuple[int, dict]]
 def _collector_paused(load):
     """`load` run with the cyclic garbage collector paused, for the whole
     process; the caller's setting is put back when it returns or raises.
-
-    A load calls no user code and builds only acyclic objects, so the
-    collector would find nothing to free, and its passes over the growing
-    heap of records and decoded JSON are pure cost: reference counting
-    frees everything a load drops."""
+    A load builds no cycle, so the collector's passes over its growing heap
+    of records and decoded JSON would free nothing."""
 
     @functools.wraps(load)
     def paused(*args, **kwargs):
