@@ -60,7 +60,6 @@ from .llm_gateway import (
     HttpGateway as HttpGateway,
     InfoRequest as InfoRequest,
     MockGateway as MockGateway,
-    RetryPolicy as RetryPolicy,
     ScriptRecord as ScriptRecord,
     TacticSuggestions as TacticSuggestions,
     YesNoLogprobs as YesNoLogprobs,

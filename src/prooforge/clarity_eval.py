@@ -127,9 +127,7 @@ def run_configuration(
             continue
         name = record.name
         try:
-            reply = gateway.complete(
-                ChatRequest.for_role("probe", render_clarity_probe(bundle, name))
-            )
+            reply = gateway.complete(ChatRequest("probe", render_clarity_probe(bundle, name)))
             judge_prompt = render_clarity_judge(name, reply.text, record)
             logprobs = yes_no_logprobs(gateway, judge_prompt)
         except UnjudgeableResponse:

@@ -369,10 +369,9 @@ def cmd_vocab(args: argparse.Namespace) -> int:
         table = load_vocabulary(cfg["vocab"])
     else:
         raise ValueError("vocab requires --entities with --vocab-out, or --vocab")
-    counts = table.class_counts()
     print(f"vocabulary: {len(table)} tokens")
-    for kind in ("reserved", "global", "local"):
-        print(f"  {kind}: {counts.get(kind, 0)}")
+    for kind, count in table.class_counts().items():
+        print(f"  {kind}: {count}")
     return EXIT_OK
 
 
@@ -455,6 +454,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     PortError. Any other exception ends the run: the finished theorems' logs
     are kept, but no summary or manifest is written."""
     cfg = _merged(args)
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs must be at least 1, not {cfg['jobs']}")
     statements = _read_theorem_list(args.theorems)
     if not statements:
         raise ValueError(f"theorem list {args.theorems} is empty")
@@ -482,13 +483,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _write_json(_run_log_path(out_dir, statement), log)
         return statement, result, log, error
 
-    jobs = max(1, int(cfg["jobs"]))
-    if jobs == 1:
+    if cfg["jobs"] == 1:
         outcomes = [run_one(raw) for raw in statements]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
             outcomes = list(pool.map(run_one, statements))
 
     for statement, result, _log, error in outcomes:
@@ -510,13 +510,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _clarity_configs(cfg: dict) -> list[InfoConfiguration]:
+    """The configurations `--configs` names; naming none is a usage error."""
     if cfg["configs"] == "all":
         return list(InfoConfiguration)
-    return [InfoConfiguration.parse(name) for name in cfg["configs"].split(",") if name]
+    configs = [InfoConfiguration.parse(name) for name in cfg["configs"].split(",") if name]
+    if not configs:
+        raise ValueError(f"configs {cfg['configs']!r} names no configuration")
+    return configs
 
 
 def cmd_clarity(args: argparse.Namespace) -> int:
     cfg = _merged(args)
+    configs = _clarity_configs(cfg)
     if not cfg["entities"]:
         raise ValueError("clarity requires --entities")
     statements = []
@@ -534,7 +539,7 @@ def cmd_clarity(args: argparse.Namespace) -> int:
         states.append((state, concept_pairs(corpus, table, state)))
 
     reports = []
-    for config in _clarity_configs(cfg):
+    for config in configs:
         bundles = [
             render_prove_prompt(render_state_context(state, concepts, config))
             for state, concepts in states
@@ -557,7 +562,10 @@ def cmd_clarity(args: argparse.Namespace) -> int:
     _write_text(os.path.join(out_dir, "clarity_table.txt"), table_text)
     _write_text(os.path.join(out_dir, "clarity_rows.tsv"), rows_text)
     print(table_text, end="")
-    if any(report.incomplete for report in reports):
+    incomplete = [report for report in reports if report.incomplete]
+    for report in incomplete:
+        print(f"incomplete: {report.config.value}: {report.error}", file=sys.stderr)
+    if incomplete:
         print("warning: at least one configuration run is incomplete", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

@@ -2,8 +2,8 @@
 action-response parsing, and YES/NO log-probability judgment.
 
 `ROLE_SETTINGS` is the one table of the roles of the library's calls and of
-each role's request settings; every `ChatRequest` names its role and reads
-its settings from the table.
+each role's request settings; every `ChatRequest` is one prompt of one role
+and reads its settings from the table.
 
 A gateway is any object with `complete(request)`; a judgment is one
 `judge` call through it, which `yes_no_logprobs` reads the same way for a
@@ -13,9 +13,9 @@ record names the route it answers, which must be a role of the table, and
 may name the search expansion it answers. It is what every test and fixture
 run uses. HttpGateway talks to a chat-completions endpoint through
 `HttpClient`, the one HTTP client, which `retrieval.HttpEmbeddingProvider`
-shares: one retry policy and one concurrency cap per instance. The API key
-is read at call time from an environment variable (by default
-`DEFAULT_API_KEY_ENV`), never from files.
+shares: fixed retries and timeout, and at most `HTTP_IN_FLIGHT` requests in
+flight per instance. The API key is read at call time from an environment
+variable (by default `DEFAULT_API_KEY_ENV`), never from files.
 
 parse_action_response is total: any text yields InfoRequest, TacticSuggestions,
 or Unparsed, tolerating prose, code fences, and unquoted keys around the
@@ -54,7 +54,16 @@ LOGPROB_FLOOR = -20.0
 #: The environment variable a client reads its API key from by default.
 DEFAULT_API_KEY_ENV = "PROOFORGE_API_KEY"
 
-VALID_ROLES = ("system", "user", "assistant")
+#: Attempts per HTTP request; the wait before a retry is `HTTP_BACKOFF_S`,
+#: doubling after each attempt.
+HTTP_ATTEMPTS = 3
+HTTP_BACKOFF_S = 1.0
+
+#: Seconds an HTTP request may take, and the longest Retry-After honoured.
+HTTP_TIMEOUT_S = 120.0
+
+#: Requests one HTTP client has in flight at most.
+HTTP_IN_FLIGHT = 4
 
 
 class RoleSettings(NamedTuple):
@@ -83,34 +92,29 @@ def _check_role(role: str, what: str) -> None:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion call.
+    """One chat-completion call: one prompt of one role.
 
-    `role` names the kind of call, one of `ROLE_SETTINGS`, set by the
-    caller; the request's temperature, token limit and `want_logprobs` are
-    that role's settings, and MockGateway routes on it. It is not a message
-    role (see VALID_ROLES), is never sent to a provider, and is left out of
-    `digest()`. `site` is the `(depth, branch)` of the search expansion that
-    makes the call, set on its planner, executor, explain and summarize
-    calls and on no other; MockGateway may key records to it. Like `role`,
-    it is never sent and is left out of `digest()`.
+    `role` names the kind of call, one of `ROLE_SETTINGS`; the request's
+    temperature, token limit and `want_logprobs` are that role's settings,
+    and MockGateway routes on it. `prompt` is sent as the one user message
+    of `messages`. `site` is the `(depth, branch)` of the search expansion
+    that makes the call, set on its planner, executor, explain and summarize
+    calls and on no other; MockGateway may key records to it. Neither
+    `role` nor `site` is sent to a provider or taken into `digest()`.
     """
 
-    messages: tuple[tuple[str, str], ...]
     role: str
+    prompt: str
     site: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        if not self.messages:
-            raise ValueError("a chat request needs at least one message")
-        for role, _content in self.messages:
-            if role not in VALID_ROLES:
-                raise ValueError(f"unknown message role {role!r}")
         _check_role(self.role, "request role")
 
-    @classmethod
-    def for_role(cls, role: str, content: str, site=None) -> "ChatRequest":
-        """A one-message request of `role`, made at `site`."""
-        return cls((("user", content),), role, site)
+    @property
+    def messages(self) -> tuple[tuple[str, str], ...]:
+        """The `(message role, content)` pairs sent: the prompt as one user
+        message."""
+        return (("user", self.prompt),)
 
     @property
     def temperature(self) -> float:
@@ -160,7 +164,6 @@ class InfoRequest:
 @dataclass(frozen=True)
 class TacticSuggestions:
     items: tuple[TacticSuggestion, ...]
-    clamped: bool = False
 
     def __post_init__(self):
         if not (1 <= len(self.items) <= 10):
@@ -238,13 +241,12 @@ def _interpret(obj) -> Optional[ActionResponse]:
                 if tactic:
                     items.append(TacticSuggestion(tactic, str(entry.get("reason", ""))))
         if items:
-            clamped = len(items) > 10
-            if clamped:
+            if len(items) > 10:
                 logger.warning(
                     "model suggested %d tactics; clamping to 10", len(items)
                 )
                 items = items[:10]
-            return TacticSuggestions(items=tuple(items), clamped=clamped)
+            return TacticSuggestions(items=tuple(items))
     if "info" in obj and isinstance(obj["info"], list):
         names = tuple(str(n) for n in obj["info"] if isinstance(n, (str, int)) and str(n).strip())
         return InfoRequest(names=names)
@@ -367,7 +369,7 @@ def yes_no_logprobs(gateway, judge_prompt: str) -> YesNoLogprobs:
     """Make the `judge` call through `gateway.complete` and read the YES/NO
     pair off the reply's token logprobs (`derive_yes_no_logprobs`); a reply
     without any raises UnjudgeableResponse."""
-    result = gateway.complete(ChatRequest.for_role("judge", judge_prompt))
+    result = gateway.complete(ChatRequest("judge", judge_prompt))
     if not result.logprobs:
         raise UnjudgeableResponse("reply carries no token logprobs")
     return derive_yes_no_logprobs(result.logprobs)
@@ -587,32 +589,20 @@ def _retry_after(header: Optional[str]) -> float:
     return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    backoff: float = 1.0
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be at least 1, not {self.attempts!r}")
-        if not (math.isfinite(self.backoff) and self.backoff >= 0):
-            raise ValueError(f"backoff must be finite and >= 0, not {self.backoff!r}")
-
-    def delay(self, attempt: int) -> float:
-        return self.backoff * (2 ** attempt)
-
-
 class HttpClient:
     """Client for an OpenAI-style endpoint; `HttpGateway` and
     `retrieval.HttpEmbeddingProvider` subclass it.
 
-    Timeouts, rate limits, and 5xx responses retry per policy with backoff;
+    Timeouts, rate limits, and 5xx responses are tried `HTTP_ATTEMPTS`
+    times in all, waiting `HTTP_BACKOFF_S` before the first retry and twice
+    as long before each next one, or longer when a rate limit asks;
     malformed payloads, any other transport failure, and a rate limit that
-    asks for a wait longer than `timeout`, fail the call immediately. A
-    semaphore owned by each instance caps the requests that instance has in
-    flight, so share one instance to cap a process. Credentials come only
-    from the environment variable named at construction. `transport` and
-    `sleeper` are injectable so the policy is testable without a network.
+    asks for a wait longer than `HTTP_TIMEOUT_S`, fail the call immediately.
+    A semaphore owned by each instance caps the requests that instance has
+    in flight at `HTTP_IN_FLIGHT`, so share one instance to cap a process.
+    Credentials come only from the environment variable named at
+    construction. `transport` and `sleeper` are injectable so the retries
+    are testable without a network.
     """
 
     def __init__(
@@ -620,18 +610,13 @@ class HttpClient:
         base_url: str,
         model: str,
         api_key_env: str = DEFAULT_API_KEY_ENV,
-        timeout: float = 120.0,
-        retry: RetryPolicy = RetryPolicy(),
-        max_concurrency: int = 4,
         transport: Optional[Callable] = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.retry = retry
-        self._semaphore = threading.Semaphore(max_concurrency)
+        self._semaphore = threading.Semaphore(HTTP_IN_FLIGHT)
         self._transport = transport or self._default_transport
         self._sleep = sleeper
 
@@ -639,7 +624,7 @@ class HttpClient:
         import requests
 
         try:
-            reply = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+            reply = requests.post(url, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S)
         except requests.Timeout as exc:
             raise ProviderTimeout(str(exc))
         except requests.RequestException as exc:
@@ -669,7 +654,8 @@ class HttpClient:
         url = f"{self.base_url}/{path}"
         headers = self._headers()
         last_error: Optional[Exception] = None
-        for attempt in range(self.retry.attempts):
+        for attempt in range(HTTP_ATTEMPTS):
+            delay = HTTP_BACKOFF_S * 2 ** attempt
             try:
                 with self._semaphore:
                     return self._transport(url, payload, headers)
@@ -679,31 +665,32 @@ class HttpClient:
             except RateLimited as exc:
                 last_error = exc
                 asked = exc.retry_after if math.isfinite(exc.retry_after) else 0.0
-                if asked > self.timeout:
+                if asked > HTTP_TIMEOUT_S:
                     raise ProviderError(
                         f"rate limited: asked to wait {asked:g} s, longer than the "
-                        f"{self.timeout:g} s timeout",
+                        f"{HTTP_TIMEOUT_S:g} s timeout",
                         key=key,
                     )
-                if attempt + 1 < self.retry.attempts:
-                    self._sleep(max(asked, self.retry.delay(attempt)))
+                if attempt + 1 < HTTP_ATTEMPTS:
+                    self._sleep(max(asked, delay))
             except (ProviderTimeout, ProviderError) as exc:
                 last_error = exc
-                if attempt + 1 < self.retry.attempts:
-                    self._sleep(self.retry.delay(attempt))
+                if attempt + 1 < HTTP_ATTEMPTS:
+                    self._sleep(delay)
             except Exception as exc:
                 raise ProviderError(f"{path} request failed: {exc}", key=key)
         raise ProviderError(
-            f"gave up after {self.retry.attempts} attempts: {last_error}", key=key
+            f"gave up after {HTTP_ATTEMPTS} attempts: {last_error}", key=key
         )
 
 
 class HttpGateway(HttpClient):
     """Client for a chat-completions endpoint, sharing `HttpClient` with
-    `retrieval.HttpEmbeddingProvider`: one retry policy and one concurrency
-    cap per instance. A failure's key is the request digest; a logprobs
-    entry that a script could not hold (a missing field, a token that is not
-    a string, a logprob that is not a number <= 0) is skipped."""
+    `retrieval.HttpEmbeddingProvider`: its retries, timeout and concurrency
+    cap per instance. A request is sent as its `messages`, and a failure's
+    key is its digest; a logprobs entry that a script could not hold (a
+    missing field, a token that is not a string, a logprob that is not a
+    number <= 0) is skipped."""
 
     def _payload(self, request: ChatRequest) -> dict:
         payload = {

@@ -232,7 +232,7 @@ class _Branch:
 
 
 def _text(gateway, prompt: str, role: str, site=None) -> str:
-    return gateway.complete(ChatRequest.for_role(role, prompt, site)).text
+    return gateway.complete(ChatRequest(role, prompt, site)).text
 
 
 def update_notebook(initial_state, insights, notebook: Notebook, gateway) -> Notebook:

@@ -43,8 +43,8 @@ counts as not finite. Two providers ship: a deterministic mock that derives
 a unit vector from a hash of the text (stable across runs and machines),
 and an HTTP provider for real embedding endpoints that sends the texts of
 ``embed_many`` in fixed-size batches through the chat gateway's client,
-`llm_gateway.HttpClient`: one retry policy and one concurrency cap per
-instance, and credentials from environment variables only.
+`llm_gateway.HttpClient`: its fixed retries and timeout, a concurrency cap
+per instance, and credentials from environment variables only.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def _placed(batch: Sequence[str], body) -> list:
 
 class HttpEmbeddingProvider(HttpClient):
     """Client for an embeddings endpoint, sharing the chat gateway's
-    `HttpClient`: its retry policy and a concurrency cap per instance.
+    `HttpClient`: its retries, timeout and concurrency cap per instance.
     `dim` is the length of the first row embedded, None before."""
 
     dim: Optional[int] = None

@@ -181,8 +181,8 @@ class TokenTable:
         self._reserved_ids: dict[str, TokenId] = {}
         # The key -> id map of each token class kind.
         self._ids = {
-            TokenClass.GLOBAL: self.entries,
             TokenClass.RESERVED: self._reserved_ids,
+            TokenClass.GLOBAL: self.entries,
         }
         for label in reserved:
             self.intern_reserved(label)
@@ -230,9 +230,10 @@ class TokenTable:
     def reserved_id(self, label: str) -> Optional[TokenId]:
         return self._reserved_ids.get(label)
 
-    def class_counts(self) -> Counter:
-        """Tokens per class kind, counted from the stored keys."""
-        return Counter({kind: len(ids) for kind, ids in self._ids.items() if ids})
+    def class_counts(self) -> dict[str, int]:
+        """Tokens per class kind the table stores (reserved, then global),
+        counted from the stored keys."""
+        return {kind: len(ids) for kind, ids in self._ids.items()}
 
 
 def resolve_name(table: TokenTable, name: str) -> Optional[TokenId]:

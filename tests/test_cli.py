@@ -120,7 +120,8 @@ class TestIngest:
         assert main(["vocab", "--vocab", str(vocab_out)]) == EXIT_OK
         inspected = capsys.readouterr().out
         assert built == inspected
-        assert "reserved:" in built
+        # The classes a table stores; a local name has no token id.
+        assert built == "vocabulary: 98 tokens\n  reserved: 85\n  global: 13\n"
 
 
     def test_a_vocabulary_with_a_huge_id_proves_and_prompts_as_without_one(
@@ -514,6 +515,20 @@ def bench_args(out_dir) -> list[str]:
 
 
 class TestBench:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, source):
+        if source == "flag":
+            extra = ["--jobs", "-3"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"jobs": 0}', encoding="utf-8")
+            extra = ["--config", str(config)]
+        code = main(bench_args(tmp_path / "runs") + extra)
+        assert code == EXIT_USAGE
+        jobs = -3 if source == "flag" else 0
+        assert capsys.readouterr().err == f"error: jobs must be at least 1, not {jobs}\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_bench_summarizes_the_suite(self, tmp_path, capsys):
         code = main(bench_args(tmp_path / "runs"))
         out = capsys.readouterr().out
@@ -774,6 +789,42 @@ class TestClarity:
         )
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("configs", ["", ","])
+    def test_an_empty_configuration_list_is_a_usage_error(self, tmp_path, capsys, configs):
+        code = main([
+            "clarity",
+            *mock_ports_args(),
+            "--gateway-script", CLARITY_SCRIPT,
+            "--entities", entities_path(),
+            "--theorem", WORKED,
+            "--configs", configs,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: configs {configs!r} names no configuration\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_an_incomplete_run_names_each_configuration_and_its_error(self, tmp_path, capsys):
+        script = tmp_path / "script.jsonl"
+        script.write_text('{"route": "probe", "default": true, "reply": "p"}\n', encoding="utf-8")
+        code = main([
+            "clarity",
+            *mock_ports_args(),
+            "--gateway-script", str(script),
+            "--entities", entities_path(),
+            "--theorem", WORKED,
+            "--configs", "NoContext,Complete",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "incomplete: NoContext: script exhausted for route 'judge'\n"
+            "incomplete: Complete: script exhausted for route 'judge'\n"
+            "warning: at least one configuration run is incomplete\n"
+        )
 
     def test_requires_a_theorem(self, tmp_path, capsys):
         code = main([

@@ -9,6 +9,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
@@ -32,7 +35,6 @@ from prooforge.llm_gateway import (
     LOGPROB_FLOOR,
     MockGateway,
     ROLE_SETTINGS,
-    RetryPolicy,
     ScriptRecord,
     TacticSuggestions,
     TokenLogprob,
@@ -54,30 +56,21 @@ from prooforge.retrieval import HttpEmbeddingProvider
 # ----------------------------------------------------------------------
 
 class TestChatRequest:
-    def test_zero_messages_rejected(self):
-        # [TRIVIAL] precondition violation surfaces as a usage error.
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(), role="planner")
-
-    def test_bad_role_rejected(self):
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(("narrator", "hello"),), role="planner")
-
     def test_digest_is_stable_and_content_sensitive(self):
-        a = ChatRequest.for_role("executor", "prompt text")
-        b = ChatRequest.for_role("executor", "prompt text")
-        c = ChatRequest.for_role("executor", "different")
+        a = ChatRequest("executor", "prompt text")
+        b = ChatRequest("executor", "prompt text")
+        c = ChatRequest("executor", "different")
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
-        tagged = ChatRequest.for_role("planner", "prompt text")
+        tagged = ChatRequest("planner", "prompt text")
         assert tagged.digest() == a.digest()
 
     def test_digest_takes_a_lone_surrogate(self):
         # A JSON reply may carry "\\ud83d" alone, and a later prompt quotes
         # it; the digest is still defined, and other text hashes as UTF-8.
-        lone = ChatRequest.for_role("executor", "reply \ud83d quoted")
-        assert lone.digest() != ChatRequest.for_role("executor", "reply quoted").digest()
-        plain = ChatRequest.for_role("executor", "caf\u00e9 \U0001f600")
+        lone = ChatRequest("executor", "reply \ud83d quoted")
+        assert lone.digest() != ChatRequest("executor", "reply quoted").digest()
+        plain = ChatRequest("executor", "caf\u00e9 \U0001f600")
         joined = "user\x1ecaf\u00e9 \U0001f600".encode("utf-8")
         assert plain.digest() == hashlib.sha256(joined).hexdigest()
 
@@ -85,18 +78,18 @@ class TestChatRequest:
         # A mistyped role fails where it is written, not as an exhausted
         # script later on.
         with pytest.raises(ValueError, match="'planer' is not a role"):
-            ChatRequest(messages=(("user", "prompt text"),), role="planer")
+            ChatRequest(role="planer", prompt="prompt text")
         with pytest.raises(ValueError, match="'planer' is not a role"):
-            ChatRequest.for_role("planer", "prompt text")
+            ChatRequest("planer", "prompt text")
 
     def test_for_role_takes_the_settings_from_the_table(self):
         # A request holds its role, not the settings the table gives it.
-        assert [f.name for f in dataclasses.fields(ChatRequest)] == ["messages", "role", "site"]
+        assert [f.name for f in dataclasses.fields(ChatRequest)] == ["role", "prompt", "site"]
         assert set(ROLE_SETTINGS) == {
             "planner", "executor", "explain", "summarize", "notebook", "rank", "probe", "judge",
         }
         for role, settings in ROLE_SETTINGS.items():
-            request = ChatRequest.for_role(role, "prompt text")
+            request = ChatRequest(role, "prompt text")
             assert request.messages == (("user", "prompt text"),)
             assert request.role == role
             assert (request.temperature, request.max_tokens, request.want_logprobs) == (
@@ -105,8 +98,9 @@ class TestChatRequest:
 
     @pytest.mark.parametrize("role", list(ROLE_SETTINGS))
     def test_for_role_equals_the_request_built_from_the_table(self, role):
-        expected = ChatRequest(messages=(("user", "prompt text"),), role=role)
-        assert ChatRequest.for_role(role, "prompt text") == expected
+        expected = ChatRequest(role=role, prompt="prompt text")
+        assert ChatRequest(role, "prompt text") == expected
+        assert ChatRequest(role, "prompt text", (1, 0)) != expected
 
     def test_site_is_neither_digested_nor_sent(self):
         payloads = []
@@ -116,18 +110,19 @@ class TestChatRequest:
             return _chat_body()
 
         gateway = HttpGateway("https://api.example", "m", transport=transport)
-        plain = ChatRequest.for_role("executor", "prompt text")
-        placed = ChatRequest.for_role("executor", "prompt text", (2, 1))
+        plain = ChatRequest("executor", "prompt text")
+        placed = ChatRequest("executor", "prompt text", (2, 1))
         assert placed.site == (2, 1) and plain.site is None
         assert placed.digest() == plain.digest()
         gateway.complete(plain)
         gateway.complete(placed)
         assert payloads[0] == payloads[1]
 
-    @pytest.mark.parametrize("role", ["planer", "", None])
+    # A message role ("user", "system") is not a request role.
+    @pytest.mark.parametrize("role", ["planer", "", None, "user", "system"])
     def test_for_role_rejects_an_unknown_role_listing_the_roles(self, role):
         with pytest.raises(ValueError) as exc_info:
-            ChatRequest.for_role(role, "prompt text")
+            ChatRequest(role, "prompt text")
         assert str(exc_info.value) == (
             f"request role {role!r} is not a role; roles are {', '.join(ROLE_SETTINGS)}"
         )
@@ -174,12 +169,13 @@ class TestParseActionResponse:
         assert isinstance(action, TacticSuggestions)
         assert action.items[0].tactic == "simpl"
 
-    def test_clamped_to_ten(self):
+    def test_clamped_to_ten(self, caplog):
         entries = [{"tactic": f"t{i}", "reason": ""} for i in range(12)]
-        action = parse_action_response(json.dumps({"tactics": entries}))
+        with caplog.at_level("WARNING", logger="prooforge.llm_gateway"):
+            action = parse_action_response(json.dumps({"tactics": entries}))
         assert isinstance(action, TacticSuggestions)
-        assert len(action.items) == 10
-        assert action.clamped
+        assert [t.tactic for t in action.items] == [f"t{i}" for i in range(10)]
+        assert "model suggested 12 tactics; clamping to 10" in caplog.messages
 
     def test_tactics_take_precedence_over_info(self):
         reply = json.dumps(
@@ -478,25 +474,25 @@ class TestMockGateway:
             ScriptRecord(reply="only", route="planner"),
             ScriptRecord(reply="rank", route="rank"),
         ])
-        gateway.complete(ChatRequest.for_role("planner", "a"))
+        gateway.complete(ChatRequest("planner", "a"))
         with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.for_role("planner", "b"))
-        assert gateway.complete(ChatRequest.for_role("rank", "c")).text == "rank"
+            gateway.complete(ChatRequest("planner", "b"))
+        assert gateway.complete(ChatRequest("rank", "c")).text == "rank"
 
     def test_routed_records_consume_per_route(self):
         gateway = MockGateway([
             ScriptRecord(reply="plan", route="planner"),
             ScriptRecord(reply="fallback", route="planner", default=True),
         ])
-        assert gateway.complete(ChatRequest.for_role("planner", "x")).text == "plan"
-        assert gateway.complete(ChatRequest.for_role("planner", "y")).text == "fallback"
-        assert gateway.complete(ChatRequest.for_role("planner", "z")).text == "fallback"
+        assert gateway.complete(ChatRequest("planner", "x")).text == "plan"
+        assert gateway.complete(ChatRequest("planner", "y")).text == "fallback"
+        assert gateway.complete(ChatRequest("planner", "z")).text == "fallback"
 
     def test_routed_without_default_exhausts(self):
         gateway = MockGateway([ScriptRecord(reply="one", route="rank")])
-        gateway.complete(ChatRequest.for_role("rank", "x"))
+        gateway.complete(ChatRequest("rank", "x"))
         with pytest.raises(ProviderError) as exc_info:
-            gateway.complete(ChatRequest.for_role("rank", "y"))
+            gateway.complete(ChatRequest("rank", "y"))
         assert "rank" in str(exc_info.value)
 
     def test_a_keyed_record_answers_its_site_before_the_route_queue(self):
@@ -508,7 +504,7 @@ class TestMockGateway:
         ])
 
         def reply(site, role="executor"):
-            return gateway.complete(ChatRequest.for_role(role, "prompt", site)).text
+            return gateway.complete(ChatRequest(role, "prompt", site)).text
 
         assert reply((2, 1)) == "at 2 1"
         assert reply((2, 0)) == "queued"
@@ -526,8 +522,8 @@ class TestMockGateway:
             encoding="utf-8",
         )
         gateway = MockGateway.from_file(str(path))
-        assert gateway.complete(ChatRequest.for_role("executor", "p", (3, 2))).text == "later"
-        assert gateway.complete(ChatRequest.for_role("executor", "p", (3, 2))).text == "first"
+        assert gateway.complete(ChatRequest("executor", "p", (3, 2))).text == "later"
+        assert gateway.complete(ChatRequest("executor", "p", (3, 2))).text == "first"
 
     @pytest.mark.parametrize(
         "at",
@@ -563,13 +559,13 @@ class TestMockGateway:
             ScriptRecord(reply="plan", route="planner"),
         ])
         text = "Lay out a strategy.\n=== Available Actions ===\n"
-        assert gateway.complete(ChatRequest.for_role("planner", text)).text == "plan"
-        assert gateway.complete(ChatRequest.for_role("executor", text)).text == "tactics"
+        assert gateway.complete(ChatRequest("planner", text)).text == "plan"
+        assert gateway.complete(ChatRequest("executor", text)).text == "tactics"
 
     def test_request_without_role_raises(self):
         # No request reaches a gateway without a role: building one fails.
         with pytest.raises(ValueError, match="request role None is not a role"):
-            ChatRequest(messages=(("user", "x"),), role=None)
+            ChatRequest(role=None, prompt="x")
 
     def test_judge_calls_route_as_judge(self):
         gateway = MockGateway([
@@ -581,12 +577,12 @@ class TestMockGateway:
         assert gateway.calls[-1].role == "judge"
 
     def test_expect_digest_guards_prompts(self):
-        request = ChatRequest.for_role("planner", "the exact prompt")
+        request = ChatRequest("planner", "the exact prompt")
         record = ScriptRecord(reply="ok", route="planner", expect_digest=request.digest())
         assert MockGateway([record]).complete(request).text == "ok"
         with pytest.raises(ProviderError):
             MockGateway([record]).complete(
-                ChatRequest.for_role("planner", "a different prompt")
+                ChatRequest("planner", "a different prompt")
             )
 
     def test_scripted_yes_no(self):
@@ -638,8 +634,8 @@ class TestMockGateway:
             encoding="utf-8",
         )
         gateway = MockGateway.from_file(str(path))
-        assert gateway.complete(ChatRequest.for_role("planner", "a")).text == "hello"
-        assert gateway.complete(ChatRequest.for_role("planner", "b")).text == "world"
+        assert gateway.complete(ChatRequest("planner", "a")).text == "hello"
+        assert gateway.complete(ChatRequest("planner", "b")).text == "world"
 
     def test_from_file_checks_a_yes_no_pair_at_load(self, tmp_path):
         path = tmp_path / "script.jsonl"
@@ -781,7 +777,7 @@ class TestMockGateway:
 
     def test_calls_are_recorded(self):
         gateway = MockGateway([ScriptRecord(reply="ok", route="rank")])
-        request = ChatRequest.for_role("rank", "traceable")
+        request = ChatRequest("rank", "traceable")
         gateway.complete(request)
         assert gateway.calls == [request]
 
@@ -811,7 +807,7 @@ class TestHttpGateway:
             transport=transport, sleeper=lambda s: None,
         )
         result = gateway.complete(
-            ChatRequest.for_role("executor", "hello")
+            ChatRequest("executor", "hello")
         )
         assert result.text == "reply text"
         assert seen["url"] == "https://api.example/v1/chat/completions"
@@ -833,24 +829,21 @@ class TestHttpGateway:
         slept = []
         gateway = HttpGateway(
             "https://api.example", "m",
-            retry=RetryPolicy(attempts=3, backoff=0.01),
             transport=transport, sleeper=slept.append,
         )
-        assert gateway.complete(ChatRequest.for_role("executor", "q")).text == "finally"
+        assert gateway.complete(ChatRequest("executor", "q")).text == "finally"
         assert len(attempts) == 3
-        assert len(slept) == 2
+        assert slept == [1.0, 2.0]
 
     def test_gives_up_after_policy_attempts(self):
         def transport(url, payload, headers):
             raise ProviderError("server error 503")
 
         gateway = HttpGateway(
-            "https://api.example", "m",
-            retry=RetryPolicy(attempts=2, backoff=0.01),
-            transport=transport, sleeper=lambda s: None,
+            "https://api.example", "m", transport=transport, sleeper=lambda s: None,
         )
-        with pytest.raises(ProviderError):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
+        with pytest.raises(ProviderError, match="gave up after 3 attempts"):
+            gateway.complete(ChatRequest("executor", "q"))
 
     def test_rate_limit_honors_retry_after(self):
         calls = []
@@ -864,10 +857,9 @@ class TestHttpGateway:
 
         gateway = HttpGateway(
             "https://api.example", "m",
-            retry=RetryPolicy(attempts=3, backoff=0.01),
             transport=transport, sleeper=slept.append,
         )
-        assert gateway.complete(ChatRequest.for_role("executor", "q")).text == "ok"
+        assert gateway.complete(ChatRequest("executor", "q")).text == "ok"
         assert slept[0] == 7.5
 
     def test_no_sleep_after_last_rate_limited_attempt(self):
@@ -880,11 +872,10 @@ class TestHttpGateway:
 
         gateway = HttpGateway(
             "https://api.example", "m",
-            retry=RetryPolicy(attempts=3, backoff=0.01),
             transport=transport, sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 3 attempts"):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
+            gateway.complete(ChatRequest("executor", "q"))
         assert len(calls) == 3
         assert slept == [7.5, 7.5]
 
@@ -904,11 +895,11 @@ class TestHttpGateway:
         slept = []
         gateway = HttpGateway(
             "https://api.example", "m",
-            retry=RetryPolicy(attempts=3, backoff=0.01), sleeper=slept.append,
+            sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 3 attempts"):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
-        assert slept == [0.01, 0.02]
+            gateway.complete(ChatRequest("executor", "q"))
+        assert slept == [1.0, 2.0]
 
     @pytest.mark.parametrize("as_date", [False, True], ids=["seconds", "date"])
     def test_a_retry_after_header_in_seconds_or_as_a_date_is_honored(self, monkeypatch, as_date):
@@ -925,11 +916,11 @@ class TestHttpGateway:
         slept = []
         gateway = HttpGateway(
             "https://api.example", "m",
-            retry=RetryPolicy(attempts=2, backoff=0.01), sleeper=slept.append,
+            sleeper=slept.append,
         )
-        with pytest.raises(ProviderError, match="gave up after 2 attempts"):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
-        assert len(slept) == 1 and 98 <= slept[0] <= 100
+        with pytest.raises(ProviderError, match="gave up after 3 attempts"):
+            gateway.complete(ChatRequest("executor", "q"))
+        assert len(slept) == 2 and all(98 <= s <= 100 for s in slept)
 
     @pytest.mark.parametrize("retry_after", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_a_non_finite_retry_after_from_a_transport_waits_the_backoff(self, retry_after):
@@ -939,12 +930,11 @@ class TestHttpGateway:
         slept = []
         gateway = HttpGateway(
             "https://api.example", "m",
-            retry=RetryPolicy(attempts=3, backoff=0.01),
             transport=transport, sleeper=slept.append,
         )
         with pytest.raises(ProviderError, match="gave up after 3 attempts"):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
-        assert slept == [0.01, 0.02]
+            gateway.complete(ChatRequest("executor", "q"))
+        assert slept == [1.0, 2.0]
         assert all(math.isfinite(s) for s in slept)
 
     @pytest.mark.parametrize(
@@ -976,12 +966,11 @@ class TestHttpGateway:
         monkeypatch.setattr(requests, "post", post)
         slept = []
         gateway = HttpGateway(
-            "https://api.example", "m", timeout=60.0,
-            retry=RetryPolicy(attempts=4, backoff=0.01), sleeper=slept.append,
+            "https://api.example", "m", sleeper=slept.append,
             transport=transport if source == "transport" else None,
         )
-        with pytest.raises(ProviderError, match=r"longer than the 60 s timeout"):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
+        with pytest.raises(ProviderError, match=r"longer than the 120 s timeout"):
+            gateway.complete(ChatRequest("executor", "q"))
         assert len(calls) == 2
         assert slept == [5.0]
 
@@ -996,7 +985,7 @@ class TestHttpGateway:
             "https://api.example", "m", transport=transport, sleeper=lambda s: None
         )
         with pytest.raises(MalformedResponse):
-            gateway.complete(ChatRequest.for_role("executor", "q"))
+            gateway.complete(ChatRequest("executor", "q"))
         assert len(calls) == 1
 
     def test_yes_no_via_logprobs(self):
@@ -1041,7 +1030,7 @@ class TestHttpReplies:
         gateway = HttpGateway(
             "https://api.example", "m", transport=transport, sleeper=lambda s: None
         )
-        request = ChatRequest.for_role("executor", "q")
+        request = ChatRequest("executor", "q")
         with pytest.raises(MalformedResponse, match="must be a string") as exc_info:
             gateway.complete(request)
         assert exc_info.value.key == request.digest()
@@ -1049,7 +1038,7 @@ class TestHttpReplies:
 
     def test_null_content_is_the_empty_reply(self):
         gateway = HttpGateway("https://api.example", "m", transport=lambda *a: _chat_body(None))
-        assert gateway.complete(ChatRequest.for_role("executor", "q")).text == ""
+        assert gateway.complete(ChatRequest("executor", "q")).text == ""
 
     def test_judged_entries_with_non_string_tokens_are_skipped(self):
         good = {
@@ -1105,7 +1094,7 @@ class TestHttpReplies:
         gateway = HttpGateway(
             "https://api.example", "m", transport=transport, sleeper=lambda s: None
         )
-        request = ChatRequest.for_role("executor", "q")
+        request = ChatRequest("executor", "q")
         with pytest.raises(ProviderError, match="endpoint down") as exc_info:
             gateway.complete(request)
         assert exc_info.value.key == request.digest()
@@ -1116,7 +1105,7 @@ class TestHttpReplies:
             raise MalformedResponse("bad request")
 
         gateway = HttpGateway("https://api.example", "m", transport=transport)
-        request = ChatRequest.for_role("executor", "q")
+        request = ChatRequest("executor", "q")
         with pytest.raises(MalformedResponse) as exc_info:
             gateway.complete(request)
         assert exc_info.value.key == request.digest()
@@ -1188,8 +1177,8 @@ class TestReplySchema:
             "https://api.example", "m", transport=lambda *a: body, sleeper=lambda s: None
         )
         calls = [
-            lambda: gateway(chat).complete(ChatRequest.for_role("executor", "q")),
-            lambda: gateway(chat).complete(ChatRequest.for_role("judge", "q")),
+            lambda: gateway(chat).complete(ChatRequest("executor", "q")),
+            lambda: gateway(chat).complete(ChatRequest("judge", "q")),
             lambda: yes_no_logprobs(gateway(chat), "q"),
             lambda: provider.embed_many(texts),
         ]
@@ -1217,7 +1206,7 @@ class _Reply:
 # what the call returns for it.
 HTTP_CLIENTS = {
     "chat": (
-        HttpGateway, lambda client: client.complete(ChatRequest.for_role("executor", "q")).text,
+        HttpGateway, lambda client: client.complete(ChatRequest("executor", "q")).text,
         _chat_body("hi"), "hi",
     ),
     "embeddings": (
@@ -1253,10 +1242,7 @@ class TestDefaultTransport:
         delays it slept."""
         cls, call, _body, _result = HTTP_CLIENTS[kind]
         slept = []
-        client = cls(
-            "https://api.example", "m", retry=RetryPolicy(attempts=3, backoff=0.01),
-            sleeper=slept.append,
-        )
+        client = cls("https://api.example", "m", sleeper=slept.append)
         return client, lambda: call(client), slept
 
     def test_a_json_reply_is_returned(self, kind, post):
@@ -1281,7 +1267,7 @@ class TestDefaultTransport:
         with pytest.raises(ProviderError, match="gave up after 3 attempts: server error 503"):
             call()
         assert post.posted == 3
-        assert slept == [0.01, 0.02]
+        assert slept == [1.0, 2.0]
 
     @pytest.mark.parametrize(
         "raised, error", [("Timeout", ProviderTimeout), ("ConnectionError", ProviderError)]
@@ -1299,23 +1285,40 @@ class TestDefaultTransport:
         assert post.posted == 1 + 3
 
 
-class TestRetryPolicy:
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"attempts": 0}, "attempts"),
-            ({"attempts": -1}, "attempts"),
-            ({"backoff": -1.0}, "backoff"),
-            ({"backoff": float("nan")}, "backoff"),
-            ({"backoff": float("inf")}, "backoff"),
-        ],
-    )
-    def test_a_policy_that_would_break_the_client_is_rejected(self, fields, message):
-        with pytest.raises(ValueError, match=message):
-            RetryPolicy(**fields)
+@pytest.mark.parametrize("kind", sorted(HTTP_CLIENTS))
+def test_one_client_has_at_most_four_requests_in_flight(kind):
+    # Eight threads post through one client whose transport holds every
+    # request until released: four get in, and the other four wait on the
+    # client's cap until those return.
+    cls, call, body, result = HTTP_CLIENTS[kind]
+    lock = threading.Lock()
+    in_flight = []
+    peak = [0]
+    four_in = threading.Event()
+    release = threading.Event()
 
-    def test_one_attempt_and_no_backoff_are_a_policy(self):
-        assert RetryPolicy(attempts=1, backoff=0.0).delay(3) == 0.0
+    def transport(url, payload, headers):
+        with lock:
+            in_flight.append(1)
+            peak[0] = max(peak[0], len(in_flight))
+            if len(in_flight) == 4:
+                four_in.set()
+        release.wait(timeout=30)
+        with lock:
+            in_flight.pop()
+        return body
+
+    client = cls("https://api.example", "m", transport=transport)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        calls = [pool.submit(call, client) for _ in range(8)]
+        try:
+            assert four_in.wait(timeout=10)
+            time.sleep(0.2)  # time for a fifth request to get past a broken cap
+            assert len(in_flight) == 4
+        finally:
+            release.set()
+        assert [c.result(timeout=30) for c in calls] == [result] * 8
+    assert peak[0] == 4
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

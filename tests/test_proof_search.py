@@ -1184,7 +1184,7 @@ def retrying_records(round_two: str) -> list[ScriptRecord]:
 
 class CappedGateway(WaitingGateway):
     """A WaitingGateway that lets one call in at a time, as
-    `HttpGateway(max_concurrency=1)` does."""
+    an `HttpClient` with a cap of one request in flight would."""
 
     def __init__(self, records, delay_s: float):
         super().__init__(records, delay_s)

@@ -309,9 +309,9 @@ class TestHttpEmbedRetry:
         transport = FlakyTransport({2: RateLimited("slow down", retry_after=1e12)})
         slept = []
         provider = HttpEmbeddingProvider(
-            "http://embed.invalid", "m", timeout=60.0, transport=transport, sleeper=slept.append
+            "http://embed.invalid", "m", transport=transport, sleeper=slept.append
         )
-        with pytest.raises(ProviderError, match="longer than the 60 s timeout") as exc_info:
+        with pytest.raises(ProviderError, match="longer than the 120 s timeout") as exc_info:
             provider.embed_many(self.TEXTS)
         assert exc_info.value.key == self.TEXTS[BATCH]
         assert transport.requests == 2
