@@ -12,15 +12,16 @@ context anew); the new canonical tactics among them are validated (the only
 operation that consumes budget); each valid one makes a child, whose
 explain call and, unless it proves the theorem, summarize call are sent; a
 failed round's errors go back to the planner. After a proving child none is
-made, but the rounds run on. The prompt bodies before the failed tactics
-and the hint are rendered once per context. What every expansion of a proof
-reads is kept in its `_ProofScope`, for that proof only: the ports, the
-search shape, the global tokens of each goal or hypothesis text, the
-glob-def chunk of each concept, and the ranked premises and tactic examples
-of each first-goal text (a goal that embeds to zero gets none; a provider
-failure is not kept). Explanations feed the shared notebook at the layer
-barrier; the beam is cut back to `beam_width` by model-based ranking (with
-a deterministic shortest-proof fallback).
+made: the rest of its round's tactics are validated, and no round follows.
+The prompt bodies before the failed tactics and the hint are rendered once
+per context. What every expansion of a proof reads is kept in its
+`_ProofScope`, for that proof only: the ports, the search shape, the
+global tokens of each goal or hypothesis text, the glob-def chunk of each
+concept, and the ranked premises and tactic examples of each first-goal
+text (a goal that embeds to zero gets none; a provider failure is not
+kept). Explanations feed the shared notebook at the layer barrier; the
+beam is cut back to `beam_width` by model-based ranking (with a
+deterministic shortest-proof fallback).
 
 A program does no I/O: one driver per proof (`_Driver`) makes every
 gateway call, spends the budget, holds the sessions and records the events,
@@ -31,8 +32,10 @@ how the driver sends them, and when it runs a program ahead, is told in
 its docstring. Every call an expansion makes carries its `(depth, branch)`
 as the request's `site`, which a scripted gateway can key its replies to.
 
-The search returns immediately when an applied tactic empties the goal stack,
-reports Failure when a layer expands to nothing, and reports BudgetExhausted
+The search returns Proved once the round whose tactic empties the goal
+stack ends, with no later branch expanded; a budget exhaustion or a
+branch-scoped failure in the rest of that round does not cost the proof.
+It reports Failure when a layer expands to nothing, and BudgetExhausted
 the moment a validation would exceed the budget.
 
 A `ProviderError` or `SessionDesync` is branch-scoped: it prunes its branch,
@@ -383,7 +386,7 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
     `tactics_per_state` suggestions. The expansion's first info request adds
     the named concepts to the context and asks again; a later one yields no
     tactics. After a proving child or a child that could not be made, none
-    is made, but the rounds run on."""
+    is made. The round runs to its end; no round follows a proving one."""
     params, ports = scope.params, scope.ports
     state, trace, summary = candidate.state, candidate.trace, candidate.summary
     concepts = concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens)
@@ -391,7 +394,7 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
     bodies: dict = {}  # the planner and prove prompt bodies of `context`
     premises = tactic_examples = errors = ()
     seen: set = set()  # canonical tactics already validated
-    info_used = closed = False
+    info_used = closed = proved = False
     valid = 0
 
     def ask():
@@ -432,10 +435,10 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
                 closed = True
                 continue
             yield "explain", render_explanation_prompt(state, canonical, after)
-            closed = after.is_complete
+            proved = closed = after.is_complete
             if not closed:
                 yield "summarize", render_summarize_prompt(trace + ((canonical, ""),), after)
-        if not failed or valid > params.tactics_per_state:
+        if proved or not failed or valid > params.tactics_per_state:
             return
         errors = tuple(failed)
 
@@ -474,7 +477,9 @@ class _Driver:
     calls then go to one lane per role as they are asked for, and stay
     there while the lane holds a call, which keeps the role's order;
     otherwise they are queued and sent once the program ends, and a program
-    that raises first drops its queue. While `waits` holds, a branch that
+    that raises first drops its queue, unless it has made a proving child:
+    a program ends with the round that proves, and what that round raises
+    after the proof only ends it sooner. While `waits` holds, a branch that
     starts a retry round may also have the next program stepped ahead
     (`_prefetch`). On lanes, an expansion that loses a later round has
     already sent its earlier children's calls, and one that proves in a
@@ -531,9 +536,10 @@ class _Driver:
     def run(self, expansion: _Expansion, after: Optional[_Expansion]) -> None:
         """Run a program to its end, from where the prefetch worker left it
         if it ran ahead; then send the queued calls and raise a held desync.
-        Whatever raises closes the children made so far; a branch-scoped
-        failure is kept as `error`. The branch's session is closed when the
-        run ends."""
+        A budget exhaustion or a branch-scoped failure after a proving child
+        ends the program and keeps its children. Otherwise whatever raises
+        closes the children made so far; a branch-scoped failure is kept as
+        `error`. The branch's session is closed when the run ends."""
         def info(names):
             self.recorder.record("info", depth=expansion.depth, branch=expansion.idx, names=names)
 
@@ -547,7 +553,11 @@ class _Driver:
                 finally:
                     for names in held:
                         info(names)
-            self._serve(expansion, request, info, rounds, after)
+            try:
+                self._serve(expansion, request, info, rounds, after)
+            except (_Exhausted, ProviderError, SessionDesync):
+                if not expansion.proves:
+                    raise
             for reply, prompt, role in self._queue:
                 reply.append(_text(self, prompt, role, expansion.site))
             if expansion.held is not None:
@@ -589,7 +599,7 @@ class _Driver:
             else:
                 if kind == "planner":
                     if rounds:
-                        self._prefetch(expansion, after, rounds)
+                        self._prefetch(after, rounds)
                     rounds += 1
                 reply = _text(self, payload, kind, site)
             request = None
@@ -634,16 +644,16 @@ class _Driver:
             read = last.result
         expansion.children[-1][3][role] = read
 
-    def _prefetch(self, expansion: _Expansion, after: Optional[_Expansion], retry: int) -> None:
+    def _prefetch(self, after: Optional[_Expansion], retry: int) -> None:
         """Before retry round `retry`, step the next program on the prefetch
         worker up to its first validation, once, if the calls wait and the
         sequential search must reach that expansion unless this one proves
-        or a run-scoped error ends the proof: this branch has not proved,
-        and the budget left covers every validation of this round and the
-        rounds after it, so it cannot run out before the next branch."""
+        or a run-scoped error ends the proof: no round follows a proving
+        one, and the budget left covers every validation of this round and
+        the rounds after it, so it cannot run out before the next branch."""
         budget, params = self.budget, self.scope.params
         if (
-            after is None or self._ahead is not None or expansion.proves or not self.waits
+            after is None or self._ahead is not None or not self.waits
             or budget.limit - budget.used < (params.max_retries + 1 - retry) * params.tactics_per_state
         ):
             return

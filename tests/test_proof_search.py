@@ -16,7 +16,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -44,6 +44,7 @@ from prooforge.corpus import (
 from prooforge.errors import PortFailure, ProviderError, SessionDesync
 from prooforge.llm_gateway import CompletionResult, MockGateway, ScriptRecord
 from prooforge.proof_search import (
+    BudgetCounter,
     Outcome,
     ProofResult,
     SearchParams,
@@ -149,6 +150,22 @@ class TestBudget:
         with pytest.raises(ValueError):
             SearchParams(budget=-1)
         SearchParams(budget=0)  # a zero allowance is a legal dry run
+
+    @pytest.mark.parametrize("knob, least, message", [
+        ("max_retries", 0, "max_retries must be non-negative"),
+        ("tactics_per_state", 1, "tactics_per_state must be positive"),
+        ("reconsider_factor", 1, "reconsider_factor must be positive"),
+    ])
+    def test_each_shape_check_names_its_knob(self, knob, least, message):
+        # The least legal value passes; one below it is refused by name.
+        SearchParams(**{knob: least})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchParams(**{knob: least - 1})
+
+    def test_a_budget_counter_refuses_a_negative_limit(self):
+        assert BudgetCounter(0).limit == 0
+        with pytest.raises(ValueError, match="^budget limit must be non-negative$"):
+            BudgetCounter(-1)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
@@ -550,8 +567,9 @@ class TestBudgetExhaustion:
             assert (result.outcome is Outcome.PROVED) == bool(result.trace)
 
 
-def run_random_scripted_search(rng: random.Random):
-    """One prove() run with a randomized scripted gateway and shape knobs."""
+def run_random_scripted_search(rng: random.Random, delay_s: float = 0.0, backend=None):
+    """One prove() run with a randomized scripted gateway and shape knobs;
+    each call waits `delay_s`."""
     pool = ["intros", "intros H", "idtac", "ring", "field", "assumption", "split"]
     records = route_defaults() + [
         ScriptRecord(reply="[0, 1, 2]", route="rank", default=True),
@@ -568,7 +586,8 @@ def run_random_scripted_search(rng: random.Random):
         reconsider_factor=rng.randint(1, 2),
         budget=rng.randint(0, 15),
     )
-    ports = SearchPorts(backend=SyntheticBackend(), gateway=MockGateway(records))
+    gateway = WaitingGateway(records, delay_s)
+    ports = SearchPorts(backend=backend or SyntheticBackend(), gateway=gateway)
     result = prove("A -> B -> A", params, ports)
     return params, result, ports
 
@@ -1160,6 +1179,90 @@ class TestEarlyChildren:
             assert (calls["explain"], calls["summarize"]) == (4, 3)
             runs.append((result, events))
         assert runs[0] == runs[1]
+
+
+def prove_zero(executor, delay_s: float, budget=None):
+    """Prove `0 = 0` with one executor reply per round, in order."""
+    records = route_defaults() + [
+        ScriptRecord(reply=tactics_reply(*tactics), route="executor") for tactics in executor
+    ]
+    gateway = WaitingGateway(records, delay_s)
+    backend = SessionLedger()
+    ports = SearchPorts(backend=backend, gateway=gateway)
+    result = prove("0 = 0", SearchParams(budget=budget), ports)
+    assert sorted(backend.closed) == sorted(backend.opened)
+    return result, Counter(request.role for request in gateway.mock.calls)
+
+
+class FirstProof(SyntheticBackend):
+    """A synthetic backend that keeps the tactics of the first child it
+    brings to no goals."""
+
+    first = None
+
+    def apply_tactic(self, tactic, session):
+        after = super().apply_tactic(tactic, session)
+        if after.is_complete and self.first is None:
+            self.first = tuple(session.transcript)
+        return after
+
+
+LOSING_ROUNDS = (("ring", "reflexivity"), ("field",), ("omega",), ("lia",))
+
+
+class TestAProofIsKept:
+    """A proving child ends its expansion with the round it proves in, and
+    no failure after it costs the proof."""
+
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    def test_the_budget_running_out_after_the_proof_keeps_it(self, delay_s):
+        # `reflexivity` proves with the one evaluation the budget allows;
+        # validating `ring` then runs out.
+        result, _calls = prove_zero([("reflexivity", "ring")], delay_s, budget=1)
+        assert result.outcome is Outcome.PROVED
+        assert result.tactic_evaluations_used == 1
+        assert [tactic for tactic, _text in result.trace] == ["reflexivity"]
+
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    @pytest.mark.parametrize("budget", [2, 3, None])
+    def test_no_round_follows_the_proving_round(self, budget, delay_s):
+        # Round 1 fails `ring` and proves with `reflexivity`; the three
+        # rounds scripted after it are never asked for.
+        result, calls = prove_zero(LOSING_ROUNDS, delay_s, budget)
+        assert result.outcome is Outcome.PROVED
+        assert result.tactic_evaluations_used == 2
+        assert [tactic for tactic, _text in result.trace] == ["reflexivity"]
+        assert (calls["planner"], calls["executor"]) == (1, 1)
+
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    def test_a_proof_needs_no_reply_after_its_round(self, delay_s):
+        result, _calls = prove_zero(LOSING_ROUNDS[:2], delay_s)
+        assert result.outcome is Outcome.PROVED
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=423)
+    @example(seed=270)
+    def test_inline_a_child_with_no_goals_is_the_proof(self, seed):
+        self.check_first_proof_returned(seed, 0.0)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=423)
+    @example(seed=270)
+    def test_lanes_a_child_with_no_goals_is_the_proof(self, seed):
+        self.check_first_proof_returned(seed, LANE_DELAY_S)
+
+    @staticmethod
+    def check_first_proof_returned(seed: int, delay_s: float) -> None:
+        backend = FirstProof()
+        _params, result, _ports = run_random_scripted_search(
+            random.Random(seed), delay_s, backend
+        )
+        if backend.first is None:
+            assert result.outcome is not Outcome.PROVED
+        else:
+            assert result.outcome is Outcome.PROVED
+            assert tuple(tactic for tactic, _text in result.trace) == backend.first
 
 
 # ----------------------------------------------------------------------
