@@ -806,7 +806,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ProoforgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -60,6 +60,10 @@ ERROR_TEXT_LIMIT = 2000
 #: ``simpl`` stops rewriting after this many passes even without a fixpoint.
 MAX_REWRITE_PASSES = 50
 
+#: ``simpl`` also stops before a replacement that would make the goal longer
+#: than this, so a rewrite that grows the text cannot exhaust memory.
+MAX_REWRITE_CHARS = 100_000
+
 
 @dataclass(frozen=True)
 class CompileResult:
@@ -240,6 +244,9 @@ class SyntheticBackend:
         for _pass in range(MAX_REWRITE_PASSES):
             updated = text
             for pattern, replacement in self.rewrites.items():
+                growth = len(replacement) - len(pattern)
+                if growth > 0 and len(updated) + growth * updated.count(pattern) > MAX_REWRITE_CHARS:
+                    return updated
                 updated = updated.replace(pattern, replacement)
             if updated == text:
                 return text

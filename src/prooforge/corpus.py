@@ -72,10 +72,10 @@ PROOFS_HEADER = f"#prooforge-corpus {FORMAT_VERSION} proofs"
 # Object encoding for the core value types
 # ======================================================================
 
-def encode_entity_record(record: EntityRecord, table: Optional[TokenTable] = None) -> dict:
-    """Encode a record as a JSON-ready dict. With a table, dependencies are
-    written as rendered disambiguated names; without one, as raw token ids.
-    Empty optional fields are omitted."""
+def encode_entity_record(record: EntityRecord, table: TokenTable) -> dict:
+    """Encode a record as a JSON-ready dict, its dependencies as the rendered
+    disambiguated names `table` holds for them. Empty optional fields are
+    omitted."""
     obj: dict = {
         "name": record.name,
         "kernel_name": record.kernel_name,
@@ -88,14 +88,11 @@ def encode_entity_record(record: EntityRecord, table: Optional[TokenTable] = Non
     if record.source_file:
         obj["source_file"] = record.source_file
     if record.dependencies:
-        if table is not None:
-            deps: list = []
-            for tid in record.dependencies:
-                entry = table.reverse.get(tid)
-                deps.append(entry[0] if entry else tid)
-            obj["dependencies"] = deps
-        else:
-            obj["dependencies"] = list(record.dependencies)
+        deps: list = []
+        for tid in record.dependencies:
+            entry = table.reverse.get(tid)
+            deps.append(entry[0] if entry else tid)
+        obj["dependencies"] = deps
     for key in ("origin_zh", "internal_zh", "intuition_zh"):
         value = getattr(record, key)
         if value:
@@ -314,15 +311,9 @@ class EntityCorpus:
 class ProofCorpus:
     """Loaded interactive proofs, chain-validated, unique theorem names."""
 
-    proofs: tuple[InteractiveProof, ...] = ()
-    by_theorem: dict = None
-    extras: dict = None
-
-    def __post_init__(self):
-        if self.by_theorem is None:
-            self.by_theorem = {p.theorem_name: i for i, p in enumerate(self.proofs)}
-        if self.extras is None:
-            self.extras = {}
+    proofs: tuple[InteractiveProof, ...]
+    by_theorem: dict
+    extras: dict
 
     def __len__(self) -> int:
         return len(self.proofs)

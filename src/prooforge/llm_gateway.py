@@ -165,10 +165,6 @@ class InfoRequest:
 class TacticSuggestions:
     items: tuple[TacticSuggestion, ...]
 
-    def __post_init__(self):
-        if not (1 <= len(self.items) <= 10):
-            raise ValueError("tactic suggestions must hold 1..10 items")
-
 
 @dataclass(frozen=True)
 class Unparsed:

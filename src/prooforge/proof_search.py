@@ -34,15 +34,17 @@ as the request's `site`, which a scripted gateway can key its replies to.
 
 The search returns Proved once the round whose tactic empties the goal
 stack ends, with no later branch expanded; a budget exhaustion or a
-branch-scoped failure in the rest of that round does not cost the proof.
+branch-scoped failure in the rest of that round does not cost the proof,
+nor does a failed explain or summarize call of the proving expansion (a
+failed explain of the proving child leaves that step's explanation empty).
 It reports Failure when a layer expands to nothing, and BudgetExhausted
 the moment a validation would exceed the budget.
 
 A `ProviderError` or `SessionDesync` is branch-scoped: it prunes its branch,
 whether the expansion raised it or a reply read at the barrier did, and the
 branch's `branch-pruned` event is recorded when the layer is collected, in
-branch order. A child's `SessionDesync` is held: no further child is made,
-the rounds and the queued calls run as they would, and then it is raised.
+branch order. A child's `SessionDesync` prunes its branch at once, like any
+other: no further tactic of the expansion is validated.
 The notebook and rank calls belong to no branch: a `ProviderError` there
 reads as an unusable reply, so the notebook keeps its items and appends the
 layer's insights, and the beam is cut in shortest-proof order.
@@ -377,7 +379,7 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
     - ("info", names): an info request's names, to record; None;
     - ("validate", canonical tactic): the backend's CompileResult;
     - ("child", tactic): the state a clone of the branch reaches by the
-      validated tactic, or None when none could be made;
+      validated tactic;
     - ("explain" | "summarize", prompt): a call about that child whose
       reply only the layer reads; None.
 
@@ -385,8 +387,8 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
     executes, and validates the new canonical tactics among the first
     `tactics_per_state` suggestions. The expansion's first info request adds
     the named concepts to the context and asks again; a later one yields no
-    tactics. After a proving child or a child that could not be made, none
-    is made. The round runs to its end; no round follows a proving one."""
+    tactics. After a proving child none is made. The round runs to its end;
+    no round follows a proving one."""
     params, ports = scope.params, scope.ports
     state, trace, summary = candidate.state, candidate.trace, candidate.summary
     concepts = concept_pairs(ports.corpus, ports.table, state, memo=scope.tokens)
@@ -394,7 +396,7 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
     bodies: dict = {}  # the planner and prove prompt bodies of `context`
     premises = tactic_examples = errors = ()
     seen: set = set()  # canonical tactics already validated
-    info_used = closed = proved = False
+    info_used = proved = False
     valid = 0
 
     def ask():
@@ -430,13 +432,12 @@ def _expansion_program(scope: _ProofScope, candidate: SearchCandidate, notebook:
                 failed.append((canonical, truncate_error(result.error)))
                 continue
             valid += 1
-            after = None if closed else (yield "child", canonical)
-            if after is None:
-                closed = True
+            if proved:
                 continue
+            after = yield "child", canonical
             yield "explain", render_explanation_prompt(state, canonical, after)
-            proved = closed = after.is_complete
-            if not closed:
+            proved = after.is_complete
+            if not proved:
                 yield "summarize", render_summarize_prompt(trace + ((canonical, ""),), after)
         if proved or not failed or valid > params.tactics_per_state:
             return
@@ -448,16 +449,14 @@ class _Expansion:
     """One branch's expansion as the driver runs it. `children` holds
     (tactic, state, session, replies) per child in tactic order; `replies`
     maps "explain" and, unless the child proves, "summarize" to a callable
-    that gives the reply or raises. `held` is a child's desync, raised once
-    the rounds end; `error` is a branch-scoped failure the expansion raised,
-    which leaves it no children."""
+    that gives the reply or raises. `error` is a branch-scoped failure the
+    expansion raised, which leaves it no children."""
 
     branch: _Branch
     depth: int
     idx: int
     program: Generator
     children: list = field(default_factory=list)
-    held: Optional[SessionDesync] = None
     error: Optional[Exception] = None
 
     @property
@@ -477,10 +476,11 @@ class _Driver:
     calls then go to one lane per role as they are asked for, and stay
     there while the lane holds a call, which keeps the role's order;
     otherwise they are queued and sent once the program ends, and a program
-    that raises first drops its queue, unless it has made a proving child:
-    a program ends with the round that proves, and what that round raises
-    after the proof only ends it sooner. While `waits` holds, a branch that
-    starts a retry round may also have the next program stepped ahead
+    that raises first drops its queue and one whose queued call fails sends
+    no later one, unless it has made a proving child: a program ends with
+    the round that proves, what that round raises after the proof only ends
+    it sooner, and every queued call is sent. While `waits` holds, a branch
+    that starts a retry round may also have the next program stepped ahead
     (`_prefetch`). On lanes, an expansion that loses a later round has
     already sent its earlier children's calls, and one that proves in a
     retry round wastes the next one's first round; those replies are never
@@ -535,11 +535,12 @@ class _Driver:
 
     def run(self, expansion: _Expansion, after: Optional[_Expansion]) -> None:
         """Run a program to its end, from where the prefetch worker left it
-        if it ran ahead; then send the queued calls and raise a held desync.
-        A budget exhaustion or a branch-scoped failure after a proving child
-        ends the program and keeps its children. Otherwise whatever raises
-        closes the children made so far; a branch-scoped failure is kept as
-        `error`. The branch's session is closed when the run ends."""
+        if it ran ahead; then send the queued calls. After a proving child,
+        a budget exhaustion or a branch-scoped failure ends the program and
+        keeps its children, and a failed queued call reads as an empty
+        reply. Otherwise whatever raises closes the children made so far;
+        a branch-scoped failure is kept as `error`. The branch's session is
+        closed when the run ends."""
         def info(names):
             self.recorder.record("info", depth=expansion.depth, branch=expansion.idx, names=names)
 
@@ -559,9 +560,12 @@ class _Driver:
                 if not expansion.proves:
                     raise
             for reply, prompt, role in self._queue:
-                reply.append(_text(self, prompt, role, expansion.site))
-            if expansion.held is not None:
-                raise expansion.held
+                try:
+                    reply.append(_text(self, prompt, role, expansion.site))
+                except ProviderError:
+                    if not expansion.proves:
+                        raise
+                    reply.append("")
         except BaseException as exc:
             for _tactic, _state, session, _replies in expansion.children:
                 self.close_session(session)
@@ -615,17 +619,14 @@ class _Driver:
         return result
 
     def _child(self, expansion: _Expansion, tactic: str):
-        """Clone the branch session and apply a validated tactic; a desync
-        is held and closes the clone."""
-        child = None
+        """Clone the branch session and apply a validated tactic; whatever
+        raises closes the clone."""
+        child = self.opened(self.backend.clone_session(expansion.branch.session))
         try:
-            child = self.opened(self.backend.clone_session(expansion.branch.session))
             after = self.backend.apply_tactic(tactic, child)
-        except SessionDesync as exc:
-            expansion.held = exc
-            if child is not None:
-                self.close_session(child)
-            return None
+        except BaseException:
+            self.close_session(child)
+            raise
         expansion.children.append((tactic, after, child, {}))
         return after
 
@@ -677,10 +678,19 @@ class _Layer:
 
     def collect(self):
         """Read the pending expansions' replies in call order; the first
-        failure prunes its branch. Returns the proved trace, if one holds
-        (a proving expansion is always the last one pending)."""
+        failure prunes its branch. Returns the proved trace, if one holds (a
+        proving expansion is always the last one pending): only its proving
+        child's explain reply is read, and a failed one leaves the step's
+        explanation empty."""
         pending, self.pending = self.pending, []
         for expansion in pending:
+            if expansion.proves:
+                tactic, _after, _session, replies = expansion.children[-1]
+                try:
+                    text = replies["explain"]()
+                except ProviderError:
+                    text = ""
+                return expansion.branch.candidate.trace + ((tactic, text),)
             branches, insights = [], []
             try:
                 if expansion.error is not None:
@@ -688,8 +698,6 @@ class _Layer:
                 for tactic, after, session, replies in expansion.children:
                     text = replies["explain"]()
                     trace = expansion.branch.candidate.trace + ((tactic, text),)
-                    if after.is_complete:
-                        return trace
                     candidate = SearchCandidate(state=after, trace=trace, summary=replies["summarize"]())
                     branches.append(_Branch(candidate, session))
                     if text.strip():
@@ -765,9 +773,7 @@ def prove(theorem: str, params: SearchParams, ports: SearchPorts) -> ProofResult
                 driver.run(expansion, after)
                 collected.pending.append(expansion)
                 if expansion.proves:
-                    proved = collected.collect()
-                    if proved is not None:
-                        return finish(Outcome.PROVED, depth, proved)
+                    return finish(Outcome.PROVED, depth, collected.collect())
             collected.collect()
 
             if not collected.branches:

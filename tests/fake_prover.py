@@ -19,8 +19,11 @@ one ``CoqString`` per goal, without hypotheses, escaped as sexplib prints.
 A fault ``{"kind": k, "sentence": s, "flag": path}`` fires on the first Exec
 of sentence `s` among all fakes sharing the flag file, after the Ack:
 ``crash`` exits, ``hang`` stops answering, ``garbage`` prints a line that is
-not an s-expression, ``deep`` prints a 100,000-deep answer and exits, and
-``error`` answers a CoqExn.
+not an s-expression, ``deep`` prints a 100,000-deep answer and exits,
+``deaf`` closes its input, answers Completed and exits, ``error`` answers a
+CoqExn, and ``blank`` prints an empty line before the usual answers. An
+``unadded`` fault fires on the Add of `s` instead, which it answers with
+neither Added nor CoqExn and leaves out of the document.
 """
 
 import itertools
@@ -93,8 +96,10 @@ def execute(backend, context, sentence: str):
     return (requires, result.state), None
 
 
-def fault_fires(fault, sentence: str) -> bool:
+def fault_fires(fault, head: str, sentence: str) -> bool:
     if not fault or fault["sentence"] != sentence:
+        return False
+    if (head == "Add") != (fault["kind"] == "unadded"):
         return False
     try:
         os.close(os.open(fault["flag"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
@@ -131,14 +136,15 @@ def main(package_dir: str, spec_path: str) -> None:
         answer(tag, "Ack")
         head = command[0]
         if head == "Add":
-            sid = next(ids)
-            doc.append([str(sid), command[2], None])
-            answer(tag, f"(Added {sid} ((bp 0) (ep {len(command[2])})) NewTip)")
+            if not fault_fires(fault, head, command[2]):
+                sid = next(ids)
+                doc.append([str(sid), command[2], None])
+                answer(tag, f"(Added {sid} ((bp 0) (ep {len(command[2])})) NewTip)")
         elif head == "Exec":
             index = [entry[0] for entry in doc].index(command[1])
             sid, sentence, _ = doc[index]
             count("exec")
-            if fault_fires(fault, sentence):
+            if fault_fires(fault, head, sentence):
                 if fault["kind"] == "crash":
                     return
                 if fault["kind"] == "hang":
@@ -150,9 +156,15 @@ def main(package_dir: str, spec_path: str) -> None:
                 if fault["kind"] == "garbage":
                     print(")garbage(", flush=True)
                     continue
-                answer(tag, coq_exn(sid, "injected error"))
-                answer(tag, "Completed")
-                continue
+                if fault["kind"] == "deaf":
+                    os.close(0)  # a command sent from now on meets a broken pipe
+                    answer(tag, "Completed")
+                    return
+                if fault["kind"] == "error":
+                    answer(tag, coq_exn(sid, "injected error"))
+                    answer(tag, "Completed")
+                    continue
+                print()
             print(f"(Feedback ((doc_id 0) (span_id {sid}) (route 0) (contents Processed)))")
             before = doc[index - 1][2] if index else ((), None)
             context, error = execute(backend, before, sentence)

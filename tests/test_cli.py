@@ -5,6 +5,7 @@ the no-credentials-in-config rule."""
 import hashlib
 import json
 import os
+import runpy
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ from prooforge.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from prooforge.coq_backend import SubprocessBackend
 from prooforge.clarity_eval import parse_report_rows
 from prooforge.llm_gateway import HttpGateway
+from prooforge.retrieval import HttpEmbeddingProvider
 
 PROVE_SCRIPT = os.path.join(FIXTURES, "gateway_prove.jsonl")
 FAIL_SCRIPT = os.path.join(FIXTURES, "gateway_fail.jsonl")
@@ -111,6 +113,16 @@ class TestIngest:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ingest", "--proofs", "p.jsonl", "--vocab-out", "v.txt"],
+         "ingest requires --entities, --proofs, and --vocab-out"),
+        (["vocab", "--entities", "e.jsonl"],
+         "vocab requires --entities with --vocab-out, or --vocab"),
+    ], ids=["ingest", "vocab"])
+    def test_a_missing_input_is_a_usage_error(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_vocab_build_and_inspect(self, tmp_path, capsys):
         vocab_out = tmp_path / "vocab.txt"
         assert main([
@@ -197,6 +209,43 @@ class TestProve:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: retrieve_k must be non-negative\n"
         assert not list(tmp_path.glob("run-*.json"))
+
+    @pytest.mark.parametrize("ports, message", [
+        (["--backend", "subprocess"], "the subprocess backend requires --executable"),
+        (["--gateway", "http"], "the http gateway requires --base-url and --model"),
+        (["--gateway", "http", "--base-url", "http://localhost:9"],
+         "the http gateway requires --base-url and --model"),
+    ], ids=["executable", "base-url-and-model", "model"])
+    def test_a_port_without_its_settings_is_a_usage_error(self, ports, message, tmp_path, capsys):
+        code = main(["prove", *ports, "--out", str(tmp_path), WORKED])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_theorem_that_does_not_compile_is_a_port_failure(self, tmp_path, capsys):
+        code = main(prove_args(tmp_path) + ["((("])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("port failure: theorem does not compile: ")
+        assert err.endswith(" [theorem '(((']\n")
+
+    def test_the_embed_url_serves_retrieval(self, tmp_path, monkeypatch, capsys):
+        # Every premise and tactic example is embedded through the
+        # endpoint, under the default model name when none is given.
+        posted = []
+
+        def transport(self, url, payload, headers):
+            posted.append((url, payload["model"], len(payload["input"])))
+            rows = [[1.0, float(len(text) % 7)] for text in payload["input"]]
+            return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+
+        monkeypatch.setattr(HttpEmbeddingProvider, "_default_transport", transport)
+        code = main(prove_args(tmp_path) + ["--embed-url", "http://localhost:9/v1", WORKED])
+        assert code == EXIT_OK
+        assert "outcome: Proved" in capsys.readouterr().out
+        assert {(url, model) for url, model, _n in posted} == {
+            ("http://localhost:9/v1/embeddings", "embedding")
+        }
+        assert len(posted) > 1
 
     def test_budget_follows_the_search_shape(self, tmp_path):
         # With no budget set, the budget is compute_budget of the shape;
@@ -423,6 +472,13 @@ class TestConfigFiles:
         config.write_text(json.dumps(obj), encoding="utf-8")
         assert cli.load_run_config(str(config)) == obj
 
+    def test_a_config_that_is_not_an_object_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        code = main(["prove", "--config", str(config), WORKED])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: config file {config} must hold a JSON object\n"
+
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"frobnicate": 1}), encoding="utf-8")
@@ -528,6 +584,29 @@ class TestBench:
         jobs = -3 if source == "flag" else 0
         assert capsys.readouterr().err == f"error: jobs must be at least 1, not {jobs}\n"
         assert not (tmp_path / "runs").exists()
+
+    def test_an_empty_theorem_list_is_a_usage_error(self, tmp_path, capsys):
+        theorems = tmp_path / "theorems.txt"
+        theorems.write_text("# only a comment\n\n", encoding="utf-8")
+        code = main(bench_args(tmp_path / "runs") + ["--theorems", str(theorems)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: theorem list {theorems} is empty\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_port_error_costs_only_its_theorem(self, tmp_path, capsys):
+        # `(((` does not compile: its log records the PortError, and the
+        # theorem after it still proves.
+        theorems = tmp_path / "theorems.txt"
+        theorems.write_text(f"(((\n{WORKED}\n", encoding="utf-8")
+        code = main(bench_args(tmp_path / "runs") + ["--theorems", str(theorems)])
+        out = capsys.readouterr().out
+        assert code == EXIT_DOMAIN
+        assert out.startswith("(((: PortError (theorem does not compile: ")
+        assert f"{WORKED}: Proved" in out
+        assert "proved 1/1 (100.00%), 1 port errors" in out
+        log = json.loads(Path(cli._run_log_path(str(tmp_path / "runs"), "(((")).read_text())
+        assert log["outcome"] == "PortError"
+        assert log["error"].startswith("theorem does not compile: ")
 
     def test_bench_summarizes_the_suite(self, tmp_path, capsys):
         code = main(bench_args(tmp_path / "runs"))
@@ -826,6 +905,17 @@ class TestClarity:
             "warning: at least one configuration run is incomplete\n"
         )
 
+    def test_requires_entities(self, tmp_path, capsys):
+        code = main([
+            "clarity",
+            *mock_ports_args(),
+            "--gateway-script", CLARITY_SCRIPT,
+            "--theorem", WORKED,
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: clarity requires --entities\n"
+
     def test_requires_a_theorem(self, tmp_path, capsys):
         code = main([
             "clarity",
@@ -901,6 +991,21 @@ class TestReport:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "Correlation skipped: fewer than two joined configurations" in out
+
+    def test_a_constant_series_leaves_the_correlation_undefined(self, tmp_path, capsys):
+        # Two configurations with one clarity mean: Pearson r is undefined.
+        runs_dir = str(tmp_path / "runs")
+        write_config_runs(runs_dir, "Complete", 2, 4)
+        write_config_runs(runs_dir, "NoContext", 1, 4)
+        clarity = tmp_path / "rows.tsv"
+        clarity.write_text(
+            "config\tprobe_count\tmean\texcluded_count\n"
+            "Complete\t10\t0.500000\t0\nNoContext\t10\t0.500000\t0\n",
+            encoding="utf-8",
+        )
+        code = main(["report", "--runs", runs_dir, "--clarity", str(clarity)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.endswith("Correlation undefined: constant series\n")
 
     def test_empty_directory_is_a_usage_error(self, tmp_path, capsys):
         runs_dir = tmp_path / "runs"
@@ -1052,3 +1157,17 @@ def test_unread_flags_are_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, status, out", [
+    (["--version"], EXIT_OK, "0.1.0\n"),
+    (["report", "--runs", os.path.join(FIXTURES, "no-such-runs")], EXIT_USAGE, ""),
+], ids=["version", "usage-error"])
+def test_python_dash_m_exits_with_the_commands_status(argv, status, out, monkeypatch, capsys):
+    # `python -m prooforge` runs the package's `__main__` through `runpy`;
+    # run here in-process, its lines count in the line trace.
+    monkeypatch.setattr(sys, "argv", ["prooforge", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("prooforge", run_name="__main__")
+    assert exc.value.code == status
+    assert capsys.readouterr().out == out

@@ -20,6 +20,8 @@ from conftest import (
 from prooforge.coq_backend import (
     CompileResult,
     ERROR_TEXT_LIMIT,
+    MAX_REWRITE_CHARS,
+    MAX_REWRITE_PASSES,
     Lemma,
     SubprocessBackend,
     SyntheticBackend,
@@ -180,6 +182,22 @@ class TestMoreTactics:
         assert [h.surface_type for h in goal.hypotheses_surface] == ["A", "B"]
         assert goal.goal_surface == "A"
 
+    def test_intros_names_each_hypothesis_afresh(self):
+        backend = SyntheticBackend()
+        session = backend.start_session("A -> B -> C -> A")
+        goal = backend.apply_tactic("intros", session).goals[0]
+        assert [h.name for h in goal.hypotheses_surface] == ["H", "H0", "H1"]
+
+    def test_reflexivity_splits_at_the_equality_outside_parentheses(self):
+        backend = SyntheticBackend()
+        session = backend.start_session("f (x = y) = f (x = y)")
+        assert backend.compile_tactic("reflexivity", session.state, session).state.is_complete
+
+    @pytest.mark.parametrize("source", [")x(", "(x", "f (x))"])
+    def test_unbalanced_parentheses_do_not_compile(self, source):
+        result = SyntheticBackend().compile_theorem(source)
+        assert result.error == "Syntax error: unbalanced parentheses."
+
     def test_assumption_closes_matching_goal(self):
         backend = SyntheticBackend()
         session = backend.start_session("A -> B -> A")
@@ -251,6 +269,24 @@ class TestMoreTactics:
         session = backend.start_session("a = c")
         state = backend.apply_tactic("simpl", session)
         assert state.goals[0].goal_surface == "c = c"
+
+    def test_rewrites_stop_at_the_pass_cap(self):
+        backend = SyntheticBackend(rewrites={"a": "ab"})
+        session = backend.start_session("a = b")
+        state = backend.apply_tactic("simpl", session)
+        assert state.goals[0].goal_surface == "a" + "b" * MAX_REWRITE_PASSES + " = b"
+
+    @pytest.mark.parametrize("rewrites, goal", [
+        # Each pass doubles the `a`s, until the next would pass the cap.
+        ({"a": "aa"}, "a" * 2 ** 16 + " = b"),
+        # One replacement more would make the goal about 10**10 long.
+        ({"a": "a" * 99_000}, "a" * 99_000 + " = b"),
+    ], ids=["doubling", "one-long-replacement"])
+    def test_rewrites_stop_before_the_goal_outgrows_the_length_cap(self, rewrites, goal):
+        assert len(goal) <= MAX_REWRITE_CHARS < len(goal) * 2
+        backend = SyntheticBackend(rewrites=rewrites)
+        session = backend.start_session("a = b")
+        assert backend.apply_tactic("simpl", session).goals[0].goal_surface == goal
 
 
 # ----------------------------------------------------------------------

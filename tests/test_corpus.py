@@ -173,6 +173,22 @@ class TestLoadEntities:
         uses_record = corpus.records[[r.name for r in corpus.records].index("M.uses")]
         assert uses_record.dependencies == (true_tid,)
 
+    def test_a_rendered_dependency_with_an_empty_path_names_no_entity(self, tmp_path):
+        # `M.base<ker>` has no kernel path: it resolves to nothing and is
+        # dropped, beside a rendered name that resolves.
+        uses = json.dumps({
+            "name": "M.uses", "kernel_name": "M.uses", "kind": "Definition",
+            "origin": "o", "internal": "i",
+            "dependencies": ["M.base<ker>", "M.base<ker>M.base"],
+        })
+        base = json.dumps({
+            "name": "M.base", "kernel_name": "M.base", "kind": "Definition",
+            "origin": "o", "internal": "i",
+        })
+        table = TokenTable()
+        corpus = load_entity_corpus(_write_entities(tmp_path, base, uses), table)
+        assert corpus.records[1].dependencies == (corpus.tokens[0],)
+
     def test_unknown_fields_preserved_as_extras(self, tmp_path):
         extra = json.dumps(
             {
@@ -783,6 +799,16 @@ class TestDeriveConstructors:
         )
         assert derive_constructors(record) == []
 
+    @pytest.mark.parametrize("clause", ["a b : t", " : t", "c :"])
+    def test_a_clause_without_a_one_word_name_and_a_type_is_skipped(self, clause):
+        record = make_entity("t", kind="Inductive", internal=f"t : Set | {clause} | d : t")
+        assert [c.name for c in derive_constructors(record)] == ["d"]
+
+    def test_a_clause_whose_name_makes_no_record_is_skipped(self):
+        # `a..b` has an empty path segment, so no record takes it as a name.
+        record = make_entity("t", kind="Inductive", internal="t : Set | a..b : t | c : t")
+        assert [c.name for c in derive_constructors(record)] == ["c"]
+
 
 # ----------------------------------------------------------------------
 # Concept extraction
@@ -814,6 +840,15 @@ class TestExtractConcepts:
             (GoalState((), (), "0 + n = n", "eq nat ( Coq.Init.Nat.add 0 n ) n"),)
         )
         assert extract_concepts(corpus, table, state, depth=0) == frozenset(tokens)
+
+    def test_a_token_with_no_record_is_kept_and_not_expanded(self):
+        # A table may hold an entity the corpus has no record of, as a
+        # `--vocab` table with an extra entry does.
+        table, corpus, _ = _three_record_setup()
+        extra = table.intern_entity(make_entity("Extra.e", kind="Definition"))
+        assert corpus.record_for(extra) is None
+        state = ProofState((GoalState((), (), "e", "Extra.e"),))
+        assert extract_concepts(corpus, table, state, depth=1) == frozenset({extra})
 
     def test_empty_state_any_depth(self):
         # [TRIVIAL]

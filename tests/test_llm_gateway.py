@@ -186,6 +186,11 @@ class TestParseActionResponse:
     def test_empty_tactics_list_is_unparsed(self):
         assert isinstance(parse_action_response('{"tactics": []}'), Unparsed)
 
+    def test_entries_that_name_no_tactic_are_skipped(self):
+        reply = json.dumps({"tactics": ["intros", {"tactic": 3}, {"tactic": " "}, {"tactic": "simpl"}]})
+        action = parse_action_response(reply)
+        assert [t.tactic for t in action.items] == ["simpl"]
+
 
 class TestArrayParsing:
     def test_string_array(self):

@@ -406,27 +406,26 @@ class TestExpansionProgram:
             "trivial", "trivial", "auto",
         ]
 
-    def test_a_child_that_cannot_be_made_closes_the_children_but_not_the_rounds(self):
-        # The first child desyncs (None): it is not explained, and the
-        # later valid tactic asks for no child. The failed tactic still
-        # opens a second round, which plans from its error.
-        requests = step_by_hand(worked_program(SearchParams(max_retries=1)), {
-            "planner": lambda _prompt: "Try both.",
-            "executor": lambda _prompt: tactics_reply("intros n", "simpl", "reflexivity"),
-            "validate": lambda tactic: (
-                CompileResult(error="No progress.") if tactic == "reflexivity"
-                else CompileResult(state=sigma_1())
-            ),
-            "child": no_reply,
-        })
-        assert [payload for kind, payload in requests if kind in ("validate", "child")] == [
-            "intros n", "intros n", "simpl", "reflexivity",
-        ]
-        assert [kind for kind, _payload in requests] == [
-            "planner", "executor", "validate", "child", "validate", "validate",
-            "planner", "executor",
-        ]
-        assert "No progress." in requests[6][1]
+    def test_a_child_that_cannot_be_made_ends_the_expansion(self):
+        # The first child desyncs: its clone is closed and the branch is
+        # pruned at once. The later tactics are not validated, no round
+        # follows, and no call about a child is made; the only branch is
+        # lost, so the proof ends with the desync.
+        class DesyncOnApply(SessionLedger):
+            def apply_tactic(self, tactic, session):
+                raise SessionDesync(f"session {session.session_id} desynced")
+
+        backend = DesyncOnApply()
+        gateway = MockGateway(route_defaults() + [
+            ScriptRecord(reply=tactics_reply("intros n", "simpl", "reflexivity"), route="executor"),
+        ])
+        ports = SearchPorts(backend=backend, gateway=gateway)
+        with pytest.raises(PortFailure, match="session 2 desynced"):
+            prove(ADD_0_L_SURFACE, SearchParams(max_retries=1), ports)
+        tactics = [e["tactic"] for e in ports.recorder.events if e["event"] == "tactic"]
+        assert tactics == ["intros n"]
+        assert [request.role for request in gateway.calls] == ["planner", "executor"]
+        assert backend.closed == [2, 1]
 
     def test_the_first_info_request_asks_again_and_a_later_one_yields_no_tactics(self):
         # The expansion's first info request is yielded for the driver to
@@ -1142,11 +1141,12 @@ class TestEarlyChildren:
         assert inline_calls - lanes_calls == Counter()
 
 
-    def test_a_child_desync_is_held_until_the_rounds_end(self):
+    def test_a_child_desync_prunes_its_branch_at_once(self):
         # Depth 2, branch 0 makes a child for `idtac`; applying `simpl` on
-        # the next child desyncs. The rest of the round and round 2 still
-        # validate, the `idtac` child's calls are sent, and then the branch
-        # is pruned, its children closed before branch 1 validates.
+        # the next child desyncs, which prunes the branch at once: `ring`
+        # and round 2 are not validated, and its children are closed before
+        # branch 1 validates. Inline, the `idtac` child's queued calls are
+        # dropped; on lanes they were sent and their replies are never read.
         class DesyncOnSimpl(SessionLedger):
             def apply_tactic(self, tactic, session):
                 if tactic == "simpl":
@@ -1166,24 +1166,25 @@ class TestEarlyChildren:
                 records, delay_s, EARLY_CHILD_PARAMS, backend=backend
             )
             assert result.outcome is Outcome.PROVED
-            assert result.tactic_evaluations_used == 7
+            assert result.tactic_evaluations_used == 5
             tactics = [e["tactic"] for e in events if e["event"] == "tactic"
                        and (e["depth"], e["branch"]) == (2, 0)]
-            assert tactics == ["idtac", "simpl", "ring", "intros"]
+            assert tactics == ["idtac", "simpl"]
             pruned = [e for e in events if e["event"] == "branch-pruned"]
             assert [(e["depth"], e["branch"]) for e in pruned] == [(2, 0)]
             assert pruned[0]["error"] == "session 5 desynced"
             assert backend.first_validation_after(2) == {3}
             assert sorted(backend.closed) == sorted(backend.opened)
             calls = Counter(request.role for request in gateway.mock.calls)
-            assert (calls["explain"], calls["summarize"]) == (4, 3)
+            assert (calls["explain"], calls["summarize"]) == ((3, 2) if delay_s == 0.0 else (4, 3))
             runs.append((result, events))
         assert runs[0] == runs[1]
 
 
-def prove_zero(executor, delay_s: float, budget=None):
-    """Prove `0 = 0` with one executor reply per round, in order."""
-    records = route_defaults() + [
+def prove_zero(executor, delay_s: float, budget=None, records=()):
+    """Prove `0 = 0` with one executor reply per round, in order, and the
+    numbered `records` of other roles."""
+    records = route_defaults() + list(records) + [
         ScriptRecord(reply=tactics_reply(*tactics), route="executor") for tactics in executor
     ]
     gateway = WaitingGateway(records, delay_s)
@@ -1238,6 +1239,28 @@ class TestAProofIsKept:
     def test_a_proof_needs_no_reply_after_its_round(self, delay_s):
         result, _calls = prove_zero(LOSING_ROUNDS[:2], delay_s)
         assert result.outcome is Outcome.PROVED
+
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    def test_a_failed_explain_of_the_proving_child_keeps_the_proof(self, delay_s):
+        # The explain call about `reflexivity` fails: the proof is kept,
+        # with an empty explanation for its step.
+        failing = ScriptRecord(reply="unused", route="explain", expect_digest=FAILING_DIGEST)
+        result, calls = prove_zero([("reflexivity",)], delay_s, records=[failing])
+        assert result.outcome is Outcome.PROVED
+        assert result.trace == (("reflexivity", ""),)
+        assert calls["explain"] == 1
+
+    @pytest.mark.parametrize("delay_s", [0.0, LANE_DELAY_S], ids=["inline", "lanes"])
+    @pytest.mark.parametrize("route", ["explain", "summarize"])
+    def test_a_failed_call_about_an_earlier_sibling_keeps_the_proof(self, route, delay_s):
+        # `idtac` makes a child before `reflexivity` proves, and a call about
+        # the `idtac` child fails. Its reply is never read, and inline the
+        # proving expansion still sends every queued call.
+        failing = ScriptRecord(reply="unused", route=route, expect_digest=FAILING_DIGEST)
+        result, calls = prove_zero([("idtac", "reflexivity")], delay_s, records=[failing])
+        assert result.outcome is Outcome.PROVED
+        assert result.trace == (("reflexivity", "The tactic advanced the goal."),)
+        assert (calls["explain"], calls["summarize"]) == (2, 1)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=423)
@@ -1793,7 +1816,7 @@ def info_corpus(tmp_path):
         ),
     ]
     lines = [ENTITIES_HEADER] + [
-        json.dumps(encode_entity_record(r)) for r in records
+        json.dumps(encode_entity_record(r, table)) for r in records
     ]
     path = tmp_path / "entities.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

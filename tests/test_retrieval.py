@@ -195,6 +195,14 @@ class TestHttpEmbedMany:
         assert kind_rows(index)[TACTIC].matrix.tobytes() == np.repeat(mock_rows[-1:], 3, 0).tobytes()
         assert provider.dim == 32
 
+    def test_no_texts_embed_to_no_rows_of_the_known_width(self):
+        transport = CountingTransport()
+        provider = http_provider(transport)
+        assert provider.embed_many([]).shape == (0, 0)
+        provider.embed_many(["t"])
+        assert provider.embed_many([]).shape == (0, 32)
+        assert transport.requests == 1
+
     def test_rows_out_of_index_order_land_in_place(self):
         transport = CountingTransport()
         texts = [f"t{i}" for i in range(BATCH + 3)]

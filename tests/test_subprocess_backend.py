@@ -225,3 +225,60 @@ def test_a_session_that_fails_to_start_closes_its_prover(fake_backend, tmp_path)
         backend.start_session("A -> A")
     assert backend._procs == {}
     assert backend.spawned[0].returncode is not None
+
+
+# ----------------------------------------------------------------------
+# Protocol edges
+# ----------------------------------------------------------------------
+
+def _fault(kind: str, sentence: str, tmp_path) -> dict:
+    return {"kind": kind, "sentence": sentence, "flag": str(tmp_path / "fired")}
+
+
+def test_a_backend_needs_an_executable():
+    with pytest.raises(ValueError, match="subprocess backend requires an executable path"):
+        SubprocessBackend("")
+
+
+def test_a_closed_session_sends_no_command(fake_backend):
+    backend = fake_backend(SyntheticBackend())
+    session = backend.start_session("A -> A")
+    backend.close_session(session)
+    with pytest.raises(SessionDesync, match=f"session {session.session_id} has no live process"):
+        backend.compile_tactic("intros", session.state, session)
+
+
+def test_a_blank_answer_line_is_skipped(fake_backend, tmp_path):
+    backend = fake_backend(SyntheticBackend(), fault=_fault("blank", "intros.", tmp_path))
+    session = backend.start_session("A -> A")
+    result = backend.compile_tactic("intros", session.state, session)
+    assert (tmp_path / "fired").exists()
+    assert [g.goal_surface for g in result.state.goals] == ["A"]
+    backend.close_session(session)
+
+
+def test_an_add_answered_without_a_state_id_is_not_accepted(fake_backend, tmp_path):
+    # The prover answers the Add of `intros.` with neither Added nor
+    # CoqExn: the tactic fails, and the session validates it once the
+    # fault has fired.
+    backend = fake_backend(SyntheticBackend(), fault=_fault("unadded", "intros.", tmp_path))
+    session = backend.start_session("A -> A")
+    failed = backend.compile_tactic("intros", session.state, session)
+    assert failed.error == "statement was not accepted"
+    result = backend.compile_tactic("intros", session.state, session)
+    assert [g.goal_surface for g in result.state.goals] == ["A"]
+    backend.close_session(session)
+
+
+def test_a_prover_that_stops_reading_poisons_its_session(fake_backend, tmp_path):
+    # Once `intros.` runs, the prover closes its input: the next command
+    # meets a broken pipe, and the session closes although that command is
+    # still buffered for the prover's input.
+    backend = fake_backend(SyntheticBackend(), fault=_fault("deaf", "intros.", tmp_path))
+    session = backend.start_session("A -> A")
+    with pytest.raises(SessionDesync, match=f"session {session.session_id} poisoned: .*Broken pipe"):
+        backend.compile_tactic("intros", session.state, session)
+    assert session.poisoned
+    assert backend._procs == {}
+    assert backend.spawned[0].stdin.closed
+

@@ -187,6 +187,10 @@ class TestTokenizeTerm:
         with pytest.raises(ValueError, match="carries no detail"):
             TokenClass(TokenClass.LOCAL, "nat")
 
+    def test_an_unknown_class_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown token class kind 'constant'"):
+            TokenClass("constant")
+
     def test_table_never_mutated(self):
         table = TokenTable()
         before = len(table)
@@ -351,6 +355,23 @@ class TestVocabularyIO:
         table = load_vocabulary(str(path))
         assert (table.reserved_id("nat"), table.id_for_rendered("nat<ker>nat")) == (0, 1)
         assert table.next_id == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("5\t\treserved", "reserved token class requires its label"),
+        ("1\tA<ker>\tglobal", "both paths of a disambiguated name must be non-empty"),
+    ], ids=["reserved-label", "kernel-path"])
+    def test_an_empty_key_is_rejected(self, tmp_path, line, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"0\tforall\treserved\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=message) as exc_info:
+            load_vocabulary(str(path))
+        assert exc_info.value.line == 2
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("0\tforall\treserved\n\n1\tA<ker>A\tglobal\n", encoding="utf-8")
+        table = load_vocabulary(str(path))
+        assert (table.reserved_id("forall"), table.id_for_rendered("A<ker>A")) == (0, 1)
 
     def test_a_local_line_is_an_unknown_class(self, tmp_path):
         # Locals have no id, so `save_vocabulary` never writes one.
