@@ -1,10 +1,10 @@
 """List the lines of `src/prooforge` that the test suite never executes.
 
-Run from anywhere as ``python3 tests/line_trace.py [pytest arguments]``.
+Run from anywhere as ``python3 tests/line_trace.py``.
 
 The trace uses the standard library only. It sets `sys.settrace` and
 `threading.settrace` before `prooforge` is imported, runs pytest in this
-process on `tests/` (or on the arguments given), and records every line
+process on the whole of `tests/`, and records every line
 executed in a frame whose file lies under `src/prooforge`, on every thread.
 A file's executable lines are those `co_lines()` gives for its module code
 object and every code object nested in it. Each one that no test ran is
@@ -42,7 +42,7 @@ def executable_lines(code) -> set:
     return lines
 
 
-def main(args) -> int:
+def main() -> int:
     executed: dict = {}
     prefix = PACKAGE + os.sep
 
@@ -65,7 +65,7 @@ def main(args) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(list(args) or DEFAULT_ARGS)
+        status = pytest.main(DEFAULT_ARGS)
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -90,4 +90,4 @@ def main(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

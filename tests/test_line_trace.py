@@ -5,16 +5,42 @@ lines it checks include those of nested code."""
 
 from pathlib import Path
 
+import pytest
+
 from line_trace import ALLOWLIST, PACKAGE, executable_lines
 
 
-def test_every_allowlist_entry_names_a_line_that_exists():
-    for (name, text), reason in ALLOWLIST.items():
+def stale_entries(allowlist) -> list:
+    """Each entry of `allowlist` that names no file of `src/prooforge`, no
+    line text that file holds, or gives no reason."""
+    stale = []
+    for (name, text), reason in allowlist.items():
         path = Path(PACKAGE) / name
-        assert path.is_file(), f"{name} is not a file of src/prooforge"
-        lines = {line.strip() for line in path.read_text(encoding="utf-8").splitlines()}
-        assert text in lines, f"{name} has no line {text!r}"
-        assert reason.strip(), f"{name}: {text!r} gives no reason"
+        if not path.is_file():
+            stale.append(f"{name} is not a file of src/prooforge")
+        elif text not in {line.strip() for line in path.read_text(encoding="utf-8").splitlines()}:
+            stale.append(f"{name} has no line {text!r}")
+        elif not reason.strip():
+            stale.append(f"{name}: {text!r} gives no reason")
+    return stale
+
+
+def test_every_allowlist_entry_names_a_line_that_exists():
+    assert stale_entries(ALLOWLIST) == []
+
+
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ((("gone.py", "pass"), "why"), "gone.py is not a file of src/prooforge"),
+        ((("cli.py", "no such line"), "why"), "cli.py has no line 'no such line'"),
+        ((("cli.py", "import sys"), " "), "cli.py: 'import sys' gives no reason"),
+    ],
+    ids=["file", "line", "reason"],
+)
+def test_a_stale_entry_is_found(entry, problem):
+    key, reason = entry
+    assert stale_entries({key: reason}) == [problem]
 
 
 def test_the_executable_lines_include_nested_code():
